@@ -31,7 +31,8 @@ from .model import (
     noise_rise_budget_from_db,
     shannon_rate,
 )
-from .solver import objective, solve_joint
+from .solver import objective, solve_dual
+from .solver import solve_joint  # noqa: F401 - bench/spans.py wraps simnet.solve_joint by name
 
 __all__ = [
     "PathLossParams",
@@ -364,6 +365,8 @@ def _budget_check(I, eps=1e-9):
         spent = sum(l.norm_interference * p for l, p in zip(links, alloc.p))
         if spent > I * (1.0 + eps):
             raise AssertionError(f"egress budget violated: {spent} > {I}")
+        if alloc.certified is False:
+            raise AssertionError(f"uncertified allocation: KKT residual {alloc.kkt_residual}")
 
     return check
 
@@ -392,7 +395,7 @@ def make_scheme(
     I = budget_watts(budget)
     if name == "nr":
         cfg = solver_config if solver_config is not None else SolverConfig()
-        return Scheme(name, lambda links: solve_joint(links, I, cfg), _budget_check(I))
+        return Scheme(name, lambda links: solve_dual(links, I, cfg), _budget_check(I))
     if name == "nr_density":
         return Scheme(name, lambda links: schedule_density(links, I), _density_check(I, capped=False))
     if name == "nr_density_capped":
@@ -712,11 +715,6 @@ class MetricsBundle:
         if denom == 0:
             return 0.0
         return float(totals.sum()) ** 2 / denom
-
-    def power_histogram(self, bins: int = 20):
-        """Histogram of the nonzero allocated powers over all frames."""
-        samples = self.ms_power_w[self.ms_power_w > 0]
-        return np.histogram(samples, bins=bins)
 
 
 def run_simulation(cfg: SimConfig) -> MetricsBundle:

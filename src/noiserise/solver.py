@@ -1,11 +1,16 @@
-"""Optimal joint bandwidth/power scheduling via iterative water-filling.
+"""Optimal joint bandwidth/power scheduling.
 
-The solver alternates two updates on the concave weighted-sum-rate
-objective: a water-filling power step that spends the egress budget
-exactly for fixed bandwidth fractions, and a bandwidth step that, for
-fixed powers, equalizes the marginal value of bandwidth by locating the
-bandwidth multiplier inside analytic bounds.  The alternation converges
-to the joint optimum, which is then certified through first-order (KKT)
+:func:`solve_joint` is the iterative water-filling algorithm.  It
+alternates two updates on the concave weighted-sum-rate objective: a
+water-filling power step that spends the egress budget exactly for fixed
+bandwidth fractions, and a bandwidth step that, for fixed powers,
+equalizes the marginal value of bandwidth by locating the bandwidth
+multiplier inside analytic bounds.  The alternation converges to the
+joint optimum, slowly near ties between users.
+
+:func:`solve_dual` finds the same optimum exactly by minimizing the
+problem's convex dual over the single budget multiplier; the simulator
+schedules with it.  Both results are certified through first-order (KKT)
 residuals rather than trusted blindly.
 """
 
@@ -26,6 +31,7 @@ __all__ = [
     "bandwidth_step",
     "bandwidth_for_multiplier",
     "solve_joint",
+    "solve_dual",
     "kkt_residual",
     "objective",
 ]
@@ -570,4 +576,175 @@ def solve_joint(links, budget, config=None):
         certified=res <= cfg.tol_kkt,
         kkt_residual=res,
         trace=trace,
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact dual solve
+
+_TIE = 1e-13  # band values closer than this, relative to the dual, are tied
+_FLAT = 1e-12  # spends closer than this, relative to w/lam, are equal
+_MAX_PROBES = 200  # each probe shrinks the bracket; a few suffice in practice
+
+
+def _band_value(w, ratio, lam):
+    """Per-unit-band value ``w (ln r - 1 + 1/r)`` of a user at ``lam``, with
+    ``r = ratio/lam``; 0 once the user no longer wants power (r <= 1)."""
+    a = (ratio - lam) / lam  # r - 1, free of cancellation near r = 1
+    return w * _marginal_gap(a) if a > 0.0 else 0.0
+
+
+def _envelope(lam, users, w, ratio, beta, budget):
+    """Top of the dual envelope at ``lam``: its value, and the tied users
+    mapped to their egress spend per unit band, ``c = w/lam - beta``.
+
+    Ties are judged against the dual value ``lam*I + top``, the scale of
+    the rounding in each band value; against ``top`` alone, users one ulp
+    apart would count as distinct wherever ``top`` is small.
+    """
+    values = [(_band_value(w[i], ratio[i], lam), i) for i in users]
+    top = max(v for v, _ in values)
+    floor = top - _TIE * (lam * budget + top)
+    return top, {i: w[i] / lam - beta[i] for v, i in values if v >= floor}
+
+
+def _kink(a, b, lo, hi, w, ratio, beta):
+    """Where the band values of users a and b cross inside (lo, hi).
+
+    ``v_a - v_b`` is >= 0 at ``lo`` and <= 0 at ``hi`` and its slope is
+    ``c_b - c_a``; Newton steps that leave the bracket fall back to a
+    geometric bisection, and the search stops once the two values agree
+    to rounding.
+    """
+    lam = math.sqrt(lo * hi)
+    for _ in range(200):
+        va = _band_value(w[a], ratio[a], lam)
+        vb = _band_value(w[b], ratio[b], lam)
+        d = va - vb
+        # equal to rounding: where the pieces are nearly tangent, one more
+        # Newton step would divide noise by a tiny slope
+        if abs(d) <= 1e-15 * max(va, vb):
+            break
+        if d > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        slope = beta[a] - beta[b] + (w[b] - w[a]) / lam
+        nxt = lam - d / slope if slope != 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = math.sqrt(lo * hi)
+        if abs(nxt - lam) <= 4e-16 * lam:
+            break
+        lam = nxt
+    return lam
+
+
+def solve_dual(links, budget, config=None):
+    """Exact joint optimum through the one-dimensional dual of the budget.
+
+    For a budget price ``lam`` (lambda1), each user's best power per unit
+    band gives it a band value ``v_i = w_i (ln r_i - 1 + 1/r_i)`` with
+    ``r_i = w_i e_i / (lam l_i)``, spending ``c_i = w_i/lam - l_i/e_i`` of
+    egress per unit band, so the dual ``g(lam) = lam I + max_i v_i`` is
+    convex in one scalar.  Its minimiser lies between the users'
+    single-user minimisers ``w_i / (I + l_i/e_i)``.  The walk keeps that
+    bracket and probes the upper envelope of the ``v_i``: at the
+    minimiser of the piece that tops both ends, or at the kink where the
+    two end pieces cross (located by safeguarded Newton); the envelope's
+    slope at the probe, ``I - c`` of the top user, tells which end moves.
+
+    At the minimiser either one user takes the whole band at ``p = I/l``,
+    or two tied users share it so that their spends average to ``I``.
+    Tie rule, for any number of users tied on the envelope: if some spend
+    ``I`` (to rounding), the lowest index of them takes the whole band;
+    otherwise the highest and the lowest spender share it, each the
+    lowest index among spends equal to rounding.  So identical users
+    leave the band to the lowest index.
+    ``lambda2 = -max_i v_i``.  The result is certified by the same KKT
+    residual as :func:`solve_joint`; only ``config.tol_kkt`` is used.
+    ``iterations`` counts envelope probes, ``converged`` says the walk
+    reached a stationary point, and there is no trace.
+    """
+    cfg = config if config is not None else SolverConfig()
+    I = budget_watts(budget)
+    n = len(links)
+    if n == 0:
+        raise ValueError("at least one user required")
+    w, e, l = _extract(links)
+    users = [i for i in range(n) if w[i] > 0.0 and e[i] > 0.0]
+    if not users:
+        raise NoTransmitterError("no user with positive weight and SINR")
+    ratio = [0.0] * n
+    beta = [0.0] * n
+    single = [0.0] * n
+    for i in users:
+        ratio[i] = w[i] * e[i] / l[i]
+        beta[i] = l[i] / e[i]
+        single[i] = w[i] / (I + beta[i])
+
+    # bracket ends: (lam, top user there, users tied there); the dual
+    # slope is < 0 at the left end and > 0 at the right one
+    left = right = None
+    lam = min(single[i] for i in users)
+    converged = False
+    for steps in range(1, _MAX_PROBES + 1):
+        top, spend = _envelope(lam, users, w, ratio, beta, I)
+        c_hi = max(spend.values())
+        c_lo = min(spend.values())
+        # spends this close are equal up to rounding, so the lowest index
+        # among them stands for all, whatever the rounding (of rescaled
+        # data, say) makes of their order
+        slack = _FLAT * max(w[i] for i in spend) / lam
+        hi_user = min(i for i, c in spend.items() if c >= c_hi - slack)
+        lo_user = min(i for i, c in spend.items() if c <= c_lo + slack)
+        if c_lo - I > slack:
+            left = (lam, lo_user, spend)
+        elif I - c_hi > slack:
+            right = (lam, hi_user, spend)
+        else:
+            converged = True
+            break
+        if left is None or right is None:  # only the first probe lands here
+            lam = max(single[i] for i in users)
+            continue
+        (lo, a, tied_lo), (hi, b, tied_hi) = left, right
+        if a == b or a in tied_hi or b in tied_lo:
+            # one piece, or two that are equal to rounding at an end, where
+            # their crossing is noise: probe the left piece's minimiser
+            lam = single[a]
+        else:
+            lam = _kink(a, b, lo, hi, w, ratio, beta)
+        if not lo < lam < hi:
+            lam = math.sqrt(lo * hi)
+
+    x = [0.0] * n
+    p = [0.0] * n
+    alone = [i for i, c in spend.items() if abs(c - I) <= slack]
+    if alone or hi_user == lo_user:
+        # a tied user spending the budget at its own minimiser takes the band
+        k = min(alone, default=hi_user)
+        lam = single[k]
+        x[k] = 1.0
+        p[k] = I / l[k]
+        top = max(_band_value(w[i], ratio[i], lam) for i in users)
+    else:
+        c_hi, c_lo = spend[hi_user], spend[lo_user]
+        share = (I - c_lo) / (c_hi - c_lo) if c_hi > c_lo else 1.0
+        share = min(1.0, max(0.0, share))
+        x[hi_user], x[lo_user] = share, 1.0 - share
+        p[hi_user] = share * c_hi / l[hi_user]
+        p[lo_user] = (1.0 - share) * c_lo / l[lo_user]
+    lam2 = -top
+    res = _kkt_residual(x, p, lam, lam2, w, e, l, I)
+    return Allocation(
+        x=x,
+        p=p,
+        lambda1=lam,
+        lambda2=lam2,
+        objective=_objective(x, p, w, e),
+        iterations=steps,
+        converged=converged,
+        certified=res <= cfg.tol_kkt,
+        kkt_residual=res,
+        trace=None,
     )

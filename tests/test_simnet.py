@@ -360,6 +360,37 @@ def test_run_simulation_deterministic():
     assert np.array_equal(a.ingress_w, b.ingress_w)
 
 
+def test_default_run_every_nr_allocation_certified(monkeypatch):
+    from noiserise import simnet
+
+    allocations = []
+    make = simnet.make_scheme
+
+    def recording_scheme(*args, **kwargs):
+        scheme = make(*args, **kwargs)
+
+        def schedule(links):
+            alloc = scheme.schedule(links)
+            allocations.append(alloc)
+            return alloc
+
+        return Scheme(scheme.name, schedule, scheme.check)
+
+    monkeypatch.setattr(simnet, "make_scheme", recording_scheme)
+    run_simulation(SimConfig())
+    assert len(allocations) == 19 * 80
+    uncertified = sum(1 for a in allocations if not a.certified)
+    assert uncertified == 0, f"{uncertified} of {len(allocations)} allocations uncertified"
+
+
+def test_nr_check_rejects_uncertified_allocation():
+    check = make_scheme("nr", 1.0).check
+    links = [UserLink(id=0, weight=1.0, norm_sinr=1.0, norm_interference=1.0)]
+    check(Allocation(x=[1.0], p=[1.0], certified=True, kkt_residual=0.0), links)
+    with pytest.raises(AssertionError, match="uncertified"):
+        check(Allocation(x=[1.0], p=[1.0], certified=False, kkt_residual=0.1), links)
+
+
 def test_torus_mean_ingress_matches_budget():
     # every cell spends exactly its egress budget, and summed over cells
     # ingress equals egress, so the mean tracks the budget tightly

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noiserise.model import SolverConfig, UserLink
 from noiserise.solver import (
@@ -12,6 +14,7 @@ from noiserise.solver import (
     lambda2_bounds,
     objective,
     power_step,
+    solve_dual,
     solve_joint,
 )
 
@@ -397,3 +400,211 @@ def test_objective_matches_grid_at_reference():
     best, _, _ = grid_search_two_user(w, e, l, GOLDEN_BUDGET, n=2000)
     value = objective([GOLDEN_X1, 1 - GOLDEN_X1], [GOLDEN_P1, 4 - 4 * GOLDEN_P1], GOLDEN_LINKS)
     assert value == pytest.approx(best, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# exact dual solve
+
+LONG = SolverConfig(max_iterations=20000)
+
+
+def _spent(links, alloc):
+    return sum(u.norm_interference * p for u, p in zip(links, alloc.p))
+
+
+def _dual_value(links, budget, lam):
+    """g(lam) = lam*I + max_i w_i (ln r_i - 1 + 1/r_i), r_i = w_i e_i / (lam l_i):
+    an upper bound on the optimum for every lam > 0 (weak duality)."""
+    best = 0.0
+    for u in links:
+        if u.weight > 0 and u.norm_sinr > 0:
+            a = u.weight * u.norm_sinr / (lam * u.norm_interference) - 1.0
+            if a > 0:
+                best = max(best, u.weight * (math.log1p(a) - a / (1.0 + a)))
+    return lam * budget + best
+
+
+def test_solve_dual_reference_two_user():
+    alloc = solve_dual(GOLDEN_LINKS, GOLDEN_BUDGET)
+    assert alloc.x == pytest.approx([0.6674185, 0.3325815], abs=1e-7)
+    assert alloc.p[0] == pytest.approx(GOLDEN_P1, abs=1e-6)
+    assert alloc.certified and alloc.converged and alloc.trace is None
+    assert alloc.kkt_residual <= 1e-12
+    joint = solve_joint(GOLDEN_LINKS, GOLDEN_BUDGET)
+    assert alloc.objective == pytest.approx(joint.objective, rel=1e-12)
+    assert alloc.lambda1 == pytest.approx(joint.lambda1, rel=1e-9)
+    assert alloc.lambda2 == pytest.approx(joint.lambda2, rel=1e-9)
+
+
+def test_solve_dual_single_user_takes_band_at_budget():
+    link = UserLink(id=0, weight=2.0, norm_sinr=3.0, norm_interference=0.5)
+    alloc = solve_dual([link], 2.0)
+    assert alloc.x == [1.0]
+    assert alloc.p == [4.0]
+    assert alloc.lambda1 == pytest.approx(2.0 / (2.0 + 0.5 / 3.0), rel=1e-15)
+    assert alloc.certified
+
+
+def test_solve_dual_degenerate_users_excluded():
+    links = [
+        UserLink(id=0, weight=0.0, norm_sinr=5.0, norm_interference=1.0),
+        UserLink(id=1, weight=1.0, norm_sinr=0.0, norm_interference=1.0),
+        UserLink(id=2, weight=1.0, norm_sinr=5.0, norm_interference=1.0),
+    ]
+    alloc = solve_dual(links, 2.0)
+    assert alloc.x == [0.0, 0.0, 1.0]
+    assert alloc.p == [0.0, 0.0, 2.0]
+    with pytest.raises(NoTransmitterError):
+        solve_dual(_links([0.0, 0.0], [1.0, 1.0], [1.0, 1.0]), 1.0)
+    with pytest.raises(ValueError):
+        solve_dual([], 1.0)
+
+
+def test_solve_dual_matches_solve_joint_on_uniform_instances():
+    # the criterion-3 generator: uniform draws from [0.1, 20]
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        links = _random_links(rng, int(rng.integers(2, 11)))
+        budget = float(rng.uniform(0.5, 10.0))
+        alloc = solve_dual(links, budget)
+        joint = solve_joint(links, budget, LONG)
+        assert alloc.certified and joint.certified
+        assert alloc.objective == pytest.approx(joint.objective, rel=1e-9)
+        assert alloc.converged
+
+
+def test_solve_dual_identical_users_lowest_index_takes_band():
+    # three or more users tied on the envelope: identical users all spend
+    # the budget at the same price, and the tie rule hands the whole band
+    # to the lowest index among them
+    links = _links([1.5] * 4, [2.0] * 4, [0.5] * 4)
+    alloc = solve_dual(links, 3.0)
+    assert alloc.x == [1.0, 0.0, 0.0, 0.0]
+    assert alloc.p == [6.0, 0.0, 0.0, 0.0]
+    assert alloc.certified
+    joint = solve_joint(links, 3.0)
+    assert joint.x == pytest.approx([0.25] * 4)
+    assert alloc.objective == pytest.approx(1.5 * math.log(13.0), rel=1e-15)
+    assert alloc.objective == pytest.approx(joint.objective, rel=1e-9)
+
+
+def test_solve_dual_duplicated_user_tie_goes_to_lowest_index():
+    # the golden optimum mixes two users; a copy of user 0 appended at
+    # index 2 ties with it everywhere, and the lower index keeps the share
+    links = GOLDEN_LINKS + [
+        UserLink(id=2, weight=1.1, norm_sinr=16.25, norm_interference=4.0)
+    ]
+    alloc = solve_dual(links, GOLDEN_BUDGET)
+    assert alloc.x[0] == pytest.approx(0.6674185, abs=1e-7)
+    assert alloc.x[2] == 0.0 and alloc.p[2] == 0.0
+    assert alloc.certified
+    joint = solve_joint(links, GOLDEN_BUDGET)
+    assert alloc.objective == pytest.approx(joint.objective, rel=1e-9)
+
+
+# a cell of the default simulation (frame 6, cell 17) on which the default
+# alternating solve stalls uncertified at x = (5e-4, 0.9995); the optimum is
+# x = (0.086, 0.914) and alternation needs about 400 iterations to reach it
+STALLED_BUDGET = 2.7221462937408145e-13
+STALLED_CELL = [
+    (0.0001299073485670229, 0.6451292893366949, 9.392873346670657e-14),
+    (0.0006065653975203864, 0.1481381635751598, 1.4046960618720302e-13),
+    (0.0002487868233841415, 0.3441610207342786, 1.0618524560918655e-13),
+    (0.00014167742325854412, 0.6085985726678793, 9.506041320549942e-14),
+    (0.0001889719604618734, 0.24809589165087073, 1.3294031920716402e-13),
+]
+
+
+def test_solve_dual_certified_where_default_solve_joint_stalls():
+    links = _links(*zip(*STALLED_CELL))
+    stalled = solve_joint(links, STALLED_BUDGET)
+    assert not stalled.certified
+    alloc = solve_dual(links, STALLED_BUDGET)
+    assert alloc.certified and alloc.kkt_residual <= 1e-12
+    assert alloc.x[1:3] == pytest.approx([0.0864, 0.9136], abs=1e-4)
+    reference = solve_joint(links, STALLED_BUDGET, LONG)
+    assert reference.certified
+    assert alloc.objective == pytest.approx(reference.objective, rel=1e-12)
+    assert alloc.objective > stalled.objective
+    gap = _dual_value(links, STALLED_BUDGET, alloc.lambda1) - alloc.objective
+    assert abs(gap) <= 1e-12 * alloc.objective
+
+
+# the simulator's regime: gains of 1e-15..1e-11 against budgets of the same
+# order, normalized SINRs of 1e-3..10, PF weights spanning six decades; each
+# drawn log-uniformly so that every decade is exercised
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda t: 10.0**t)
+
+
+@st.composite
+def simulator_cells(draw):
+    m = draw(st.integers(1, 15))
+    weights = draw(st.lists(_decades(-6, 0), min_size=m, max_size=m))
+    sinrs = draw(st.lists(_decades(-3, 1), min_size=m, max_size=m))
+    gains = draw(st.lists(_decades(-15, -11), min_size=m, max_size=m))
+    return _links(weights, sinrs, gains), draw(_decades(-15, -11))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simulator_cells())
+def test_property_solve_dual_certified_feasible_and_zero_gap(cell):
+    links, budget = cell
+    alloc = solve_dual(links, budget)
+    assert alloc.certified
+    assert sum(alloc.x) == pytest.approx(1.0, abs=1e-12)
+    assert all(0.0 <= x <= 1.0 for x in alloc.x)
+    assert _spent(links, alloc) == pytest.approx(budget, rel=1e-9)
+    assert _spent(links, alloc) <= budget * (1.0 + 1e-9)
+    # a zero duality gap proves global optimality on its own
+    gap = _dual_value(links, budget, alloc.lambda1) - alloc.objective
+    assert abs(gap) <= 1e-9 * alloc.objective
+
+
+@settings(max_examples=100, deadline=None)
+@given(simulator_cells())
+def test_property_solve_dual_matches_long_solve_joint(cell):
+    # solve_joint's objective is feasible, so at most the optimum, and its
+    # own multiplier bounds the optimum from above; the exact optimum must
+    # land in that bracket.  When the bracket is narrower than 1e-9 (the
+    # usual case) this is agreement within 1e-9; near-ties between users
+    # widen it, because alternation certifies (KKT residual <= 1e-6) a
+    # split that is up to ~5e-8 below the optimum there, and can still be
+    # uncertified after 20000 iterations.
+    links, budget = cell
+    alloc = solve_dual(links, budget)
+    joint = solve_joint(links, budget, LONG)
+    assert alloc.objective >= joint.objective * (1.0 - 1e-9)
+    assert alloc.objective <= _dual_value(links, budget, joint.lambda1) * (1.0 + 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simulator_cells(), _decades(-3, 3))
+def test_property_solve_dual_gain_and_budget_scale_together(cell, c):
+    # l and I in the same unit: scaling both changes nothing
+    links, budget = cell
+    base = solve_dual(links, budget)
+    scaled_links = [
+        UserLink(id=u.id, weight=u.weight, norm_sinr=u.norm_sinr,
+                 norm_interference=c * u.norm_interference)
+        for u in links
+    ]
+    scaled = solve_dual(scaled_links, c * budget)
+    assert scaled.x == pytest.approx(base.x, rel=1e-9, abs=1e-12)
+    assert scaled.p == pytest.approx(base.p, rel=1e-9, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simulator_cells(), _decades(-3, 3))
+def test_property_solve_dual_sinr_against_budget_scale(cell, c):
+    # e up by c and I down by c: the same shares at powers down by c
+    links, budget = cell
+    base = solve_dual(links, budget)
+    scaled_links = [
+        UserLink(id=u.id, weight=u.weight, norm_sinr=c * u.norm_sinr,
+                 norm_interference=u.norm_interference)
+        for u in links
+    ]
+    scaled = solve_dual(scaled_links, budget / c)
+    assert scaled.x == pytest.approx(base.x, rel=1e-9, abs=1e-12)
+    assert [c * p for p in scaled.p] == pytest.approx(base.p, rel=1e-9, abs=0.0)

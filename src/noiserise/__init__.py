@@ -24,8 +24,6 @@ from .model import (
     SolverConfig,
     UserLink,
     budget_watts,
-    egress_interference,
-    ingress_interference,
     noise_rise_budget_from_db,
     normalized_interference,
     shannon_rate,
@@ -87,8 +85,6 @@ __all__ = [
     "build_deployment",
     "calibrate_fixed_power",
     "cost_hata_pl",
-    "egress_interference",
-    "ingress_interference",
     "kkt_residual",
     "lambda2_bounds",
     "noise_rise_budget_from_db",

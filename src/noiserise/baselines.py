@@ -3,7 +3,9 @@ mean-interference calibration, and a simplified target-SINR power control.
 
 Both baselines schedule exactly one user per frame on the whole band;
 neither respects the egress budget by construction, which is the point of
-comparing against them.
+comparing against them.  As in :mod:`noiserise.density`, the array
+functions serve every cell of a :class:`Cells` layout at once and the
+:class:`UserLink` functions call them on a single cell.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .model import Allocation, UserLink
+import numpy as np
+
+from .model import Allocation, Cells, UserLink, link_arrays, winner_takes_band
 
 __all__ = [
     "CalibrationError",
@@ -25,6 +29,11 @@ class CalibrationError(RuntimeError):
     """Fixed-power calibration could not match the reference interference."""
 
 
+def fixed_power_scores(w, e, power):
+    """Weighted full-band rate ``w log(1 + P e)`` at constant power, per user."""
+    return w * np.log1p(power * e)
+
+
 def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
     """Schedule the user with the best weighted full-band rate at constant power.
 
@@ -36,19 +45,10 @@ def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
         raise ValueError(f"power must be > 0, got {power!r}")
     if not links:
         raise ValueError("at least one user required")
-    best = 0
-    best_score = -math.inf
-    for i, link in enumerate(links):
-        score = link.weight * math.log1p(power * link.norm_sinr)
-        if score > best_score:
-            best = i
-            best_score = score
-    n = len(links)
-    x = [0.0] * n
-    p = [0.0] * n
-    x[best] = 1.0
-    p[best] = power
-    return Allocation(x=x, p=p, objective=max(best_score, 0.0))
+    w, e, _, _ = link_arrays(links)
+    scores = fixed_power_scores(w, e, power)
+    x, p = winner_takes_band(Cells.single(len(links)), scores, power)
+    return Allocation(x=x.tolist(), p=p.tolist(), objective=max(float(scores.max()), 0.0))
 
 
 def calibrate_fixed_power(
@@ -124,6 +124,18 @@ def calibrate_fixed_power(
     )
 
 
+def target_sinr_frame(cells: Cells, w, e, cap, target_sinr, scale=1.0):
+    """Per-user ``(x, p)``: each cell's heaviest user with ``e > 0`` takes the
+    band at the power reaching ``target_sinr`` with SINR ``e * scale``,
+    clamped at ``cap``; a cell where nobody has ``e > 0`` gives the band to
+    its first user at zero power."""
+    able = e > 0
+    scores = np.where(able, w * math.log1p(target_sinr), -np.inf)
+    power = np.zeros(len(e))
+    power[able] = np.minimum(target_sinr / (e[able] * scale), cap[able])
+    return winner_takes_band(cells, scores, power)
+
+
 def schedule_target_sinr(
     links: Sequence[UserLink],
     target_sinr: float,
@@ -151,28 +163,8 @@ def schedule_target_sinr(
         if not e_reference_power > 0:
             raise ValueError("e_reference_power must be > 0")
         scale = e_reference_power / assumed_noise_plus_interference
-    rate = math.log1p(target_sinr)
-    best = None
-    best_score = -math.inf
-    for i, link in enumerate(links):
-        if link.norm_sinr <= 0:
-            continue
-        score = link.weight * rate
-        if score > best_score:
-            best = i
-            best_score = score
-    n = len(links)
-    x = [0.0] * n
-    p = [0.0] * n
-    if best is None:
-        # nobody can reach any SINR; schedule the first user silently
-        x[0] = 1.0
-        return Allocation(x=x, p=p, objective=0.0)
-    link = links[best]
-    e_eff = link.norm_sinr * scale
-    power = target_sinr / e_eff
-    if link.max_power is not None and power > link.max_power:
-        power = link.max_power
-    x[best] = 1.0
-    p[best] = power
-    return Allocation(x=x, p=p, objective=link.weight * math.log1p(power * e_eff))
+    w, e, _, cap = link_arrays(links)
+    x, p = target_sinr_frame(Cells.single(len(links)), w, e, cap, target_sinr, scale)
+    best = int(x.argmax())
+    obj = float(w[best]) * math.log1p(float(p[best]) * (float(e[best]) * scale))
+    return Allocation(x=x.tolist(), p=p.tolist(), objective=obj)

@@ -7,6 +7,10 @@ rate at full density.  Any rate-adaptation hook can supply that rate;
 Shannon capacity is the default.  Every allocation produced here also
 satisfies the whole-band budget, since summing the density cap over
 users gives ``sum l_i p_i <= I * sum x_i <= I``.
+
+The array functions schedule every cell of a :class:`Cells` layout at
+once from per-user arrays; the functions taking :class:`UserLink` lists
+convert at the boundary and call them on a single cell.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .model import Allocation, UserLink, budget_watts
+import numpy as np
+
+from .model import Allocation, Cells, UserLink, budget_watts, link_arrays, winner_takes_band
+from .solver import objective
 
 __all__ = [
     "RateAdaptation",
@@ -33,6 +40,47 @@ def shannon_rate_adaptation(power_density: float, link: UserLink) -> float:
     return math.log1p(power_density * link.norm_sinr)
 
 
+def density_scores(w, e, l, budget):
+    """Weighted Shannon rate ``w log(1 + (I/l) e)`` at full density, per user."""
+    return w * np.log1p(budget / l * e)
+
+
+def capped_frame(cells: Cells, w, e, l, cap, budget):
+    """Per-user ``(x, p)`` of the capped cascade, every cell at once.
+
+    Within a row, users are ranked by weighted full-density rate (ties to
+    the lowest index); ``np.subtract.accumulate`` gives the band left
+    before each rank with the same sequential rounding as a walk.
+    """
+    n = len(l)
+    score = cells.gather(w * np.log1p(budget * e / l), -np.inf)
+    order = np.argsort(-score, axis=1, kind="stable")
+    ranked = np.take_along_axis(cells.index, order, axis=1)
+    valid = np.take_along_axis(cells.valid, order, axis=1)
+    cap_r = cap[ranked]
+    l_r = l[ranked]
+    share = np.where(valid, cap_r * l_r / budget, 0.0)
+    band = np.empty((cells.n_cells, share.shape[1] + 1))
+    band[:, 0] = 1.0
+    band[:, 1:] = share
+    left = np.subtract.accumulate(band, axis=1)
+    before = left[:, :-1]  # band remaining when each rank's turn comes
+    live = valid & (before > 0.0)
+    full = live & (share <= before)  # granted its cap-limited share
+    last = live & ~full  # takes whatever band is left
+    x_r = np.where(full, share, np.where(last, before, 0.0))
+    p_r = np.where(full, cap_r, np.where(last, before * budget / l_r, 0.0))
+    # band to spare after every user is capped: spread it over the grantees
+    remaining = np.maximum(left[:, -1], 0.0)
+    granted = 1.0 - remaining
+    x_r = x_r / np.where((remaining > 0.0) & (granted > 0.0), granted, 1.0)[:, None]
+    x = np.zeros(n)
+    p = np.zeros(n)
+    x[ranked[valid]] = x_r[valid]
+    p[ranked[valid]] = p_r[valid]
+    return x, p
+
+
 def schedule_density(links: Sequence[UserLink], budget, rate_fn: RateAdaptation = shannon_rate_adaptation) -> Allocation:
     """Single-winner scheduler under the per-user density cap.
 
@@ -45,19 +93,13 @@ def schedule_density(links: Sequence[UserLink], budget, rate_fn: RateAdaptation 
     I = budget_watts(budget)
     if not links:
         raise ValueError("at least one user required")
-    best = 0
-    best_score = -math.inf
-    for i, link in enumerate(links):
-        score = link.weight * rate_fn(I / link.norm_interference, link)
-        if score > best_score:
-            best = i
-            best_score = score
-    n = len(links)
-    x = [0.0] * n
-    p = [0.0] * n
-    x[best] = 1.0
-    p[best] = I / links[best].norm_interference
-    return Allocation(x=x, p=p, objective=max(best_score, 0.0))
+    w, e, l, _ = link_arrays(links)
+    if rate_fn is shannon_rate_adaptation:
+        scores = density_scores(w, e, l, I)
+    else:
+        scores = np.array([u.weight * rate_fn(I / u.norm_interference, u) for u in links])
+    x, p = winner_takes_band(Cells.single(len(links)), scores, I / l)
+    return Allocation(x=x.tolist(), p=p.tolist(), objective=max(float(scores.max()), 0.0))
 
 
 def schedule_density_capped(links: Sequence[UserLink], budget) -> Allocation:
@@ -74,36 +116,7 @@ def schedule_density_capped(links: Sequence[UserLink], budget) -> Allocation:
     I = budget_watts(budget)
     if not links:
         raise ValueError("at least one user required")
-    n = len(links)
-    order = sorted(
-        range(n),
-        key=lambda i: (-(links[i].weight * math.log1p(I * links[i].norm_sinr / links[i].norm_interference)), i),
-    )
-    x = [0.0] * n
-    p = [0.0] * n
-    remaining = 1.0
-    for i in order:
-        if remaining <= 0.0:
-            break
-        link = links[i]
-        cap = link.max_power if link.max_power is not None else math.inf
-        cap_share = cap * link.norm_interference / I
-        if cap_share <= remaining:
-            x[i] = cap_share
-            p[i] = cap
-            remaining -= cap_share
-        else:
-            x[i] = remaining
-            p[i] = remaining * I / link.norm_interference
-            remaining = 0.0
-    if remaining > 0.0:
-        granted = 1.0 - remaining
-        if granted > 0.0:
-            for i in range(n):
-                if x[i] > 0.0:
-                    x[i] /= granted
-    obj = 0.0
-    for i in range(n):
-        if x[i] > 0.0 and p[i] > 0.0:
-            obj += links[i].weight * x[i] * math.log1p(p[i] * links[i].norm_sinr / x[i])
-    return Allocation(x=x, p=p, objective=obj)
+    w, e, l, cap = link_arrays(links)
+    x, p = capped_frame(Cells.single(len(links)), w, e, l, cap, I)
+    x, p = x.tolist(), p.tolist()
+    return Allocation(x=x, p=p, objective=objective(x, p, links))

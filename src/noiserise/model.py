@@ -11,19 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 LN2 = math.log(2.0)
 
 __all__ = [
     "LN2",
     "UserLink",
+    "Cells",
     "Allocation",
     "NoiseRiseBudget",
     "SolverConfig",
     "budget_watts",
     "shannon_rate",
     "normalized_interference",
-    "egress_interference",
-    "ingress_interference",
     "noise_rise_budget_from_db",
 ]
 
@@ -62,6 +63,74 @@ class UserLink:
             raise ValueError(f"norm_interference must be finite and > 0, got {l!r}")
         if self.max_power is not None and not self.max_power > 0:
             raise ValueError(f"max_power must be positive when given, got {self.max_power!r}")
+
+
+def link_arrays(links):
+    """Per-user ``(w, e, l, cap)`` float arrays of validated links; ``cap``
+    is ``inf`` where a link has no ``max_power``."""
+    w = np.array([u.weight for u in links], dtype=float)
+    e = np.array([u.norm_sinr for u in links], dtype=float)
+    l = np.array([u.norm_interference for u in links], dtype=float)
+    cap = np.array([math.inf if u.max_power is None else u.max_power for u in links], dtype=float)
+    return w, e, l, cap
+
+
+@dataclass(frozen=True)
+class Cells:
+    """Which users each cell serves, as a padded index matrix.
+
+    Row k of ``index`` lists cell k's users in ascending order, padded
+    with 0 where ``valid`` is False; ``cell_of[i]`` is user i's cell.
+    Per-user arrays gathered through ``index`` give one row per cell, so
+    a reduction along axis 1 schedules every cell at once.
+    """
+
+    cell_of: np.ndarray
+    index: np.ndarray
+    valid: np.ndarray
+
+    @classmethod
+    def from_cell_of(cls, cell_of, n_cells: int) -> "Cells":
+        cell_of = np.asarray(cell_of, dtype=np.intp)
+        counts = np.bincount(cell_of, minlength=n_cells)
+        valid = np.arange(max(int(counts.max(initial=0)), 1))[None, :] < counts[:, None]
+        index = np.zeros(valid.shape, dtype=np.intp)
+        index[valid] = np.argsort(cell_of, kind="stable")  # row-major fill keeps cell order
+        return cls(cell_of=cell_of, index=index, valid=valid)
+
+    @classmethod
+    def single(cls, n: int) -> "Cells":
+        """One cell serving users 0..n-1, for the per-cell library calls."""
+        return cls.from_cell_of(np.zeros(n, dtype=np.intp), 1)
+
+    @property
+    def n_cells(self) -> int:
+        return self.index.shape[0]
+
+    def gather(self, values, fill):
+        """``values`` per user as an (n_cells, width) matrix, ``fill`` in padding."""
+        return np.where(self.valid, values[self.index], fill)
+
+    def winners(self, scores):
+        """Each non-empty cell's highest-scoring user, ties to the lowest index."""
+        col = self.gather(scores, -np.inf).argmax(axis=1)
+        rows = np.arange(self.n_cells)
+        return self.index[rows, col][self.valid[rows, col]]
+
+    def sums(self, values):
+        """Per-cell sums of a per-user array."""
+        return np.bincount(self.cell_of, weights=values, minlength=self.n_cells)
+
+
+def winner_takes_band(cells: Cells, scores, power):
+    """Per-user ``(x, p)``: each cell's highest-scoring user holds the whole
+    band at ``power`` (a scalar or per-user array), everyone else nothing."""
+    x = np.zeros(len(cells.cell_of))
+    p = np.zeros(len(cells.cell_of))
+    best = cells.winners(scores)
+    x[best] = 1.0
+    p[best] = power[best] if np.ndim(power) else power
+    return x, p
 
 
 @dataclass(frozen=True)
@@ -185,45 +254,3 @@ def normalized_interference(serving_gain, downlink_sir):
     if not downlink_sir > 0:
         raise ValueError(f"downlink_sir must be > 0, got {downlink_sir!r}")
     return serving_gain / downlink_sir
-
-
-def egress_interference(powers, norm_interferences):
-    """Total interference a cell injects into its neighbors: sum of l_i * p_i."""
-    if len(powers) != len(norm_interferences):
-        raise ValueError("powers and norm_interferences must have the same length")
-    total = 0.0
-    for p, l in zip(powers, norm_interferences):
-        if p < 0:
-            raise ValueError("powers must be >= 0")
-        total += l * p
-    return total
-
-
-def ingress_interference(deployment, allocations, target_bs):
-    """Total in-band interference power received at ``target_bs``.
-
-    Sums gain * power over every transmitting mobile served by the other
-    cells; each transmission is assumed spread uniformly over the band so
-    a single scalar per station suffices.  ``allocations`` maps each cell
-    index to its :class:`Allocation`, with entries ordered like
-    ``deployment.members(cell)``.
-    """
-    n_bs = deployment.n_bs
-    if not 0 <= target_bs < n_bs:
-        raise ValueError(f"unknown BS id {target_bs!r}")
-    gain = deployment.gain_matrix
-    total = 0.0
-    for k in range(n_bs):
-        if k == target_bs:
-            continue
-        try:
-            alloc = allocations[k]
-        except (KeyError, IndexError):
-            raise ValueError(f"missing allocation for cell {k}") from None
-        members = deployment.members(k)
-        if len(alloc.p) != len(members):
-            raise ValueError(f"allocation for cell {k} does not match its member count")
-        for ms, p in zip(members, alloc.p):
-            if p > 0:
-                total += float(gain[ms, target_bs]) * p
-    return total

@@ -15,23 +15,25 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .baselines import schedule_fixed_power, schedule_target_sinr
-from .density import schedule_density, schedule_density_capped
+from .baselines import fixed_power_scores, target_sinr_frame
+from .baselines import schedule_fixed_power  # noqa: F401 - bench/spans.py wraps simnet.schedule_fixed_power by name
+from .density import capped_frame, density_scores
+from .density import schedule_density  # noqa: F401 - bench/spans.py wraps simnet.schedule_density by name
 from .model import (
     LN2,
-    Allocation,
+    Cells,
     NoiseRiseBudget,
     SolverConfig,
-    UserLink,
     budget_watts,
     noise_rise_budget_from_db,
-    shannon_rate,
+    winner_takes_band,
 )
-from .solver import objective, solve_dual
+from .model import UserLink  # noqa: F401 - bench/spans.py counts simnet.UserLink constructions
+from .solver import dual_optimum
 from .solver import solve_joint  # noqa: F401 - bench/spans.py wraps simnet.solve_joint by name
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "FrameMetrics",
     "MetricsBundle",
     "Scheme",
+    "FrameAllocation",
     "cost_hata_pl",
     "build_deployment",
     "make_scheme",
@@ -203,9 +206,17 @@ def _wrap_shifts(u1, u2, wrap: bool):
 
 
 def _distances(ms_xy, bs_xy, shifts):
-    # min over the 3x3 block of lattice images; exact for these lattices
-    diff = ms_xy[:, None, None, :] - (bs_xy[None, :, None, :] + shifts[None, None, :, :])
-    return np.sqrt((diff**2).sum(axis=-1)).min(axis=-1)
+    # min over the 3x3 block of lattice images; exact for these lattices.
+    # sqrt is monotone and correctly rounded, so it is taken once, after
+    # the minimum of the squared distances
+    mx, my = ms_xy[:, :1], ms_xy[:, 1:]
+    best = None
+    for sx, sy in shifts:
+        dx = mx - (bs_xy[:, 0] + sx)
+        dy = my - (bs_xy[:, 1] + sy)
+        d2 = dx * dx + dy * dy
+        best = d2 if best is None else np.minimum(best, d2, out=best)
+    return np.sqrt(best)
 
 
 @dataclass
@@ -214,8 +225,9 @@ class Deployment:
 
     ``gain_matrix[ms, bs]`` is a linear power gain and ``serving_map[ms]``
     the strongest-gain BS.  Derived per-MS quantities (serving gain,
-    summed non-serving gain, member lists per cell) are computed once at
-    construction; allocations index into ``members(cell)`` order.
+    summed non-serving gain) and the cell membership layout ``cells`` are
+    computed once at construction; ``members(cell)`` lists a cell's
+    mobiles in ascending order.
     """
 
     bs_positions: np.ndarray
@@ -225,7 +237,7 @@ class Deployment:
     wrap: bool
     serving_gain: np.ndarray = field(init=False, repr=False)
     norm_interference: np.ndarray = field(init=False, repr=False)
-    _members: list = field(init=False, repr=False)
+    cells: Cells = field(init=False, repr=False)
 
     def __post_init__(self):
         gain = np.asarray(self.gain_matrix, dtype=float)
@@ -240,7 +252,7 @@ class Deployment:
         idx = np.arange(n_ms)
         self.serving_gain = gain[idx, serving]
         self.norm_interference = gain.sum(axis=1) - self.serving_gain
-        self._members = [np.flatnonzero(serving == k) for k in range(n_bs)]
+        self.cells = Cells.from_cell_of(serving, n_bs)
 
     @property
     def n_bs(self) -> int:
@@ -253,7 +265,7 @@ class Deployment:
     def members(self, bs: int) -> np.ndarray:
         if not 0 <= bs < self.n_bs:
             raise ValueError(f"unknown BS id {bs!r}")
-        return self._members[bs]
+        return self.cells.index[bs, self.cells.valid[bs]]
 
 
 def build_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> Deployment:
@@ -344,43 +356,84 @@ def update_pf(state: PFState, delivered_bits) -> PFState:
 
 
 @dataclass(frozen=True)
+class FrameAllocation:
+    """One frame's schedule: band share ``x`` and power ``p`` per mobile.
+
+    ``kkt_residual`` holds one entry per cell for solver-made schedules
+    (``NaN`` for a cell with no mobiles) and is None for the greedy schemes.
+    """
+
+    x: np.ndarray
+    p: np.ndarray
+    kkt_residual: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class Scheme:
-    """A per-cell scheduler plus the feasibility check it must satisfy."""
+    """A frame-level scheduler plus the feasibility check it must satisfy.
+
+    ``schedule(cells, w, e, l, cap)`` maps the frame's per-mobile weights,
+    normalized SINRs, normalized interferences and power caps (``inf`` for
+    none) to a :class:`FrameAllocation`, scheduling every cell of the
+    ``cells`` layout independently.  ``check(cells, alloc, l, cap)``
+    raises ``AssertionError`` if the schedule breaks the scheme's
+    constraints in any cell.
+    """
 
     name: str
-    schedule: Callable[[Sequence[UserLink]], Allocation]
-    check: Callable[[Allocation, Sequence[UserLink]], None]
+    schedule: Callable[..., FrameAllocation]
+    check: Callable[..., None]
 
 
-def _check_band(alloc, links, eps=1e-9):
-    if any(v < 0 for v in alloc.x) or any(v < 0 for v in alloc.p):
+def _band_check(cells, alloc, l, cap, eps=1e-9):
+    if (alloc.x < 0).any() or (alloc.p < 0).any():
         raise AssertionError("negative allocation")
-    if sum(alloc.x) > 1.0 + eps:
+    if (cells.sums(alloc.x) > 1.0 + eps).any():
         raise AssertionError("bandwidth overcommitted")
 
 
-def _budget_check(I, eps=1e-9):
-    def check(alloc, links):
-        _check_band(alloc, links, eps)
-        spent = sum(l.norm_interference * p for l, p in zip(links, alloc.p))
-        if spent > I * (1.0 + eps):
-            raise AssertionError(f"egress budget violated: {spent} > {I}")
-        if alloc.certified is False:
-            raise AssertionError(f"uncertified allocation: KKT residual {alloc.kkt_residual}")
+def _budget_check(I, tol_kkt, eps=1e-9):
+    def check(cells, alloc, l, cap):
+        _band_check(cells, alloc, l, cap, eps)
+        spent = cells.sums(l * alloc.p)
+        if (spent > I * (1.0 + eps)).any():
+            raise AssertionError(f"egress budget violated: {spent.max()} > {I}")
+        if alloc.kkt_residual is not None and (alloc.kkt_residual > tol_kkt).any():
+            worst = np.nanmax(alloc.kkt_residual)
+            raise AssertionError(f"uncertified allocation: KKT residual {worst}")
 
     return check
 
 
 def _density_check(I, capped, eps=1e-9):
-    def check(alloc, links):
-        _check_band(alloc, links, eps)
-        for link, x, p in zip(links, alloc.x, alloc.p):
-            if x > 0 and link.norm_interference * p / x > I * (1.0 + eps):
-                raise AssertionError("per-user density cap violated")
-            if capped and link.max_power is not None and p > link.max_power * (1.0 + eps):
-                raise AssertionError("max power violated")
+    def check(cells, alloc, l, cap):
+        _band_check(cells, alloc, l, cap, eps)
+        on = alloc.x > 0
+        if (l[on] * alloc.p[on] / alloc.x[on] > I * (1.0 + eps)).any():
+            raise AssertionError("per-user density cap violated")
+        if capped and (alloc.p > cap * (1.0 + eps)).any():
+            raise AssertionError("max power violated")
 
     return check
+
+
+def _solve_cells(I):
+    """Frame schedule of the exact dual solver, one cell at a time."""
+
+    def schedule(cells, w, e, l, cap):
+        rows = zip(cells.index.tolist(), cells.valid.sum(axis=1).tolist(),
+                   w[cells.index].tolist(), e[cells.index].tolist(), l[cells.index].tolist())
+        x = np.zeros(len(w))
+        p = np.zeros(len(w))
+        res = np.full(cells.n_cells, np.nan)
+        for k, (ms, n, wk, ek, lk) in enumerate(rows):
+            if n:
+                xk, pk, *_, res[k] = dual_optimum(wk[:n], ek[:n], lk[:n], I)
+                x[ms[:n]] = xk
+                p[ms[:n]] = pk
+        return FrameAllocation(x, p, kkt_residual=res)
+
+    return schedule
 
 
 def make_scheme(
@@ -395,30 +448,40 @@ def make_scheme(
     I = budget_watts(budget)
     if name == "nr":
         cfg = solver_config if solver_config is not None else SolverConfig()
-        return Scheme(name, lambda links: solve_dual(links, I, cfg), _budget_check(I))
+        return Scheme(name, _solve_cells(I), _budget_check(I, cfg.tol_kkt))
     if name == "nr_density":
-        return Scheme(name, lambda links: schedule_density(links, I), _density_check(I, capped=False))
+        return Scheme(
+            name,
+            lambda cells, w, e, l, cap: FrameAllocation(
+                *winner_takes_band(cells, density_scores(w, e, l, I), I / l)),
+            _density_check(I, capped=False),
+        )
     if name == "nr_density_capped":
         return Scheme(
-            name, lambda links: schedule_density_capped(links, I), _density_check(I, capped=True)
+            name,
+            lambda cells, w, e, l, cap: FrameAllocation(*capped_frame(cells, w, e, l, cap, I)),
+            _density_check(I, capped=True),
         )
     if name == "fixed":
         if fixed_power is None or not fixed_power > 0:
             raise ValueError("scheme 'fixed' needs a positive fixed_power")
         return Scheme(
             name,
-            lambda links: schedule_fixed_power(links, fixed_power),
-            lambda alloc, links: _check_band(alloc, links),
+            lambda cells, w, e, l, cap: FrameAllocation(
+                *winner_takes_band(cells, fixed_power_scores(w, e, fixed_power), fixed_power)),
+            _band_check,
         )
     if name == "target_sinr":
         if target_sinr is None or not target_sinr > 0:
             raise ValueError("scheme 'target_sinr' needs a positive target_sinr")
         if assumed_noise_plus_interference is None:
             raise ValueError("scheme 'target_sinr' needs the assumed noise-plus-interference power")
+        if not assumed_noise_plus_interference > 0:
+            raise ValueError("assumed_noise_plus_interference must be > 0")
         return Scheme(
             name,
-            lambda links: schedule_target_sinr(links, target_sinr, assumed_noise_plus_interference),
-            lambda alloc, links: _check_band(alloc, links),
+            lambda cells, w, e, l, cap: FrameAllocation(*target_sinr_frame(cells, w, e, cap, target_sinr)),
+            _band_check,
         )
     raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
 
@@ -454,33 +517,42 @@ def quantize_allocation(x, num_units: int):
     return units
 
 
-def _quantize_alloc(alloc: Allocation, links, num_units: int) -> Allocation:
-    """Re-express an allocation on the resource-unit grid.
+def _quantize_cell(x, p, l, cap, num_units: int):
+    """Re-express one cell's shares and powers (lists) on the resource-unit grid.
 
     Users rounded to zero units lose their power; the freed egress budget
     is redistributed proportionally over the surviving powers (clamped at
-    any max_power), which keeps the total egress at or below its
+    ``cap``), which keeps the total egress at or below its
     pre-quantization level and hence within the budget.
     """
-    units = quantize_allocation(alloc.x, num_units)
+    units = quantize_allocation(x, num_units)
     xq = [u / num_units for u in units]
-    pq = list(alloc.p)
+    pq = list(p)
     freed = 0.0
     kept = 0.0
-    for i, link in enumerate(links):
+    for i in range(len(pq)):
         if xq[i] == 0.0 and pq[i] > 0.0:
-            freed += link.norm_interference * pq[i]
+            freed += l[i] * pq[i]
             pq[i] = 0.0
         elif pq[i] > 0.0:
-            kept += link.norm_interference * pq[i]
+            kept += l[i] * pq[i]
     if freed > 0.0 and kept > 0.0:
         scale = (kept + freed) / kept
-        for i, link in enumerate(links):
+        for i in range(len(pq)):
             if pq[i] > 0.0:
-                pq[i] *= scale
-                if link.max_power is not None and pq[i] > link.max_power:
-                    pq[i] = link.max_power
-    return Allocation(x=xq, p=pq, objective=objective(xq, pq, links))
+                pq[i] = min(pq[i] * scale, cap[i])
+    return xq, pq
+
+
+def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int) -> FrameAllocation:
+    x = alloc.x.copy()
+    p = alloc.p.copy()
+    for index, valid in zip(cells.index, cells.valid):
+        ms = index[valid]
+        if len(ms):
+            x[ms], p[ms] = _quantize_cell(x[ms].tolist(), p[ms].tolist(), l[ms].tolist(),
+                                          cap[ms].tolist(), num_units)
+    return FrameAllocation(x, p, alloc.kkt_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -529,60 +601,41 @@ def run_frame(
     Scheduling builds each user's normalized SINR from the budgeted
     noise-plus-interference ``N0*B + I``; delivered bits use the measured
     ingress at the serving BS instead, spread uniformly over the band.
-    Cells are processed in index order and are independent within a frame.
+    Cells are independent within a frame, so the scheme schedules and
+    checks all of them in one call on per-mobile arrays.
     """
     I = budget_watts(budget)
+    if max_power is not None and not max_power > 0:
+        raise ValueError(f"max_power must be positive when given, got {max_power!r}")
+    weights = pf.weights()
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ValueError("PF weights must be finite and >= 0")
     band = frame_cfg.bandwidth_hz
     p_noise = frame_cfg.n0_w_per_hz * band
-    planned = p_noise + I
-    weights = pf.weights()
-    n_bs = deployment.n_bs
-    n_ms = deployment.n_ms
-    power = np.zeros(n_ms)
-    frac = np.zeros(n_ms)
-    for k in range(n_bs):
-        members = deployment.members(k)
-        links = [
-            UserLink(
-                id=int(ms),
-                weight=float(weights[ms]),
-                norm_sinr=float(deployment.serving_gain[ms] / planned),
-                norm_interference=float(deployment.norm_interference[ms]),
-                max_power=max_power,
-            )
-            for ms in members
-        ]
-        alloc = scheme.schedule(links)
-        scheme.check(alloc, links)
-        if frame_cfg.quantize_units:
-            alloc = _quantize_alloc(alloc, links, frame_cfg.quantize_units)
-        frac[members] = alloc.x
-        power[members] = alloc.p
+    cells = deployment.cells
+    g = deployment.serving_gain
+    l = deployment.norm_interference
+    cap = np.full(deployment.n_ms, math.inf if max_power is None else max_power)
+    alloc = scheme.schedule(cells, weights, g / (p_noise + I), l, cap)
+    scheme.check(cells, alloc, l, cap)
+    if frame_cfg.quantize_units:
+        alloc = _quantize_frame(cells, alloc, l, cap, frame_cfg.quantize_units)
+    frac, power = alloc.x, alloc.p
 
-    gain = deployment.gain_matrix
-    received = gain.T @ power
-    ingress = np.empty(n_bs)
-    egress = np.empty(n_bs)
-    for k in range(n_bs):
-        members = deployment.members(k)
-        own = float(gain[members, k] @ power[members]) if len(members) else 0.0
-        ingress[k] = max(received[k] - own, 0.0)
-        egress[k] = float(deployment.norm_interference[members] @ power[members]) if len(members) else 0.0
+    received = deployment.gain_matrix.T @ power
+    ingress = np.maximum(received - cells.sums(g * power), 0.0)
+    egress = cells.sums(l * power)
 
-    ms_bits = np.zeros(n_ms)
-    for k in range(n_bs):
-        noise_k = p_noise + ingress[k]
-        for ms in deployment.members(k):
-            if frac[ms] > 0.0 and power[ms] > 0.0:
-                e_act = float(deployment.serving_gain[ms]) / noise_k
-                rate = shannon_rate(float(frac[ms]), float(power[ms]), e_act, band)
-                ms_bits[ms] = rate / LN2 * frame_cfg.frame_duration_s
-    cell_bits = np.array([ms_bits[deployment.members(k)].sum() for k in range(n_bs)])
-    ingress_db = 10.0 * np.log10((p_noise + ingress) / p_noise)
+    ms_bits = np.zeros(deployment.n_ms)
+    on = np.flatnonzero((frac > 0.0) & (power > 0.0))
+    e_act = g[on] / (p_noise + ingress[cells.cell_of[on]])
+    x_on = frac[on]
+    rate = band * x_on * np.log1p(power[on] * e_act / x_on)
+    ms_bits[on] = rate / LN2 * frame_cfg.frame_duration_s
     return FrameMetrics(
-        cell_bits=cell_bits,
+        cell_bits=cells.sums(ms_bits),
         ingress_w=ingress,
-        ingress_db=ingress_db,
+        ingress_db=10.0 * np.log10((p_noise + ingress) / p_noise),
         egress_w=egress,
         ms_power_w=power,
         ms_bits=ms_bits,

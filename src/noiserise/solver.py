@@ -639,38 +639,12 @@ def _kink(a, b, lo, hi, w, ratio, beta):
     return lam
 
 
-def solve_dual(links, budget, config=None):
-    """Exact joint optimum through the one-dimensional dual of the budget.
+def dual_optimum(w, e, l, I):
+    """The walk of :func:`solve_dual` on per-user lists ``w, e, l``.
 
-    For a budget price ``lam`` (lambda1), each user's best power per unit
-    band gives it a band value ``v_i = w_i (ln r_i - 1 + 1/r_i)`` with
-    ``r_i = w_i e_i / (lam l_i)``, spending ``c_i = w_i/lam - l_i/e_i`` of
-    egress per unit band, so the dual ``g(lam) = lam I + max_i v_i`` is
-    convex in one scalar.  Its minimiser lies between the users'
-    single-user minimisers ``w_i / (I + l_i/e_i)``.  The walk keeps that
-    bracket and probes the upper envelope of the ``v_i``: at the
-    minimiser of the piece that tops both ends, or at the kink where the
-    two end pieces cross (located by safeguarded Newton); the envelope's
-    slope at the probe, ``I - c`` of the top user, tells which end moves.
-
-    At the minimiser either one user takes the whole band at ``p = I/l``,
-    or two tied users share it so that their spends average to ``I``.
-    Tie rule, for any number of users tied on the envelope: if some spend
-    ``I`` (to rounding), the lowest index of them takes the whole band;
-    otherwise the highest and the lowest spender share it, each the
-    lowest index among spends equal to rounding.  So identical users
-    leave the band to the lowest index.
-    ``lambda2 = -max_i v_i``.  The result is certified by the same KKT
-    residual as :func:`solve_joint`; only ``config.tol_kkt`` is used.
-    ``iterations`` counts envelope probes, ``converged`` says the walk
-    reached a stationary point, and there is no trace.
+    Returns ``(x, p, lambda1, lambda2, probes, converged, kkt_residual)``.
     """
-    cfg = config if config is not None else SolverConfig()
-    I = budget_watts(budget)
-    n = len(links)
-    if n == 0:
-        raise ValueError("at least one user required")
-    w, e, l = _extract(links)
+    n = len(w)
     users = [i for i in range(n) if w[i] > 0.0 and e[i] > 0.0]
     if not users:
         raise NoTransmitterError("no user with positive weight and SINR")
@@ -735,7 +709,41 @@ def solve_dual(links, budget, config=None):
         p[hi_user] = share * c_hi / l[hi_user]
         p[lo_user] = (1.0 - share) * c_lo / l[lo_user]
     lam2 = -top
-    res = _kkt_residual(x, p, lam, lam2, w, e, l, I)
+    return x, p, lam, lam2, steps, converged, _kkt_residual(x, p, lam, lam2, w, e, l, I)
+
+
+def solve_dual(links, budget, config=None):
+    """Exact joint optimum through the one-dimensional dual of the budget.
+
+    For a budget price ``lam`` (lambda1), each user's best power per unit
+    band gives it a band value ``v_i = w_i (ln r_i - 1 + 1/r_i)`` with
+    ``r_i = w_i e_i / (lam l_i)``, spending ``c_i = w_i/lam - l_i/e_i`` of
+    egress per unit band, so the dual ``g(lam) = lam I + max_i v_i`` is
+    convex in one scalar.  Its minimiser lies between the users'
+    single-user minimisers ``w_i / (I + l_i/e_i)``.  The walk keeps that
+    bracket and probes the upper envelope of the ``v_i``: at the
+    minimiser of the piece that tops both ends, or at the kink where the
+    two end pieces cross (located by safeguarded Newton); the envelope's
+    slope at the probe, ``I - c`` of the top user, tells which end moves.
+
+    At the minimiser either one user takes the whole band at ``p = I/l``,
+    or two tied users share it so that their spends average to ``I``.
+    Tie rule, for any number of users tied on the envelope: if some spend
+    ``I`` (to rounding), the lowest index of them takes the whole band;
+    otherwise the highest and the lowest spender share it, each the
+    lowest index among spends equal to rounding.  So identical users
+    leave the band to the lowest index.
+    ``lambda2 = -max_i v_i``.  The result is certified by the same KKT
+    residual as :func:`solve_joint`; only ``config.tol_kkt`` is used.
+    ``iterations`` counts envelope probes, ``converged`` says the walk
+    reached a stationary point, and there is no trace.
+    """
+    cfg = config if config is not None else SolverConfig()
+    I = budget_watts(budget)
+    if not links:
+        raise ValueError("at least one user required")
+    w, e, l = _extract(links)
+    x, p, lam, lam2, steps, converged, res = dual_optimum(w, e, l, I)
     return Allocation(
         x=x,
         p=p,

@@ -7,13 +7,13 @@ from noiserise.model import (
     Allocation,
     NoiseRiseBudget,
     UserLink,
-    egress_interference,
-    ingress_interference,
     noise_rise_budget_from_db,
     normalized_interference,
     shannon_rate,
 )
 from noiserise.simnet import DeploymentConfig, PathLossParams, build_deployment
+
+from oracles import egress_interference, ingress_interference
 
 
 def test_shannon_rate_unit_case():

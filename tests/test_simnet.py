@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from noiserise.model import LN2, Allocation, UserLink, noise_rise_budget_from_db, shannon_rate
+from noiserise.model import LN2, Cells, SolverConfig, noise_rise_budget_from_db, shannon_rate
 from noiserise.simnet import (
+    SCHEME_NAMES,
     ChannelConfig,
     Deployment,
     DeploymentConfig,
+    FrameAllocation,
     FrameConfig,
     PathLossParams,
     PFState,
@@ -23,6 +25,8 @@ from noiserise.simnet import (
     run_simulation,
     update_pf,
 )
+
+from oracles import reference_run_frame, reference_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +130,37 @@ def test_min_ms_per_cell_enforced():
         build_deployment(DeploymentConfig(rings=1, ms_total=3), PathLossParams(), seed=0)
 
 
+def test_distances_match_the_four_dimensional_form():
+    from noiserise.simnet import _distances, _lattice, _wrap_shifts
+
+    cfg = DeploymentConfig(layout="grid", rows=3, cols=4)
+    bs, u1, u2, _ = _lattice(cfg)
+    ms = np.random.default_rng(4).random((50, 2)) * 5000.0
+    for wrap in (True, False):
+        shifts = _wrap_shifts(u1, u2, wrap)
+        diff = ms[:, None, None, :] - (bs[None, :, None, :] + shifts[None, None, :, :])
+        assert np.array_equal(_distances(ms, bs, shifts), np.sqrt((diff**2).sum(axis=-1)).min(axis=-1))
+
+
+def test_cells_layout_matches_members():
+    dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=4), PathLossParams(), seed=3)
+    cells = dep.cells
+    assert np.array_equal(cells.cell_of, dep.serving_map)
+    for k in range(dep.n_bs):
+        assert np.array_equal(dep.members(k), np.flatnonzero(dep.serving_map == k))
+        assert np.array_equal(cells.index[k][cells.valid[k]], dep.members(k))
+    # ties go to the lowest index, as in a walk over members(k)
+    scores = np.ones(dep.n_ms)
+    assert np.array_equal(cells.winners(scores), [dep.members(k)[0] for k in range(dep.n_bs)])
+
+
+def test_cells_with_an_empty_cell():
+    cells = Cells.from_cell_of([2, 0, 2, 0], 3)
+    assert cells.valid.sum(axis=1).tolist() == [2, 0, 2]
+    assert cells.winners(np.array([1.0, 5.0, 3.0, 2.0])).tolist() == [1, 2]
+    assert cells.sums(np.ones(4)).tolist() == [2.0, 0.0, 2.0]
+
+
 # ---------------------------------------------------------------------------
 # frame loop
 
@@ -138,25 +173,21 @@ def _frame_cfg():
 def _silent_scheme():
     return Scheme(
         name="silent",
-        schedule=lambda links: Allocation(x=[0.0] * len(links), p=[0.0] * len(links)),
-        check=lambda alloc, links: None,
+        schedule=lambda cells, w, e, l, cap: FrameAllocation(x=np.zeros(len(w)), p=np.zeros(len(w))),
+        check=lambda cells, alloc, l, cap: None,
     )
 
 
 class _OnlyCellZero:
-    """Wraps a scheme so only the first scheduled cell transmits; relies on
-    run_frame processing cells in index order."""
+    """Wraps a frame schedule so that only cell 0 transmits."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
 
-    def __call__(self, links):
-        index = self.calls
-        self.calls += 1
-        if index == 0:
-            return self.inner(links)
-        return Allocation(x=[0.0] * len(links), p=[0.0] * len(links))
+    def __call__(self, cells, w, e, l, cap):
+        alloc = self.inner(cells, w, e, l, cap)
+        keep = cells.cell_of == 0
+        return FrameAllocation(x=np.where(keep, alloc.x, 0.0), p=np.where(keep, alloc.p, 0.0))
 
 
 def test_run_frame_all_silent_all_zero():
@@ -178,7 +209,7 @@ def test_run_frame_isolated_cell_matches_shannon_rate():
     budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
     pf = PFState.initial(dep.n_ms)
     inner = make_scheme("nr_density", budget)
-    scheme = Scheme(name="only0", schedule=_OnlyCellZero(inner.schedule), check=lambda a, b: None)
+    scheme = Scheme(name="only0", schedule=_OnlyCellZero(inner.schedule), check=lambda *args: None)
     metrics = run_frame(dep, scheme, pf, budget, frame_cfg)
     # no other cell transmits, so cell 0 is scored at zero ingress
     assert metrics.ingress_w[0] == 0.0
@@ -230,11 +261,68 @@ def test_run_frame_scheme_constraints_asserted():
     pf = PFState.initial(dep.n_ms)
     bad = Scheme(
         name="nr",
-        schedule=lambda links: Allocation(x=[1.0] * len(links), p=[1.0] * len(links)),
+        schedule=lambda cells, w, e, l, cap: FrameAllocation(x=np.ones(len(w)), p=np.ones(len(w))),
         check=make_scheme("nr", budget).check,
     )
     with pytest.raises(AssertionError):
         run_frame(dep, bad, pf, budget, frame_cfg)
+
+
+def test_run_frame_empty_cell_stays_silent():
+    # BS 1 serves nobody: it schedules nothing and only hears interference
+    gain = np.array([[2e-6, 1e-9, 3e-9], [1e-9, 2e-9, 1e-6]])
+    dep = Deployment(
+        bs_positions=np.zeros((3, 2)),
+        ms_positions=np.zeros((2, 2)),
+        serving_map=np.array([0, 2]),
+        gain_matrix=gain,
+        wrap=False,
+    )
+    frame_cfg, channel = _frame_cfg()
+    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
+    for name in ("nr", "nr_density", "nr_density_capped"):
+        metrics = run_frame(dep, make_scheme(name, budget), PFState.initial(2), budget, frame_cfg)
+        assert metrics.egress_w[1] == 0.0 and metrics.cell_bits[1] == 0.0
+        assert metrics.ingress_w[1] > 0.0
+        assert (metrics.ms_power_w > 0).all()
+
+
+def test_run_frame_validates_weights_and_max_power():
+    dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=2), PathLossParams(), seed=2)
+    frame_cfg, channel = _frame_cfg()
+    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
+    scheme = make_scheme("nr_density", budget)
+    for t_avg in (np.nan, -1.0):
+        pf = PFState(t_avg=np.ones(dep.n_ms), beta=0.9)
+        object.__setattr__(pf, "t_avg", np.full(dep.n_ms, t_avg))
+        with pytest.raises(ValueError, match="weights"):
+            run_frame(dep, scheme, pf, budget, frame_cfg)
+    with pytest.raises(ValueError, match="max_power"):
+        run_frame(dep, scheme, PFState.initial(dep.n_ms), budget, frame_cfg, max_power=0.0)
+
+
+def test_density_checks_reject_violations():
+    cells = Cells.from_cell_of([0, 0, 1], 2)
+    l = np.array([1.0, 2.0, 1.0])
+    cap = np.array([1.0, 1.0, np.inf])
+    plain = make_scheme("nr_density", 2.0).check
+    capped = make_scheme("nr_density_capped", 2.0).check
+    ok = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([1.0, 0.5, 2.0]))
+    plain(cells, ok, l, cap)
+    capped(cells, ok, l, cap)
+    dense = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([1.0, 0.5, 2.5]))
+    with pytest.raises(AssertionError, match="density cap"):
+        plain(cells, dense, l, cap)
+    loud = FrameAllocation(x=np.array([1.0, 0.0, 1.0]), p=np.array([1.5, 0.0, 2.0]))
+    plain(cells, loud, l, cap)
+    with pytest.raises(AssertionError, match="max power"):
+        capped(cells, loud, l, cap)
+    wide = FrameAllocation(x=np.array([0.6, 0.5, 1.0]), p=np.array([1.0, 0.5, 2.0]))
+    with pytest.raises(AssertionError, match="overcommitted"):
+        plain(cells, wide, l, cap)
+    negative = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([1.0, -0.5, 2.0]))
+    with pytest.raises(AssertionError, match="negative"):
+        plain(cells, negative, l, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -288,28 +376,22 @@ def test_update_pf_unscheduled_user_gains_relative_weight():
 
 
 def test_quantize_redistributes_power_of_zeroed_users():
-    from noiserise.simnet import _quantize_alloc
+    from noiserise.simnet import _quantize_cell
 
-    links = [
-        UserLink(id=0, weight=1.0, norm_sinr=2.0, norm_interference=4.0),
-        UserLink(id=1, weight=1.0, norm_sinr=1.0, norm_interference=1.0),
-    ]
+    l = [4.0, 1.0]
+    uncapped = [np.inf, np.inf]
     # user 0 holds less than half a unit of band, so 48-unit rounding
     # zeroes it and its egress share moves to user 1
-    alloc = Allocation(x=[0.005, 0.995], p=[0.25, 1.0])
+    x, p = [0.005, 0.995], [0.25, 1.0]
     egress_before = 4.0 * 0.25 + 1.0 * 1.0
-    quantized = _quantize_alloc(alloc, links, 48)
-    assert quantized.x[0] == 0.0 and quantized.p[0] == 0.0
-    assert quantized.x[1] == pytest.approx(48 / 48)
-    egress_after = 1.0 * quantized.p[1]
+    xq, pq = _quantize_cell(x, p, l, uncapped, 48)
+    assert xq[0] == 0.0 and pq[0] == 0.0
+    assert xq[1] == pytest.approx(48 / 48)
+    egress_after = 1.0 * pq[1]
     assert egress_after == pytest.approx(egress_before, rel=1e-12)
     # a max_power cap on the survivor clamps the redistribution
-    capped_links = [
-        links[0],
-        UserLink(id=1, weight=1.0, norm_sinr=1.0, norm_interference=1.0, max_power=1.2),
-    ]
-    clamped = _quantize_alloc(alloc, capped_links, 48)
-    assert clamped.p[1] == pytest.approx(1.2)
+    _, clamped = _quantize_cell(x, p, l, [np.inf, 1.2], 48)
+    assert clamped[1] == pytest.approx(1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +451,8 @@ def test_default_run_every_nr_allocation_certified(monkeypatch):
     def recording_scheme(*args, **kwargs):
         scheme = make(*args, **kwargs)
 
-        def schedule(links):
-            alloc = scheme.schedule(links)
+        def schedule(*frame):
+            alloc = scheme.schedule(*frame)
             allocations.append(alloc)
             return alloc
 
@@ -378,17 +460,25 @@ def test_default_run_every_nr_allocation_certified(monkeypatch):
 
     monkeypatch.setattr(simnet, "make_scheme", recording_scheme)
     run_simulation(SimConfig())
-    assert len(allocations) == 19 * 80
-    uncertified = sum(1 for a in allocations if not a.certified)
-    assert uncertified == 0, f"{uncertified} of {len(allocations)} allocations uncertified"
+    assert len(allocations) == 80
+    residuals = np.concatenate([a.kkt_residual for a in allocations])
+    assert len(residuals) == 19 * 80
+    uncertified = int((~(residuals <= SolverConfig().tol_kkt)).sum())
+    assert uncertified == 0, f"{uncertified} of {len(residuals)} allocations uncertified"
 
 
 def test_nr_check_rejects_uncertified_allocation():
     check = make_scheme("nr", 1.0).check
-    links = [UserLink(id=0, weight=1.0, norm_sinr=1.0, norm_interference=1.0)]
-    check(Allocation(x=[1.0], p=[1.0], certified=True, kkt_residual=0.0), links)
+    cells = Cells.single(1)
+    l = np.ones(1)
+    cap = np.full(1, np.inf)
+
+    def alloc(residual):
+        return FrameAllocation(x=np.ones(1), p=np.ones(1), kkt_residual=np.array([residual]))
+
+    check(cells, alloc(0.0), l, cap)
     with pytest.raises(AssertionError, match="uncertified"):
-        check(Allocation(x=[1.0], p=[1.0], certified=False, kkt_residual=0.1), links)
+        check(cells, alloc(0.1), l, cap)
 
 
 def test_torus_mean_ingress_matches_budget():
@@ -435,3 +525,48 @@ def test_scheme_config_validation():
         make_scheme("fixed", 1.0)
     with pytest.raises(ValueError):
         make_scheme("target_sinr", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# array frame loop against the per-cell reference loop
+
+
+def _schemes(name, budget, channel):
+    planned = channel.noise_power_w + budget.linear_budget
+    kwargs = {"fixed_power": 0.1, "target_sinr": 10.0, "assumed_noise_plus_interference": planned}
+    return make_scheme(name, budget, **kwargs), reference_schedule(
+        name, budget, fixed_power=0.1, target_sinr=10.0)
+
+
+@pytest.mark.parametrize("max_power", [None, 0.02, 5.0], ids=["uncapped", "all_capped", "cascade"])
+@pytest.mark.parametrize("quantize", [None, 12], ids=["continuous", "quantized"])
+@pytest.mark.parametrize("wrap", [True, False], ids=["torus", "plain"])
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
+    # 0.02 W caps every user (the cascade spreads leftover band); at 5 W
+    # some users are capped and one per cell takes the band that is left
+    dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=6, wrap=wrap), PathLossParams(), seed=11)
+    channel = ChannelConfig()
+    frame_cfg = FrameConfig(bandwidth_hz=channel.bandwidth_hz, n0_w_per_hz=channel.n0_w_per_hz,
+                            quantize_units=quantize)
+    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
+    scheme, reference = _schemes(name, budget, channel)
+    shares = []
+
+    def schedule(*frame):
+        shares.append(scheme.schedule(*frame))
+        return shares[-1]
+
+    recording = Scheme(name, schedule, scheme.check)
+    pf = PFState.initial(dep.n_ms)
+    for _ in range(6):
+        got = run_frame(dep, recording, pf, budget, frame_cfg, max_power=max_power)
+        want, want_x = reference_run_frame(dep, reference, pf, budget, frame_cfg, max_power=max_power)
+        # both loops see the same weights, so the schedules are the same floats
+        if quantize is None:
+            assert np.array_equal(shares[-1].x, want_x)
+        assert np.array_equal(got.ms_power_w, want.ms_power_w)
+        for field in ("ms_bits", "cell_bits", "ingress_w", "ingress_db", "egress_w"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=0,
+                                       err_msg=field)
+        pf = update_pf(pf, got.ms_bits)

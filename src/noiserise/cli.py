@@ -1,9 +1,11 @@
 """Batch front-end: config parsing, single runs, noise-rise sweeps,
 calibrated baselines and direct solver access, writing CSV/JSON artifacts.
 
-Config files are INI-style (sections: deployment, channel, scheme,
-solver, run); every key falls back to the built-in default, and any
-key can be overridden on the command line with ``--set section.key=value``.
+Config files are INI-style (sections: deployment, channel, scheme, run);
+every key falls back to its config dataclass's default, and any key can
+be overridden on the command line with ``--set section.key=value``.  An
+unknown key or section, or a value the dataclass rejects, is a config
+error.
 All randomness flows from ``run.seed``, so identical invocations produce
 byte-identical CSVs.  Exit codes: 0 success, 1 config/input error,
 2 runtime error.
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import __version__, simnet
 from .baselines import CalibrationError, calibrate_fixed_power
-from .model import SolverConfig, UserLink
+from .model import UserLink
 from .simnet import (
     SCHEME_NAMES,
     ChannelConfig,
@@ -52,59 +54,60 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _dbm_to_w(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+def _integer(text: str) -> int:
+    return int(float(text))
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _flag(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
+def _dbm_to_w(text: str) -> float:
+    return 10.0 ** ((float(text) - 30.0) / 10.0)
 
 
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOLS[text.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {text!r}") from None
+def _db_to_linear(text: str) -> float:
+    return 10.0 ** (float(text) / 10.0)
 
 
-class _Section:
-    """Typed access to one config section with defaults and error context."""
+def _quantize_units(text: str) -> int | None:
+    units = _integer(text)
+    return units if units != 0 else None  # 0 means continuous band fractions
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else {}
 
-    def _get(self, key, cast, default):
-        if key not in self.raw:
-            return default
-        text = self.raw[key].strip()
-        if text == "":
-            return default
-        try:
-            return cast(text)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"{self.name}.{key}: cannot parse {text!r}") from None
+def _keys(cls, parse, *fields):
+    return {field: (cls, field, parse) for field in fields}
 
-    def text(self, key, default):
-        return self._get(key, str, default)
 
-    def number(self, key, default):
-        return self._get(key, float, default)
-
-    def integer(self, key, default):
-        return self._get(key, lambda t: int(float(t)), default)
-
-    def flag(self, key, default):
-        return self._get(key, _parse_bool, default)
-
-    def optional_number(self, key):
-        return self._get(key, float, None)
+# INI section -> key -> (config dataclass, field, parser).  Defaults and
+# checks live on the dataclasses; the *_dbm and *_db keys are unit aliases.
+_KEYS = {
+    "deployment": {
+        **_keys(DeploymentConfig, str, "layout"),
+        **_keys(DeploymentConfig, _integer, "rings", "rows", "cols", "ms_per_cell", "ms_total",
+                "min_ms_per_cell"),
+        **_keys(DeploymentConfig, float, "isd_m"),
+        **_keys(DeploymentConfig, _flag, "wrap"),
+    },
+    "channel": {
+        **_keys(PathLossParams, float, "freq_mhz", "bs_height_m", "ms_height_m", "c_m_db",
+                "shadowing_sigma_db", "min_distance_m"),
+        **_keys(ChannelConfig, float, "n0_dbm_per_hz", "noise_figure_db", "bandwidth_hz"),
+    },
+    "scheme": {
+        **_keys(SchemeConfig, str, "name"),
+        **_keys(SchemeConfig, float, "noise_rise_db", "fixed_power_w", "max_power_w", "target_sinr"),
+        "fixed_power_dbm": (SchemeConfig, "fixed_power_w", _dbm_to_w),
+        "max_power_dbm": (SchemeConfig, "max_power_w", _dbm_to_w),
+        "target_sinr_db": (SchemeConfig, "target_sinr", _db_to_linear),
+    },
+    "run": {
+        **_keys(RunConfig, _integer, "seed", "frames"),
+        **_keys(RunConfig, float, "frame_duration_s", "pf_beta", "pf_init"),
+        "quantize_units": (RunConfig, "quantize_units", _quantize_units),
+    },
+}
+_SECTION_OF = {cls: section for section, table in _KEYS.items() for cls, _, _ in table.values()}
 
 
 def _apply_overrides(parser: configparser.ConfigParser, overrides):
@@ -119,14 +122,43 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides):
         parser.set(section, key.strip(), value.strip())
 
 
+def _field_values(parser: configparser.ConfigParser) -> dict:
+    """Parse every present, nonempty key into ``{dataclass: {field: value}}``."""
+    values = {cls: {} for cls in _SECTION_OF}
+    given = {}
+    for section in parser.sections():
+        table = _KEYS.get(section)
+        keys = parser.options(section)
+        if table is None:
+            where = f"{section}.{keys[0]}" if keys else f"[{section}]"
+            raise ConfigError(f"{where}: unknown section; expected one of {tuple(_KEYS)}")
+        for key in keys:
+            if key not in table:
+                raise ConfigError(f"{section}.{key}: unknown key; expected one of {tuple(table)}")
+            text = parser.get(section, key).strip()
+            if text == "":
+                continue
+            cls, field, parse = table[key]
+            if (cls, field) in given:
+                raise ConfigError(f"{section}: give {given[cls, field]} or {key}, not both")
+            try:
+                values[cls][field] = parse(text)
+            except (KeyError, OverflowError, ValueError):
+                raise ConfigError(f"{section}.{key}: cannot parse {text!r}") from None
+            given[cls, field] = key
+    return values
+
+
 def load_config(path: str | None, overrides=None) -> tuple[SimConfig, str]:
     """Parse a config file plus overrides into a SimConfig.
 
     Returns the config and its canonical resolved text (used for the
     config hash in summary.json).  ``path`` may be None to start from the
-    built-in defaults and rely on overrides only.
+    built-in defaults and rely on overrides only.  Absent keys keep the
+    config dataclasses' defaults; an unknown key or section, or a value
+    a dataclass rejects, raises ConfigError.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -136,95 +168,20 @@ def load_config(path: str | None, overrides=None) -> tuple[SimConfig, str]:
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from None
     _apply_overrides(parser, overrides)
+    values = _field_values(parser)
 
-    dep = _Section(parser, "deployment")
-    cha = _Section(parser, "channel")
-    sch = _Section(parser, "scheme")
-    sol = _Section(parser, "solver")
-    run = _Section(parser, "run")
+    def build(cls, **extra):
+        try:
+            return cls(**values[cls], **extra)
+        except ValueError as exc:
+            raise ConfigError(f"{_SECTION_OF[cls]}.{exc}") from None
 
-    try:
-        deployment = DeploymentConfig(
-            layout=dep.text("layout", "rings"),
-            rings=dep.integer("rings", 2),
-            rows=dep.integer("rows", 8),
-            cols=dep.integer("cols", 9),
-            isd_m=dep.number("isd_m", 1500.0),
-            ms_per_cell=dep.integer("ms_per_cell", 10),
-            ms_total=(lambda v: int(v) if v is not None else None)(dep.optional_number("ms_total")),
-            min_ms_per_cell=dep.integer("min_ms_per_cell", 2),
-            wrap=dep.flag("wrap", True),
-        )
-        pathloss = PathLossParams(
-            freq_mhz=cha.number("freq_mhz", 2000.0),
-            bs_height_m=cha.number("bs_height_m", 50.0),
-            ms_height_m=cha.number("ms_height_m", 1.5),
-            c_m_db=cha.number("c_m_db", 0.0),
-            shadowing_sigma_db=cha.number("shadowing_sigma_db", 0.0),
-            min_distance_m=cha.number("min_distance_m", 35.0),
-        )
-        channel = ChannelConfig(
-            pathloss=pathloss,
-            n0_dbm_per_hz=cha.number("n0_dbm_per_hz", -174.0),
-            noise_figure_db=cha.number("noise_figure_db", 5.0),
-            bandwidth_hz=cha.number("bandwidth_hz", 10e6),
-        )
-
-        name = sch.text("name", "nr")
-        if name not in SCHEME_NAMES:
-            raise ConfigError(f"scheme.name: unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
-        fixed_power_w = sch.optional_number("fixed_power_w")
-        fixed_power_dbm = sch.optional_number("fixed_power_dbm")
-        if fixed_power_w is not None and fixed_power_dbm is not None:
-            raise ConfigError("scheme: give fixed_power_w or fixed_power_dbm, not both")
-        if fixed_power_dbm is not None:
-            fixed_power_w = _dbm_to_w(fixed_power_dbm)
-        max_power_w = sch.optional_number("max_power_w")
-        max_power_dbm = sch.optional_number("max_power_dbm")
-        if max_power_w is not None and max_power_dbm is not None:
-            raise ConfigError("scheme: give max_power_w or max_power_dbm, not both")
-        if max_power_dbm is not None:
-            max_power_w = _dbm_to_w(max_power_dbm)
-        target_sinr = sch.optional_number("target_sinr")
-        target_sinr_db = sch.optional_number("target_sinr_db")
-        if target_sinr is not None and target_sinr_db is not None:
-            raise ConfigError("scheme: give target_sinr or target_sinr_db, not both")
-        if target_sinr_db is not None:
-            target_sinr = _db_to_linear(target_sinr_db)
-        scheme = SchemeConfig(
-            name=name,
-            noise_rise_db=sch.number("noise_rise_db", 5.0),
-            fixed_power_w=fixed_power_w,
-            max_power_w=max_power_w,
-            target_sinr=target_sinr,
-        )
-        if name == "fixed" and scheme.fixed_power_w is None:
-            raise ConfigError("scheme.fixed_power_dbm (or _w): required by scheme 'fixed'")
-        if name == "target_sinr" and scheme.target_sinr is None:
-            raise ConfigError("scheme.target_sinr_db (or target_sinr): required by scheme 'target_sinr'")
-
-        solver = SolverConfig(
-            tol_bandwidth=sol.number("tol_bandwidth", 1e-9),
-            tol_convergence=sol.number("tol_convergence", 1e-8),
-            tol_kkt=sol.number("tol_kkt", 1e-6),
-            max_iterations=sol.integer("max_iterations", 200),
-            epsilon_floor=sol.number("epsilon_floor", 1e-6),
-        )
-        quantize = run.integer("quantize_units", 0)
-        run_cfg = RunConfig(
-            seed=run.integer("seed", 1),
-            frames=run.integer("frames", 80),
-            frame_duration_s=run.number("frame_duration_s", 0.005),
-            quantize_units=quantize if quantize > 0 else None,
-            pf_beta=run.number("pf_beta", 0.9),
-            pf_init=run.number("pf_init", 1.0),
-        )
-        cfg = SimConfig(deployment=deployment, channel=channel, scheme=scheme,
-                        solver=solver, run=run_cfg)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = SimConfig(
+        deployment=build(DeploymentConfig),
+        channel=build(ChannelConfig, pathloss=build(PathLossParams)),
+        scheme=build(SchemeConfig),
+        run=build(RunConfig),
+    )
     return cfg, _resolved_text(cfg)
 
 
@@ -465,12 +422,11 @@ def cmd_solve(args) -> int:
             )
             for i, user in enumerate(users)
         ]
-        solver_cfg = SolverConfig()
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"instance error: {exc}", file=sys.stderr)
         return 1
     try:
-        alloc = solve_joint(links, budget, solver_cfg)
+        alloc = solve_joint(links, budget)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2

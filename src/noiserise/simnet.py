@@ -157,6 +157,11 @@ class DeploymentConfig:
             raise ValueError("rows and cols must be >= 1")
         if self.isd_m <= 0:
             raise ValueError("isd_m must be positive")
+        if self.n_ms < self.min_ms_per_cell * self.n_cells:
+            raise ValueError(
+                f"ms_total or ms_per_cell gives {self.n_ms} MSs, too few for "
+                f"{self.n_cells} cells with at least {self.min_ms_per_cell} each"
+            )
 
     @property
     def n_cells(self) -> int:
@@ -282,10 +287,6 @@ def build_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> De
     shifts = _wrap_shifts(u1, u2, cfg.wrap)
     n_bs = len(bs_xy)
     n_ms = cfg.n_ms
-    if n_ms < cfg.min_ms_per_cell * n_bs:
-        raise ValueError(
-            f"{n_ms} MSs cannot give {n_bs} cells at least {cfg.min_ms_per_cell} each"
-        )
     offset = -0.5 * (u1 + u2) if centered else np.zeros(2)
     for _ in range(cfg.max_attempts):
         st = rng.random((n_ms, 2))
@@ -328,7 +329,7 @@ class PFState:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
-        if np.any(np.asarray(self.t_avg) <= 0):
+        if not np.all(np.asarray(self.t_avg) > 0):  # NaN fails too
             raise ValueError("t_avg must be positive everywhere")
 
     @classmethod
@@ -678,9 +679,17 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.name not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {self.name!r}; expected one of {SCHEME_NAMES}")
+            raise ValueError(f"name must be one of {SCHEME_NAMES}, got {self.name!r}")
         if self.noise_rise_db <= 0:
             raise ValueError("noise_rise_db must be positive")
+        for field in ("fixed_power_w", "max_power_w", "target_sinr"):
+            value = getattr(self, field)
+            if value is not None and not value > 0:
+                raise ValueError(f"{field} must be > 0 when given, got {value!r}")
+        if self.name == "fixed" and self.fixed_power_w is None:
+            raise ValueError("fixed_power_w is required by scheme 'fixed'")
+        if self.name == "target_sinr" and self.target_sinr is None:
+            raise ValueError("target_sinr is required by scheme 'target_sinr'")
 
 
 @dataclass(frozen=True)
@@ -697,6 +706,12 @@ class RunConfig:
             raise ValueError("frames must be >= 1")
         if self.frame_duration_s <= 0:
             raise ValueError("frame_duration_s must be positive")
+        if not 0.0 <= self.pf_beta <= 1.0:
+            raise ValueError(f"pf_beta must be in [0, 1], got {self.pf_beta!r}")
+        if not self.pf_init > 0:
+            raise ValueError(f"pf_init must be > 0, got {self.pf_init!r}")
+        if self.quantize_units is not None and self.quantize_units < 1:
+            raise ValueError(f"quantize_units must be >= 1 when set, got {self.quantize_units!r}")
 
 
 @dataclass(frozen=True)

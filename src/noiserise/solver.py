@@ -153,39 +153,29 @@ def _marginal_gap(a):
 _ALPHA_SATURATED = 700.0  # beyond this y the bandwidth share underflows to 0
 
 
-def _solve_alpha(y, warm=None):
-    """Solve ``log(1+a) - a/(1+a) = y`` for the unique a > 0 (y > 0).
+def _alpha(y, warm):
+    """Solve ``log(1+a) - a/(1+a) = y`` for the unique a > 0, given
+    0 < y < _ALPHA_SATURATED.
 
     Newton safeguarded by the analytic bracket [expm1(y), exp(y+1)], which
     always contains the root; a warm start from a nearby multiplier trial
     typically converges in two or three steps.
     """
-    if y <= 0.0:
-        return 0.0
-    if y >= _ALPHA_SATURATED:
-        return math.inf
     lo = math.expm1(y)
     hi = math.exp(y + 1.0)
-    if warm is not None and lo < warm < hi:
-        a = warm
-    else:
-        a = math.sqrt(lo * hi)
+    a = warm if lo < warm < hi else math.sqrt(lo * hi)
     for _ in range(80):
-        gap = _marginal_gap(a) - y
-        if gap >= 0.0:
+        one_a = 1.0 + a
+        g = math.log1p(a) - a / one_a - y
+        if g >= 0.0:
             hi = a
         else:
             lo = a
-        slope = a / ((1.0 + a) * (1.0 + a))
-        if slope > 0.0:
-            nxt = a - gap / slope
-            if not lo < nxt < hi:
-                nxt = math.sqrt(lo * hi)
-        else:
+        nxt = a - g * one_a * one_a / a
+        if not lo < nxt < hi:
             nxt = math.sqrt(lo * hi)
         if abs(nxt - a) <= 1e-12 * nxt:
-            a = nxt
-            break
+            return nxt
         a = nxt
     return a
 
@@ -239,8 +229,13 @@ def bandwidth_for_multiplier(p, links, lambda2):
         if pe <= 0.0:
             out.append(0.0)
             continue
-        a = _solve_alpha(-lambda2 / w[i])
-        out.append(pe / a if a > 0.0 else math.inf)
+        y = -lambda2 / w[i]
+        if y <= 0.0:
+            out.append(math.inf)
+        elif y >= _ALPHA_SATURATED:
+            out.append(0.0)
+        else:
+            out.append(pe / _alpha(y, 0.0))
     return out
 
 
@@ -262,10 +257,6 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None,
         lam = lambda2_init
     else:
         lam = 0.5 * (lo + hi)
-    log1p = math.log1p
-    exp = math.exp
-    expm1 = math.expm1
-    sqrt = math.sqrt
     searches = 0
     gap = math.inf
     polish = 0
@@ -283,28 +274,8 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None,
                 shares[k] = math.inf
                 total = math.inf
                 continue
-            # inlined _solve_alpha: Newton inside the analytic bracket,
-            # warm-started from the previous trial (kept across calls)
-            alo = expm1(y)
-            ahi = exp(y + 1.0)
             user = active[k]
-            a = alpha_cache.get(user, 0.0)
-            if not alo < a < ahi:
-                a = sqrt(alo * ahi)
-            for _ in range(80):
-                one_a = 1.0 + a
-                g = log1p(a) - a / one_a - y
-                if g >= 0.0:
-                    ahi = a
-                else:
-                    alo = a
-                nxt = a - g * one_a * one_a / a
-                if not alo < nxt < ahi:
-                    nxt = sqrt(alo * ahi)
-                if abs(nxt - a) <= 1e-12 * nxt:
-                    a = nxt
-                    break
-                a = nxt
+            a = _alpha(y, alpha_cache.get(user, 0.0))  # warm start kept across calls
             alpha_cache[user] = a
             sk = pes[k] / a
             shares[k] = sk

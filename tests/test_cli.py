@@ -1,10 +1,15 @@
+import hashlib
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from noiserise.cli import ConfigError, load_config, main
+from noiserise.simnet import SimConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL_7CELL = """
 [deployment]
@@ -48,10 +53,23 @@ def _golden_instance(tmp_path):
 
 def test_load_config_defaults():
     cfg, resolved = load_config(None)
+    assert cfg == SimConfig()
     assert cfg.deployment.n_cells == 19
     assert cfg.scheme.name == "nr"
     assert cfg.run.frames == 80
     assert "scheme.name='nr'" in resolved
+    # summary.json's config_hash for the default run; it must not drift
+    assert hashlib.sha256(resolved.encode()).hexdigest() == (
+        "309663cad4496edfc04aaa5115be78d8a99426e6b2fb8da96f1501ee9d546b94"
+    )
+
+
+def test_readme_ini_block_is_the_default_config(tmp_path):
+    block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg, _ = load_config(str(path))
+    assert cfg == SimConfig()
 
 
 def test_load_config_overrides():
@@ -125,6 +143,29 @@ def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "scheme.name" in err
+
+
+@pytest.mark.parametrize("overrides", ids=",".join, argvalues=[
+    ["scheme.max_power_w=-1"],
+    ["scheme.name=fixed", "scheme.fixed_power_w=-1"],
+    ["scheme.name=target_sinr", "scheme.target_sinr=-2"],
+    ["scheme.max_power_w=0.2", "scheme.max_power_dbm=24"],
+    ["deployment.ms_per_cell=0"],
+    ["deployment.ms_total=0"],
+    ["run.pf_beta=2"],
+    ["run.pf_init=0"],
+    ["run.quantize_units=-3"],
+    ["run.seed=5%"],
+    ["run.frame=3"],
+    ["solver.tol_kkt=1e-3"],
+])
+def test_cmd_run_invalid_setting_exit_1(tmp_path, capsys, overrides):
+    argv = ["run", "--out", str(tmp_path / "x")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cmd_run_all_schemes(small_config, tmp_path):

@@ -126,8 +126,9 @@ def test_min_ms_per_cell_enforced():
     cfg = DeploymentConfig(rings=1, ms_per_cell=2, min_ms_per_cell=2)
     dep = build_deployment(cfg, PathLossParams(), seed=7)
     assert np.bincount(dep.serving_map, minlength=dep.n_bs).min() >= 2
-    with pytest.raises(ValueError):
-        build_deployment(DeploymentConfig(rings=1, ms_total=3), PathLossParams(), seed=0)
+    for kwargs in ({"ms_total": 3}, {"ms_total": 0}, {"ms_per_cell": 0}):
+        with pytest.raises(ValueError, match="too few"):
+            DeploymentConfig(rings=1, **kwargs)
 
 
 def test_distances_match_the_four_dimensional_form():
@@ -293,6 +294,8 @@ def test_run_frame_validates_weights_and_max_power():
     budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
     scheme = make_scheme("nr_density", budget)
     for t_avg in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="t_avg"):
+            PFState(t_avg=np.full(dep.n_ms, t_avg))
         pf = PFState(t_avg=np.ones(dep.n_ms), beta=0.9)
         object.__setattr__(pf, "t_avg", np.full(dep.n_ms, t_avg))
         with pytest.raises(ValueError, match="weights"):
@@ -519,8 +522,17 @@ def test_quantized_vs_continuous_throughput_close():
 
 
 def test_scheme_config_validation():
-    with pytest.raises(ValueError):
-        SchemeConfig(name="bogus")
+    for kwargs in (
+        {"name": "bogus"},
+        {"name": "fixed"},
+        {"name": "fixed", "fixed_power_w": 0.0},
+        {"name": "target_sinr"},
+        {"name": "target_sinr", "target_sinr": -2.0},
+        {"max_power_w": -1.0},
+        {"max_power_w": math.nan},
+    ):
+        with pytest.raises(ValueError):
+            SchemeConfig(**kwargs)
     with pytest.raises(ValueError):
         make_scheme("fixed", 1.0)
     with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from . import __version__, simnet
 from .baselines import CalibrationError, calibrate_fixed_power
 from .model import UserLink
 from .simnet import (
-    SCHEME_NAMES,
     ChannelConfig,
     DeploymentConfig,
     PathLossParams,
@@ -116,16 +115,22 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides):
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
-        section = section.strip()
-        if not parser.has_section(section):
+        section, key = section.strip(), key.strip()
+        if not section or not key:
+            raise ConfigError(f"--set expects section.key=value, got {item!r}")
+        # DEFAULT is configparser's own section; _field_values rejects it
+        if section != parser.default_section and not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section, key.strip(), value.strip())
+        parser.set(section, key, value.strip())
 
 
 def _field_values(parser: configparser.ConfigParser) -> dict:
     """Parse every present, nonempty key into ``{dataclass: {field: value}}``."""
     values = {cls: {} for cls in _SECTION_OF}
     given = {}
+    if parser.defaults():
+        where = f"{parser.default_section}.{next(iter(parser.defaults()))}"
+        raise ConfigError(f"{where}: unknown section; expected one of {tuple(_KEYS)}")
     for section in parser.sections():
         table = _KEYS.get(section)
         keys = parser.options(section)
@@ -250,8 +255,11 @@ def _write_artifacts(out_dir: str, cfg: SimConfig, resolved: str, bundle, runtim
         "ingress_std_db": bundle.ingress_std_db(),
         "edge_5pct_se_bits_per_s_per_hz": bundle.edge_spectral_efficiency(),
         "jain_fairness": bundle.jain_fairness(),
-        "runtime_s": runtime_s,
     }
+    solver = bundle.solver_stats()
+    if solver is not None:
+        summary["solver"] = solver
+    summary["runtime_s"] = runtime_s
     _atomic_write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
 
 
@@ -297,9 +305,15 @@ def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes, calibration_tolerance: fl
         raise ConfigError("sweep needs at least one noise-rise value")
     if not schemes:
         raise ConfigError("sweep needs at least one scheme")
-    for name in schemes:
-        if name not in SCHEME_NAMES:
-            raise ConfigError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+    # every swept scheme config must be valid before any run starts; the
+    # fixed baseline's power comes from calibration
+    for db in noise_rise_dbs:
+        for name in schemes:
+            power = {"fixed_power_w": 1.0} if name == "fixed" else {}
+            try:
+                _with_scheme(cfg, noise_rise_db=float(db), name=name, **power)
+            except ValueError as exc:
+                raise ConfigError(f"scheme.{exc}") from None
     rows = []
     for db in noise_rise_dbs:
         base = _with_scheme(cfg, noise_rise_db=float(db))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,7 @@ from .model import (
     winner_takes_band,
 )
 from .model import UserLink  # noqa: F401 - bench/spans.py counts simnet.UserLink constructions
-from .solver import dual_optimum
+from .solver import solve_dual_frame
 from .solver import solve_joint  # noqa: F401 - bench/spans.py wraps simnet.solve_joint by name
 
 __all__ = [
@@ -360,13 +360,17 @@ def update_pf(state: PFState, delivered_bits) -> PFState:
 class FrameAllocation:
     """One frame's schedule: band share ``x`` and power ``p`` per mobile.
 
-    ``kkt_residual`` holds one entry per cell for solver-made schedules
-    (``NaN`` for a cell with no mobiles) and is None for the greedy schemes.
+    For solver-made schedules ``kkt_residual`` (``NaN`` for a cell with no
+    mobiles), ``probes`` and ``kinks`` (the dual walk's envelope probes and
+    kink searches) hold one entry per cell; the greedy schemes leave them
+    None.
     """
 
     x: np.ndarray
     p: np.ndarray
     kkt_residual: np.ndarray | None = None
+    probes: np.ndarray | None = None
+    kinks: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -418,21 +422,12 @@ def _density_check(I, capped, eps=1e-9):
     return check
 
 
-def _solve_cells(I):
-    """Frame schedule of the exact dual solver, one cell at a time."""
+def _solve_frame(I):
+    """Frame schedule of the exact dual solver, all cells in one call."""
 
     def schedule(cells, w, e, l, cap):
-        rows = zip(cells.index.tolist(), cells.valid.sum(axis=1).tolist(),
-                   w[cells.index].tolist(), e[cells.index].tolist(), l[cells.index].tolist())
-        x = np.zeros(len(w))
-        p = np.zeros(len(w))
-        res = np.full(cells.n_cells, np.nan)
-        for k, (ms, n, wk, ek, lk) in enumerate(rows):
-            if n:
-                xk, pk, *_, res[k] = dual_optimum(wk[:n], ek[:n], lk[:n], I)
-                x[ms[:n]] = xk
-                p[ms[:n]] = pk
-        return FrameAllocation(x, p, kkt_residual=res)
+        sol = solve_dual_frame(cells, w, e, l, I)
+        return FrameAllocation(sol.x, sol.p, sol.kkt_residual, sol.probes, sol.kinks)
 
     return schedule
 
@@ -449,7 +444,7 @@ def make_scheme(
     I = budget_watts(budget)
     if name == "nr":
         cfg = solver_config if solver_config is not None else SolverConfig()
-        return Scheme(name, _solve_cells(I), _budget_check(I, cfg.tol_kkt))
+        return Scheme(name, _solve_frame(I), _budget_check(I, cfg.tol_kkt))
     if name == "nr_density":
         return Scheme(
             name,
@@ -553,7 +548,7 @@ def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int
         if len(ms):
             x[ms], p[ms] = _quantize_cell(x[ms].tolist(), p[ms].tolist(), l[ms].tolist(),
                                           cap[ms].tolist(), num_units)
-    return FrameAllocation(x, p, alloc.kkt_residual)
+    return replace(alloc, x=x, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +573,9 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class FrameMetrics:
-    """Per-frame observables, per cell and per MS."""
+    """Per-frame observables, per cell and per MS, plus the solver's per-cell
+    KKT residuals, envelope probes and kink searches (None for the greedy
+    schemes)."""
 
     cell_bits: np.ndarray
     ingress_w: np.ndarray
@@ -586,6 +583,9 @@ class FrameMetrics:
     egress_w: np.ndarray
     ms_power_w: np.ndarray
     ms_bits: np.ndarray
+    kkt_residual: np.ndarray | None = None
+    probes: np.ndarray | None = None
+    kinks: np.ndarray | None = None
 
 
 def run_frame(
@@ -640,6 +640,9 @@ def run_frame(
         egress_w=egress,
         ms_power_w=power,
         ms_bits=ms_bits,
+        kkt_residual=alloc.kkt_residual,
+        probes=alloc.probes,
+        kinks=alloc.kinks,
     )
 
 
@@ -743,6 +746,9 @@ class MetricsBundle:
     egress_w: np.ndarray
     ms_power_w: np.ndarray  # (frames, ms)
     ms_bits: np.ndarray
+    kkt_residual: np.ndarray | None = None  # (frames, cells), solver schemes only
+    probes: np.ndarray | None = None
+    kinks: np.ndarray | None = None
 
     @property
     def n_frames(self) -> int:
@@ -776,6 +782,22 @@ class MetricsBundle:
 
     def edge_spectral_efficiency(self, percentile: float = 5.0) -> float:
         return float(np.percentile(self.per_ms_spectral_efficiency(), percentile))
+
+    def solver_stats(self) -> dict | None:
+        """How hard the exact dual solver worked over the run, and its worst
+        KKT residual; None for the greedy schemes.  There are no timings,
+        so identical runs report identical figures."""
+        if self.probes is None:
+            return None
+        solved = ~np.isnan(self.kkt_residual)
+        probes = self.probes[solved]
+        return {
+            "cells_solved": int(solved.sum()),
+            "probes_p50": float(np.median(probes)),
+            "probes_max": int(probes.max()),
+            "kink_searches": int(self.kinks.sum()),
+            "kkt_residual_max": float(self.kkt_residual[solved].max()),
+        }
 
     def jain_fairness(self) -> float:
         totals = self.ms_bits.sum(axis=0)
@@ -822,4 +844,6 @@ def run_simulation(cfg: SimConfig) -> MetricsBundle:
         egress_w=np.stack([f.egress_w for f in frames]),
         ms_power_w=np.stack([f.ms_power_w for f in frames]),
         ms_bits=np.stack([f.ms_bits for f in frames]),
+        **{name: np.stack([getattr(f, name) for f in frames])
+           for name in ("kkt_residual", "probes", "kinks") if getattr(frames[0], name) is not None},
     )

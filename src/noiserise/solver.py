@@ -10,8 +10,9 @@ joint optimum, slowly near ties between users.
 
 :func:`solve_dual` finds the same optimum exactly by minimizing the
 problem's convex dual over the single budget multiplier; the simulator
-schedules with it.  Both results are certified through first-order (KKT)
-residuals rather than trusted blindly.
+schedules every cell of a frame with the same code
+(:func:`solve_dual_frame`).  Both results are certified through
+first-order (KKT) residuals rather than trusted blindly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Allocation, SolverConfig, budget_watts
+import numpy as np
+
+from .model import Allocation, Cells, SolverConfig, budget_watts, link_arrays
 
 __all__ = [
     "NoTransmitterError",
@@ -556,32 +559,79 @@ def solve_joint(links, budget, config=None):
 _TIE = 1e-13  # band values closer than this, relative to the dual, are tied
 _FLAT = 1e-12  # spends closer than this, relative to w/lam, are equal
 _MAX_PROBES = 200  # each probe shrinks the bracket; a few suffice in practice
+# numpy's log1p may differ from math.log1p in the last bits, so the array
+# pass judges a candidate only where no other band value comes this close
+# to the top, relative to the dual: a hundred tie windows
+_GUARD = 100.0 * _TIE
 
 
-def _band_value(w, ratio, lam):
-    """Per-unit-band value ``w (ln r - 1 + 1/r)`` of a user at ``lam``, with
-    ``r = ratio/lam``; 0 once the user no longer wants power (r <= 1)."""
-    a = (ratio - lam) / lam  # r - 1, free of cancellation near r = 1
-    return w * _marginal_gap(a) if a > 0.0 else 0.0
+@dataclass(frozen=True)
+class DualFrame:
+    """Exact dual optimum of every cell of a frame.
 
-
-def _envelope(lam, users, w, ratio, beta, budget):
-    """Top of the dual envelope at ``lam``: its value, and the tied users
-    mapped to their egress spend per unit band, ``c = w/lam - beta``.
-
-    Ties are judged against the dual value ``lam*I + top``, the scale of
-    the rounding in each band value; against ``top`` alone, users one ulp
-    apart would count as distinct wherever ``top`` is small.
+    ``x`` and ``p`` hold one entry per user.  The rest hold one entry per
+    cell: the budget and band prices (NaN for a cell with no users), the
+    walk's envelope probes and kink searches, whether it reached a
+    stationary point, and the KKT residual (NaN for a cell with no users).
     """
-    values = [(_band_value(w[i], ratio[i], lam), i) for i in users]
-    top = max(v for v, _ in values)
-    floor = top - _TIE * (lam * budget + top)
-    return top, {i: w[i] / lam - beta[i] for v, i in values if v >= floor}
+
+    x: np.ndarray
+    p: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    probes: np.ndarray
+    kinks: np.ndarray
+    converged: np.ndarray
+    kkt_residual: np.ndarray
 
 
-def _kink(a, b, lo, hi, w, ratio, beta):
+def _seed_brackets(W, ratio, beta, S, use, I):
+    """Classify every user's single-user minimiser as a probe of the dual.
+
+    ``W, ratio, beta, S`` are (cells, width) matrices of ``w``, ``w e/l``,
+    ``l/e`` and the minimisers ``w/(I + l/e)``, with ``W = 0`` where
+    ``use`` marks no user.  One (cells, width, width) pass evaluates the
+    envelope of the band values at every candidate.  Where one user tops
+    it alone, the walk's spend/slack rule says whether the candidate lies
+    left of the optimum, right of it, or on it; a candidate where another
+    band value comes within ``_GUARD`` of the top is left to a probe, so
+    every left or right verdict is the walk's own.  Returns per cell the
+    largest left candidate and its top user, the smallest right one and
+    its top user (``-inf``/``inf`` if none), and the smallest other
+    candidate between them (``inf`` if none).
+    """
+    lam = S[:, :, None]
+    a = (ratio[:, None, :] - lam) / lam  # r - 1, free of cancellation near r = 1
+    np.maximum(a, 0.0, out=a)
+    values = np.log1p(a)
+    values -= a / (1.0 + a)
+    values *= W[:, None, :]  # padding is 0: never the top, at most a false tie
+    top = values.max(axis=2)
+    near = top - _GUARD * (S * I + top)
+    alone = use & (np.count_nonzero(values >= near[:, :, None], axis=2) == 1)
+    rows = np.arange(len(S))
+    best = values.argmax(axis=2)
+    w_top = W[rows[:, None], best]
+    spend = w_top / S - beta[rows[:, None], best]
+    slack = _FLAT * w_top / S
+    left = alone & (spend - I > slack)
+    right = alone & (I - spend > slack)
+
+    at_left = np.where(left, S, -np.inf)
+    at_right = np.where(right, S, np.inf)
+    kl = at_left.argmax(axis=1)
+    kr = at_right.argmin(axis=1)
+    lo = at_left[rows, kl]
+    hi = at_right[rows, kr]
+    between = use & ~left & ~right & (S > lo[:, None]) & (S < hi[:, None])
+    start = np.where(between, S, np.inf).min(axis=1)
+    return lo, best[rows, kl], hi, best[rows, kr], start
+
+
+def _kink(wa, ra, ba, wb, rb, bb, lo, hi):
     """Where the band values of users a and b cross inside (lo, hi).
 
+    Each user is given by ``w``, ``ratio = w e/l`` and ``beta = l/e``.
     ``v_a - v_b`` is >= 0 at ``lo`` and <= 0 at ``hi`` and its slope is
     ``c_b - c_a``; Newton steps that leave the bracket fall back to a
     geometric bisection, and the search stops once the two values agree
@@ -589,8 +639,10 @@ def _kink(a, b, lo, hi, w, ratio, beta):
     """
     lam = math.sqrt(lo * hi)
     for _ in range(200):
-        va = _band_value(w[a], ratio[a], lam)
-        vb = _band_value(w[b], ratio[b], lam)
+        t = (ra - lam) / lam
+        va = wa * (math.log1p(t) - t / (1.0 + t)) if t > 0.0 else 0.0
+        t = (rb - lam) / lam
+        vb = wb * (math.log1p(t) - t / (1.0 + t)) if t > 0.0 else 0.0
         d = va - vb
         # equal to rounding: where the pieces are nearly tangent, one more
         # Newton step would divide noise by a tiny slope
@@ -600,7 +652,7 @@ def _kink(a, b, lo, hi, w, ratio, beta):
             lo = lam
         else:
             hi = lam
-        slope = beta[a] - beta[b] + (w[b] - w[a]) / lam
+        slope = ba - bb + (wb - wa) / lam
         nxt = lam - d / slope if slope != 0.0 else lo
         if not lo < nxt < hi:
             nxt = math.sqrt(lo * hi)
@@ -610,77 +662,179 @@ def _kink(a, b, lo, hi, w, ratio, beta):
     return lam
 
 
-def dual_optimum(w, e, l, I):
-    """The walk of :func:`solve_dual` on per-user lists ``w, e, l``.
+def _walk(ws, rs, bs, ss, ls, I, left, right, lam):
+    """Finish one cell's dual walk from a bracket.
 
-    Returns ``(x, p, lambda1, lambda2, probes, converged, kkt_residual)``.
+    ``ws, rs, bs, ss, ls`` list the cell's users' ``w``, ``w e/l``,
+    ``l/e``, single-user minimisers and ``l``.  ``left`` and ``right`` are
+    bracket ends ``(lam, top user, tied users)``, where the dual's slope
+    is < 0 and > 0, or None; ``lam`` is the first probe, or None to take
+    it from the bracket.  Each probe
+    evaluates the envelope at ``lam`` and moves the end that the slope
+    ``I - c`` of its top users points away from, until the slope's range
+    holds 0.  Returns ``(lambda1, lambda2, probes, kinks, converged,
+    allocation)``, the allocation as ``(user, x, p)`` triples.
     """
-    n = len(w)
-    users = [i for i in range(n) if w[i] > 0.0 and e[i] > 0.0]
-    if not users:
-        raise NoTransmitterError("no user with positive weight and SINR")
-    ratio = [0.0] * n
-    beta = [0.0] * n
-    single = [0.0] * n
-    for i in users:
-        ratio[i] = w[i] * e[i] / l[i]
-        beta[i] = l[i] / e[i]
-        single[i] = w[i] / (I + beta[i])
+    log1p = math.log1p
 
-    # bracket ends: (lam, top user there, users tied there); the dual
-    # slope is < 0 at the left end and > 0 at the right one
-    left = right = None
-    lam = min(single[i] for i in users)
+    def band_values(lam):
+        # w (ln r - 1 + 1/r) with a = r - 1, free of cancellation near r = 1;
+        # 0 once r <= 1
+        return [wi * (log1p(a) - a / (1.0 + a)) if (a := (ri - lam) / lam) > 0.0 else 0.0
+                for wi, ri in zip(ws, rs)]
+
+    kinks = 0
     converged = False
-    for steps in range(1, _MAX_PROBES + 1):
-        top, spend = _envelope(lam, users, w, ratio, beta, I)
-        c_hi = max(spend.values())
-        c_lo = min(spend.values())
-        # spends this close are equal up to rounding, so the lowest index
-        # among them stands for all, whatever the rounding (of rescaled
-        # data, say) makes of their order
-        slack = _FLAT * max(w[i] for i in spend) / lam
-        hi_user = min(i for i, c in spend.items() if c >= c_hi - slack)
-        lo_user = min(i for i, c in spend.items() if c <= c_lo + slack)
+    for probes in range(1, _MAX_PROBES + 1):
+        if lam is None:
+            if left is None:
+                lam = min(ss)
+            elif right is None:
+                lam = max(ss)
+            else:
+                (lo, a, tied_lo), (hi, b, tied_hi) = left, right
+                if a == b or a in tied_hi or b in tied_lo:
+                    # one piece, or two that are equal to rounding at an end,
+                    # where their crossing is noise: probe the left piece's
+                    # minimiser
+                    lam = ss[a]
+                else:
+                    lam = _kink(ws[a], rs[a], bs[a], ws[b], rs[b], bs[b], lo, hi)
+                    kinks += 1
+                if not lo < lam < hi:
+                    lam = math.sqrt(lo * hi)
+        values = band_values(lam)
+        top = max(values)
+        floor = top - _TIE * (lam * I + top)
+        tied = [i for i, v in enumerate(values) if v >= floor]
+        spend = [ws[i] / lam - bs[i] for i in tied]
+        if len(tied) == 1:
+            j_hi = j_lo = 0
+            c_hi = c_lo = spend[0]
+            slack = _FLAT * ws[tied[0]] / lam
+        else:
+            c_hi = max(spend)
+            c_lo = min(spend)
+            # spends this close are equal up to rounding, so the lowest
+            # index among them stands for all
+            slack = _FLAT * max(ws[i] for i in tied) / lam
+            j_hi = next(j for j, c in enumerate(spend) if c >= c_hi - slack)
+            j_lo = next(j for j, c in enumerate(spend) if c <= c_lo + slack)
         if c_lo - I > slack:
-            left = (lam, lo_user, spend)
+            left = (lam, tied[j_lo], tied)
         elif I - c_hi > slack:
-            right = (lam, hi_user, spend)
+            right = (lam, tied[j_hi], tied)
         else:
             converged = True
             break
-        if left is None or right is None:  # only the first probe lands here
-            lam = max(single[i] for i in users)
-            continue
-        (lo, a, tied_lo), (hi, b, tied_hi) = left, right
-        if a == b or a in tied_hi or b in tied_lo:
-            # one piece, or two that are equal to rounding at an end, where
-            # their crossing is noise: probe the left piece's minimiser
-            lam = single[a]
-        else:
-            lam = _kink(a, b, lo, hi, w, ratio, beta)
-        if not lo < lam < hi:
-            lam = math.sqrt(lo * hi)
+        lam = None
 
-    x = [0.0] * n
-    p = [0.0] * n
-    alone = [i for i, c in spend.items() if abs(c - I) <= slack]
-    if alone or hi_user == lo_user:
+    alone = [i for i, c in zip(tied, spend) if abs(c - I) <= slack]
+    if alone or j_hi == j_lo:
         # a tied user spending the budget at its own minimiser takes the band
-        k = min(alone, default=hi_user)
-        lam = single[k]
-        x[k] = 1.0
-        p[k] = I / l[k]
-        top = max(_band_value(w[i], ratio[i], lam) for i in users)
+        k = alone[0] if alone else tied[j_hi]
+        if ss[k] != lam:
+            lam = ss[k]
+            top = max(band_values(lam))
+        return lam, -top, probes, kinks, converged, ((k, 1.0, I / ls[k]),)
+    c_hi, c_lo = spend[j_hi], spend[j_lo]
+    share = (I - c_lo) / (c_hi - c_lo) if c_hi > c_lo else 1.0
+    share = min(1.0, max(0.0, share))
+    hi_user, lo_user = tied[j_hi], tied[j_lo]
+    return lam, -top, probes, kinks, converged, (
+        (hi_user, share, share * c_hi / ls[hi_user]),
+        (lo_user, 1.0 - share, (1.0 - share) * c_lo / ls[lo_user]),
+    )
+
+
+def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
+    """:func:`_kkt_residual` of every cell at once (NaN for a cell with no
+    users), for per-user ``x, p`` in which every user holding band has a
+    positive weight and SINR."""
+    res = np.abs(cells.sums(x) - 1.0)
+    res = np.where(cells.sums(p) > 0.0, np.maximum(res, np.abs(cells.sums(l * p) - I) / I), res)
+    on = np.flatnonzero((x > 0.0) | (p > 0.0))
+    k = cells.cell_of[on]
+    xo, po, wo, eo = x[on], p[on], w[on], e[on]
+    li = lam1[k] * l[on]
+    powered = po > 0.0
+    # power stationarity, or dual feasibility of a user holding band but no
+    # power, then bandwidth stationarity
+    grad = wo * xo * eo / (xo + po * eo)
+    term = np.where(powered, np.abs(grad - li) / li, np.maximum(0.0, wo * eo - li) / li)
+    both = powered & (xo > 0.0)
+    a = po * eo / np.where(both, xo, 1.0)
+    gap = np.abs(wo * (np.log1p(a) - a / (1.0 + a)) + lam2[k]) / wo
+    np.maximum.at(res, k, np.where(both, np.maximum(term, gap), term))
+    res[~cells.valid.any(axis=1)] = np.nan
+    return res
+
+
+def _user_rows(cells: Cells, w, e, l, I):
+    """Each cell's users with positive weight and SINR, as (cells, width)
+    matrices: mobile ``index``, ``use`` mask, ``W`` (0 in padding), ``L``,
+    ``ratio = w e/l``, ``beta = l/e`` and the single-user minimisers ``S``.
+    Raises :class:`NoTransmitterError` if a cell has users but none of
+    them eligible."""
+    ok = (w > 0.0) & (e > 0.0)
+    if ok.all():
+        index, use = cells.index, cells.valid
     else:
-        c_hi, c_lo = spend[hi_user], spend[lo_user]
-        share = (I - c_lo) / (c_hi - c_lo) if c_hi > c_lo else 1.0
-        share = min(1.0, max(0.0, share))
-        x[hi_user], x[lo_user] = share, 1.0 - share
-        p[hi_user] = share * c_hi / l[hi_user]
-        p[lo_user] = (1.0 - share) * c_lo / l[lo_user]
-    lam2 = -top
-    return x, p, lam, lam2, steps, converged, _kkt_residual(x, p, lam, lam2, w, e, l, I)
+        ids = np.flatnonzero(ok)
+        eligible = Cells.from_cell_of(cells.cell_of[ids], cells.n_cells)
+        if (cells.valid.any(axis=1) & ~eligible.valid.any(axis=1)).any():
+            raise NoTransmitterError("no user with positive weight and SINR")
+        index, use = ids[eligible.index], eligible.valid
+    W = np.where(use, w[index], 0.0)
+    E = np.where(use, e[index], 1.0)
+    L = np.where(use, l[index], 1.0)
+    beta = L / E
+    return index, use, W, L, W * E / L, beta, np.where(use, W / (I + beta), 1.0)
+
+
+def solve_dual_frame(cells: Cells, w, e, l, I: float) -> DualFrame:
+    """:func:`solve_dual` for every cell of the ``cells`` layout at once,
+    on per-user arrays ``w, e, l`` and a budget ``I`` in Watts.
+
+    One array pass over all cells seeds each cell's walk with the tightest
+    bracket among its users' single-user minimisers (see
+    :func:`_seed_brackets`); a scalar walk per cell finishes from there,
+    and every decision that fixes an allocation is taken by its probes.
+    A second array pass certifies every cell.  Raises
+    :class:`NoTransmitterError` if a cell has users but none with positive
+    weight and SINR.
+    """
+    n_cells = cells.n_cells
+    index, use, W, L, ratio, beta, S = _user_rows(cells, w, e, l, I)
+    lo, a_lo, hi, b_hi, start = _seed_brackets(W, ratio, beta, S, use, I)
+
+    x = np.zeros(len(w))
+    p = np.zeros(len(w))
+    lam1 = np.full(n_cells, np.nan)
+    lam2 = np.full(n_cells, np.nan)
+    probes = np.zeros(n_cells, dtype=int)
+    kinks = np.zeros(n_cells, dtype=int)
+    converged = np.zeros(n_cells, dtype=bool)
+    users, xs, ps = [], [], []
+    rows = zip(use.sum(axis=1).tolist(), index.tolist(), W.tolist(), ratio.tolist(), beta.tolist(),
+               S.tolist(), L.tolist(), lo.tolist(), a_lo.tolist(), hi.tolist(), b_hi.tolist(),
+               start.tolist())
+    for k, (n, ids, ws, rs, bs, ss, ls, lo_k, a, hi_k, b, start_k) in enumerate(rows):
+        if not n:
+            continue
+        left = (lo_k, a, [a]) if lo_k > -math.inf else None
+        right = (hi_k, b, [b]) if hi_k < math.inf else None
+        first = start_k if start_k < math.inf else None
+        lam1[k], lam2[k], probes[k], kinks[k], converged[k], alloc = _walk(
+            ws[:n], rs[:n], bs[:n], ss[:n], ls[:n], I, left, right, first)
+        for i, xi, pi in alloc:
+            users.append(ids[i])
+            xs.append(xi)
+            ps.append(pi)
+    x[users] = xs
+    p[users] = ps
+    res = _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I)
+    return DualFrame(x, p, lam1, lam2, probes, kinks, converged, res)
 
 
 def solve_dual(links, budget, config=None):
@@ -691,11 +845,15 @@ def solve_dual(links, budget, config=None):
     ``r_i = w_i e_i / (lam l_i)``, spending ``c_i = w_i/lam - l_i/e_i`` of
     egress per unit band, so the dual ``g(lam) = lam I + max_i v_i`` is
     convex in one scalar.  Its minimiser lies between the users'
-    single-user minimisers ``w_i / (I + l_i/e_i)``.  The walk keeps that
-    bracket and probes the upper envelope of the ``v_i``: at the
-    minimiser of the piece that tops both ends, or at the kink where the
-    two end pieces cross (located by safeguarded Newton); the envelope's
-    slope at the probe, ``I - c`` of the top user, tells which end moves.
+    single-user minimisers ``w_i / (I + l_i/e_i)``.  One array pass
+    evaluates the envelope of the ``v_i`` at every one of them and keeps
+    the tightest bracket, plus a candidate that may be the minimiser; the
+    walk then probes the envelope: at that candidate, at the minimiser of
+    the piece that tops both ends, or at the kink where the two end pieces
+    cross (located by safeguarded Newton); the envelope's slope at the
+    probe, ``I - c`` of the top user, tells which end moves.  The
+    simulator solves every cell of a frame through the same code
+    (:func:`solve_dual_frame`).
 
     At the minimiser either one user takes the whole band at ``p = I/l``,
     or two tied users share it so that their spends average to ``I``.
@@ -713,16 +871,18 @@ def solve_dual(links, budget, config=None):
     I = budget_watts(budget)
     if not links:
         raise ValueError("at least one user required")
-    w, e, l = _extract(links)
-    x, p, lam, lam2, steps, converged, res = dual_optimum(w, e, l, I)
+    w, e, l, _ = link_arrays(links)
+    sol = solve_dual_frame(Cells.single(len(links)), w, e, l, I)
+    x, p = sol.x.tolist(), sol.p.tolist()
+    res = float(sol.kkt_residual[0])
     return Allocation(
         x=x,
         p=p,
-        lambda1=lam,
-        lambda2=lam2,
-        objective=_objective(x, p, w, e),
-        iterations=steps,
-        converged=converged,
+        lambda1=float(sol.lambda1[0]),
+        lambda2=float(sol.lambda2[0]),
+        objective=_objective(x, p, w.tolist(), e.tolist()),
+        iterations=int(sol.probes[0]),
+        converged=bool(sol.converged[0]),
         certified=res <= cfg.tol_kkt,
         kkt_residual=res,
         trace=None,

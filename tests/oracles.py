@@ -4,7 +4,10 @@ Everything here deliberately avoids the package's own search routines:
 the two-user oracle is an exhaustive grid, the power oracle is a plain
 scalar bisection, and the bandwidth oracle leans on scipy's brentq.  The
 interference sums and the frame loop are plain per-user, per-cell loops
-that the simulator's array code must reproduce.
+that the simulator's array code must reproduce.  The reference dual walk
+is the plain scalar form of ``solve_dual``: it starts from the outermost
+single-user minimisers and probes the envelope through per-user function
+calls.
 """
 
 import math
@@ -14,7 +17,15 @@ from scipy.optimize import brentq
 
 from noiserise.model import LN2, Allocation, UserLink, budget_watts, shannon_rate
 from noiserise.simnet import FrameMetrics, quantize_allocation
-from noiserise.solver import solve_dual
+from noiserise.solver import (
+    _FLAT,
+    _MAX_PROBES,
+    _TIE,
+    NoTransmitterError,
+    _kkt_residual,
+    _marginal_gap,
+    solve_dual,
+)
 
 
 def grid_search_two_user(w, e, l, budget, n=2000, chunk=200):
@@ -368,3 +379,133 @@ def reference_run_frame(deployment, schedule, pf, budget, frame_cfg, max_power=N
         ms_bits=ms_bits,
     )
     return metrics, frac
+
+
+# ---------------------------------------------------------------------------
+# reference dual walk
+
+
+def _band_value(w, ratio, lam):
+    """Per-unit-band value ``w (ln r - 1 + 1/r)`` of a user at ``lam``, with
+    ``r = ratio/lam``; 0 once the user no longer wants power (r <= 1)."""
+    a = (ratio - lam) / lam  # r - 1, free of cancellation near r = 1
+    return w * _marginal_gap(a) if a > 0.0 else 0.0
+
+
+def _envelope(lam, users, w, ratio, beta, budget):
+    """Top of the dual envelope at ``lam``: its value, and the tied users
+    mapped to their egress spend per unit band, ``c = w/lam - beta``.
+
+    Ties are judged against the dual value ``lam*I + top``, the scale of
+    the rounding in each band value; against ``top`` alone, users one ulp
+    apart would count as distinct wherever ``top`` is small.
+    """
+    values = [(_band_value(w[i], ratio[i], lam), i) for i in users]
+    top = max(v for v, _ in values)
+    floor = top - _TIE * (lam * budget + top)
+    return top, {i: w[i] / lam - beta[i] for v, i in values if v >= floor}
+
+
+def _kink(a, b, lo, hi, w, ratio, beta):
+    """Where the band values of users a and b cross inside (lo, hi).
+
+    ``v_a - v_b`` is >= 0 at ``lo`` and <= 0 at ``hi`` and its slope is
+    ``c_b - c_a``; Newton steps that leave the bracket fall back to a
+    geometric bisection, and the search stops once the two values agree
+    to rounding.
+    """
+    lam = math.sqrt(lo * hi)
+    for _ in range(200):
+        va = _band_value(w[a], ratio[a], lam)
+        vb = _band_value(w[b], ratio[b], lam)
+        d = va - vb
+        # equal to rounding: where the pieces are nearly tangent, one more
+        # Newton step would divide noise by a tiny slope
+        if abs(d) <= 1e-15 * max(va, vb):
+            break
+        if d > 0.0:
+            lo = lam
+        else:
+            hi = lam
+        slope = beta[a] - beta[b] + (w[b] - w[a]) / lam
+        nxt = lam - d / slope if slope != 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = math.sqrt(lo * hi)
+        if abs(nxt - lam) <= 4e-16 * lam:
+            break
+        lam = nxt
+    return lam
+
+
+def dual_optimum(w, e, l, I):
+    """Reference walk of :func:`solve_dual` on per-user lists ``w, e, l``:
+    the first two probes are the outermost single-user minimisers.
+
+    Returns ``(x, p, lambda1, lambda2, probes, converged, kkt_residual)``.
+    """
+    n = len(w)
+    users = [i for i in range(n) if w[i] > 0.0 and e[i] > 0.0]
+    if not users:
+        raise NoTransmitterError("no user with positive weight and SINR")
+    ratio = [0.0] * n
+    beta = [0.0] * n
+    single = [0.0] * n
+    for i in users:
+        ratio[i] = w[i] * e[i] / l[i]
+        beta[i] = l[i] / e[i]
+        single[i] = w[i] / (I + beta[i])
+
+    # bracket ends: (lam, top user there, users tied there); the dual
+    # slope is < 0 at the left end and > 0 at the right one
+    left = right = None
+    lam = min(single[i] for i in users)
+    converged = False
+    for steps in range(1, _MAX_PROBES + 1):
+        top, spend = _envelope(lam, users, w, ratio, beta, I)
+        c_hi = max(spend.values())
+        c_lo = min(spend.values())
+        # spends this close are equal up to rounding, so the lowest index
+        # among them stands for all, whatever the rounding (of rescaled
+        # data, say) makes of their order
+        slack = _FLAT * max(w[i] for i in spend) / lam
+        hi_user = min(i for i, c in spend.items() if c >= c_hi - slack)
+        lo_user = min(i for i, c in spend.items() if c <= c_lo + slack)
+        if c_lo - I > slack:
+            left = (lam, lo_user, spend)
+        elif I - c_hi > slack:
+            right = (lam, hi_user, spend)
+        else:
+            converged = True
+            break
+        if left is None or right is None:  # only the first probe lands here
+            lam = max(single[i] for i in users)
+            continue
+        (lo, a, tied_lo), (hi, b, tied_hi) = left, right
+        if a == b or a in tied_hi or b in tied_lo:
+            # one piece, or two that are equal to rounding at an end, where
+            # their crossing is noise: probe the left piece's minimiser
+            lam = single[a]
+        else:
+            lam = _kink(a, b, lo, hi, w, ratio, beta)
+        if not lo < lam < hi:
+            lam = math.sqrt(lo * hi)
+
+    x = [0.0] * n
+    p = [0.0] * n
+    alone = [i for i, c in spend.items() if abs(c - I) <= slack]
+    if alone or hi_user == lo_user:
+        # a tied user spending the budget at its own minimiser takes the band
+        k = min(alone, default=hi_user)
+        lam = single[k]
+        x[k] = 1.0
+        p[k] = I / l[k]
+        top = max(_band_value(w[i], ratio[i], lam) for i in users)
+    else:
+        c_hi, c_lo = spend[hi_user], spend[lo_user]
+        share = (I - c_lo) / (c_hi - c_lo) if c_hi > c_lo else 1.0
+        share = min(1.0, max(0.0, share))
+        x[hi_user], x[lo_user] = share, 1.0 - share
+        p[hi_user] = share * c_hi / l[hi_user]
+        p[lo_user] = (1.0 - share) * c_lo / l[lo_user]
+    lam2 = -top
+    return x, p, lam, lam2, steps, converged, _kkt_residual(x, p, lam, lam2, w, e, l, I)

@@ -101,6 +101,17 @@ def test_load_config_missing_file():
         load_config("/nonexistent/path.ini")
 
 
+def test_load_config_default_section_is_a_config_error(tmp_path):
+    # configparser copies [DEFAULT] keys into every section; the config
+    # has no such section, so naming it is an error, in a file or an override
+    path = tmp_path / "default.ini"
+    path.write_text("[DEFAULT]\nseed = 3\n\n[run]\nframes = 2\n")
+    with pytest.raises(ConfigError, match=r"DEFAULT\.seed: unknown section"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=r"DEFAULT\.seed: unknown section"):
+        load_config(None, ["DEFAULT.seed=3"])
+
+
 def test_load_config_bad_override_shape():
     with pytest.raises(ConfigError):
         load_config(None, ["not-a-setting"])
@@ -119,12 +130,26 @@ def test_cmd_run_smoke_emits_artifacts(small_config, tmp_path):
     assert elapsed < 10.0
     for name in ("summary.json", "frames.csv", "powers.csv", "per_ms.csv"):
         assert os.path.exists(os.path.join(out, name))
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = json.loads(Path(out, "summary.json").read_text())
     assert summary["cells"] == 7
     assert summary["frames"] == 10
     assert summary["mean_throughput_bits_per_cell_per_frame"] > 0
-    header = open(os.path.join(out, "frames.csv")).readline().strip()
+    header = Path(out, "frames.csv").read_text().splitlines()[0]
     assert header == "frame,cell,throughput_bits,ingress_w,ingress_db,egress_w"
+
+
+def test_cmd_run_summary_reports_solver_work(small_config, tmp_path):
+    # nr runs report the dual solver's counts; greedy schemes report none
+    out = tmp_path / "nr"
+    assert main(["run", small_config, "--out", str(out)]) == 0
+    solver = json.loads((out / "summary.json").read_text())["solver"]
+    assert solver["cells_solved"] == 7 * 10
+    assert 1 <= solver["probes_p50"] <= solver["probes_max"]
+    assert solver["kink_searches"] >= 0
+    assert 0 <= solver["kkt_residual_max"] <= 1e-6
+    greedy = tmp_path / "greedy"
+    assert main(["run", small_config, "--out", str(greedy), "--set", "scheme.name=nr_density"]) == 0
+    assert "solver" not in json.loads((greedy / "summary.json").read_text())
 
 
 def test_cmd_run_byte_identical_reruns(small_config, tmp_path):
@@ -133,9 +158,7 @@ def test_cmd_run_byte_identical_reruns(small_config, tmp_path):
     assert main(["run", small_config, "--out", out1]) == 0
     assert main(["run", small_config, "--out", out2]) == 0
     for name in ("frames.csv", "powers.csv", "per_ms.csv"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
-        assert a == b
+        assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes()
 
 
 def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
@@ -158,6 +181,8 @@ def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
     ["run.seed=5%"],
     ["run.frame=3"],
     ["solver.tol_kkt=1e-3"],
+    ["DEFAULT.seed=3"],
+    [".seed=3"],
 ])
 def test_cmd_run_invalid_setting_exit_1(tmp_path, capsys, overrides):
     argv = ["run", "--out", str(tmp_path / "x")]
@@ -244,7 +269,7 @@ def test_cmd_sweep_rows_and_ordering(small_config, tmp_path):
         "--set", "run.frames=16",
     ])
     assert rc == 0
-    lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    lines = Path(out, "sweep.csv").read_text().strip().splitlines()
     assert lines[0].startswith("scheme,nr_db,")
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 6
@@ -255,6 +280,21 @@ def test_cmd_sweep_rows_and_ordering(small_config, tmp_path):
         fixed_tput = float(by_key[("fixed", db)][2])
         assert nr_tput > fixed_tput
         assert by_key[("fixed", db)][7] == "ok"
+
+
+def test_cmd_sweep_invalid_scheme_config_exit_1_before_any_run(small_config, tmp_path, capsys,
+                                                               monkeypatch):
+    from noiserise import cli
+
+    def no_runs(cfg):
+        raise AssertionError("a simulation ran before the sweep was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_runs)
+    out = tmp_path / "s"
+    for argv in (["--schemes", "nr,target_sinr"], ["--db", "5,-1", "--schemes", "nr"]):
+        assert main(["sweep", small_config, "--out", str(out), *argv]) == 1
+        assert "config error: scheme." in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_sweep_empty_db_exit_1(small_config, tmp_path, capsys):

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiserise.model import SolverConfig, UserLink
+from noiserise import simnet
+from noiserise.model import Cells, SolverConfig, UserLink, link_arrays
+from noiserise.simnet import Scheme, SimConfig, run_simulation
 from noiserise.solver import (
+    _FLAT,
     NoTransmitterError,
+    _kkt_residual,
+    _objective,
+    _seed_brackets,
+    _user_rows,
     bandwidth_for_multiplier,
     bandwidth_step,
     kkt_residual,
@@ -15,11 +22,14 @@ from noiserise.solver import (
     objective,
     power_step,
     solve_dual,
+    solve_dual_frame,
     solve_joint,
 )
 
 from oracles import (
+    _envelope,
     bandwidth_shares_ref,
+    dual_optimum,
     find_lambda2_ref,
     grid_search_two_user,
     waterfill_bisect,
@@ -608,3 +618,127 @@ def test_property_solve_dual_sinr_against_budget_scale(cell, c):
     scaled = solve_dual(scaled_links, budget / c)
     assert scaled.x == pytest.approx(base.x, rel=1e-9, abs=1e-12)
     assert [c * p for p in scaled.p] == pytest.approx(base.p, rel=1e-9, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# frame-level dual solve against the reference walk
+
+
+@pytest.fixture(scope="module")
+def default_run_frames():
+    """The default run's 80 frame schedule inputs ``(cells, w, e, l)`` and
+    its budget."""
+    frames = []
+    make = simnet.make_scheme
+
+    def recording(*args, **kwargs):
+        scheme = make(*args, **kwargs)
+
+        def schedule(cells, w, e, l, cap):
+            frames.append((cells, w, e, l))
+            return scheme.schedule(cells, w, e, l, cap)
+
+        return Scheme(scheme.name, schedule, scheme.check)
+
+    cfg = SimConfig()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "make_scheme", recording)
+        run_simulation(cfg)
+    assert len(frames) == 80
+    return frames, cfg.budget().linear_budget
+
+
+def _cells_of(cells, *arrays):
+    for k in range(cells.n_cells):
+        ms = cells.index[k, cells.valid[k]]
+        yield k, ms, [a[ms].tolist() for a in arrays]
+
+
+def test_frame_solve_matches_reference_walk_on_default_run(default_run_frames):
+    frames, budget = default_run_frames
+    solved = 0
+    for cells, w, e, l in frames:
+        sol = solve_dual_frame(cells, w, e, l, budget)
+        for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
+            x, p, *_ = dual_optimum(wk, ek, lk, budget)
+            xk, pk = sol.x[ms].tolist(), sol.p[ms].tolist()
+            assert _objective(xk, pk, wk, ek) == pytest.approx(_objective(x, p, wk, ek), rel=1e-12)
+            # the array certification agrees with the scalar residual to the
+            # rounding of the O(1)..O(10) terms it is built from
+            scalar = _kkt_residual(xk, pk, sol.lambda1[k], sol.lambda2[k], wk, ek, lk, budget)
+            assert abs(sol.kkt_residual[k] - scalar) <= 1e-14
+            assert sol.converged[k] and 1 <= sol.probes[k] <= 4
+            solved += 1
+    assert solved == 1520
+
+
+def _assert_seeds_are_the_walks_verdicts(cells, w, e, l, budget):
+    # every bracket end the array pass proposes is one the scalar envelope
+    # of the reference walk classifies the same way, with the same top user
+    _, use, W, _, ratio, beta, S = _user_rows(cells, w, e, l, budget)
+    lo, a, hi, b, start = _seed_brackets(W, ratio, beta, S, use, budget)
+    for k, _, (wk, ek, lk) in _cells_of(cells, w, e, l):
+        users = range(len(wk))
+        rk = [wi * ei / li for wi, ei, li in zip(wk, ek, lk)]
+        bk = [li / ei for ei, li in zip(ek, lk)]
+        for lam, user, sign in ((lo[k], a[k], 1.0), (hi[k], b[k], -1.0)):
+            if not np.isfinite(lam):
+                continue
+            _, spend = _envelope(lam, users, wk, rk, bk, budget)
+            assert list(spend) == [user]
+            assert sign * (spend[user] - budget) > _FLAT * wk[user] / lam
+        assert lo[k] < hi[k] and (np.isinf(start[k]) or lo[k] < start[k] < hi[k])
+
+
+def test_seed_brackets_are_the_walks_verdicts_on_default_run(default_run_frames):
+    frames, budget = default_run_frames
+    for cells, w, e, l in frames:
+        _assert_seeds_are_the_walks_verdicts(cells, w, e, l, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simulator_cells())
+def test_property_seed_brackets_are_the_walks_verdicts(cell):
+    links, budget = cell
+    w, e, l, _ = link_arrays(links)
+    _assert_seeds_are_the_walks_verdicts(Cells.single(len(links)), w, e, l, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simulator_cells())
+def test_property_solve_dual_matches_reference_walk(cell):
+    links, budget = cell
+    alloc = solve_dual(links, budget)
+    w, e, l = (a.tolist() for a in link_arrays(links)[:3])
+    x, p, *_ = dual_optimum(w, e, l, budget)
+    assert alloc.objective == pytest.approx(_objective(x, p, w, e), rel=1e-12)
+
+
+def test_frame_solve_equals_per_cell_solve_dual():
+    # cells of mixed size, one of them empty, some users with no weight or
+    # SINR: every cell's schedule is the one solve_dual gives it alone
+    rng = np.random.default_rng(31)
+    n = 60
+    cell_of = rng.integers(0, 6, n)
+    cell_of[cell_of == 4] = 5
+    w = 10.0 ** rng.uniform(-6, 0, n)
+    e = 10.0 ** rng.uniform(-3, 1, n)
+    l = 10.0 ** rng.uniform(-15, -11, n)
+    w[::7] = 0.0
+    e[3::11] = 0.0
+    budget = 3e-13
+    cells = Cells.from_cell_of(cell_of, 6)
+    sol = solve_dual_frame(cells, w, e, l, budget)
+    for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
+        if not len(ms):
+            assert np.isnan(sol.kkt_residual[k]) and np.isnan(sol.lambda1[k]) and sol.probes[k] == 0
+            continue
+        alloc = solve_dual(_links(wk, ek, lk), budget)
+        assert sol.x[ms].tolist() == alloc.x and sol.p[ms].tolist() == alloc.p
+        assert (sol.lambda1[k], sol.lambda2[k]) == (alloc.lambda1, alloc.lambda2)
+        assert sol.probes[k] == alloc.iterations
+        assert abs(sol.kkt_residual[k] - alloc.kkt_residual) <= 1e-14
+    w[cells.index[2, cells.valid[2]]] = 0.0
+    with pytest.raises(NoTransmitterError):
+        solve_dual_frame(cells, w, e, l, budget)
+

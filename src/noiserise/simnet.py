@@ -44,8 +44,6 @@ __all__ = [
     "SchemeConfig",
     "RunConfig",
     "SimConfig",
-    "PFState",
-    "FrameConfig",
     "FrameMetrics",
     "MetricsBundle",
     "Scheme",
@@ -314,42 +312,15 @@ def build_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> De
 # proportional fairness
 
 
-@dataclass(frozen=True)
-class PFState:
-    """Accumulated-throughput tracker driving the fairness weights.
+def update_pf(t_avg: np.ndarray, delivered_bits: np.ndarray, beta: float) -> None:
+    """Advance the accumulated-throughput tracker in place:
+    ``t_avg += (1 - beta) * bits``.
 
-    ``t_avg`` accumulates ``(1 - beta)`` times the delivered bits, so the
-    weight of a served user decays while an unserved user's weight holds,
-    which is what rotates service across the cell.
+    The fairness weights are ``1 / t_avg``, so the weight of a served user
+    decays while an unserved user's weight holds, which is what rotates
+    service across the cell.
     """
-
-    t_avg: np.ndarray
-    beta: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
-        if not np.all(np.asarray(self.t_avg) > 0):  # NaN fails too
-            raise ValueError("t_avg must be positive everywhere")
-
-    @classmethod
-    def initial(cls, n_ms: int, beta: float = 0.9, t0: float = 1.0) -> "PFState":
-        if not t0 > 0:
-            raise ValueError("t0 must be positive")
-        return cls(t_avg=np.full(n_ms, float(t0)), beta=beta)
-
-    def weights(self) -> np.ndarray:
-        return 1.0 / self.t_avg
-
-
-def update_pf(state: PFState, delivered_bits) -> PFState:
-    """Advance the tracker: T += (1 - beta) * bits; weights are 1/T."""
-    bits = np.asarray(delivered_bits, dtype=float)
-    if bits.shape != state.t_avg.shape:
-        raise ValueError("delivered_bits shape does not match the tracker")
-    if np.any(bits < 0):
-        raise ValueError("delivered bits must be >= 0")
-    return PFState(t_avg=state.t_avg + (1.0 - state.beta) * bits, beta=state.beta)
+    t_avg += (1.0 - beta) * delivered_bits
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +368,15 @@ def _band_check(cells, alloc, l, cap, eps=1e-9):
         raise AssertionError("bandwidth overcommitted")
 
 
+def _power_cap_check(alloc, cap, eps):
+    if (alloc.p > cap * (1.0 + eps)).any():
+        raise AssertionError("max power violated")
+
+
 def _budget_check(I, tol_kkt, eps=1e-9):
     def check(cells, alloc, l, cap):
         _band_check(cells, alloc, l, cap, eps)
+        _power_cap_check(alloc, cap, eps)
         spent = cells.sums(l * alloc.p)
         if (spent > I * (1.0 + eps)).any():
             raise AssertionError(f"egress budget violated: {spent.max()} > {I}")
@@ -416,8 +393,8 @@ def _density_check(I, capped, eps=1e-9):
         on = alloc.x > 0
         if (l[on] * alloc.p[on] / alloc.x[on] > I * (1.0 + eps)).any():
             raise AssertionError("per-user density cap violated")
-        if capped and (alloc.p > cap * (1.0 + eps)).any():
-            raise AssertionError("max power violated")
+        if capped:
+            _power_cap_check(alloc, cap, eps)
 
     return check
 
@@ -556,22 +533,6 @@ def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int
 
 
 @dataclass(frozen=True)
-class FrameConfig:
-    """Physical constants and evaluation options for one frame."""
-
-    bandwidth_hz: float
-    n0_w_per_hz: float  # thermal density including the receiver noise figure
-    frame_duration_s: float = 0.005
-    quantize_units: int | None = None
-
-    def __post_init__(self):
-        if not (self.bandwidth_hz > 0 and self.n0_w_per_hz > 0 and self.frame_duration_s > 0):
-            raise ValueError("bandwidth, noise density and frame duration must be positive")
-        if self.quantize_units is not None and self.quantize_units < 1:
-            raise ValueError("quantize_units must be >= 1 when set")
-
-
-@dataclass(frozen=True)
 class FrameMetrics:
     """Per-frame observables, per cell and per MS, plus the solver's per-cell
     KKT residuals, envelope probes and kink searches (None for the greedy
@@ -588,14 +549,7 @@ class FrameMetrics:
     kinks: np.ndarray | None = None
 
 
-def run_frame(
-    deployment: Deployment,
-    scheme: Scheme,
-    pf: PFState,
-    budget,
-    frame_cfg: FrameConfig,
-    max_power: float | None = None,
-) -> FrameMetrics:
+def run_frame(deployment: Deployment, scheme: Scheme, weights: np.ndarray, cfg: SimConfig) -> FrameMetrics:
     """Schedule every cell against the planned interference, then score the
     frame at the interference that actually materialized.
 
@@ -603,24 +557,24 @@ def run_frame(
     noise-plus-interference ``N0*B + I``; delivered bits use the measured
     ingress at the serving BS instead, spread uniformly over the band.
     Cells are independent within a frame, so the scheme schedules and
-    checks all of them in one call on per-mobile arrays.
+    checks all of them in one call on per-mobile arrays.  The band, noise,
+    budget, power cap, frame duration and quantization come from ``cfg``,
+    whose dataclasses checked them when it was built.
     """
-    I = budget_watts(budget)
-    if max_power is not None and not max_power > 0:
-        raise ValueError(f"max_power must be positive when given, got {max_power!r}")
-    weights = pf.weights()
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise ValueError("PF weights must be finite and >= 0")
-    band = frame_cfg.bandwidth_hz
-    p_noise = frame_cfg.n0_w_per_hz * band
+    band = cfg.channel.bandwidth_hz
+    p_noise = cfg.channel.noise_power_w
+    I = cfg.budget().linear_budget
+    max_power = cfg.scheme.max_power_w
     cells = deployment.cells
     g = deployment.serving_gain
     l = deployment.norm_interference
     cap = np.full(deployment.n_ms, math.inf if max_power is None else max_power)
     alloc = scheme.schedule(cells, weights, g / (p_noise + I), l, cap)
     scheme.check(cells, alloc, l, cap)
-    if frame_cfg.quantize_units:
-        alloc = _quantize_frame(cells, alloc, l, cap, frame_cfg.quantize_units)
+    if cfg.run.quantize_units:
+        alloc = _quantize_frame(cells, alloc, l, cap, cfg.run.quantize_units)
     frac, power = alloc.x, alloc.p
 
     received = deployment.gain_matrix.T @ power
@@ -632,7 +586,7 @@ def run_frame(
     e_act = g[on] / (p_noise + ingress[cells.cell_of[on]])
     x_on = frac[on]
     rate = band * x_on * np.log1p(power[on] * e_act / x_on)
-    ms_bits[on] = rate / LN2 * frame_cfg.frame_duration_s
+    ms_bits[on] = rate / LN2 * cfg.run.frame_duration_s
     return FrameMetrics(
         cell_bits=cells.sums(ms_bits),
         ingress_w=ingress,
@@ -739,7 +693,6 @@ class MetricsBundle:
     budget_w: float
     bandwidth_hz: float
     frame_duration_s: float
-    noise_power_w: float
     cell_bits: np.ndarray  # (frames, cells)
     ingress_w: np.ndarray
     ingress_db: np.ndarray
@@ -820,24 +773,19 @@ def run_simulation(cfg: SimConfig) -> MetricsBundle:
         target_sinr=cfg.scheme.target_sinr,
         assumed_noise_plus_interference=planned,
     )
-    frame_cfg = FrameConfig(
-        bandwidth_hz=cfg.channel.bandwidth_hz,
-        n0_w_per_hz=cfg.channel.n0_w_per_hz,
-        frame_duration_s=cfg.run.frame_duration_s,
-        quantize_units=cfg.run.quantize_units,
-    )
-    pf = PFState.initial(deployment.n_ms, beta=cfg.run.pf_beta, t0=cfg.run.pf_init)
+    t_avg = np.full(deployment.n_ms, cfg.run.pf_init, dtype=float)
     frames = []
+    # bench/ wraps run_frame and update_pf by their simnet names, so both
+    # stay module-level calls, once per frame
     for _ in range(cfg.run.frames):
-        fm = run_frame(deployment, scheme, pf, budget, frame_cfg, max_power=cfg.scheme.max_power_w)
-        pf = update_pf(pf, fm.ms_bits)
+        fm = run_frame(deployment, scheme, 1.0 / t_avg, cfg)
+        update_pf(t_avg, fm.ms_bits, cfg.run.pf_beta)
         frames.append(fm)
     return MetricsBundle(
         scheme=cfg.scheme.name,
         budget_w=budget.linear_budget,
         bandwidth_hz=cfg.channel.bandwidth_hz,
         frame_duration_s=cfg.run.frame_duration_s,
-        noise_power_w=cfg.channel.noise_power_w,
         cell_bits=np.stack([f.cell_bits for f in frames]),
         ingress_w=np.stack([f.ingress_w for f in frames]),
         ingress_db=np.stack([f.ingress_db for f in frames]),

@@ -318,16 +318,17 @@ def _quantize(alloc, links, num_units):
     return Allocation(x=xq, p=pq)
 
 
-def reference_run_frame(deployment, schedule, pf, budget, frame_cfg, max_power=None):
+def reference_run_frame(deployment, schedule, weights, cfg):
     """One frame the slow way: a validated UserLink per mobile, one
     ``schedule(links)`` call per cell, then per-cell interference sums and
     a per-mobile scoring loop.  Returns the frame's metrics and the band
     shares it scored."""
-    I = budget_watts(budget)
-    band = frame_cfg.bandwidth_hz
-    p_noise = frame_cfg.n0_w_per_hz * band
+    I = budget_watts(cfg.budget())
+    band = cfg.channel.bandwidth_hz
+    p_noise = cfg.channel.n0_w_per_hz * band
     planned = p_noise + I
-    weights = pf.weights()
+    max_power = cfg.scheme.max_power_w
+    quantize_units = cfg.run.quantize_units
     n_bs = deployment.n_bs
     n_ms = deployment.n_ms
     power = np.zeros(n_ms)
@@ -345,8 +346,8 @@ def reference_run_frame(deployment, schedule, pf, budget, frame_cfg, max_power=N
             for ms in members
         ]
         alloc = schedule(links)
-        if frame_cfg.quantize_units:
-            alloc = _quantize(alloc, links, frame_cfg.quantize_units)
+        if quantize_units:
+            alloc = _quantize(alloc, links, quantize_units)
         frac[members] = alloc.x
         power[members] = alloc.p
 
@@ -367,7 +368,7 @@ def reference_run_frame(deployment, schedule, pf, budget, frame_cfg, max_power=N
             if frac[ms] > 0.0 and power[ms] > 0.0:
                 e_act = float(deployment.serving_gain[ms]) / noise_k
                 rate = shannon_rate(float(frac[ms]), float(power[ms]), e_act, band)
-                ms_bits[ms] = rate / LN2 * frame_cfg.frame_duration_s
+                ms_bits[ms] = rate / LN2 * cfg.run.frame_duration_s
     cell_bits = np.array([ms_bits[deployment.members(k)].sum() for k in range(n_bs)])
     ingress_db = 10.0 * np.log10((p_noise + ingress) / p_noise)
     metrics = FrameMetrics(

@@ -72,6 +72,11 @@ def test_readme_ini_block_is_the_default_config(tmp_path):
     assert cfg == SimConfig()
 
 
+def test_readme_library_example_runs():
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_load_config_overrides():
     cfg, _ = load_config(None, ["deployment.rings=1", "run.frames=7", "scheme.noise_rise_db=7"])
     assert cfg.deployment.rings == 1
@@ -191,6 +196,15 @@ def test_cmd_run_invalid_setting_exit_1(tmp_path, capsys, overrides):
     assert main(argv) == 1
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_cmd_run_capped_nr_refused_exit_2(small_config, tmp_path, capsys):
+    # nr does not honour a power cap yet, so its check refuses the first
+    # frame instead of letting the run use an over-cap allocation
+    out = tmp_path / "x"
+    assert main(["run", small_config, "--out", str(out), "--set", "scheme.max_power_w=1e-3"]) == 2
+    assert "max power violated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_run_all_schemes(small_config, tmp_path):

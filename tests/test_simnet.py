@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from noiserise.model import LN2, Cells, SolverConfig, noise_rise_budget_from_db, shannon_rate
+from noiserise.model import LN2, Cells, SolverConfig, shannon_rate
 from noiserise.simnet import (
     SCHEME_NAMES,
-    ChannelConfig,
     Deployment,
     DeploymentConfig,
     FrameAllocation,
-    FrameConfig,
     PathLossParams,
-    PFState,
     RunConfig,
     Scheme,
     SchemeConfig,
@@ -166,11 +163,6 @@ def test_cells_with_an_empty_cell():
 # frame loop
 
 
-def _frame_cfg():
-    channel = ChannelConfig()
-    return FrameConfig(bandwidth_hz=channel.bandwidth_hz, n0_w_per_hz=channel.n0_w_per_hz), channel
-
-
 def _silent_scheme():
     return Scheme(
         name="silent",
@@ -193,10 +185,7 @@ class _OnlyCellZero:
 
 def test_run_frame_all_silent_all_zero():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=3), PathLossParams(), seed=5)
-    frame_cfg, channel = _frame_cfg()
-    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
-    pf = PFState.initial(dep.n_ms)
-    metrics = run_frame(dep, _silent_scheme(), pf, budget, frame_cfg)
+    metrics = run_frame(dep, _silent_scheme(), np.ones(dep.n_ms), SimConfig())
     assert metrics.cell_bits.sum() == 0
     assert metrics.ingress_w.sum() == 0
     assert metrics.egress_w.sum() == 0
@@ -206,12 +195,11 @@ def test_run_frame_all_silent_all_zero():
 
 def test_run_frame_isolated_cell_matches_shannon_rate():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=3), PathLossParams(), seed=5)
-    frame_cfg, channel = _frame_cfg()
-    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
-    pf = PFState.initial(dep.n_ms)
-    inner = make_scheme("nr_density", budget)
+    cfg = SimConfig()
+    channel = cfg.channel
+    inner = make_scheme("nr_density", cfg.budget())
     scheme = Scheme(name="only0", schedule=_OnlyCellZero(inner.schedule), check=lambda *args: None)
-    metrics = run_frame(dep, scheme, pf, budget, frame_cfg)
+    metrics = run_frame(dep, scheme, np.ones(dep.n_ms), cfg)
     # no other cell transmits, so cell 0 is scored at zero ingress
     assert metrics.ingress_w[0] == 0.0
     members = dep.members(0)
@@ -222,7 +210,7 @@ def test_run_frame_isolated_cell_matches_shannon_rate():
     expected_bits = (
         shannon_rate(1.0, float(metrics.ms_power_w[ms]), float(e_act), channel.bandwidth_hz)
         / LN2
-        * frame_cfg.frame_duration_s
+        * cfg.run.frame_duration_s
     )
     assert metrics.ms_bits[ms] == pytest.approx(expected_bits, rel=1e-12)
     # neighbors hear exactly gain * power
@@ -241,11 +229,10 @@ def test_run_frame_two_cell_hand_ingress():
         gain_matrix=gain,
         wrap=False,
     )
-    frame_cfg, channel = _frame_cfg()
-    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
-    pf = PFState.initial(2)
+    cfg = SimConfig()
+    budget = cfg.budget()
     scheme = make_scheme("nr_density", budget)
-    metrics = run_frame(dep, scheme, pf, budget, frame_cfg)
+    metrics = run_frame(dep, scheme, np.ones(2), cfg)
     I = budget.linear_budget
     p0 = I / dep.norm_interference[0]
     p1 = I / dep.norm_interference[1]
@@ -257,16 +244,14 @@ def test_run_frame_two_cell_hand_ingress():
 
 def test_run_frame_scheme_constraints_asserted():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=2), PathLossParams(), seed=2)
-    frame_cfg, channel = _frame_cfg()
-    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
-    pf = PFState.initial(dep.n_ms)
+    cfg = SimConfig()
     bad = Scheme(
         name="nr",
         schedule=lambda cells, w, e, l, cap: FrameAllocation(x=np.ones(len(w)), p=np.ones(len(w))),
-        check=make_scheme("nr", budget).check,
+        check=make_scheme("nr", cfg.budget()).check,
     )
     with pytest.raises(AssertionError):
-        run_frame(dep, bad, pf, budget, frame_cfg)
+        run_frame(dep, bad, np.ones(dep.n_ms), cfg)
 
 
 def test_run_frame_empty_cell_stays_silent():
@@ -279,29 +264,21 @@ def test_run_frame_empty_cell_stays_silent():
         gain_matrix=gain,
         wrap=False,
     )
-    frame_cfg, channel = _frame_cfg()
-    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
+    cfg = SimConfig()
     for name in ("nr", "nr_density", "nr_density_capped"):
-        metrics = run_frame(dep, make_scheme(name, budget), PFState.initial(2), budget, frame_cfg)
+        metrics = run_frame(dep, make_scheme(name, cfg.budget()), np.ones(2), cfg)
         assert metrics.egress_w[1] == 0.0 and metrics.cell_bits[1] == 0.0
         assert metrics.ingress_w[1] > 0.0
         assert (metrics.ms_power_w > 0).all()
 
 
-def test_run_frame_validates_weights_and_max_power():
+def test_run_frame_validates_weights():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=2), PathLossParams(), seed=2)
-    frame_cfg, channel = _frame_cfg()
-    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
-    scheme = make_scheme("nr_density", budget)
-    for t_avg in (np.nan, -1.0):
-        with pytest.raises(ValueError, match="t_avg"):
-            PFState(t_avg=np.full(dep.n_ms, t_avg))
-        pf = PFState(t_avg=np.ones(dep.n_ms), beta=0.9)
-        object.__setattr__(pf, "t_avg", np.full(dep.n_ms, t_avg))
+    cfg = SimConfig()
+    scheme = make_scheme("nr_density", cfg.budget())
+    for weight in (np.nan, -1.0):
         with pytest.raises(ValueError, match="weights"):
-            run_frame(dep, scheme, pf, budget, frame_cfg)
-    with pytest.raises(ValueError, match="max_power"):
-        run_frame(dep, scheme, PFState.initial(dep.n_ms), budget, frame_cfg, max_power=0.0)
+            run_frame(dep, scheme, np.full(dep.n_ms, weight), cfg)
 
 
 def test_density_checks_reject_violations():
@@ -333,23 +310,23 @@ def test_density_checks_reject_violations():
 
 
 def test_update_pf_zero_bits_keeps_weights():
-    state = PFState.initial(4, beta=0.9, t0=2.0)
-    after = update_pf(state, np.zeros(4))
-    assert np.array_equal(after.t_avg, state.t_avg)
-    assert np.array_equal(after.weights(), state.weights())
+    t_avg = np.full(4, 2.0)
+    update_pf(t_avg, np.zeros(4), 0.9)
+    assert np.array_equal(t_avg, np.full(4, 2.0))
+    assert np.array_equal(1.0 / t_avg, np.full(4, 0.5))
 
 
 def test_update_pf_beta_one_freezes_weights():
-    state = PFState.initial(3, beta=1.0)
-    after = update_pf(state, np.array([10.0, 0.0, 5.0]))
-    assert np.array_equal(after.weights(), state.weights())
+    t_avg = np.ones(3)
+    update_pf(t_avg, np.array([10.0, 0.0, 5.0]), 1.0)
+    assert np.array_equal(1.0 / t_avg, np.ones(3))
 
 
 def test_update_pf_accumulates():
-    state = PFState.initial(2, beta=0.9, t0=1.0)
-    after = update_pf(state, np.array([100.0, 0.0]))
-    assert after.t_avg[0] == pytest.approx(1.0 + 0.1 * 100.0)
-    assert after.t_avg[1] == 1.0
+    t_avg = np.ones(2)
+    update_pf(t_avg, np.array([100.0, 0.0]), 0.9)
+    assert t_avg[0] == pytest.approx(1.0 + 0.1 * 100.0)
+    assert t_avg[1] == 1.0
 
 
 def test_update_pf_unscheduled_user_gains_relative_weight():
@@ -362,17 +339,17 @@ def test_update_pf_unscheduled_user_gains_relative_weight():
     assert (totals > 0).any()
     # replay the weight dynamics over the 80 frames: weights order inversely
     # with delivered bits, so whoever was served least ends up weighted most
-    state = PFState.initial(bundle.n_ms, beta=0.9, t0=1.0)
+    t_avg = np.ones(bundle.n_ms)
     for t in range(bundle.n_frames):
-        state = update_pf(state, bundle.ms_bits[t])
-    weights = state.weights()
+        update_pf(t_avg, bundle.ms_bits[t], 0.9)
+    weights = 1.0 / t_avg
     order = np.argsort(totals)
     assert weights[order[0]] == weights.max()
     served = totals > 0
     if (~served).any():
         assert weights[~served].min() > weights[served].max()
     # and the ratio against the start moved in the unserved user's favor
-    start = PFState.initial(bundle.n_ms, beta=0.9, t0=1.0).weights()
+    start = np.ones(bundle.n_ms)
     rel_start = start[order[0]] / start[order[-1]]
     rel_end = weights[order[0]] / weights[order[-1]]
     assert rel_end > rel_start
@@ -443,6 +420,29 @@ def test_run_simulation_deterministic():
     assert np.array_equal(a.cell_bits, b.cell_bits)
     assert np.array_equal(a.ms_power_w, b.ms_power_w)
     assert np.array_equal(a.ingress_w, b.ingress_w)
+
+
+def test_run_simulation_calls_frame_hooks_once_per_frame(monkeypatch):
+    # bench/spans.py and bench/run.py wrap simnet.run_frame and
+    # simnet.update_pf by name, so run_simulation must call both through
+    # the module globals, once per frame
+    from noiserise import simnet
+
+    calls = {"run_frame": 0, "update_pf": 0}
+
+    def counting(name):
+        original = getattr(simnet, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simnet, name, counting(name))
+    run_simulation(SimConfig(deployment=DeploymentConfig(rings=1, ms_per_cell=3), run=RunConfig(frames=3)))
+    assert calls == {"run_frame": 3, "update_pf": 3}
 
 
 def test_default_run_every_nr_allocation_certified(monkeypatch):
@@ -529,6 +529,7 @@ def test_scheme_config_validation():
         {"name": "target_sinr"},
         {"name": "target_sinr", "target_sinr": -2.0},
         {"max_power_w": -1.0},
+        {"max_power_w": 0.0},
         {"max_power_w": math.nan},
     ):
         with pytest.raises(ValueError):
@@ -543,11 +544,13 @@ def test_scheme_config_validation():
 # array frame loop against the per-cell reference loop
 
 
-def _schemes(name, budget, channel):
-    planned = channel.noise_power_w + budget.linear_budget
-    kwargs = {"fixed_power": 0.1, "target_sinr": 10.0, "assumed_noise_plus_interference": planned}
-    return make_scheme(name, budget, **kwargs), reference_schedule(
-        name, budget, fixed_power=0.1, target_sinr=10.0)
+def _schemes(cfg):
+    budget = cfg.budget()
+    planned = cfg.channel.noise_power_w + budget.linear_budget
+    name, fixed_power, target_sinr = cfg.scheme.name, cfg.scheme.fixed_power_w, cfg.scheme.target_sinr
+    return make_scheme(name, budget, fixed_power=fixed_power, target_sinr=target_sinr,
+                       assumed_noise_plus_interference=planned), reference_schedule(
+        name, budget, fixed_power=fixed_power, target_sinr=target_sinr)
 
 
 @pytest.mark.parametrize("max_power", [None, 0.02, 5.0], ids=["uncapped", "all_capped", "cascade"])
@@ -557,12 +560,13 @@ def _schemes(name, budget, channel):
 def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
     # 0.02 W caps every user (the cascade spreads leftover band); at 5 W
     # some users are capped and one per cell takes the band that is left
-    dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=6, wrap=wrap), PathLossParams(), seed=11)
-    channel = ChannelConfig()
-    frame_cfg = FrameConfig(bandwidth_hz=channel.bandwidth_hz, n0_w_per_hz=channel.n0_w_per_hz,
-                            quantize_units=quantize)
-    budget = noise_rise_budget_from_db(5.0, channel.n0_w_per_hz, channel.bandwidth_hz)
-    scheme, reference = _schemes(name, budget, channel)
+    cfg = SimConfig(
+        deployment=DeploymentConfig(rings=1, ms_per_cell=6, wrap=wrap),
+        scheme=SchemeConfig(name=name, fixed_power_w=0.1, max_power_w=max_power, target_sinr=10.0),
+        run=RunConfig(quantize_units=quantize),
+    )
+    dep = build_deployment(cfg.deployment, cfg.channel.pathloss, seed=11)
+    scheme, reference = _schemes(cfg)
     shares = []
 
     def schedule(*frame):
@@ -570,10 +574,17 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
         return shares[-1]
 
     recording = Scheme(name, schedule, scheme.check)
-    pf = PFState.initial(dep.n_ms)
+    t_avg = np.ones(dep.n_ms)
+    if name == "nr" and max_power is not None:
+        # nr ignores the cap (its uncapped optimum reaches watts here), so
+        # its check refuses the first frame
+        with pytest.raises(AssertionError, match="max power violated"):
+            run_frame(dep, recording, 1.0 / t_avg, cfg)
+        return
     for _ in range(6):
-        got = run_frame(dep, recording, pf, budget, frame_cfg, max_power=max_power)
-        want, want_x = reference_run_frame(dep, reference, pf, budget, frame_cfg, max_power=max_power)
+        weights = 1.0 / t_avg
+        got = run_frame(dep, recording, weights, cfg)
+        want, want_x = reference_run_frame(dep, reference, weights, cfg)
         # both loops see the same weights, so the schedules are the same floats
         if quantize is None:
             assert np.array_equal(shares[-1].x, want_x)
@@ -581,4 +592,4 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
         for field in ("ms_bits", "cell_bits", "ingress_w", "ingress_db", "egress_w"):
             np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=0,
                                        err_msg=field)
-        pf = update_pf(pf, got.ms_bits)
+        update_pf(t_avg, got.ms_bits, cfg.run.pf_beta)

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -444,30 +444,10 @@ def cmd_solve(args) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"solve failed: {exc}", file=sys.stderr)
         return 2
-    out = {
-        "x": alloc.x,
-        "p": alloc.p,
-        "lambda1": alloc.lambda1,
-        "lambda2": alloc.lambda2,
-        "objective": alloc.objective,
-        "iterations": alloc.iterations,
-        "converged": alloc.converged,
-        "certified": alloc.certified,
-        "kkt_residual": alloc.kkt_residual,
-    }
+    out = asdict(alloc)  # field order is the JSON key order
+    trace = out.pop("trace")
     if args.trace:
-        out["trace"] = [
-            {
-                "iteration": r.iteration,
-                "objective": r.objective,
-                "lambda1": r.lambda1,
-                "lambda2": r.lambda2,
-                "max_delta_x": r.max_delta_x,
-                "max_delta_p": r.max_delta_p,
-                "kkt_residual": r.kkt_residual,
-            }
-            for r in alloc.trace
-        ]
+        out["trace"] = trace
     print(json.dumps(out, indent=2))
     return 0
 

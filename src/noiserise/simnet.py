@@ -53,7 +53,6 @@ __all__ = [
     "make_scheme",
     "run_frame",
     "update_pf",
-    "quantize_allocation",
     "run_simulation",
     "SCHEME_NAMES",
 ]
@@ -361,40 +360,32 @@ class Scheme:
     check: Callable[..., None]
 
 
-def _band_check(cells, alloc, l, cap, eps=1e-9):
-    if (alloc.x < 0).any() or (alloc.p < 0).any():
-        raise AssertionError("negative allocation")
-    if (cells.sums(alloc.x) > 1.0 + eps).any():
-        raise AssertionError("bandwidth overcommitted")
+def _frame_check(I, tol_kkt, egress=False, density=False, eps=1e-9):
+    """The check every scheme's frame must pass: no negative share or
+    power, no cell's band over 1, no power over its cap, and a KKT
+    residual within ``tol_kkt`` wherever the schedule carries one.
+    ``egress`` adds each cell's egress budget ``I`` (``nr``), ``density``
+    each user's interference density ``l p / x <= I`` (the density
+    schemes)."""
 
-
-def _power_cap_check(alloc, cap, eps):
-    if (alloc.p > cap * (1.0 + eps)).any():
-        raise AssertionError("max power violated")
-
-
-def _budget_check(I, tol_kkt, eps=1e-9):
     def check(cells, alloc, l, cap):
-        _band_check(cells, alloc, l, cap, eps)
-        _power_cap_check(alloc, cap, eps)
-        spent = cells.sums(l * alloc.p)
-        if (spent > I * (1.0 + eps)).any():
-            raise AssertionError(f"egress budget violated: {spent.max()} > {I}")
+        if (alloc.x < 0).any() or (alloc.p < 0).any():
+            raise AssertionError("negative allocation")
+        if (cells.sums(alloc.x) > 1.0 + eps).any():
+            raise AssertionError("bandwidth overcommitted")
+        if (alloc.p > cap * (1.0 + eps)).any():
+            raise AssertionError("max power violated")
+        if egress:
+            spent = cells.sums(l * alloc.p)
+            if (spent > I * (1.0 + eps)).any():
+                raise AssertionError(f"egress budget violated: {spent.max()} > {I}")
+        if density:
+            on = alloc.x > 0
+            if (l[on] * alloc.p[on] / alloc.x[on] > I * (1.0 + eps)).any():
+                raise AssertionError("per-user density cap violated")
         if alloc.kkt_residual is not None and (alloc.kkt_residual > tol_kkt).any():
             worst = np.nanmax(alloc.kkt_residual)
             raise AssertionError(f"uncertified allocation: KKT residual {worst}")
-
-    return check
-
-
-def _density_check(I, capped, eps=1e-9):
-    def check(cells, alloc, l, cap):
-        _band_check(cells, alloc, l, cap, eps)
-        on = alloc.x > 0
-        if (l[on] * alloc.p[on] / alloc.x[on] > I * (1.0 + eps)).any():
-            raise AssertionError("per-user density cap violated")
-        if capped:
-            _power_cap_check(alloc, cap, eps)
 
     return check
 
@@ -419,21 +410,21 @@ def make_scheme(
 ) -> Scheme:
     """Build the named scheduling scheme against a common budget."""
     I = budget_watts(budget)
+    tol_kkt = (solver_config if solver_config is not None else SolverConfig()).tol_kkt
     if name == "nr":
-        cfg = solver_config if solver_config is not None else SolverConfig()
-        return Scheme(name, _solve_frame(I), _budget_check(I, cfg.tol_kkt))
+        return Scheme(name, _solve_frame(I), _frame_check(I, tol_kkt, egress=True))
     if name == "nr_density":
         return Scheme(
             name,
             lambda cells, w, e, l, cap: FrameAllocation(
                 *winner_takes_band(cells, density_scores(w, e, l, I), I / l)),
-            _density_check(I, capped=False),
+            _frame_check(I, tol_kkt, density=True),
         )
     if name == "nr_density_capped":
         return Scheme(
             name,
             lambda cells, w, e, l, cap: FrameAllocation(*capped_frame(cells, w, e, l, cap, I)),
-            _density_check(I, capped=True),
+            _frame_check(I, tol_kkt, density=True),
         )
     if name == "fixed":
         if fixed_power is None or not fixed_power > 0:
@@ -442,7 +433,7 @@ def make_scheme(
             name,
             lambda cells, w, e, l, cap: FrameAllocation(
                 *winner_takes_band(cells, fixed_power_scores(w, e, fixed_power), fixed_power)),
-            _band_check,
+            _frame_check(I, tol_kkt),
         )
     if name == "target_sinr":
         if target_sinr is None or not target_sinr > 0:
@@ -454,7 +445,7 @@ def make_scheme(
         return Scheme(
             name,
             lambda cells, w, e, l, cap: FrameAllocation(*target_sinr_frame(cells, w, e, cap, target_sinr)),
-            _band_check,
+            _frame_check(I, tol_kkt),
         )
     raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
 
@@ -463,69 +454,36 @@ def make_scheme(
 # quantization
 
 
-def quantize_allocation(x, num_units: int):
-    """Largest-remainder rounding of band fractions to integer unit counts.
-
-    The unit total is ``round(num_units * sum(x))`` (never above
-    ``num_units``), each entry is its floor or ceiling, and leftover units
-    go to the largest fractional remainders with index as the tie-break.
-    """
-    if num_units < 1:
-        raise ValueError("num_units must be >= 1")
-    total = 0.0
-    for v in x:
-        if v < 0:
-            raise ValueError("fractions must be >= 0")
-        total += v
-    if total > 1.0 + 1e-9:
-        raise ValueError("fractions exceed the band")
-    scaled = [v * num_units for v in x]
-    units = [int(math.floor(s)) for s in scaled]
-    target = min(num_units, int(round(total * num_units)))
-    extras = target - sum(units)
-    if extras > 0:
-        order = sorted(range(len(x)), key=lambda i: (-(scaled[i] - units[i]), i))
-        for i in order[:extras]:
-            units[i] += 1
-    return units
-
-
-def _quantize_cell(x, p, l, cap, num_units: int):
-    """Re-express one cell's shares and powers (lists) on the resource-unit grid.
-
-    Users rounded to zero units lose their power; the freed egress budget
-    is redistributed proportionally over the surviving powers (clamped at
-    ``cap``), which keeps the total egress at or below its
-    pre-quantization level and hence within the budget.
-    """
-    units = quantize_allocation(x, num_units)
-    xq = [u / num_units for u in units]
-    pq = list(p)
-    freed = 0.0
-    kept = 0.0
-    for i in range(len(pq)):
-        if xq[i] == 0.0 and pq[i] > 0.0:
-            freed += l[i] * pq[i]
-            pq[i] = 0.0
-        elif pq[i] > 0.0:
-            kept += l[i] * pq[i]
-    if freed > 0.0 and kept > 0.0:
-        scale = (kept + freed) / kept
-        for i in range(len(pq)):
-            if pq[i] > 0.0:
-                pq[i] = min(pq[i] * scale, cap[i])
-    return xq, pq
-
-
 def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int) -> FrameAllocation:
-    x = alloc.x.copy()
-    p = alloc.p.copy()
-    for index, valid in zip(cells.index, cells.valid):
-        ms = index[valid]
-        if len(ms):
-            x[ms], p[ms] = _quantize_cell(x[ms].tolist(), p[ms].tolist(), l[ms].tolist(),
-                                          cap[ms].tolist(), num_units)
-    return replace(alloc, x=x, p=p)
+    """Re-express every cell's shares and powers on the resource-unit grid.
+
+    Largest-remainder rounding: each user gets ``floor(x N)`` units, and
+    each cell's leftover units, up to ``min(N, round(N sum x))``, go to its
+    largest fractional remainders, ties to the lowest index.  Users
+    rounded to zero units lose their power; the freed egress is handed
+    back in proportion to the surviving powers (clamped at ``cap``), which
+    keeps each cell's egress at or below its pre-quantization level and
+    hence within the budget.  ``cells.sums`` adds a cell's users in
+    ascending order, as a walk over the cell would.
+    """
+    x, p = alloc.x, alloc.p
+    scaled = x * num_units
+    units = np.floor(scaled)
+    extra = np.minimum(num_units, np.round(cells.sums(x) * num_units)) - cells.sums(units)
+    order = np.argsort(cells.gather(units - scaled, np.inf), axis=1, kind="stable")
+    ranked = np.take_along_axis(cells.index, order, axis=1)
+    bump = np.take_along_axis(cells.valid, order, axis=1) & (np.arange(order.shape[1]) < extra[:, None])
+    units[ranked[bump]] += 1.0
+    xq = units / num_units
+
+    zeroed = (xq == 0.0) & (p > 0.0)
+    lp = l * p
+    freed = cells.sums(np.where(zeroed, lp, 0.0))
+    kept = cells.sums(np.where(zeroed, 0.0, lp))
+    rescale = ((freed > 0.0) & (kept > 0.0))[cells.cell_of] & (p > 0.0)
+    scale = ((kept + freed) / np.where(kept > 0.0, kept, 1.0))[cells.cell_of]
+    pq = np.where(zeroed, 0.0, np.where(rescale, np.minimum(p * scale, cap), p))
+    return replace(alloc, x=xq, p=pq)
 
 
 # ---------------------------------------------------------------------------

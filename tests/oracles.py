@@ -3,11 +3,11 @@
 Everything here deliberately avoids the package's own search routines:
 the two-user oracle is an exhaustive grid, the power oracle is a plain
 scalar bisection, and the bandwidth oracle leans on scipy's brentq.  The
-interference sums and the frame loop are plain per-user, per-cell loops
-that the simulator's array code must reproduce.  The reference dual walk
-is the plain scalar form of ``solve_dual``: it starts from the outermost
-single-user minimisers and probes the envelope through per-user function
-calls.
+interference sums, the resource-unit quantizer and the frame loop are
+plain per-user, per-cell loops that the simulator's array code must
+reproduce.  The reference dual walk is the plain scalar form of
+``solve_dual``: it starts from the outermost single-user minimisers and
+probes the envelope through per-user function calls.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from noiserise.model import LN2, Allocation, UserLink, budget_watts, shannon_rate
-from noiserise.simnet import FrameMetrics, quantize_allocation
+from noiserise.simnet import FrameMetrics
 from noiserise.solver import (
     _FLAT,
     _MAX_PROBES,
@@ -296,25 +296,55 @@ def reference_schedule(name, budget, fixed_power=None, target_sinr=None, solver_
     raise ValueError(name)
 
 
-def _quantize(alloc, links, num_units):
-    units = quantize_allocation(alloc.x, num_units)
-    xq = [u / num_units for u in units]
-    pq = list(alloc.p)
+def largest_remainder_units(x, num_units):
+    """Largest-remainder rounding of band fractions to integer unit counts.
+
+    The unit total is ``round(num_units * sum(x))`` (never above
+    ``num_units``), each entry is its floor or ceiling, and leftover units
+    go to the largest fractional remainders with index as the tie-break.
+    """
+    total = 0.0
+    for v in x:
+        total += v
+    scaled = [v * num_units for v in x]
+    units = [int(math.floor(s)) for s in scaled]
+    target = min(num_units, int(round(total * num_units)))
+    extras = target - sum(units)
+    if extras > 0:
+        order = sorted(range(len(x)), key=lambda i: (-(scaled[i] - units[i]), i))
+        for i in order[:extras]:
+            units[i] += 1
+    return units
+
+
+def reference_quantize(x, p, l, cap, num_units):
+    """One cell's shares and powers (lists) on the resource-unit grid: users
+    rounded to zero units lose their power, and the freed egress is spread
+    over the surviving powers in proportion, each clamped at its cap."""
+    xq = [u / num_units for u in largest_remainder_units(x, num_units)]
+    pq = list(p)
     freed = 0.0
     kept = 0.0
-    for i, link in enumerate(links):
+    for i in range(len(pq)):
         if xq[i] == 0.0 and pq[i] > 0.0:
-            freed += link.norm_interference * pq[i]
+            freed += l[i] * pq[i]
             pq[i] = 0.0
         elif pq[i] > 0.0:
-            kept += link.norm_interference * pq[i]
+            kept += l[i] * pq[i]
     if freed > 0.0 and kept > 0.0:
         scale = (kept + freed) / kept
-        for i, link in enumerate(links):
+        for i in range(len(pq)):
             if pq[i] > 0.0:
                 pq[i] *= scale
-                if link.max_power is not None and pq[i] > link.max_power:
-                    pq[i] = link.max_power
+                if pq[i] > cap[i]:
+                    pq[i] = cap[i]
+    return xq, pq
+
+
+def _quantize(alloc, links, num_units):
+    l = [link.norm_interference for link in links]
+    cap = [math.inf if link.max_power is None else link.max_power for link in links]
+    xq, pq = reference_quantize(alloc.x, alloc.p, l, cap, num_units)
     return Allocation(x=xq, p=pq)
 
 

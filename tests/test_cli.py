@@ -207,6 +207,22 @@ def test_cmd_run_capped_nr_refused_exit_2(small_config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheme", [
+    ["scheme.name=nr_density", "scheme.max_power_w=1e-3"],
+    ["scheme.name=fixed", "scheme.fixed_power_w=0.5", "scheme.max_power_w=0.2"],
+], ids=["nr_density", "fixed"])
+def test_cmd_run_cap_breaking_scheme_refused_exit_2(small_config, tmp_path, capsys, scheme):
+    # nr_density sends I/l and fixed its fixed power whatever the cap, so
+    # the frame check refuses the first frame that breaks the cap
+    out = tmp_path / "x"
+    argv = ["run", small_config, "--out", str(out)]
+    for item in scheme:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert "max power violated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_run_all_schemes(small_config, tmp_path):
     for extra in (
         ["--set", "scheme.name=nr_density"],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noiserise.model import LN2, Cells, SolverConfig, shannon_rate
 from noiserise.simnet import (
@@ -14,16 +16,16 @@ from noiserise.simnet import (
     Scheme,
     SchemeConfig,
     SimConfig,
+    _quantize_frame,
     build_deployment,
     cost_hata_pl,
     make_scheme,
-    quantize_allocation,
     run_frame,
     run_simulation,
     update_pf,
 )
 
-from oracles import reference_run_frame, reference_schedule
+from oracles import reference_quantize, reference_run_frame, reference_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +295,12 @@ def test_density_checks_reject_violations():
     dense = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([1.0, 0.5, 2.5]))
     with pytest.raises(AssertionError, match="density cap"):
         plain(cells, dense, l, cap)
+    # every scheme refuses power over the cap, whether it honours the cap or not
     loud = FrameAllocation(x=np.array([1.0, 0.0, 1.0]), p=np.array([1.5, 0.0, 2.0]))
-    plain(cells, loud, l, cap)
-    with pytest.raises(AssertionError, match="max power"):
-        capped(cells, loud, l, cap)
+    for name in SCHEME_NAMES:
+        scheme = make_scheme(name, 2.0, fixed_power=1.0, target_sinr=1.0, assumed_noise_plus_interference=1.0)
+        with pytest.raises(AssertionError, match="max power"):
+            scheme.check(cells, loud, l, cap)
     wide = FrameAllocation(x=np.array([0.6, 0.5, 1.0]), p=np.array([1.0, 0.5, 2.0]))
     with pytest.raises(AssertionError, match="overcommitted"):
         plain(cells, wide, l, cap)
@@ -355,35 +359,25 @@ def test_update_pf_unscheduled_user_gains_relative_weight():
     assert rel_end > rel_start
 
 
-def test_quantize_redistributes_power_of_zeroed_users():
-    from noiserise.simnet import _quantize_cell
-
-    l = [4.0, 1.0]
-    uncapped = [np.inf, np.inf]
-    # user 0 holds less than half a unit of band, so 48-unit rounding
-    # zeroes it and its egress share moves to user 1
-    x, p = [0.005, 0.995], [0.25, 1.0]
-    egress_before = 4.0 * 0.25 + 1.0 * 1.0
-    xq, pq = _quantize_cell(x, p, l, uncapped, 48)
-    assert xq[0] == 0.0 and pq[0] == 0.0
-    assert xq[1] == pytest.approx(48 / 48)
-    egress_after = 1.0 * pq[1]
-    assert egress_after == pytest.approx(egress_before, rel=1e-12)
-    # a max_power cap on the survivor clamps the redistribution
-    _, clamped = _quantize_cell(x, p, l, [np.inf, 1.2], 48)
-    assert clamped[1] == pytest.approx(1.2)
-
-
 # ---------------------------------------------------------------------------
 # quantization
 
 
+def _quantize_one_cell(x, num_units, p=None, l=None, cap=None):
+    n = len(x)
+    alloc = FrameAllocation(x=np.array(x, dtype=float),
+                            p=np.array(p if p is not None else np.zeros(n), dtype=float))
+    l = np.array(l if l is not None else np.ones(n), dtype=float)
+    cap = np.array(cap if cap is not None else np.full(n, np.inf), dtype=float)
+    return _quantize_frame(Cells.single(n), alloc, l, cap, num_units)
+
+
 def test_quantize_even_split():
-    assert quantize_allocation([0.5, 0.5], 48) == [24, 24]
+    assert (_quantize_one_cell([0.5, 0.5], 48).x * 48).tolist() == [24, 24]
 
 
 def test_quantize_full_band():
-    assert quantize_allocation([1.0], 48) == [48]
+    assert (_quantize_one_cell([1.0], 48).x * 48).tolist() == [48]
 
 
 def test_quantize_largest_remainder_error_bound():
@@ -391,19 +385,74 @@ def test_quantize_largest_remainder_error_bound():
     for _ in range(200):
         m = int(rng.integers(1, 9))
         x = rng.dirichlet(np.ones(m))
-        units = quantize_allocation(list(x), 48)
-        assert sum(units) <= 48
+        units = np.rint(_quantize_one_cell(x, 48).x * 48)
+        assert units.sum() <= 48
         for xi, u in zip(x, units):
             assert abs(u / 48 - xi) <= 1.0 / 48 + 1e-12
 
 
-def test_quantize_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        quantize_allocation([0.5], 0)
-    with pytest.raises(ValueError):
-        quantize_allocation([-0.1], 8)
-    with pytest.raises(ValueError):
-        quantize_allocation([0.7, 0.7], 8)
+def test_quantize_redistributes_power_of_zeroed_users():
+    l = [4.0, 1.0]
+    # user 0 holds less than half a unit of band, so 48-unit rounding
+    # zeroes it and its egress share moves to user 1
+    x, p = [0.005, 0.995], [0.25, 1.0]
+    egress_before = 4.0 * 0.25 + 1.0 * 1.0
+    q = _quantize_one_cell(x, 48, p, l)
+    assert q.x[0] == 0.0 and q.p[0] == 0.0
+    assert q.x[1] == pytest.approx(48 / 48)
+    egress_after = 1.0 * q.p[1]
+    assert egress_after == pytest.approx(egress_before, rel=1e-12)
+    # a max_power cap on the survivor clamps the redistribution
+    clamped = _quantize_one_cell(x, 48, p, l, [np.inf, 1.2])
+    assert clamped.p[1] == pytest.approx(1.2)
+
+
+@st.composite
+def quantizable_frames(draw):
+    """A multi-cell frame as a scheme hands it to the quantizer: each cell's
+    shares sum to at most 1, some users hold no power, and every power is
+    within its cap (finite or infinite)."""
+    n = draw(st.integers(1, 30))
+    n_cells = draw(st.integers(1, 6))
+    cell_of = np.array(draw(st.lists(st.integers(0, n_cells - 1), min_size=n, max_size=n)))
+    raw = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0]) | st.floats(1e-3, 1.0),
+                                 min_size=n, max_size=n)))
+    band = np.array(draw(st.lists(st.sampled_from([1.0]) | st.floats(0.0, 1.0),
+                                  min_size=n_cells, max_size=n_cells)))
+    cells = Cells.from_cell_of(cell_of, n_cells)
+    totals = cells.sums(raw)[cell_of]
+    x = np.where(raw > 0.0, raw / np.where(totals > 0.0, totals, 1.0) * band[cell_of], 0.0)
+    on = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    p = np.where(on, np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))), 0.0)
+    headroom = np.array(draw(st.lists(st.sampled_from([1.0, np.inf]) | st.floats(1.0, 3.0),
+                                      min_size=n, max_size=n)))
+    cap = np.maximum(p, 1e-3) * headroom  # every power is at least 1e-3 W
+    l = np.array(draw(st.lists(st.floats(1e-2, 1e2), min_size=n, max_size=n)))
+    return cells, FrameAllocation(x=x, p=p), l, cap, draw(st.integers(1, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quantizable_frames())
+def test_property_quantize_frame_matches_per_cell_reference(frame):
+    cells, alloc, l, cap, num_units = frame
+    got = _quantize_frame(cells, alloc, l, cap, num_units)
+    want_x = np.zeros(len(l))
+    want_p = np.zeros(len(l))
+    for k in range(cells.n_cells):
+        ms = cells.index[k, cells.valid[k]]
+        want_x[ms], want_p[ms] = reference_quantize(alloc.x[ms].tolist(), alloc.p[ms].tolist(),
+                                                    l[ms].tolist(), cap[ms].tolist(), num_units)
+    assert np.array_equal(got.x, want_x)
+    assert np.array_equal(got.p, want_p)
+    units = np.rint(got.x * num_units)
+    assert np.array_equal(units / num_units, got.x)
+    assert np.array_equal(cells.sums(units), np.minimum(num_units, np.round(cells.sums(alloc.x) * num_units)))
+    scaled = alloc.x * num_units
+    assert ((units == np.floor(scaled)) | (units == np.ceil(scaled))).all()
+    assert not ((got.x == 0.0) & (got.p > 0.0)).any()
+    # the redistributed powers are scaled products, so the egress may land
+    # a few ulps above its old level, never more
+    assert (cells.sums(l * got.p) <= cells.sums(l * alloc.p) * (1.0 + 1e-12)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +624,12 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
 
     recording = Scheme(name, schedule, scheme.check)
     t_avg = np.ones(dep.n_ms)
-    if name == "nr" and max_power is not None:
-        # nr ignores the cap (its uncapped optimum reaches watts here), so
-        # its check refuses the first frame
+    # nr and nr_density ignore the cap (their first frame reaches watts
+    # here) and fixed sends its fixed power whatever the cap, so the check
+    # refuses the first frame of every case whose cap they break
+    breaks_cap = max_power is not None and (
+        name in ("nr", "nr_density") or name == "fixed" and max_power < cfg.scheme.fixed_power_w)
+    if breaks_cap:
         with pytest.raises(AssertionError, match="max power violated"):
             run_frame(dep, recording, 1.0 / t_avg, cfg)
         return

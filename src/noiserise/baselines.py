@@ -3,19 +3,22 @@ mean-interference calibration, and a simplified target-SINR power control.
 
 Both baselines schedule exactly one user per frame on the whole band;
 neither respects the egress budget by construction, which is the point of
-comparing against them.  As in :mod:`noiserise.density`, the array
-functions serve every cell of a :class:`Cells` layout at once and the
-:class:`UserLink` functions call them on a single cell.
+comparing against them.  As in :mod:`noiserise.density`, each scheme is
+one frame function ``(cells, w, e, l, cap, <param>)`` serving every cell
+of a :class:`Cells` layout at once, and the :class:`UserLink` function
+runs it on one cell through :func:`~noiserise.solver.one_cell`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Allocation, Cells, UserLink, link_arrays, winner_takes_band
+from .model import Allocation, Cells, FrameAllocation, UserLink, winner_takes_band
+from .solver import one_cell
 
 __all__ = [
     "CalibrationError",
@@ -29,9 +32,11 @@ class CalibrationError(RuntimeError):
     """Fixed-power calibration could not match the reference interference."""
 
 
-def fixed_power_scores(w, e, power):
-    """Weighted full-band rate ``w log(1 + P e)`` at constant power, per user."""
-    return w * np.log1p(power * e)
+def fixed_frame(cells: Cells, w, e, l, cap, power) -> FrameAllocation:
+    """Each cell's user with the best weighted full-band rate at constant
+    power, ``w log(1 + P e)``, takes the band at exactly ``power``; ``l``
+    and ``cap`` are not used."""
+    return winner_takes_band(cells, w * np.log1p(power * e), power)
 
 
 def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
@@ -43,12 +48,7 @@ def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
     """
     if not power > 0:
         raise ValueError(f"power must be > 0, got {power!r}")
-    if not links:
-        raise ValueError("at least one user required")
-    w, e, _, _ = link_arrays(links)
-    scores = fixed_power_scores(w, e, power)
-    x, p = winner_takes_band(Cells.single(len(links)), scores, power)
-    return Allocation(x=x.tolist(), p=p.tolist(), objective=max(float(scores.max()), 0.0))
+    return one_cell(links, partial(fixed_frame, power=power))
 
 
 def calibrate_fixed_power(
@@ -124,47 +124,28 @@ def calibrate_fixed_power(
     )
 
 
-def target_sinr_frame(cells: Cells, w, e, cap, target_sinr, scale=1.0):
-    """Per-user ``(x, p)``: each cell's heaviest user with ``e > 0`` takes the
-    band at the power reaching ``target_sinr`` with SINR ``e * scale``,
-    clamped at ``cap``; a cell where nobody has ``e > 0`` gives the band to
-    its first user at zero power."""
+def target_sinr_frame(cells: Cells, w, e, l, cap, target_sinr) -> FrameAllocation:
+    """Each cell's heaviest user with ``e > 0`` takes the band at the power
+    reaching ``target_sinr`` at SINR ``e``, clamped at ``cap``; a cell where
+    nobody has ``e > 0`` gives the band to its first user at zero power.
+    ``l`` is not used."""
     able = e > 0
     scores = np.where(able, w * math.log1p(target_sinr), -np.inf)
     power = np.zeros(len(e))
-    power[able] = np.minimum(target_sinr / (e[able] * scale), cap[able])
+    power[able] = np.minimum(target_sinr / e[able], cap[able])
     return winner_takes_band(cells, scores, power)
 
 
-def schedule_target_sinr(
-    links: Sequence[UserLink],
-    target_sinr: float,
-    assumed_noise_plus_interference: float,
-    e_reference_power: float | None = None,
-) -> Allocation:
+def schedule_target_sinr(links: Sequence[UserLink], target_sinr: float) -> Allocation:
     """Winner-takes-band power control aiming at a fixed received SINR.
 
-    The winner's power is set so its received SINR equals ``target_sinr``
-    under the assumed noise-plus-interference power; the rate factor
+    The winner's power is set so that ``p * e`` equals ``target_sinr``,
+    which is its received SINR when ``e`` was normalized by the
+    noise-plus-interference power the scheme plans for; the rate factor
     ``log(1 + target)`` is common to everyone, so the winner is simply the
-    heaviest user able to transmit (ties to the lowest index).  When the
-    links' ``norm_sinr`` was normalized against a different total power,
-    pass it as ``e_reference_power`` so the effective e can be rescaled.
-    Power is clamped to ``max_power`` when the link carries one.
+    heaviest user able to transmit (ties to the lowest index).  Power is
+    clamped to ``max_power`` when the link carries one.
     """
     if not target_sinr > 0:
         raise ValueError(f"target_sinr must be > 0, got {target_sinr!r}")
-    if not assumed_noise_plus_interference > 0:
-        raise ValueError("assumed_noise_plus_interference must be > 0")
-    if not links:
-        raise ValueError("at least one user required")
-    scale = 1.0
-    if e_reference_power is not None:
-        if not e_reference_power > 0:
-            raise ValueError("e_reference_power must be > 0")
-        scale = e_reference_power / assumed_noise_plus_interference
-    w, e, _, cap = link_arrays(links)
-    x, p = target_sinr_frame(Cells.single(len(links)), w, e, cap, target_sinr, scale)
-    best = int(x.argmax())
-    obj = float(w[best]) * math.log1p(float(p[best]) * (float(e[best]) * scale))
-    return Allocation(x=x.tolist(), p=p.tolist(), objective=obj)
+    return one_cell(links, partial(target_sinr_frame, target_sinr=target_sinr))

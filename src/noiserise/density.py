@@ -3,50 +3,43 @@
 Capping ``l_i * p_i / x_i`` at the budget for every user makes the
 transmit power density independent of the schedule, so scheduling
 decouples from power control and reduces to ranking users by weighted
-rate at full density.  Any rate-adaptation hook can supply that rate;
-Shannon capacity is the default.  Every allocation produced here also
+Shannon rate at full density.  Every allocation produced here also
 satisfies the whole-band budget, since summing the density cap over
 users gives ``sum l_i p_i <= I * sum x_i <= I``.
 
-The array functions schedule every cell of a :class:`Cells` layout at
-once from per-user arrays; the functions taking :class:`UserLink` lists
-convert at the boundary and call them on a single cell.
+Each scheme is one frame function ``(cells, w, e, l, cap, budget)`` that
+schedules every cell of a :class:`Cells` layout at once from per-user
+arrays; the simulator binds it in ``make_scheme``, and the function
+taking a :class:`UserLink` list runs it on one cell through
+:func:`~noiserise.solver.one_cell`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
-from .model import Allocation, Cells, UserLink, budget_watts, link_arrays, winner_takes_band
-from .solver import objective
+from .model import Allocation, Cells, FrameAllocation, UserLink, budget_watts, winner_takes_band
+from .solver import one_cell
 
 __all__ = [
-    "RateAdaptation",
-    "shannon_rate_adaptation",
     "schedule_density",
     "schedule_density_capped",
 ]
 
-# maps (power density in Watts per unit band fraction, link) to a rate per
-# unit bandwidth; must be nondecreasing in the density and 0 at density 0
-RateAdaptation = Callable[[float, UserLink], float]
+
+def density_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
+    """Each cell's user with the best weighted Shannon rate at full
+    density, ``w log(1 + (I/l) e)``, takes the band at ``p = I/l``; ``cap``
+    is not used."""
+    return winner_takes_band(cells, w * np.log1p(budget / l * e), budget / l)
 
 
-def shannon_rate_adaptation(power_density: float, link: UserLink) -> float:
-    """Default rate hook: log(1 + density * e) nats per unit bandwidth."""
-    return math.log1p(power_density * link.norm_sinr)
-
-
-def density_scores(w, e, l, budget):
-    """Weighted Shannon rate ``w log(1 + (I/l) e)`` at full density, per user."""
-    return w * np.log1p(budget / l * e)
-
-
-def capped_frame(cells: Cells, w, e, l, cap, budget):
-    """Per-user ``(x, p)`` of the capped cascade, every cell at once.
+def capped_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
+    """The capped cascade (see :func:`schedule_density_capped`), every cell
+    at once.
 
     Within a row, users are ranked by weighted full-density rate (ties to
     the lowest index); ``np.subtract.accumulate`` gives the band left
@@ -78,28 +71,19 @@ def capped_frame(cells: Cells, w, e, l, cap, budget):
     p = np.zeros(n)
     x[ranked[valid]] = x_r[valid]
     p[ranked[valid]] = p_r[valid]
-    return x, p
+    return FrameAllocation(x, p)
 
 
-def schedule_density(links: Sequence[UserLink], budget, rate_fn: RateAdaptation = shannon_rate_adaptation) -> Allocation:
+def schedule_density(links: Sequence[UserLink], budget) -> Allocation:
     """Single-winner scheduler under the per-user density cap.
 
     Every user would transmit at density ``I / l_i``, so the user
-    maximizing ``weight * rate_fn(I / l_i)`` takes the whole band at
-    exactly that density.  Ties go to the lowest index; if every weighted
-    rate is zero the lowest-index user is still scheduled (at zero rate),
-    so the output shape is always the same.
+    maximizing ``weight * log(1 + (I / l_i) e_i)`` takes the whole band
+    at exactly that density.  Ties go to the lowest index; if every
+    weighted rate is zero the lowest-index user is still scheduled (at
+    zero rate), so the output shape is always the same.
     """
-    I = budget_watts(budget)
-    if not links:
-        raise ValueError("at least one user required")
-    w, e, l, _ = link_arrays(links)
-    if rate_fn is shannon_rate_adaptation:
-        scores = density_scores(w, e, l, I)
-    else:
-        scores = np.array([u.weight * rate_fn(I / u.norm_interference, u) for u in links])
-    x, p = winner_takes_band(Cells.single(len(links)), scores, I / l)
-    return Allocation(x=x.tolist(), p=p.tolist(), objective=max(float(scores.max()), 0.0))
+    return one_cell(links, partial(density_frame, budget=budget_watts(budget)))
 
 
 def schedule_density_capped(links: Sequence[UserLink], budget) -> Allocation:
@@ -113,10 +97,4 @@ def schedule_density_capped(links: Sequence[UserLink], budget) -> Allocation:
     shares with powers frozen, which drops their density below the cap but
     never violates the budget.  A missing ``max_power`` means no cap.
     """
-    I = budget_watts(budget)
-    if not links:
-        raise ValueError("at least one user required")
-    w, e, l, cap = link_arrays(links)
-    x, p = capped_frame(Cells.single(len(links)), w, e, l, cap, I)
-    x, p = x.tolist(), p.tolist()
-    return Allocation(x=x, p=p, objective=objective(x, p, links))
+    return one_cell(links, partial(capped_frame, budget=budget_watts(budget)))

@@ -19,6 +19,7 @@ __all__ = [
     "LN2",
     "UserLink",
     "Cells",
+    "FrameAllocation",
     "Allocation",
     "NoiseRiseBudget",
     "SolverConfig",
@@ -122,15 +123,36 @@ class Cells:
         return np.bincount(self.cell_of, weights=values, minlength=self.n_cells)
 
 
-def winner_takes_band(cells: Cells, scores, power):
-    """Per-user ``(x, p)``: each cell's highest-scoring user holds the whole
-    band at ``power`` (a scalar or per-user array), everyone else nothing."""
+@dataclass(frozen=True)
+class FrameAllocation:
+    """One frame's schedule: band share ``x`` and power ``p`` per mobile.
+
+    The other fields hold one entry per cell of an exact dual solve and
+    are None for the greedy schemes: the budget and band prices (NaN for
+    a cell with no mobiles), the walk's envelope probes and kink searches,
+    whether it reached a stationary point, and the KKT residual (NaN for a
+    cell with no mobiles).
+    """
+
+    x: np.ndarray
+    p: np.ndarray
+    lambda1: np.ndarray | None = None
+    lambda2: np.ndarray | None = None
+    probes: np.ndarray | None = None
+    kinks: np.ndarray | None = None
+    converged: np.ndarray | None = None
+    kkt_residual: np.ndarray | None = None
+
+
+def winner_takes_band(cells: Cells, scores, power) -> FrameAllocation:
+    """Each cell's highest-scoring user holds the whole band at ``power``
+    (a scalar or per-user array), everyone else nothing."""
     x = np.zeros(len(cells.cell_of))
     p = np.zeros(len(cells.cell_of))
     best = cells.winners(scores)
     x[best] = 1.0
     p[best] = power[best] if np.ndim(power) else power
-    return x, p
+    return FrameAllocation(x, p)
 
 
 @dataclass(frozen=True)

@@ -15,22 +15,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .baselines import fixed_power_scores, target_sinr_frame
+from .baselines import fixed_frame, target_sinr_frame
 from .baselines import schedule_fixed_power  # noqa: F401 - bench/spans.py wraps simnet.schedule_fixed_power by name
-from .density import capped_frame, density_scores
+from .density import capped_frame, density_frame
 from .density import schedule_density  # noqa: F401 - bench/spans.py wraps simnet.schedule_density by name
 from .model import (
     LN2,
     Cells,
+    FrameAllocation,
     NoiseRiseBudget,
     SolverConfig,
     budget_watts,
     noise_rise_budget_from_db,
-    winner_takes_band,
 )
 from .model import UserLink  # noqa: F401 - bench/spans.py counts simnet.UserLink constructions
 from .solver import solve_dual_frame
@@ -154,11 +155,16 @@ class DeploymentConfig:
             raise ValueError("rows and cols must be >= 1")
         if self.isd_m <= 0:
             raise ValueError("isd_m must be positive")
+        if self.n_cells < 2:
+            # a lone cell's mobiles inject no interference anywhere (l = 0)
+            raise ValueError(f"layout gives {self.n_cells} cell; at least 2 are needed")
         if self.n_ms < self.min_ms_per_cell * self.n_cells:
             raise ValueError(
                 f"ms_total or ms_per_cell gives {self.n_ms} MSs, too few for "
                 f"{self.n_cells} cells with at least {self.min_ms_per_cell} each"
             )
+        if self.n_ms < 1:
+            raise ValueError(f"ms_total or ms_per_cell gives {self.n_ms} MSs; at least 1 is needed")
 
     @property
     def n_cells(self) -> int:
@@ -327,23 +333,6 @@ def update_pf(t_avg: np.ndarray, delivered_bits: np.ndarray, beta: float) -> Non
 
 
 @dataclass(frozen=True)
-class FrameAllocation:
-    """One frame's schedule: band share ``x`` and power ``p`` per mobile.
-
-    For solver-made schedules ``kkt_residual`` (``NaN`` for a cell with no
-    mobiles), ``probes`` and ``kinks`` (the dual walk's envelope probes and
-    kink searches) hold one entry per cell; the greedy schemes leave them
-    None.
-    """
-
-    x: np.ndarray
-    p: np.ndarray
-    kkt_residual: np.ndarray | None = None
-    probes: np.ndarray | None = None
-    kinks: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Scheme:
     """A frame-level scheduler plus the feasibility check it must satisfy.
 
@@ -390,16 +379,6 @@ def _frame_check(I, tol_kkt, egress=False, density=False, eps=1e-9):
     return check
 
 
-def _solve_frame(I):
-    """Frame schedule of the exact dual solver, all cells in one call."""
-
-    def schedule(cells, w, e, l, cap):
-        sol = solve_dual_frame(cells, w, e, l, I)
-        return FrameAllocation(sol.x, sol.p, sol.kkt_residual, sol.probes, sol.kinks)
-
-    return schedule
-
-
 def make_scheme(
     name: str,
     budget,
@@ -412,29 +391,19 @@ def make_scheme(
     I = budget_watts(budget)
     tol_kkt = (solver_config if solver_config is not None else SolverConfig()).tol_kkt
     if name == "nr":
-        return Scheme(name, _solve_frame(I), _frame_check(I, tol_kkt, egress=True))
+        return Scheme(
+            name,
+            lambda cells, w, e, l, cap: solve_dual_frame(cells, w, e, l, I),
+            _frame_check(I, tol_kkt, egress=True),
+        )
     if name == "nr_density":
-        return Scheme(
-            name,
-            lambda cells, w, e, l, cap: FrameAllocation(
-                *winner_takes_band(cells, density_scores(w, e, l, I), I / l)),
-            _frame_check(I, tol_kkt, density=True),
-        )
+        return Scheme(name, partial(density_frame, budget=I), _frame_check(I, tol_kkt, density=True))
     if name == "nr_density_capped":
-        return Scheme(
-            name,
-            lambda cells, w, e, l, cap: FrameAllocation(*capped_frame(cells, w, e, l, cap, I)),
-            _frame_check(I, tol_kkt, density=True),
-        )
+        return Scheme(name, partial(capped_frame, budget=I), _frame_check(I, tol_kkt, density=True))
     if name == "fixed":
         if fixed_power is None or not fixed_power > 0:
             raise ValueError("scheme 'fixed' needs a positive fixed_power")
-        return Scheme(
-            name,
-            lambda cells, w, e, l, cap: FrameAllocation(
-                *winner_takes_band(cells, fixed_power_scores(w, e, fixed_power), fixed_power)),
-            _frame_check(I, tol_kkt),
-        )
+        return Scheme(name, partial(fixed_frame, power=fixed_power), _frame_check(I, tol_kkt))
     if name == "target_sinr":
         if target_sinr is None or not target_sinr > 0:
             raise ValueError("scheme 'target_sinr' needs a positive target_sinr")
@@ -442,11 +411,7 @@ def make_scheme(
             raise ValueError("scheme 'target_sinr' needs the assumed noise-plus-interference power")
         if not assumed_noise_plus_interference > 0:
             raise ValueError("assumed_noise_plus_interference must be > 0")
-        return Scheme(
-            name,
-            lambda cells, w, e, l, cap: FrameAllocation(*target_sinr_frame(cells, w, e, cap, target_sinr)),
-            _frame_check(I, tol_kkt),
-        )
+        return Scheme(name, partial(target_sinr_frame, target_sinr=target_sinr), _frame_check(I, tol_kkt))
     raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Allocation, Cells, SolverConfig, budget_watts, link_arrays
+from .model import Allocation, Cells, FrameAllocation, SolverConfig, budget_watts, link_arrays
 
 __all__ = [
     "NoTransmitterError",
@@ -37,6 +37,7 @@ __all__ = [
     "solve_dual",
     "kkt_residual",
     "objective",
+    "one_cell",
 ]
 
 
@@ -359,6 +360,18 @@ def objective(x, p, links):
     return _objective(x, p, w, e)
 
 
+def one_cell(links, frame) -> Allocation:
+    """Schedule one cell's ``UserLink`` list with a frame function
+    ``frame(cells, w, e, l, cap)`` and return its shares, powers and
+    weighted sum rate; the per-cell library functions are this call."""
+    if not links:
+        raise ValueError("at least one user required")
+    w, e, l, cap = link_arrays(links)
+    alloc = frame(Cells.single(len(links)), w, e, l, cap)
+    x, p = alloc.x.tolist(), alloc.p.tolist()
+    return Allocation(x=x, p=p, objective=_objective(x, p, w.tolist(), e.tolist()))
+
+
 def _kkt_residual(x, p, lam1, lam2, w, e, l, budget):
     res = abs(sum(x) - 1.0)
     spend = 0.0
@@ -563,26 +576,6 @@ _MAX_PROBES = 200  # each probe shrinks the bracket; a few suffice in practice
 # pass judges a candidate only where no other band value comes this close
 # to the top, relative to the dual: a hundred tie windows
 _GUARD = 100.0 * _TIE
-
-
-@dataclass(frozen=True)
-class DualFrame:
-    """Exact dual optimum of every cell of a frame.
-
-    ``x`` and ``p`` hold one entry per user.  The rest hold one entry per
-    cell: the budget and band prices (NaN for a cell with no users), the
-    walk's envelope probes and kink searches, whether it reached a
-    stationary point, and the KKT residual (NaN for a cell with no users).
-    """
-
-    x: np.ndarray
-    p: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    probes: np.ndarray
-    kinks: np.ndarray
-    converged: np.ndarray
-    kkt_residual: np.ndarray
 
 
 def _seed_brackets(W, ratio, beta, S, use, I):
@@ -792,7 +785,7 @@ def _user_rows(cells: Cells, w, e, l, I):
     return index, use, W, L, W * E / L, beta, np.where(use, W / (I + beta), 1.0)
 
 
-def solve_dual_frame(cells: Cells, w, e, l, I: float) -> DualFrame:
+def solve_dual_frame(cells: Cells, w, e, l, I: float) -> FrameAllocation:
     """:func:`solve_dual` for every cell of the ``cells`` layout at once,
     on per-user arrays ``w, e, l`` and a budget ``I`` in Watts.
 
@@ -834,7 +827,7 @@ def solve_dual_frame(cells: Cells, w, e, l, I: float) -> DualFrame:
     x[users] = xs
     p[users] = ps
     res = _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I)
-    return DualFrame(x, p, lam1, lam2, probes, kinks, converged, res)
+    return FrameAllocation(x, p, lam1, lam2, probes, kinks, converged, res)
 
 
 def solve_dual(links, budget, config=None):

@@ -110,7 +110,7 @@ def test_calibration_against_simulation_is_monotone_and_converges():
 
 def test_target_sinr_identical_users_lowest_index():
     links = _links([2.0, 2.0], [0.5, 0.5], [1.0, 1.0])
-    alloc = schedule_target_sinr(links, 10.0, 1.0)
+    alloc = schedule_target_sinr(links, 10.0)
     assert alloc.x == [1.0, 0.0]
     assert alloc.p[0] == pytest.approx(10.0 / 0.5, rel=1e-12)
 
@@ -120,22 +120,14 @@ def test_target_sinr_received_equals_target_under_matched_assumption():
     # one used to normalize e
     links = _links([1.0, 4.0], [0.2, 0.8], [1.0, 1.0])
     target = 3.0
-    alloc = schedule_target_sinr(links, target, assumed_noise_plus_interference=2.0)
+    alloc = schedule_target_sinr(links, target)
     winner = alloc.x.index(1.0)
     assert alloc.p[winner] * links[winner].norm_sinr == pytest.approx(target, rel=1e-12)
 
 
-def test_target_sinr_rescales_e_reference():
-    links = _links([1.0], [0.5], [1.0])
-    # e was built against 2 W; the baseline assumes 4 W, so the effective
-    # e halves and the power doubles
-    alloc = schedule_target_sinr(links, 1.0, 4.0, e_reference_power=2.0)
-    assert alloc.p[0] == pytest.approx(1.0 / (0.5 * 0.5), rel=1e-12)
-
-
 def test_target_sinr_respects_max_power():
     links = _links([1.0], [0.1], [1.0], caps=[2.0])
-    alloc = schedule_target_sinr(links, 100.0, 1.0)
+    alloc = schedule_target_sinr(links, 100.0)
     assert alloc.p[0] == 2.0
 
 

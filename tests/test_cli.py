@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import noiserise
 from noiserise.cli import ConfigError, load_config, main
 from noiserise.simnet import SimConfig
 
@@ -70,6 +73,27 @@ def test_readme_ini_block_is_the_default_config(tmp_path):
     path.write_text(block)
     cfg, _ = load_config(str(path))
     assert cfg == SimConfig()
+
+
+def _python_m(*args):
+    env = dict(os.environ)
+    src = str(Path(noiserise.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["noiserise", "noiserise.cli"])
+def test_python_m_prints_version(module):
+    done = _python_m(module, "--version")
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"noiserise {noiserise.__version__}"
+
+
+def test_python_m_run_writes_artifacts(small_config, tmp_path):
+    out = tmp_path / "x"
+    done = _python_m("noiserise", "run", small_config, "--out", str(out), "--set", "run.frames=2")
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "summary.json").read_text())["scheme"] == "nr"
 
 
 def test_readme_library_example_runs():
@@ -180,6 +204,9 @@ def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
     ["scheme.max_power_w=0.2", "scheme.max_power_dbm=24"],
     ["deployment.ms_per_cell=0"],
     ["deployment.ms_total=0"],
+    ["deployment.min_ms_per_cell=0", "deployment.ms_total=0"],
+    ["deployment.rings=0"],
+    ["deployment.layout=grid", "deployment.rows=1", "deployment.cols=1"],
     ["run.pf_beta=2"],
     ["run.pf_init=0"],
     ["run.quantize_units=-3"],

@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from noiserise.density import (
-    schedule_density,
-    schedule_density_capped,
-    shannon_rate_adaptation,
-)
+from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import UserLink
 from noiserise.solver import objective, solve_joint
 
@@ -106,20 +102,6 @@ def test_density_single_winner_optimal_among_density_splits():
             p = [xi * budget / u.norm_interference for xi, u in zip(x, links)]
             best_split = max(best_split, objective(x, p, links))
         assert winner.objective >= best_split - 1e-6
-
-
-def test_density_custom_rate_adaptation():
-    # a saturating rate hook can change the winner
-    links = _links([1.0, 1.0], [50.0, 0.5], [10.0, 1.0])
-    budget = 2.0
-    by_shannon = schedule_density(links, budget)
-    assert by_shannon.x[0] == 1.0
-
-    def saturating(density, link):
-        return min(shannon_rate_adaptation(density, link), 0.05)
-
-    capped_rate = schedule_density(links, budget, rate_fn=saturating)
-    assert capped_rate.x == [1.0, 0.0]  # tie at 0.05 -> lowest index
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,9 @@ def test_ingress_single_active_cell_excludes_own():
 
 
 def test_ingress_unknown_bs():
-    dep = build_deployment(DeploymentConfig(rings=0, ms_per_cell=2, wrap=False), PathLossParams(), seed=1)
-    with pytest.raises(ValueError):
-        ingress_interference(dep, [_zero_alloc(dep.n_ms)], 5)
+    dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=3), PathLossParams(), seed=9)
+    with pytest.raises(ValueError, match="unknown BS id 7"):
+        ingress_interference(dep, [_zero_alloc(len(dep.members(k))) for k in range(dep.n_bs)], 7)
 
 
 def _hand_deployment(gain):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiserise.model import LN2, Cells, SolverConfig, shannon_rate
+from noiserise.baselines import schedule_fixed_power, schedule_target_sinr
+from noiserise.density import schedule_density, schedule_density_capped
+from noiserise.model import LN2, Cells, SolverConfig, UserLink, shannon_rate
 from noiserise.simnet import (
     SCHEME_NAMES,
     Deployment,
@@ -24,6 +26,8 @@ from noiserise.simnet import (
     run_simulation,
     update_pf,
 )
+
+from noiserise.solver import objective
 
 from oracles import reference_quantize, reference_run_frame, reference_schedule
 
@@ -645,3 +649,54 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
             np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=0,
                                        err_msg=field)
         update_pf(t_avg, got.ms_bits, cfg.run.pf_beta)
+
+
+# ---------------------------------------------------------------------------
+# per-cell UserLink functions against the frame schemes
+
+
+# each greedy scheme's UserLink function, and the make_scheme keywords that
+# bind the same parameter: budget 2 W, fixed power 0.5 W, target SINR 4
+PER_CELL = {
+    "nr_density": (lambda links: schedule_density(links, 2.0), {}),
+    "nr_density_capped": (lambda links: schedule_density_capped(links, 2.0), {}),
+    "fixed": (lambda links: schedule_fixed_power(links, 0.5), {"fixed_power": 0.5}),
+    "target_sinr": (lambda links: schedule_target_sinr(links, 4.0),
+                    {"target_sinr": 4.0, "assumed_noise_plus_interference": 1.0}),
+}
+
+
+@st.composite
+def user_links(draw):
+    """1-9 users with some zero weights, some zero SINRs, and power caps
+    mixing None with finite values."""
+    n = draw(st.integers(1, 9))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    w = column(st.sampled_from([0.0]) | st.floats(1e-3, 10.0))
+    e = column(st.sampled_from([0.0]) | st.floats(1e-3, 100.0))
+    l = column(st.floats(1e-3, 10.0))
+    cap = column(st.none() | st.floats(1e-3, 5.0))
+    return [UserLink(id=i, weight=w[i], norm_sinr=e[i], norm_interference=l[i], max_power=cap[i])
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("name", PER_CELL)
+@settings(max_examples=100, deadline=None)
+@given(links=user_links())
+def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links):
+    schedule, keywords = PER_CELL[name]
+    alloc = schedule(links)
+    n = len(links)
+    frame = make_scheme(name, 2.0, **keywords).schedule(
+        Cells.single(n),
+        np.array([u.weight for u in links]),
+        np.array([u.norm_sinr for u in links]),
+        np.array([u.norm_interference for u in links]),
+        np.array([math.inf if u.max_power is None else u.max_power for u in links]),
+    )
+    assert alloc.x == frame.x.tolist()
+    assert alloc.p == frame.p.tolist()
+    assert alloc.objective == objective(alloc.x, alloc.p, links)

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+_TOLERANCE = 0.02  # relative mean-ingress mismatch a calibration accepts
+_MAX_EXPANSIONS = 60
+_MAX_BISECTIONS = 80
+
+
 class CalibrationError(RuntimeError):
     """Fixed-power calibration could not match the reference interference."""
 
@@ -54,19 +59,17 @@ def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
 def calibrate_fixed_power(
     run_mean_ingress: Callable[[float], float],
     reference_mean_ingress: float,
-    tolerance: float = 0.02,
     initial_power: float = 1.0,
-    max_expansions: int = 60,
-    max_bisections: int = 80,
 ) -> float:
     """Find the constant power whose mean ingress matches the reference.
 
     ``run_mean_ingress`` must rerun the calibration simulation (fixed
     seed, enough frames to be stable) at the given power and return its
     mean ingress interference; it is assumed nondecreasing in the power.
-    The search expands geometrically until the reference is bracketed,
-    then bisects in log scale until the relative mismatch is within
-    ``tolerance``.
+    The search expands geometrically from ``initial_power``, up or down
+    as its first probe falls short of or overshoots the reference, until
+    the reference is bracketed, then bisects in log scale until the
+    relative mismatch is within 2%.
     """
     ref = reference_mean_ingress
     if not ref > 0:
@@ -75,41 +78,28 @@ def calibrate_fixed_power(
         raise ValueError("initial_power must be > 0")
 
     def within(value):
-        return abs(value - ref) / ref <= tolerance
+        return abs(value - ref) / ref <= _TOLERANCE
 
     power = initial_power
     value = run_mean_ingress(power)
     if within(value):
         return power
-    lo = hi = None
-    if value < ref:
-        lo = power
-        for _ in range(max_expansions):
-            power *= 4.0
-            value = run_mean_ingress(power)
-            if within(value):
-                return power
-            if value >= ref:
-                hi = power
-                break
-            lo = power
+    rising = value < ref
+    for _ in range(_MAX_EXPANSIONS):
+        last = power
+        power *= 4.0 if rising else 0.25
+        value = run_mean_ingress(power)
+        if within(value):
+            return power
+        if value >= ref if rising else value <= ref:
+            lo, hi = sorted((last, power))
+            break
     else:
-        hi = power
-        for _ in range(max_expansions):
-            power *= 0.25
-            value = run_mean_ingress(power)
-            if within(value):
-                return power
-            if value <= ref:
-                lo = power
-                break
-            hi = power
-    if lo is None or hi is None:
         raise CalibrationError(
             f"could not bracket the reference ingress {ref!r}: "
             f"last power {power!r} gave mean ingress {value!r}"
         )
-    for _ in range(max_bisections):
+    for _ in range(_MAX_BISECTIONS):
         power = math.sqrt(lo * hi)
         value = run_mean_ingress(power)
         if within(value):
@@ -119,7 +109,7 @@ def calibrate_fixed_power(
         else:
             hi = power
     raise CalibrationError(
-        f"bisection exhausted without matching the reference to {tolerance:.0%}: "
+        f"bisection exhausted without matching the reference to {_TOLERANCE:.0%}: "
         f"bracket [{lo!r}, {hi!r}], last mean ingress {value!r} vs reference {ref!r}"
     )
 

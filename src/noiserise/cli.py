@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -288,11 +290,7 @@ def _with_scheme(cfg: SimConfig, **scheme_kwargs) -> SimConfig:
     return replace(cfg, scheme=replace(cfg.scheme, **scheme_kwargs))
 
 
-def _with_frames(cfg: SimConfig, frames: int) -> SimConfig:
-    return replace(cfg, run=replace(cfg.run, frames=frames))
-
-
-def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes, calibration_tolerance: float = 0.02):
+def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes):
     """Run every (scheme, dB) pair against a shared deployment seed.
 
     The fixed-power baseline is calibrated per dB so its mean ingress
@@ -305,62 +303,44 @@ def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes, calibration_tolerance: fl
         raise ConfigError("sweep needs at least one noise-rise value")
     if not schemes:
         raise ConfigError("sweep needs at least one scheme")
-    # every swept scheme config must be valid before any run starts; the
-    # fixed baseline's power comes from calibration
-    for db in noise_rise_dbs:
-        for name in schemes:
-            power = {"fixed_power_w": 1.0} if name == "fixed" else {}
-            try:
-                _with_scheme(cfg, noise_rise_db=float(db), name=name, **power)
-            except ValueError as exc:
-                raise ConfigError(f"scheme.{exc}") from None
+    # building every pair's config checks it before any run starts; the
+    # fixed baseline's 1 W placeholder power is replaced by calibration
+    try:
+        by_db = [
+            [_with_scheme(cfg, noise_rise_db=float(db), name=name,
+                          **({"fixed_power_w": 1.0} if name == "fixed" else {}))
+             for name in schemes]
+            for db in noise_rise_dbs
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"scheme.{exc}") from None
     rows = []
-    for db in noise_rise_dbs:
-        base = _with_scheme(cfg, noise_rise_db=float(db))
-        bundles = {}
-        for name in schemes:
-            if name == "fixed":
-                continue
-            bundles[name] = run_simulation(_with_scheme(base, name=name))
+    for configs in by_db:
+        # the schemes run first: fixed is calibrated against one of them
+        bundles = [None if c.scheme.name == "fixed" else run_simulation(c) for c in configs]
         # mean interference to match: the first budgeted scheme's, or the
         # budget itself if the sweep holds only baselines
-        reference = base.budget().linear_budget
-        for name in schemes:
-            if name in ("nr", "nr_density", "nr_density_capped"):
-                reference = bundles[name].mean_ingress_w()
-                break
-        for name in schemes:
-            if name != "fixed":
-                bundle = bundles[name]
-                rows.append(_sweep_row(name, db, bundle, status="ok"))
+        reference = next(
+            (bundle.mean_ingress_w() for c, bundle in zip(configs, bundles)
+             if c.scheme.name in ("nr", "nr_density", "nr_density_capped")),
+            configs[0].budget().linear_budget,
+        )
+        for run_cfg, bundle in zip(configs, bundles):
+            if bundle is not None:
+                rows.append(_sweep_row(run_cfg, bundle))
                 continue
-            calib_cfg = _with_frames(_with_scheme(base, name="fixed", fixed_power_w=1.0),
-                                     _CALIBRATION_FRAMES)
+            calib_cfg = replace(run_cfg, run=replace(run_cfg.run, frames=_CALIBRATION_FRAMES))
 
             def mean_ingress(power, _cfg=calib_cfg):
                 return run_simulation(_with_scheme(_cfg, fixed_power_w=power)).mean_ingress_w()
 
             try:
-                power = calibrate_fixed_power(
-                    mean_ingress, reference, tolerance=calibration_tolerance,
-                    initial_power=_power_guess(base),
-                )
+                power = calibrate_fixed_power(mean_ingress, reference, initial_power=_power_guess(run_cfg))
             except CalibrationError as exc:
-                rows.append(
-                    {
-                        "scheme": name,
-                        "nr_db": float(db),
-                        "mean_throughput_bits": math.nan,
-                        "ingress_std_w": math.nan,
-                        "ingress_std_db": math.nan,
-                        "edge_5pct_se": math.nan,
-                        "fixed_power_w": math.nan,
-                        "status": f"calibration_failed: {exc}",
-                    }
-                )
+                rows.append(_sweep_row(run_cfg, status=f"calibration_failed: {exc}"))
                 continue
-            bundle = run_simulation(_with_scheme(base, name="fixed", fixed_power_w=power))
-            rows.append(_sweep_row(name, db, bundle, status="ok", fixed_power_w=power))
+            bundle = run_simulation(_with_scheme(run_cfg, fixed_power_w=power))
+            rows.append(_sweep_row(run_cfg, bundle, fixed_power_w=power))
     return rows
 
 
@@ -372,14 +352,20 @@ def _power_guess(cfg: SimConfig) -> float:
     return budget / typical_l if typical_l > 0 else 1.0
 
 
-def _sweep_row(name, db, bundle, status, fixed_power_w=math.nan):
+def _sweep_row(cfg: SimConfig, bundle=None, fixed_power_w=math.nan, status="ok") -> dict:
+    """One sweep row; its keys, in order, are the ``sweep.csv`` header.  A
+    row without a bundle (a failed calibration) has NaN metrics."""
+
+    def metric(name):
+        return math.nan if bundle is None else getattr(bundle, name)()
+
     return {
-        "scheme": name,
-        "nr_db": float(db),
-        "mean_throughput_bits": bundle.mean_cell_throughput(),
-        "ingress_std_w": bundle.ingress_std_w(),
-        "ingress_std_db": bundle.ingress_std_db(),
-        "edge_5pct_se": bundle.edge_spectral_efficiency(),
+        "scheme": cfg.scheme.name,
+        "nr_db": cfg.scheme.noise_rise_db,
+        "mean_throughput_bits": metric("mean_cell_throughput"),
+        "ingress_std_w": metric("ingress_std_w"),
+        "ingress_std_db": metric("ingress_std_db"),
+        "edge_5pct_se": metric("edge_spectral_efficiency"),
         "fixed_power_w": fixed_power_w,
         "status": status,
     }
@@ -390,25 +376,20 @@ def cmd_sweep(args) -> int:
         cfg, _resolved = load_config(args.config, args.set)
         dbs = [float(v) for v in args.db.split(",") if v.strip() != ""]
         schemes = [v.strip() for v in args.schemes.split(",") if v.strip() != ""]
-        if not dbs:
-            raise ConfigError("--db list is empty")
-        if not schemes:
-            raise ConfigError("--schemes list is empty")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
         rows = run_sweep(cfg, dbs, schemes)
         os.makedirs(args.out, exist_ok=True)
-        lines = ["scheme,nr_db,mean_throughput_bits,ingress_std_w,ingress_std_db,edge_5pct_se,fixed_power_w,status"]
+        text = io.StringIO()
+        # a calibration_failed status holds commas, so fields are CSV-quoted
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(rows[0].keys())
         for row in rows:
-            lines.append(
-                f"{row['scheme']},{_fmt(row['nr_db'])},{_fmt(row['mean_throughput_bits'])},"
-                f"{_fmt(row['ingress_std_w'])},{_fmt(row['ingress_std_db'])},"
-                f"{_fmt(row['edge_5pct_se'])},{_fmt(row['fixed_power_w'])},{row['status']}"
-            )
-        _atomic_write(os.path.join(args.out, "sweep.csv"), "\n".join(lines) + "\n")
-    except ConfigError as exc:  # run_sweep validates the scheme names
+            writer.writerow(_fmt(v) if isinstance(v, float) else v for v in row.values())
+        _atomic_write(os.path.join(args.out, "sweep.csv"), text.getvalue())
+    except ConfigError as exc:  # run_sweep checks the lists and every pair's settings
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -61,6 +61,14 @@ __all__ = [
 SCHEME_NAMES = ("nr", "nr_density", "nr_density_capped", "fixed", "target_sinr")
 
 
+def _check_finite(config) -> None:
+    """Refuse a NaN or infinite value in any float field of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # channel model
 
@@ -77,6 +85,7 @@ class PathLossParams:
     min_distance_m: float = 35.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not (self.freq_mhz > 0 and self.bs_height_m > 0 and self.ms_height_m > 0):
             raise ValueError("frequency and antenna heights must be positive")
         if self.min_distance_m <= 0:
@@ -147,6 +156,7 @@ class DeploymentConfig:
     max_attempts: int = 10_000
 
     def __post_init__(self):
+        _check_finite(self)
         if self.layout not in ("rings", "grid"):
             raise ValueError(f"layout must be 'rings' or 'grid', got {self.layout!r}")
         if self.layout == "rings" and self.rings < 0:
@@ -229,7 +239,8 @@ def _distances(ms_xy, bs_xy, shifts):
 
 @dataclass
 class Deployment:
-    """BS/MS geometry with the full linear channel-gain matrix.
+    """The serving map and the full linear channel-gain matrix of a drawn
+    BS/MS geometry.
 
     ``gain_matrix[ms, bs]`` is a linear power gain and ``serving_map[ms]``
     the strongest-gain BS.  Derived per-MS quantities (serving gain,
@@ -238,11 +249,8 @@ class Deployment:
     mobiles in ascending order.
     """
 
-    bs_positions: np.ndarray
-    ms_positions: np.ndarray
     serving_map: np.ndarray
     gain_matrix: np.ndarray
-    wrap: bool
     serving_gain: np.ndarray = field(init=False, repr=False)
     norm_interference: np.ndarray = field(init=False, repr=False)
     cells: Cells = field(init=False, repr=False)
@@ -300,13 +308,7 @@ def build_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> De
         serving = gain.argmax(axis=1)
         counts = np.bincount(serving, minlength=n_bs)
         if counts.min() >= cfg.min_ms_per_cell:
-            return Deployment(
-                bs_positions=bs_xy,
-                ms_positions=ms_xy,
-                serving_map=serving,
-                gain_matrix=gain,
-                wrap=cfg.wrap,
-            )
+            return Deployment(serving_map=serving, gain_matrix=gain)
     raise RuntimeError(
         f"could not place at least {cfg.min_ms_per_cell} MSs in each of "
         f"{n_bs} cells after {cfg.max_attempts} draws"
@@ -537,6 +539,7 @@ class ChannelConfig:
     bandwidth_hz: float = 10e6
 
     def __post_init__(self):
+        _check_finite(self)
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
 
@@ -558,6 +561,7 @@ class SchemeConfig:
     target_sinr: float | None = None
 
     def __post_init__(self):
+        _check_finite(self)
         if self.name not in SCHEME_NAMES:
             raise ValueError(f"name must be one of {SCHEME_NAMES}, got {self.name!r}")
         if self.noise_rise_db <= 0:
@@ -582,6 +586,7 @@ class RunConfig:
     pf_init: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.frame_duration_s <= 0:

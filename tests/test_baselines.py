@@ -66,21 +66,45 @@ def test_calibration_on_monotone_response():
     # synthetic, deterministic response standing in for a simulation
     response = lambda p: 0.3 * p**1.1
     ref = 2.5
-    power = calibrate_fixed_power(response, ref, tolerance=0.02, initial_power=0.01)
+    power = calibrate_fixed_power(response, ref, initial_power=0.01)
     assert abs(response(power) - ref) / ref <= 0.02
 
 
 def test_calibration_from_above():
     response = lambda p: 4.0 * p
-    power = calibrate_fixed_power(response, 0.001, tolerance=0.02, initial_power=100.0)
+    power = calibrate_fixed_power(response, 0.001, initial_power=100.0)
     assert abs(response(power) - 0.001) / 0.001 <= 0.02
+
+
+@pytest.mark.parametrize("response, ref, initial_power, probes", [
+    # from below: x4 expansions, then log-scale bisection
+    (lambda p: 0.3 * p**1.1, 2.5, 0.01,
+     [0.01, 0.04, 0.16, 0.64, 2.56, 10.24, 5.12, 7.240773439350247, 6.0887404288139315,
+      6.639818519813169, 6.933788400316891]),
+    # from above: x1/4 expansions, then log-scale bisection
+    (lambda p: 4.0 * p, 0.001, 100.0,
+     [100.0, 25.0, 6.25, 1.5625, 0.390625, 0.09765625, 0.0244140625, 0.006103515625,
+      0.00152587890625, 0.0003814697265625, 9.5367431640625e-05, 0.00019073486328125,
+      0.0002697398304697218, 0.00022682325649313377, 0.0002473525151540775]),
+], ids=["from_below", "from_above"])
+def test_calibration_probe_sequence(response, ref, initial_power, probes):
+    # the exact powers probed; each probe is a calibration simulation, so
+    # the sweep's cost and its calibrated powers hang on this sequence
+    seen = []
+
+    def probe(power):
+        seen.append(power)
+        return response(power)
+
+    assert calibrate_fixed_power(probe, ref, initial_power=initial_power) == probes[-1]
+    assert seen == probes
 
 
 def test_calibration_unreachable_reference_errors():
     # saturating response can never reach the reference
     response = lambda p: min(p, 1.0)
     with pytest.raises(CalibrationError):
-        calibrate_fixed_power(response, 50.0, max_expansions=10)
+        calibrate_fixed_power(response, 50.0)
 
 
 def test_calibration_against_simulation_is_monotone_and_converges():
@@ -104,7 +128,7 @@ def test_calibration_against_simulation_is_monotone_and_converges():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
     reference = run_simulation(cfg).mean_ingress_w()  # nr scheme
-    calibrated = calibrate_fixed_power(mean_ingress, reference, tolerance=0.02)
+    calibrated = calibrate_fixed_power(mean_ingress, reference)
     assert abs(mean_ingress(calibrated) - reference) / reference <= 0.02
 
 

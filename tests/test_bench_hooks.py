@@ -52,3 +52,22 @@ def test_every_workload_sets_up(bench):
     for workload in run.WORKLOADS.values():
         cfg = run.set_up(program, [*workload.overrides_for(1), "deployment.rings=1"])
         assert cfg.run.seed == 1
+
+
+def test_cell_frame_counter_sees_every_sweep_frame(bench, tmp_path, monkeypatch):
+    # the benchmark's throughput counts cell-frames through cli.run_simulation;
+    # every frame the sweep runs, calibration probes included, must pass it
+    _, run = bench
+    cells_per_frame = []
+    run_frame = simnet.run_frame
+
+    def counted_run_frame(deployment, *args):
+        cells_per_frame.append(deployment.n_bs)
+        return run_frame(deployment, *args)
+
+    monkeypatch.setattr(simnet, "run_frame", counted_run_frame)
+    argv = ["sweep", "--out", str(tmp_path / "s"), "--db", "2,5", "--schemes", "nr_density,fixed",
+            "--set", "deployment.rings=1", "--set", "deployment.ms_per_cell=3", "--set", "run.frames=4"]
+    with run.counting_cell_frames(cli) as counter:
+        assert cli.main(argv) == 0
+    assert counter["cell_frames"] == sum(cells_per_frame) > 0

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,6 +212,11 @@ def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
     ["run.pf_beta=2"],
     ["run.pf_init=0"],
     ["run.quantize_units=-3"],
+    ["scheme.noise_rise_db=nan"],
+    ["channel.shadowing_sigma_db=nan"],
+    ["run.frame_duration_s=inf"],
+    ["deployment.isd_m=nan"],
+    ["scheme.max_power_dbm=inf"],
     ["run.seed=5%"],
     ["run.frame=3"],
     ["solver.tol_kkt=1e-3"],
@@ -348,16 +355,46 @@ def test_cmd_sweep_invalid_scheme_config_exit_1_before_any_run(small_config, tmp
 
     monkeypatch.setattr(cli, "run_simulation", no_runs)
     out = tmp_path / "s"
-    for argv in (["--schemes", "nr,target_sinr"], ["--db", "5,-1", "--schemes", "nr"]):
+    for argv in (["--schemes", "nr,target_sinr"], ["--db", "5,-1", "--schemes", "nr"],
+                 ["--db", "5,nan"]):
         assert main(["sweep", small_config, "--out", str(out), *argv]) == 1
         assert "config error: scheme." in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_cmd_sweep_empty_db_exit_1(small_config, tmp_path, capsys):
-    rc = main(["sweep", small_config, "--out", str(tmp_path / "s"), "--db", ""])
-    assert rc == 1
-    capsys.readouterr()
+    for argv in (["--db", ""], ["--schemes", " , "]):
+        assert main(["sweep", small_config, "--out", str(tmp_path / "s"), *argv]) == 1
+        assert "config error: sweep needs at least one" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_cmd_sweep_failed_calibration_row_is_quoted(small_config, tmp_path, monkeypatch):
+    # the first calibration meets a response that jumps over the reference,
+    # so its bisection exhausts with a message full of commas
+    from noiserise import cli
+
+    real = cli.calibrate_fixed_power
+    failed = []
+
+    def calibrate(run_mean_ingress, ref, *args, **kwargs):
+        if not failed:
+            failed.append(ref)
+            return real(lambda p: ref * (0.5 if p < 1.0 else 2.0), ref, *args, **kwargs)
+        return real(run_mean_ingress, ref, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "calibrate_fixed_power", calibrate)
+    out = tmp_path / "sweep"
+    rc = main(["sweep", small_config, "--out", str(out), "--db", "2,5", "--schemes", "nr_density,fixed",
+               "--set", "run.frames=8"])
+    assert rc == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 8 and [len(row) for row in rows] == [8] * 4
+    assert [(row[0], row[7].split(":")[0]) for row in rows] == [
+        ("nr_density", "ok"), ("fixed", "calibration_failed"), ("nr_density", "ok"), ("fixed", "ok")]
+    assert "bisection exhausted" in rows[1][7] and "," in rows[1][7]
+    assert all(math.isnan(float(value)) for value in rows[1][2:7])
 
 
 def test_cmd_sweep_bad_scheme_exit_1(small_config, tmp_path, capsys):

@@ -144,15 +144,7 @@ def test_ingress_unknown_bs():
 def _hand_deployment(gain):
     from noiserise.simnet import Deployment
 
-    n_ms, n_bs = gain.shape
-    serving = np.argmax(gain, axis=1)
-    return Deployment(
-        bs_positions=np.zeros((n_bs, 2)),
-        ms_positions=np.zeros((n_ms, 2)),
-        serving_map=serving,
-        gain_matrix=gain,
-        wrap=False,
-    )
+    return Deployment(serving_map=np.argmax(gain, axis=1), gain_matrix=gain)
 
 
 def test_ingress_two_cell_symmetry():

@@ -98,11 +98,10 @@ def test_build_deployment_deterministic():
     cfg = DeploymentConfig(rings=1, ms_per_cell=4)
     a = build_deployment(cfg, PathLossParams(), seed=42)
     b = build_deployment(cfg, PathLossParams(), seed=42)
-    assert np.array_equal(a.ms_positions, b.ms_positions)
     assert np.array_equal(a.gain_matrix, b.gain_matrix)
     assert np.array_equal(a.serving_map, b.serving_map)
     c = build_deployment(cfg, PathLossParams(), seed=43)
-    assert not np.array_equal(a.ms_positions, c.ms_positions)
+    assert not np.array_equal(a.gain_matrix, c.gain_matrix)
 
 
 def test_torus_neighborhoods_identical():
@@ -228,13 +227,7 @@ def test_run_frame_isolated_cell_matches_shannon_rate():
 def test_run_frame_two_cell_hand_ingress():
     # two hand-placed cells, one MS each; ingress equals the cross gains
     gain = np.array([[2e-6, 3e-9], [4e-9, 1e-6]])
-    dep = Deployment(
-        bs_positions=np.zeros((2, 2)),
-        ms_positions=np.zeros((2, 2)),
-        serving_map=np.array([0, 1]),
-        gain_matrix=gain,
-        wrap=False,
-    )
+    dep = Deployment(serving_map=np.array([0, 1]), gain_matrix=gain)
     cfg = SimConfig()
     budget = cfg.budget()
     scheme = make_scheme("nr_density", budget)
@@ -263,13 +256,7 @@ def test_run_frame_scheme_constraints_asserted():
 def test_run_frame_empty_cell_stays_silent():
     # BS 1 serves nobody: it schedules nothing and only hears interference
     gain = np.array([[2e-6, 1e-9, 3e-9], [1e-9, 2e-9, 1e-6]])
-    dep = Deployment(
-        bs_positions=np.zeros((3, 2)),
-        ms_positions=np.zeros((2, 2)),
-        serving_map=np.array([0, 2]),
-        gain_matrix=gain,
-        wrap=False,
-    )
+    dep = Deployment(serving_map=np.array([0, 2]), gain_matrix=gain)
     cfg = SimConfig()
     for name in ("nr", "nr_density", "nr_density_capped"):
         metrics = run_frame(dep, make_scheme(name, cfg.budget()), np.ones(2), cfg)

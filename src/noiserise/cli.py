@@ -56,7 +56,10 @@ def _fmt(value: float) -> str:
 
 
 def _integer(text: str) -> int:
-    return int(float(text))
+    value = float(text)  # so "1e3" reads as 1000
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(value)
 
 
 def _flag(text: str) -> bool:
@@ -217,30 +220,38 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path: str, header: str, row_format: str, rows) -> None:
+    """One line per row tuple, formatted by ``row_format % row``; its float
+    fields are ``%.12g``, the bytes :func:`_fmt` gives."""
+    _atomic_write(path, "\n".join([header, *(row_format % row for row in rows)]) + "\n")
+
+
 def _write_artifacts(out_dir: str, cfg: SimConfig, resolved: str, bundle, runtime_s: float) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
     # Python floats from tolist() format several times faster than numpy scalars
-    lines = ["frame,cell,throughput_bits,ingress_w,ingress_db,egress_w"]
-    columns = (bundle.cell_bits, bundle.ingress_w, bundle.ingress_db, bundle.egress_w)
-    for t, rows in enumerate(np.stack(columns, axis=-1).tolist()):
-        for k, (bits, ingress_w, ingress_db, egress_w) in enumerate(rows):
-            lines.append(f"{t},{k},{_fmt(bits)},{_fmt(ingress_w)},{_fmt(ingress_db)},{_fmt(egress_w)}")
-    _atomic_write(os.path.join(out_dir, "frames.csv"), "\n".join(lines) + "\n")
-
-    lines = ["frame,ms,power_w"]
-    for t, row in enumerate(bundle.ms_power_w.tolist()):
-        for ms, power in enumerate(row):
-            if power > 0:
-                lines.append(f"{t},{ms},{_fmt(power)}")
-    _atomic_write(os.path.join(out_dir, "powers.csv"), "\n".join(lines) + "\n")
-
-    lines = ["ms,total_bits,mean_rate_bits_per_s"]
+    columns = np.stack((bundle.cell_bits, bundle.ingress_w, bundle.ingress_db, bundle.egress_w), axis=-1)
+    _write_csv(
+        os.path.join(out_dir, "frames.csv"),
+        "frame,cell,throughput_bits,ingress_w,ingress_db,egress_w",
+        "%d,%d,%.12g,%.12g,%.12g,%.12g",
+        ((t, k, *values) for t, cells in enumerate(columns.tolist()) for k, values in enumerate(cells)),
+    )
+    _write_csv(
+        os.path.join(out_dir, "powers.csv"),
+        "frame,ms,power_w",
+        "%d,%d,%.12g",
+        ((t, ms, power) for t, row in enumerate(bundle.ms_power_w.tolist())
+         for ms, power in enumerate(row) if power > 0),
+    )
     totals = bundle.ms_bits.sum(axis=0)
-    total_time = bundle.n_frames * bundle.frame_duration_s
-    for ms, (bits, rate) in enumerate(zip(totals.tolist(), (totals / total_time).tolist())):
-        lines.append(f"{ms},{_fmt(bits)},{_fmt(rate)}")
-    _atomic_write(os.path.join(out_dir, "per_ms.csv"), "\n".join(lines) + "\n")
+    rates = totals / (bundle.n_frames * bundle.frame_duration_s)
+    _write_csv(
+        os.path.join(out_dir, "per_ms.csv"),
+        "ms,total_bits,mean_rate_bits_per_s",
+        "%d,%.12g,%.12g",
+        ((ms, *values) for ms, values in enumerate(np.stack((totals, rates), axis=-1).tolist())),
+    )
 
     summary = {
         "scheme": bundle.scheme,
@@ -347,9 +358,7 @@ def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes):
 def _power_guess(cfg: SimConfig) -> float:
     """Starting point for the calibration search: budget over a typical l."""
     deployment = simnet.build_deployment(cfg.deployment, cfg.channel.pathloss, cfg.run.seed)
-    typical_l = float(np.median(deployment.norm_interference)) if deployment.n_ms else 1.0
-    budget = cfg.budget().linear_budget
-    return budget / typical_l if typical_l > 0 else 1.0
+    return cfg.budget().linear_budget / float(np.median(deployment.norm_interference))
 
 
 def _sweep_row(cfg: SimConfig, bundle=None, fixed_power_w=math.nan, status="ok") -> dict:

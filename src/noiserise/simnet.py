@@ -33,6 +33,7 @@ from .model import (
     budget_watts,
     noise_rise_budget_from_db,
 )
+from .model import _check_finite as _check_finite_value
 from .model import UserLink  # noqa: F401 - bench/spans.py counts simnet.UserLink constructions
 from .solver import solve_dual_frame
 from .solver import solve_joint  # noqa: F401 - bench/spans.py wraps simnet.solve_joint by name
@@ -65,8 +66,8 @@ def _check_finite(config) -> None:
     """Refuse a NaN or infinite value in any float field of a config dataclass."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if isinstance(value, float):
+            _check_finite_value(f.name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +394,7 @@ def make_scheme(
     I = budget_watts(budget)
     tol_kkt = (solver_config if solver_config is not None else SolverConfig()).tol_kkt
     if name == "nr":
-        return Scheme(
-            name,
-            lambda cells, w, e, l, cap: solve_dual_frame(cells, w, e, l, I),
-            _frame_check(I, tol_kkt, egress=True),
-        )
+        return Scheme(name, partial(solve_dual_frame, budget=I), _frame_check(I, tol_kkt, egress=True))
     if name == "nr_density":
         return Scheme(name, partial(density_frame, budget=I), _frame_check(I, tol_kkt, density=True))
     if name == "nr_density_capped":
@@ -461,7 +458,8 @@ def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int
 class FrameMetrics:
     """Per-frame observables, per cell and per MS, plus the solver's per-cell
     KKT residuals, envelope probes and kink searches (None for the greedy
-    schemes)."""
+    schemes).  :func:`run_simulation` stacks every field over the run into
+    the :class:`MetricsBundle`."""
 
     cell_bits: np.ndarray
     ingress_w: np.ndarray
@@ -613,23 +611,16 @@ class SimConfig:
         )
 
 
-@dataclass
-class MetricsBundle:
-    """Stacked per-frame metrics with the summary statistics the CLI reports."""
+@dataclass(frozen=True, kw_only=True)
+class MetricsBundle(FrameMetrics):
+    """Every :class:`FrameMetrics` field stacked over the run's frames, as
+    ``(frames, cells)`` or ``(frames, ms)`` arrays (the solver fields None
+    for the greedy schemes), with the summary statistics the CLI reports."""
 
     scheme: str
     budget_w: float
     bandwidth_hz: float
     frame_duration_s: float
-    cell_bits: np.ndarray  # (frames, cells)
-    ingress_w: np.ndarray
-    ingress_db: np.ndarray
-    egress_w: np.ndarray
-    ms_power_w: np.ndarray  # (frames, ms)
-    ms_bits: np.ndarray
-    kkt_residual: np.ndarray | None = None  # (frames, cells), solver schemes only
-    probes: np.ndarray | None = None
-    kinks: np.ndarray | None = None
 
     @property
     def n_frames(self) -> int:
@@ -709,17 +700,14 @@ def run_simulation(cfg: SimConfig) -> MetricsBundle:
         fm = run_frame(deployment, scheme, 1.0 / t_avg, cfg)
         update_pf(t_avg, fm.ms_bits, cfg.run.pf_beta)
         frames.append(fm)
+    stacked = {}
+    for f in fields(FrameMetrics):
+        per_frame = [getattr(fm, f.name) for fm in frames]
+        stacked[f.name] = None if per_frame[0] is None else np.stack(per_frame)
     return MetricsBundle(
         scheme=cfg.scheme.name,
         budget_w=budget.linear_budget,
         bandwidth_hz=cfg.channel.bandwidth_hz,
         frame_duration_s=cfg.run.frame_duration_s,
-        cell_bits=np.stack([f.cell_bits for f in frames]),
-        ingress_w=np.stack([f.ingress_w for f in frames]),
-        ingress_db=np.stack([f.ingress_db for f in frames]),
-        egress_w=np.stack([f.egress_w for f in frames]),
-        ms_power_w=np.stack([f.ms_power_w for f in frames]),
-        ms_bits=np.stack([f.ms_bits for f in frames]),
-        **{name: np.stack([getattr(f, name) for f in frames])
-           for name in ("kkt_residual", "probes", "kinks") if getattr(frames[0], name) is not None},
+        **stacked,
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -363,13 +364,20 @@ def objective(x, p, links):
 def one_cell(links, frame) -> Allocation:
     """Schedule one cell's ``UserLink`` list with a frame function
     ``frame(cells, w, e, l, cap)`` and return its shares, powers and
-    weighted sum rate; the per-cell library functions are this call."""
+    weighted sum rate, plus the cell's prices, probes (as ``iterations``),
+    convergence and KKT residual when the frame carries them; the
+    per-cell library functions are this call."""
     if not links:
         raise ValueError("at least one user required")
     w, e, l, cap = link_arrays(links)
     alloc = frame(Cells.single(len(links)), w, e, l, cap)
     x, p = alloc.x.tolist(), alloc.p.tolist()
-    return Allocation(x=x, p=p, objective=_objective(x, p, w.tolist(), e.tolist()))
+    solved = {}
+    if alloc.probes is not None:
+        solved = dict(lambda1=float(alloc.lambda1[0]), lambda2=float(alloc.lambda2[0]),
+                      iterations=int(alloc.probes[0]), converged=bool(alloc.converged[0]),
+                      kkt_residual=float(alloc.kkt_residual[0]))
+    return Allocation(x=x, p=p, objective=_objective(x, p, w.tolist(), e.tolist()), **solved)
 
 
 def _kkt_residual(x, p, lam1, lam2, w, e, l, budget):
@@ -785,9 +793,10 @@ def _user_rows(cells: Cells, w, e, l, I):
     return index, use, W, L, W * E / L, beta, np.where(use, W / (I + beta), 1.0)
 
 
-def solve_dual_frame(cells: Cells, w, e, l, I: float) -> FrameAllocation:
+def solve_dual_frame(cells: Cells, w, e, l, cap, budget: float) -> FrameAllocation:
     """:func:`solve_dual` for every cell of the ``cells`` layout at once,
-    on per-user arrays ``w, e, l`` and a budget ``I`` in Watts.
+    on per-user arrays ``w, e, l`` and a budget in Watts; ``cap`` is not
+    used.
 
     One array pass over all cells seeds each cell's walk with the tightest
     bracket among its users' single-user minimisers (see
@@ -798,8 +807,8 @@ def solve_dual_frame(cells: Cells, w, e, l, I: float) -> FrameAllocation:
     weight and SINR.
     """
     n_cells = cells.n_cells
-    index, use, W, L, ratio, beta, S = _user_rows(cells, w, e, l, I)
-    lo, a_lo, hi, b_hi, start = _seed_brackets(W, ratio, beta, S, use, I)
+    index, use, W, L, ratio, beta, S = _user_rows(cells, w, e, l, budget)
+    lo, a_lo, hi, b_hi, start = _seed_brackets(W, ratio, beta, S, use, budget)
 
     x = np.zeros(len(w))
     p = np.zeros(len(w))
@@ -819,14 +828,14 @@ def solve_dual_frame(cells: Cells, w, e, l, I: float) -> FrameAllocation:
         right = (hi_k, b, [b]) if hi_k < math.inf else None
         first = start_k if start_k < math.inf else None
         lam1[k], lam2[k], probes[k], kinks[k], converged[k], alloc = _walk(
-            ws[:n], rs[:n], bs[:n], ss[:n], ls[:n], I, left, right, first)
+            ws[:n], rs[:n], bs[:n], ss[:n], ls[:n], budget, left, right, first)
         for i, xi, pi in alloc:
             users.append(ids[i])
             xs.append(xi)
             ps.append(pi)
     x[users] = xs
     p[users] = ps
-    res = _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I)
+    res = _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, budget)
     return FrameAllocation(x, p, lam1, lam2, probes, kinks, converged, res)
 
 
@@ -844,9 +853,9 @@ def solve_dual(links, budget, config=None):
     walk then probes the envelope: at that candidate, at the minimiser of
     the piece that tops both ends, or at the kink where the two end pieces
     cross (located by safeguarded Newton); the envelope's slope at the
-    probe, ``I - c`` of the top user, tells which end moves.  The
-    simulator solves every cell of a frame through the same code
-    (:func:`solve_dual_frame`).
+    probe, ``I - c`` of the top user, tells which end moves.  This is
+    :func:`one_cell` on :func:`solve_dual_frame`, the frame function that
+    schedules every cell of a simulated frame under ``nr``.
 
     At the minimiser either one user takes the whole band at ``p = I/l``,
     or two tied users share it so that their spends average to ``I``.
@@ -861,22 +870,6 @@ def solve_dual(links, budget, config=None):
     reached a stationary point, and there is no trace.
     """
     cfg = config if config is not None else SolverConfig()
-    I = budget_watts(budget)
-    if not links:
-        raise ValueError("at least one user required")
-    w, e, l, _ = link_arrays(links)
-    sol = solve_dual_frame(Cells.single(len(links)), w, e, l, I)
-    x, p = sol.x.tolist(), sol.p.tolist()
-    res = float(sol.kkt_residual[0])
-    return Allocation(
-        x=x,
-        p=p,
-        lambda1=float(sol.lambda1[0]),
-        lambda2=float(sol.lambda2[0]),
-        objective=_objective(x, p, w.tolist(), e.tolist()),
-        iterations=int(sol.probes[0]),
-        converged=bool(sol.converged[0]),
-        certified=res <= cfg.tol_kkt,
-        kkt_residual=res,
-        trace=None,
-    )
+    alloc = one_cell(links, partial(solve_dual_frame, budget=budget_watts(budget)))
+    alloc.certified = alloc.kkt_residual <= cfg.tol_kkt
+    return alloc

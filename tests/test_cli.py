@@ -8,11 +8,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noiserise
 from noiserise.cli import ConfigError, load_config, main
-from noiserise.simnet import SimConfig
+from noiserise.simnet import SimConfig, run_simulation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -110,6 +111,13 @@ def test_load_config_overrides():
     assert cfg.scheme.noise_rise_db == 7.0
 
 
+def test_load_config_integer_settings_take_integral_floats():
+    # integer settings parse as floats first, so an exponent is fine; a
+    # fraction is refused (see test_cmd_run_invalid_setting_exit_1)
+    cfg, _ = load_config(None, ["run.frames=1e1", "deployment.rings=1.0", "run.quantize_units=4.8e1"])
+    assert (cfg.run.frames, cfg.deployment.rings, cfg.run.quantize_units) == (10, 1, 48)
+
+
 def test_load_config_dbm_conversion():
     cfg, _ = load_config(None, ["scheme.name=fixed", "scheme.fixed_power_dbm=30"])
     assert cfg.scheme.fixed_power_w == pytest.approx(1.0, rel=1e-12)
@@ -192,6 +200,36 @@ def test_cmd_run_byte_identical_reruns(small_config, tmp_path):
         assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes()
 
 
+def test_cmd_run_csv_floats_carry_12_significant_digits(small_config, tmp_path):
+    # every float in the run CSVs is format(v, ".12g") of the run's metrics
+    out = tmp_path / "x"
+    assert main(["run", small_config, "--out", str(out)]) == 0
+    bundle = run_simulation(load_config(small_config)[0])
+
+    def rows(name):
+        with open(out / name, newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    def g(value):
+        return format(float(value), ".12g")
+
+    frames = rows("frames.csv")
+    assert len(frames) == bundle.n_frames * bundle.n_cells
+    for t, k, bits, ingress_w, ingress_db, egress_w in frames:
+        t, k = int(t), int(k)
+        assert [bits, ingress_w, ingress_db, egress_w] == [
+            g(bundle.cell_bits[t, k]), g(bundle.ingress_w[t, k]),
+            g(bundle.ingress_db[t, k]), g(bundle.egress_w[t, k]),
+        ]
+    t, ms = np.nonzero(bundle.ms_power_w > 0)
+    assert rows("powers.csv") == [
+        [str(ti), str(mi), g(bundle.ms_power_w[ti, mi])] for ti, mi in zip(t.tolist(), ms.tolist())
+    ]
+    totals = bundle.ms_bits.sum(axis=0)
+    rates = totals / (bundle.n_frames * bundle.frame_duration_s)
+    assert rows("per_ms.csv") == [[str(i), g(totals[i]), g(rates[i])] for i in range(bundle.n_ms)]
+
+
 def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
     rc = main(["run", small_config, "--out", str(tmp_path / "x"), "--set", "scheme.name=nope"])
     assert rc == 1
@@ -212,6 +250,9 @@ def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
     ["run.pf_beta=2"],
     ["run.pf_init=0"],
     ["run.quantize_units=-3"],
+    ["run.frames=2.7"],
+    ["deployment.rings=1.9"],
+    ["run.quantize_units=12.5"],
     ["scheme.noise_rise_db=nan"],
     ["channel.shadowing_sigma_db=nan"],
     ["run.frame_duration_s=inf"],

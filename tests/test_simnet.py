@@ -27,7 +27,7 @@ from noiserise.simnet import (
     update_pf,
 )
 
-from noiserise.solver import objective
+from noiserise.solver import NoTransmitterError, objective, solve_dual
 
 from oracles import reference_quantize, reference_run_frame, reference_schedule
 
@@ -642,9 +642,10 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
 # per-cell UserLink functions against the frame schemes
 
 
-# each greedy scheme's UserLink function, and the make_scheme keywords that
-# bind the same parameter: budget 2 W, fixed power 0.5 W, target SINR 4
+# each scheme's UserLink function, and the make_scheme keywords that bind
+# the same parameter: budget 2 W, fixed power 0.5 W, target SINR 4
 PER_CELL = {
+    "nr": (lambda links: solve_dual(links, 2.0), {}),
     "nr_density": (lambda links: schedule_density(links, 2.0), {}),
     "nr_density_capped": (lambda links: schedule_density_capped(links, 2.0), {}),
     "fixed": (lambda links: schedule_fixed_power(links, 0.5), {"fixed_power": 0.5}),
@@ -675,15 +676,28 @@ def user_links(draw):
 @given(links=user_links())
 def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links):
     schedule, keywords = PER_CELL[name]
-    alloc = schedule(links)
     n = len(links)
-    frame = make_scheme(name, 2.0, **keywords).schedule(
+    frame_args = (
         Cells.single(n),
         np.array([u.weight for u in links]),
         np.array([u.norm_sinr for u in links]),
         np.array([u.norm_interference for u in links]),
         np.array([math.inf if u.max_power is None else u.max_power for u in links]),
     )
+    scheme = make_scheme(name, 2.0, **keywords)
+    if name == "nr" and not any(u.weight > 0 and u.norm_sinr > 0 for u in links):
+        # the dual solve needs a user that can transmit, on either path
+        with pytest.raises(NoTransmitterError):
+            schedule(links)
+        with pytest.raises(NoTransmitterError):
+            scheme.schedule(*frame_args)
+        return
+    alloc = schedule(links)
+    frame = scheme.schedule(*frame_args)
     assert alloc.x == frame.x.tolist()
     assert alloc.p == frame.p.tolist()
     assert alloc.objective == objective(alloc.x, alloc.p, links)
+    if frame.probes is not None:
+        assert (alloc.lambda1, alloc.lambda2) == (frame.lambda1[0], frame.lambda2[0])
+        assert alloc.iterations == frame.probes[0]
+        assert alloc.kkt_residual == frame.kkt_residual[0]

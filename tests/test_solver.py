@@ -658,7 +658,7 @@ def test_frame_solve_matches_reference_walk_on_default_run(default_run_frames):
     frames, budget = default_run_frames
     solved = 0
     for cells, w, e, l in frames:
-        sol = solve_dual_frame(cells, w, e, l, budget)
+        sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
         for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
             x, p, *_ = dual_optimum(wk, ek, lk, budget)
             xk, pk = sol.x[ms].tolist(), sol.p[ms].tolist()
@@ -728,7 +728,7 @@ def test_frame_solve_equals_per_cell_solve_dual():
     e[3::11] = 0.0
     budget = 3e-13
     cells = Cells.from_cell_of(cell_of, 6)
-    sol = solve_dual_frame(cells, w, e, l, budget)
+    sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
     for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
         if not len(ms):
             assert np.isnan(sol.kkt_residual[k]) and np.isnan(sol.lambda1[k]) and sol.probes[k] == 0
@@ -740,5 +740,5 @@ def test_frame_solve_equals_per_cell_solve_dual():
         assert abs(sol.kkt_residual[k] - alloc.kkt_residual) <= 1e-14
     w[cells.index[2, cells.valid[2]]] = 0.0
     with pytest.raises(NoTransmitterError):
-        solve_dual_frame(cells, w, e, l, budget)
+        solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
 

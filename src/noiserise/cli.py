@@ -237,12 +237,12 @@ def _write_artifacts(out_dir: str, cfg: SimConfig, resolved: str, bundle, runtim
         "%d,%d,%.12g,%.12g,%.12g,%.12g",
         ((t, k, *values) for t, cells in enumerate(columns.tolist()) for k, values in enumerate(cells)),
     )
+    frame, ms = np.nonzero(bundle.ms_power_w > 0)  # row-major: by frame, then by MS
     _write_csv(
         os.path.join(out_dir, "powers.csv"),
         "frame,ms,power_w",
         "%d,%d,%.12g",
-        ((t, ms, power) for t, row in enumerate(bundle.ms_power_w.tolist())
-         for ms, power in enumerate(row) if power > 0),
+        zip(frame.tolist(), ms.tolist(), bundle.ms_power_w[frame, ms].tolist()),
     )
     totals = bundle.ms_bits.sum(axis=0)
     rates = totals / (bundle.n_frames * bundle.frame_duration_s)

@@ -46,7 +46,6 @@ __all__ = [
     "SchemeConfig",
     "RunConfig",
     "SimConfig",
-    "FrameMetrics",
     "MetricsBundle",
     "Scheme",
     "FrameAllocation",
@@ -55,6 +54,7 @@ __all__ = [
     "make_scheme",
     "run_frame",
     "update_pf",
+    "run_frames",
     "run_simulation",
     "SCHEME_NAMES",
 ]
@@ -229,13 +229,17 @@ def _distances(ms_xy, bs_xy, shifts):
     # sqrt is monotone and correctly rounded, so it is taken once, after
     # the minimum of the squared distances
     mx, my = ms_xy[:, :1], ms_xy[:, 1:]
-    best = None
+    best = np.full((len(ms_xy), len(bs_xy)), np.inf)
+    dx = np.empty_like(best)
+    dy = np.empty_like(best)
     for sx, sy in shifts:
-        dx = mx - (bs_xy[:, 0] + sx)
-        dy = my - (bs_xy[:, 1] + sy)
-        d2 = dx * dx + dy * dy
-        best = d2 if best is None else np.minimum(best, d2, out=best)
-    return np.sqrt(best)
+        np.subtract(mx, bs_xy[:, 0] + sx, out=dx)
+        np.subtract(my, bs_xy[:, 1] + sy, out=dy)
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.minimum(best, dx, out=best)
+    return np.sqrt(best, out=best)
 
 
 @dataclass
@@ -454,73 +458,112 @@ def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int
 # frame loop
 
 
-@dataclass(frozen=True)
-class FrameMetrics:
-    """Per-frame observables, per cell and per MS, plus the solver's per-cell
-    KKT residuals, envelope probes and kink searches (None for the greedy
-    schemes).  :func:`run_simulation` stacks every field over the run into
-    the :class:`MetricsBundle`."""
-
-    cell_bits: np.ndarray
-    ingress_w: np.ndarray
-    ingress_db: np.ndarray
-    egress_w: np.ndarray
-    ms_power_w: np.ndarray
-    ms_bits: np.ndarray
-    kkt_residual: np.ndarray | None = None
-    probes: np.ndarray | None = None
-    kinks: np.ndarray | None = None
+_SOLVER_FIELDS = ("kkt_residual", "probes", "kinks")
 
 
-def run_frame(deployment: Deployment, scheme: Scheme, weights: np.ndarray, cfg: SimConfig) -> FrameMetrics:
-    """Schedule every cell against the planned interference, then score the
-    frame at the interference that actually materialized.
+class _Run:
+    """A run's constants and the run-sized arrays its frames write into.
+
+    The noise power, budget, scheduling SINR ``g / (N0*B + I)``, power
+    caps, band, frame duration and quantization are computed once from
+    ``cfg``, whose dataclasses checked them when it was built.  Frame
+    ``t`` writes row ``t`` of the MS powers and delivered bits, the BS
+    ingress and, for the exact dual solver, the per-cell KKT residuals,
+    envelope probes and kink searches; :meth:`metrics` derives the rest
+    once, after the last frame.
+    """
+
+    def __init__(self, deployment: Deployment, cfg: SimConfig):
+        frames, n_ms = cfg.run.frames, deployment.n_ms
+        self.scheme = cfg.scheme.name
+        self.band = cfg.channel.bandwidth_hz
+        self.p_noise = cfg.channel.noise_power_w
+        self.budget_w = cfg.budget().linear_budget
+        self.frame_duration_s = cfg.run.frame_duration_s
+        self.quantize_units = cfg.run.quantize_units
+        max_power = cfg.scheme.max_power_w
+        # every frame hands the same two arrays to the scheme, so no frame may edit them
+        self.e = deployment.serving_gain / (self.p_noise + self.budget_w)
+        self.cap = np.full(n_ms, math.inf if max_power is None else max_power)
+        self.e.flags.writeable = self.cap.flags.writeable = False
+        self.cells = deployment.cells
+        self.l = deployment.norm_interference
+        self.power = np.empty((frames, n_ms))
+        self.bits = np.zeros((frames, n_ms))
+        self.ingress = np.empty((frames, deployment.n_bs))
+        self.solver = {}
+
+    def record(self, t: int, alloc: FrameAllocation) -> None:
+        """Write frame ``t``'s powers and whichever solver fields it carries."""
+        self.power[t] = alloc.p
+        for name in _SOLVER_FIELDS:
+            row = getattr(alloc, name)
+            if row is not None:
+                if name not in self.solver:
+                    self.solver[name] = np.empty((len(self.power), len(row)), row.dtype)
+                self.solver[name][t] = row
+
+    def metrics(self) -> MetricsBundle:
+        """The run's :class:`MetricsBundle`.  Frame ``t``'s users are binned
+        at ``t * n_cells + cell``, so one ``bincount`` adds each cell's
+        users in ascending order, as :meth:`Cells.sums` does per frame."""
+        n_frames, n_cells = self.ingress.shape
+        bins = (np.arange(n_frames)[:, None] * n_cells + self.cells.cell_of).ravel()
+
+        def cell_sums(values):
+            sums = np.bincount(bins, weights=values.ravel(), minlength=n_frames * n_cells)
+            return sums.reshape(n_frames, n_cells)
+
+        return MetricsBundle(
+            scheme=self.scheme,
+            budget_w=self.budget_w,
+            bandwidth_hz=self.band,
+            frame_duration_s=self.frame_duration_s,
+            cell_bits=cell_sums(self.bits),
+            ingress_w=self.ingress,
+            ingress_db=10.0 * np.log10((self.p_noise + self.ingress) / self.p_noise),
+            egress_w=cell_sums(self.l * self.power),
+            ms_power_w=self.power,
+            ms_bits=self.bits,
+            **{name: self.solver.get(name) for name in _SOLVER_FIELDS},
+        )
+
+
+def run_frame(deployment: Deployment, scheme: Scheme, weights: np.ndarray, run: _Run, t: int) -> np.ndarray:
+    """Schedule every cell of frame ``t`` against the planned interference,
+    then score it at the interference that actually materialized; returns
+    the frame's delivered bits per MS.
 
     Scheduling builds each user's normalized SINR from the budgeted
     noise-plus-interference ``N0*B + I``; delivered bits use the measured
     ingress at the serving BS instead, spread uniformly over the band.
     Cells are independent within a frame, so the scheme schedules and
-    checks all of them in one call on per-mobile arrays.  The band, noise,
-    budget, power cap, frame duration and quantization come from ``cfg``,
-    whose dataclasses checked them when it was built.
+    checks all of them in one call on per-mobile arrays.  The frame
+    writes row ``t`` of ``run``'s arrays and computes nothing the next
+    frame does not need.
     """
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise ValueError("PF weights must be finite and >= 0")
-    band = cfg.channel.bandwidth_hz
-    p_noise = cfg.channel.noise_power_w
-    I = cfg.budget().linear_budget
-    max_power = cfg.scheme.max_power_w
     cells = deployment.cells
     g = deployment.serving_gain
     l = deployment.norm_interference
-    cap = np.full(deployment.n_ms, math.inf if max_power is None else max_power)
-    alloc = scheme.schedule(cells, weights, g / (p_noise + I), l, cap)
-    scheme.check(cells, alloc, l, cap)
-    if cfg.run.quantize_units:
-        alloc = _quantize_frame(cells, alloc, l, cap, cfg.run.quantize_units)
+    alloc = scheme.schedule(cells, weights, run.e, l, run.cap)
+    scheme.check(cells, alloc, l, run.cap)
+    if run.quantize_units:
+        alloc = _quantize_frame(cells, alloc, l, run.cap, run.quantize_units)
+    run.record(t, alloc)
     frac, power = alloc.x, alloc.p
 
-    received = deployment.gain_matrix.T @ power
-    ingress = np.maximum(received - cells.sums(g * power), 0.0)
-    egress = cells.sums(l * power)
+    ingress = run.ingress[t]
+    np.maximum(deployment.gain_matrix.T @ power - cells.sums(g * power), 0.0, out=ingress)
 
-    ms_bits = np.zeros(deployment.n_ms)
+    bits = run.bits[t]
     on = np.flatnonzero((frac > 0.0) & (power > 0.0))
-    e_act = g[on] / (p_noise + ingress[cells.cell_of[on]])
+    e_act = g[on] / (run.p_noise + ingress[cells.cell_of[on]])
     x_on = frac[on]
-    rate = band * x_on * np.log1p(power[on] * e_act / x_on)
-    ms_bits[on] = rate / LN2 * cfg.run.frame_duration_s
-    return FrameMetrics(
-        cell_bits=cells.sums(ms_bits),
-        ingress_w=ingress,
-        ingress_db=10.0 * np.log10((p_noise + ingress) / p_noise),
-        egress_w=egress,
-        ms_power_w=power,
-        ms_bits=ms_bits,
-        kkt_residual=alloc.kkt_residual,
-        probes=alloc.probes,
-        kinks=alloc.kinks,
-    )
+    rate = run.band * x_on * np.log1p(power[on] * e_act / x_on)
+    bits[on] = rate / LN2 * run.frame_duration_s
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +628,8 @@ class RunConfig:
 
     def __post_init__(self):
         _check_finite(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.frame_duration_s <= 0:
@@ -612,15 +657,25 @@ class SimConfig:
 
 
 @dataclass(frozen=True, kw_only=True)
-class MetricsBundle(FrameMetrics):
-    """Every :class:`FrameMetrics` field stacked over the run's frames, as
-    ``(frames, cells)`` or ``(frames, ms)`` arrays (the solver fields None
-    for the greedy schemes), with the summary statistics the CLI reports."""
+class MetricsBundle:
+    """A run's observables as ``(frames, cells)`` or ``(frames, ms)``
+    arrays, including the solver's per-cell KKT residuals, envelope probes
+    and kink searches (None for the greedy schemes), with the summary
+    statistics the CLI reports."""
 
     scheme: str
     budget_w: float
     bandwidth_hz: float
     frame_duration_s: float
+    cell_bits: np.ndarray
+    ingress_w: np.ndarray
+    ingress_db: np.ndarray
+    egress_w: np.ndarray
+    ms_power_w: np.ndarray
+    ms_bits: np.ndarray
+    kkt_residual: np.ndarray | None = None
+    probes: np.ndarray | None = None
+    kinks: np.ndarray | None = None
 
     @property
     def n_frames(self) -> int:
@@ -679,35 +734,29 @@ class MetricsBundle(FrameMetrics):
         return float(totals.sum()) ** 2 / denom
 
 
+def run_frames(deployment: Deployment, scheme: Scheme, cfg: SimConfig) -> MetricsBundle:
+    """Run ``cfg.run.frames`` frames of ``scheme`` on ``deployment``, the
+    proportional-fair weights of each frame ``1 / t_avg`` of the bits
+    delivered before it."""
+    run = _Run(deployment, cfg)
+    t_avg = np.full(deployment.n_ms, cfg.run.pf_init, dtype=float)
+    # bench/ wraps run_frame and update_pf by their simnet names, so both
+    # stay module-level calls, once per frame
+    for t in range(cfg.run.frames):
+        update_pf(t_avg, run_frame(deployment, scheme, 1.0 / t_avg, run, t), cfg.run.pf_beta)
+    return run.metrics()
+
+
 def run_simulation(cfg: SimConfig) -> MetricsBundle:
-    """Build the deployment, run the frame loop, stack the metrics."""
+    """Build the deployment and the scheme, then run the frame loop."""
     deployment = build_deployment(cfg.deployment, cfg.channel.pathloss, cfg.run.seed)
     budget = cfg.budget()
-    planned = cfg.channel.noise_power_w + budget.linear_budget
     scheme = make_scheme(
         cfg.scheme.name,
         budget,
         solver_config=cfg.solver,
         fixed_power=cfg.scheme.fixed_power_w,
         target_sinr=cfg.scheme.target_sinr,
-        assumed_noise_plus_interference=planned,
+        assumed_noise_plus_interference=cfg.channel.noise_power_w + budget.linear_budget,
     )
-    t_avg = np.full(deployment.n_ms, cfg.run.pf_init, dtype=float)
-    frames = []
-    # bench/ wraps run_frame and update_pf by their simnet names, so both
-    # stay module-level calls, once per frame
-    for _ in range(cfg.run.frames):
-        fm = run_frame(deployment, scheme, 1.0 / t_avg, cfg)
-        update_pf(t_avg, fm.ms_bits, cfg.run.pf_beta)
-        frames.append(fm)
-    stacked = {}
-    for f in fields(FrameMetrics):
-        per_frame = [getattr(fm, f.name) for fm in frames]
-        stacked[f.name] = None if per_frame[0] is None else np.stack(per_frame)
-    return MetricsBundle(
-        scheme=cfg.scheme.name,
-        budget_w=budget.linear_budget,
-        bandwidth_hz=cfg.channel.bandwidth_hz,
-        frame_duration_s=cfg.run.frame_duration_s,
-        **stacked,
-    )
+    return run_frames(deployment, scheme, cfg)

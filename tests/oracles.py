@@ -11,12 +11,12 @@ probes the envelope through per-user function calls.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from noiserise.model import LN2, Allocation, UserLink, budget_watts, shannon_rate
-from noiserise.simnet import FrameMetrics
 from noiserise.solver import (
     _FLAT,
     _MAX_PROBES,
@@ -346,6 +346,19 @@ def _quantize(alloc, links, num_units):
     cap = [math.inf if link.max_power is None else link.max_power for link in links]
     xq, pq = reference_quantize(alloc.x, alloc.p, l, cap, num_units)
     return Allocation(x=xq, p=pq)
+
+
+@dataclass(frozen=True)
+class FrameMetrics:
+    """One frame's observables, per cell and per MS: one row of each of a
+    ``MetricsBundle``'s per-frame arrays."""
+
+    cell_bits: np.ndarray
+    ingress_w: np.ndarray
+    ingress_db: np.ndarray
+    egress_w: np.ndarray
+    ms_power_w: np.ndarray
+    ms_bits: np.ndarray
 
 
 def reference_run_frame(deployment, schedule, weights, cfg):

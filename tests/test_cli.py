@@ -259,6 +259,7 @@ def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
     ["deployment.isd_m=nan"],
     ["scheme.max_power_dbm=inf"],
     ["run.seed=5%"],
+    ["run.seed=-1"],
     ["run.frame=3"],
     ["solver.tol_kkt=1e-3"],
     ["DEFAULT.seed=3"],

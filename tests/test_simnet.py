@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,17 +20,19 @@ from noiserise.simnet import (
     SchemeConfig,
     SimConfig,
     _quantize_frame,
+    _Run,
     build_deployment,
     cost_hata_pl,
     make_scheme,
     run_frame,
+    run_frames,
     run_simulation,
     update_pf,
 )
 
 from noiserise.solver import NoTransmitterError, objective, solve_dual
 
-from oracles import reference_quantize, reference_run_frame, reference_schedule
+from oracles import FrameMetrics, reference_quantize, reference_run_frame, reference_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +191,16 @@ class _OnlyCellZero:
         return FrameAllocation(x=np.where(keep, alloc.x, 0.0), p=np.where(keep, alloc.p, 0.0))
 
 
+def _first_frame(dep, scheme, cfg):
+    """Frame 0 of a run of ``scheme`` on ``dep``, where every PF weight is
+    ``1 / pf_init`` (1 by default)."""
+    bundle = run_frames(dep, scheme, replace(cfg, run=replace(cfg.run, frames=1)))
+    return FrameMetrics(**{f.name: getattr(bundle, f.name)[0] for f in fields(FrameMetrics)})
+
+
 def test_run_frame_all_silent_all_zero():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=3), PathLossParams(), seed=5)
-    metrics = run_frame(dep, _silent_scheme(), np.ones(dep.n_ms), SimConfig())
+    metrics = _first_frame(dep, _silent_scheme(), SimConfig())
     assert metrics.cell_bits.sum() == 0
     assert metrics.ingress_w.sum() == 0
     assert metrics.egress_w.sum() == 0
@@ -204,7 +214,7 @@ def test_run_frame_isolated_cell_matches_shannon_rate():
     channel = cfg.channel
     inner = make_scheme("nr_density", cfg.budget())
     scheme = Scheme(name="only0", schedule=_OnlyCellZero(inner.schedule), check=lambda *args: None)
-    metrics = run_frame(dep, scheme, np.ones(dep.n_ms), cfg)
+    metrics = _first_frame(dep, scheme, cfg)
     # no other cell transmits, so cell 0 is scored at zero ingress
     assert metrics.ingress_w[0] == 0.0
     members = dep.members(0)
@@ -231,7 +241,7 @@ def test_run_frame_two_cell_hand_ingress():
     cfg = SimConfig()
     budget = cfg.budget()
     scheme = make_scheme("nr_density", budget)
-    metrics = run_frame(dep, scheme, np.ones(2), cfg)
+    metrics = _first_frame(dep, scheme, cfg)
     I = budget.linear_budget
     p0 = I / dep.norm_interference[0]
     p1 = I / dep.norm_interference[1]
@@ -250,7 +260,7 @@ def test_run_frame_scheme_constraints_asserted():
         check=make_scheme("nr", cfg.budget()).check,
     )
     with pytest.raises(AssertionError):
-        run_frame(dep, bad, np.ones(dep.n_ms), cfg)
+        _first_frame(dep, bad, cfg)
 
 
 def test_run_frame_empty_cell_stays_silent():
@@ -259,7 +269,7 @@ def test_run_frame_empty_cell_stays_silent():
     dep = Deployment(serving_map=np.array([0, 2]), gain_matrix=gain)
     cfg = SimConfig()
     for name in ("nr", "nr_density", "nr_density_capped"):
-        metrics = run_frame(dep, make_scheme(name, cfg.budget()), np.ones(2), cfg)
+        metrics = _first_frame(dep, make_scheme(name, cfg.budget()), cfg)
         assert metrics.egress_w[1] == 0.0 and metrics.cell_bits[1] == 0.0
         assert metrics.ingress_w[1] > 0.0
         assert (metrics.ms_power_w > 0).all()
@@ -271,7 +281,7 @@ def test_run_frame_validates_weights():
     scheme = make_scheme("nr_density", cfg.budget())
     for weight in (np.nan, -1.0):
         with pytest.raises(ValueError, match="weights"):
-            run_frame(dep, scheme, np.full(dep.n_ms, weight), cfg)
+            run_frame(dep, scheme, np.full(dep.n_ms, weight), _Run(dep, cfg), 0)
 
 
 def test_density_checks_reject_violations():
@@ -603,9 +613,10 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
     cfg = SimConfig(
         deployment=DeploymentConfig(rings=1, ms_per_cell=6, wrap=wrap),
         scheme=SchemeConfig(name=name, fixed_power_w=0.1, max_power_w=max_power, target_sinr=10.0),
-        run=RunConfig(quantize_units=quantize),
+        run=RunConfig(frames=6, quantize_units=quantize),
     )
     dep = build_deployment(cfg.deployment, cfg.channel.pathloss, seed=11)
+    run = _Run(dep, cfg)
     scheme, reference = _schemes(cfg)
     shares = []
 
@@ -622,20 +633,52 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
         name in ("nr", "nr_density") or name == "fixed" and max_power < cfg.scheme.fixed_power_w)
     if breaks_cap:
         with pytest.raises(AssertionError, match="max power violated"):
-            run_frame(dep, recording, 1.0 / t_avg, cfg)
+            run_frame(dep, recording, 1.0 / t_avg, run, 0)
         return
-    for _ in range(6):
+    wants = []
+    for t in range(cfg.run.frames):
         weights = 1.0 / t_avg
-        got = run_frame(dep, recording, weights, cfg)
-        want, want_x = reference_run_frame(dep, reference, weights, cfg)
+        wants.append(reference_run_frame(dep, reference, weights, cfg))
+        update_pf(t_avg, run_frame(dep, recording, weights, run, t), cfg.run.pf_beta)
+    got = run.metrics()
+    for t, (want, want_x) in enumerate(wants):
         # both loops see the same weights, so the schedules are the same floats
         if quantize is None:
-            assert np.array_equal(shares[-1].x, want_x)
-        assert np.array_equal(got.ms_power_w, want.ms_power_w)
+            assert np.array_equal(shares[t].x, want_x)
+        assert np.array_equal(got.ms_power_w[t], want.ms_power_w)
         for field in ("ms_bits", "cell_bits", "ingress_w", "ingress_db", "egress_w"):
-            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=0,
+            np.testing.assert_allclose(getattr(got, field)[t], getattr(want, field), rtol=1e-12, atol=0,
                                        err_msg=field)
-        update_pf(t_avg, got.ms_bits, cfg.run.pf_beta)
+
+
+@pytest.mark.parametrize("quantize", [None, 12], ids=["continuous", "quantized"])
+@pytest.mark.parametrize("wrap", [True, False], ids=["torus", "plain"])
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_run_simulation_matches_reference_frame_loop(name, wrap, quantize):
+    # the whole run against the per-cell reference frame with its own PF
+    # loop: the per-cell sums and dB figures derived once after the loop
+    # must equal the per-frame ones
+    cfg = SimConfig(
+        deployment=DeploymentConfig(rings=1, ms_per_cell=6, wrap=wrap),
+        scheme=SchemeConfig(name=name, fixed_power_w=0.1, target_sinr=10.0),
+        run=RunConfig(seed=11, frames=4, quantize_units=quantize),
+    )
+    bundle = run_simulation(cfg)
+    dep = build_deployment(cfg.deployment, cfg.channel.pathloss, cfg.run.seed)
+    _, reference = _schemes(cfg)
+    assert (bundle.scheme, bundle.n_frames, bundle.n_cells, bundle.n_ms) == (name, 4, dep.n_bs, dep.n_ms)
+    assert bundle.budget_w == cfg.budget().linear_budget
+    for field in ("kkt_residual", "probes", "kinks"):
+        solved = getattr(bundle, field)
+        assert solved is None if name != "nr" else solved.shape == (4, dep.n_bs)
+    t_avg = np.full(dep.n_ms, cfg.run.pf_init)
+    for t in range(cfg.run.frames):
+        want, _ = reference_run_frame(dep, reference, 1.0 / t_avg, cfg)
+        assert np.array_equal(bundle.ms_power_w[t], want.ms_power_w)
+        for field in ("ms_bits", "cell_bits", "ingress_w", "ingress_db", "egress_w"):
+            np.testing.assert_allclose(getattr(bundle, field)[t], getattr(want, field), rtol=1e-12, atol=0,
+                                       err_msg=field)
+        update_pf(t_avg, want.ms_bits, cfg.run.pf_beta)
 
 
 # ---------------------------------------------------------------------------

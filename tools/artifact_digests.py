@@ -55,6 +55,8 @@ INVOCATIONS = {
                                                        "scheme.max_power_w=0.2", "run.quantize_units=12")],
     "run_nr_density_capped_24dbm_q48": ["run", *_sets("scheme.name=nr_density_capped",
                                                       "scheme.max_power_dbm=24", "run.quantize_units=48")],
+    "run_nr_plain": ["run", *_sets("deployment.wrap=false")],
+    "run_nr_shadowing8db": ["run", *_sets("channel.shadowing_sigma_db=8")],
     "sweep_default": ["sweep"],
     "sweep_density_fixed_seed1": ["sweep", *DENSITY_FIXED, *_sets("run.seed=1")],
     "sweep_density_fixed_seed7243": ["sweep", *DENSITY_FIXED, *_sets("run.seed=7243")],

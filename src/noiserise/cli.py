@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, simnet
 from .baselines import CalibrationError, calibrate_fixed_power
-from .model import UserLink
+from .model import UserLink, budget_watts
 from .simnet import (
     ChannelConfig,
     DeploymentConfig,
@@ -412,10 +412,10 @@ def cmd_solve(args) -> int:
     try:
         with open(args.instance) as fh:
             instance = json.load(fh)
-        budget = float(instance["budget"])
+        budget = budget_watts(instance["budget"])
         users = instance["users"]
-        if not isinstance(users, list) or not users:
-            raise ValueError("'users' must be a nonempty list")
+        if not isinstance(users, list) or not users or not all(isinstance(u, dict) for u in users):
+            raise ValueError("'users' must be a nonempty list of objects")
         links = [
             UserLink(
                 id=user.get("id", i),

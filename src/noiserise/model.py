@@ -24,7 +24,6 @@ __all__ = [
     "NoiseRiseBudget",
     "SolverConfig",
     "budget_watts",
-    "shannon_rate",
     "normalized_interference",
     "noise_rise_budget_from_db",
 ]
@@ -242,25 +241,6 @@ class Allocation:
                 raise ValueError("bandwidth fractions and powers must be >= 0")
             if xi == 0 and pi != 0:
                 raise ValueError("power assigned to a user holding no bandwidth")
-
-
-def shannon_rate(x, p, e, bandwidth=1.0):
-    """Rate ``B * x * log(1 + p*e/x)`` in nats/s, with rate 0 at x == 0.
-
-    The x == 0 value is the continuous extension (x*log(1+pe/x) -> 0 for
-    finite p*e), so a user holding power but no bandwidth delivers nothing
-    rather than raising.
-    """
-    for name, v in (("x", x), ("p", p), ("e", e), ("bandwidth", bandwidth)):
-        if math.isnan(v):
-            raise ValueError(f"{name} must not be NaN")
-    if x < 0 or p < 0 or e < 0:
-        raise ValueError("x, p and e must be >= 0")
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be > 0")
-    if x == 0:
-        return 0.0
-    return bandwidth * x * math.log1p(p * e / x)
 
 
 def normalized_interference(serving_gain, downlink_sir):

@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 SCHEME_NAMES = ("nr", "nr_density", "nr_density_capped", "fixed", "target_sinr")
+_SLACK = 1e-9  # relative rounding a frame check forgives on each bound
 
 
 def _check_finite(config) -> None:
@@ -356,7 +357,7 @@ class Scheme:
     check: Callable[..., None]
 
 
-def _frame_check(I, tol_kkt, egress=False, density=False, eps=1e-9):
+def _frame_check(I, tol_kkt, egress=False, density=False):
     """The check every scheme's frame must pass: no negative share or
     power, no cell's band over 1, no power over its cap, and a KKT
     residual within ``tol_kkt`` wherever the schedule carries one.
@@ -367,17 +368,17 @@ def _frame_check(I, tol_kkt, egress=False, density=False, eps=1e-9):
     def check(cells, alloc, l, cap):
         if (alloc.x < 0).any() or (alloc.p < 0).any():
             raise AssertionError("negative allocation")
-        if (cells.sums(alloc.x) > 1.0 + eps).any():
+        if (cells.sums(alloc.x) > 1.0 + _SLACK).any():
             raise AssertionError("bandwidth overcommitted")
-        if (alloc.p > cap * (1.0 + eps)).any():
+        if (alloc.p > cap * (1.0 + _SLACK)).any():
             raise AssertionError("max power violated")
         if egress:
             spent = cells.sums(l * alloc.p)
-            if (spent > I * (1.0 + eps)).any():
+            if (spent > I * (1.0 + _SLACK)).any():
                 raise AssertionError(f"egress budget violated: {spent.max()} > {I}")
         if density:
             on = alloc.x > 0
-            if (l[on] * alloc.p[on] / alloc.x[on] > I * (1.0 + eps)).any():
+            if (l[on] * alloc.p[on] / alloc.x[on] > I * (1.0 + _SLACK)).any():
                 raise AssertionError("per-user density cap violated")
         if alloc.kkt_residual is not None and (alloc.kkt_residual > tol_kkt).any():
             worst = np.nanmax(alloc.kkt_residual)

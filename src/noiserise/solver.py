@@ -13,6 +13,12 @@ problem's convex dual over the single budget multiplier; the simulator
 schedules every cell of a frame with the same code
 (:func:`solve_dual_frame`).  Both results are certified through
 first-order (KKT) residuals rather than trusted blindly.
+
+Exported are the two solvers, :func:`one_cell` for the per-cell
+schedulers, their errors and trace records, and the bandwidth
+multiplier's bracket and share map.  The steps :func:`solve_joint`
+alternates, its objective and its KKT residual are private and take
+unvalidated per-user lists ``w, e, l``.
 """
 
 from __future__ import annotations
@@ -27,41 +33,17 @@ from .model import Allocation, Cells, FrameAllocation, SolverConfig, budget_watt
 
 __all__ = [
     "NoTransmitterError",
-    "PowerStepResult",
-    "BandwidthStepResult",
     "IterationRecord",
-    "power_step",
     "lambda2_bounds",
-    "bandwidth_step",
     "bandwidth_for_multiplier",
     "solve_joint",
     "solve_dual",
-    "kkt_residual",
-    "objective",
     "one_cell",
 ]
 
 
 class NoTransmitterError(ValueError):
     """No user can carry positive rate (all excluded or zero bandwidth)."""
-
-
-@dataclass(frozen=True)
-class PowerStepResult:
-    p: list
-    lambda1: float
-    active_set: list
-
-    def __post_init__(self):
-        if not self.lambda1 > 0:
-            raise ValueError("lambda1 must be positive")
-
-
-@dataclass(frozen=True)
-class BandwidthStepResult:
-    x: list
-    lambda2: float
-    search_iterations: int
 
 
 @dataclass(frozen=True)
@@ -77,18 +59,13 @@ class IterationRecord:
     kkt_residual: float
 
 
-def _extract(links):
-    w = [float(u.weight) for u in links]
-    e = [float(u.norm_sinr) for u in links]
-    l = [float(u.norm_interference) for u in links]
-    return w, e, l
-
-
 # ---------------------------------------------------------------------------
 # power step
 
 
 def _power_step(x, w, e, l, budget):
+    """Water-filling powers for fixed shares ``x`` that spend ``budget``
+    exactly, and the budget price ``lambda1``."""
     order = [i for i in range(len(x)) if x[i] > 0.0 and w[i] > 0.0 and e[i] > 0.0]
     if not order:
         raise NoTransmitterError(
@@ -111,38 +88,11 @@ def _power_step(x, w, e, l, budget):
                 count = pos + 1
                 break
     p = [0.0] * len(x)
-    active = []
     for i in order[:count]:
         headroom = w[i] / (lam * l[i]) - 1.0 / e[i]
         if headroom > 0.0:
             p[i] = x[i] * headroom
-            active.append(i)
-    active.sort()
-    return p, lam, active
-
-
-def power_step(x, links, budget):
-    """Water-filling power update for fixed bandwidth fractions.
-
-    Grows the transmitting set in decreasing order of ``w*e/l`` while the
-    multiplier ``lambda1 = sum(w_i x_i) / (I + sum(l_i x_i / e_i))`` stays
-    below the next user's threshold, then assigns
-    ``p_i = x_i * [w_i/(lambda1 l_i) - 1/e_i]^+``, which spends the budget
-    exactly.  Users with no bandwidth get no power.
-    """
-    I = budget_watts(budget)
-    if len(x) != len(links):
-        raise ValueError("x and links must have the same length")
-    total = 0.0
-    for v in x:
-        if v < 0:
-            raise ValueError("bandwidth fractions must be >= 0")
-        total += v
-    if total > 1.0 + 1e-9:
-        raise ValueError("bandwidth fractions exceed the band")
-    w, e, l = _extract(links)
-    p, lam, active = _power_step(list(x), w, e, l, I)
-    return PowerStepResult(p=p, lambda1=lam, active_set=active)
+    return p, lam
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +106,7 @@ def _marginal_gap(a):
 
 
 _ALPHA_SATURATED = 700.0  # beyond this y the bandwidth share underflows to 0
+_MAX_SEARCH = 200  # multiplier trials per bandwidth step; a handful suffice in practice
 
 
 def _alpha(y, warm):
@@ -210,7 +161,7 @@ def lambda2_bounds(p, links):
     """
     if len(p) != len(links):
         raise ValueError("p and links must have the same length")
-    w, e, _ = _extract(links)
+    w, e = (a.tolist() for a in link_arrays(links)[:2])
     lo, hi, _ = _lambda2_bounds(p, w, e)
     return lo, hi
 
@@ -227,7 +178,7 @@ def bandwidth_for_multiplier(p, links, lambda2):
         raise ValueError("lambda2 must be <= 0")
     if len(p) != len(links):
         raise ValueError("p and links must have the same length")
-    w, e, _ = _extract(links)
+    w, e = (a.tolist() for a in link_arrays(links)[:2])
     out = []
     for i in range(len(p)):
         pe = p[i] * e[i]
@@ -244,7 +195,9 @@ def bandwidth_for_multiplier(p, links, lambda2):
     return out
 
 
-def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None, max_search=200):
+def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None):
+    """Shares summing to one for fixed powers ``p``, and the band price
+    ``lambda2``; users with no received power get none."""
     lo, hi, active = _lambda2_bounds(p, w, e)
     n = len(p)
     x = [0.0] * n
@@ -252,7 +205,7 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None,
         i = active[0]
         pe = p[i] * e[i]
         x[i] = 1.0
-        return x, w[i] * (pe / (1.0 + pe) - math.log1p(pe)), 0
+        return x, w[i] * (pe / (1.0 + pe) - math.log1p(pe))
     pes = [p[i] * e[i] for i in active]
     ws = [w[i] for i in active]
     shares = [0.0] * len(active)
@@ -262,11 +215,9 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None,
         lam = lambda2_init
     else:
         lam = 0.5 * (lo + hi)
-    searches = 0
     gap = math.inf
     polish = 0
-    while searches < max_search:
-        searches += 1
+    for _ in range(_MAX_SEARCH):
         total = -1.0
         slope = 0.0
         for k in range(len(active)):
@@ -315,27 +266,7 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None,
         )
     for k, i in enumerate(active):
         x[i] = shares[k]
-    return x, lam, searches
-
-
-def bandwidth_step(p, links, tol_bandwidth=1e-9, lambda2_init=None):
-    """Bandwidth update for fixed powers.
-
-    Searches the analytic bracket for the multiplier where the shares sum
-    to one (the sum is monotone in the multiplier, so a bracketed
-    Newton/bisection hybrid is safe), then returns the shares.  Users with
-    no received power get exactly zero bandwidth.
-    """
-    if len(p) != len(links):
-        raise ValueError("p and links must have the same length")
-    for v in p:
-        if v < 0:
-            raise ValueError("powers must be >= 0")
-    if not tol_bandwidth > 0:
-        raise ValueError("tol_bandwidth must be > 0")
-    w, e, _ = _extract(links)
-    x, lam, searches = _bandwidth_step(list(p), w, e, tol_bandwidth, lambda2_init)
-    return BandwidthStepResult(x=x, lambda2=lam, search_iterations=searches)
+    return x, lam
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +279,6 @@ def _objective(x, p, w, e):
         if x[i] > 0.0 and p[i] > 0.0:
             total += w[i] * x[i] * math.log1p(p[i] * e[i] / x[i])
     return total
-
-
-def objective(x, p, links):
-    """Weighted sum rate ``sum w_i x_i log(1 + p_i e_i / x_i)`` in nats.
-
-    The bandwidth factor is omitted; terms with x_i == 0 contribute 0.
-    """
-    if not len(x) == len(p) == len(links):
-        raise ValueError("x, p and links must have the same length")
-    w, e, _ = _extract(links)
-    return _objective(x, p, w, e)
 
 
 def one_cell(links, frame) -> Allocation:
@@ -381,6 +301,7 @@ def one_cell(links, frame) -> Allocation:
 
 
 def _kkt_residual(x, p, lam1, lam2, w, e, l, budget):
+    """Max-normed, dimensionless first-order residual of one cell's allocation."""
     res = abs(sum(x) - 1.0)
     spend = 0.0
     any_power = False
@@ -403,24 +324,6 @@ def _kkt_residual(x, p, lam1, lam2, w, e, l, budget):
             a = p[i] * e[i] / x[i]
             res = max(res, abs(w[i] * _marginal_gap(a) + lam2) / w[i])
     return res
-
-
-def kkt_residual(alloc, links, budget):
-    """Max-normed first-order optimality residual of a solver allocation.
-
-    Covers the two resource constraints, power stationarity (and dual
-    feasibility for silent users holding bandwidth), and bandwidth
-    stationarity; each block is normalized to be dimensionless.
-    """
-    I = budget_watts(budget)
-    if alloc.lambda1 is None or alloc.lambda2 is None:
-        raise ValueError("allocation carries no dual variables to certify")
-    if not alloc.lambda1 > 0:
-        raise ValueError("lambda1 must be positive")
-    if not len(alloc.x) == len(alloc.p) == len(links):
-        raise ValueError("allocation and links must have the same length")
-    w, e, l = _extract(links)
-    return _kkt_residual(alloc.x, alloc.p, alloc.lambda1, alloc.lambda2, w, e, l, I)
 
 
 def _refloor(x, w, e, l, lam1, lam2, eligible, floor):
@@ -496,13 +399,17 @@ def solve_joint(links, budget, config=None):
     the max-norm step change and the KKT residual are both within
     tolerance, or at ``max_iterations``; the result is ``certified`` iff
     the residual cleared ``config.tol_kkt``.
+
+    The iteration does not honour ``max_power``.  When no link's cap
+    binds, the uncapped optimum is also the capped one and is returned;
+    otherwise :class:`ValueError` ("max power violated") is raised.
     """
     cfg = config if config is not None else SolverConfig()
     I = budget_watts(budget)
     n = len(links)
     if n == 0:
         raise ValueError("at least one user required")
-    w, e, l = _extract(links)
+    w, e, l, cap = (a.tolist() for a in link_arrays(links))
     eligible = [i for i in range(n) if w[i] > 0.0 and e[i] > 0.0]
     if not eligible:
         raise NoTransmitterError("no user with positive weight and SINR")
@@ -513,27 +420,21 @@ def solve_joint(links, budget, config=None):
     trace = []
     lam2 = None
     prev_x = prev_p = None
-    xs = x
-    p = [0.0] * n
-    lam1 = 0.0
-    obj = 0.0
-    res = math.inf
-    it = 0
     converged = False
     history = []
     alphas = {}
     fallback_x = None  # plain continuation point while an accelerated step is on trial
     cooldown = 0
     for it in range(1, cfg.max_iterations + 1):
-        p, lam1, _ = _power_step(x, w, e, l, I)
-        xs, lam2, _ = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2, alphas)
+        p, lam1 = _power_step(x, w, e, l, I)
+        xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2, alphas)
         obj = _objective(xs, p, w, e)
         if fallback_x is not None:
             last_obj = trace[-1].objective
             if obj < last_obj - 1e-12 * max(1.0, abs(last_obj)):
                 # the extrapolation overshot: redo this iteration plainly
-                p, lam1, _ = _power_step(fallback_x, w, e, l, I)
-                xs, lam2, _ = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2, alphas)
+                p, lam1 = _power_step(fallback_x, w, e, l, I)
+                xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2, alphas)
                 obj = _objective(xs, p, w, e)
             fallback_x = None
         res = _kkt_residual(xs, p, lam1, lam2, w, e, l, I)
@@ -560,6 +461,9 @@ def solve_joint(links, budget, config=None):
                 x = candidate
                 history.clear()
                 cooldown = 1
+    over = [i for i, (pi, ci) in enumerate(zip(p, cap)) if pi > ci]
+    if over:
+        raise ValueError(f"max power violated by users {over}")
     return Allocation(
         x=list(xs),
         p=list(p),
@@ -868,6 +772,9 @@ def solve_dual(links, budget, config=None):
     residual as :func:`solve_joint`; only ``config.tol_kkt`` is used.
     ``iterations`` counts envelope probes, ``converged`` says the walk
     reached a stationary point, and there is no trace.
+
+    ``max_power`` is ignored, as in the simulator's ``nr`` frames: the
+    result may exceed a link's cap until the dual solve handles caps.
     """
     cfg = config if config is not None else SolverConfig()
     alloc = one_cell(links, partial(solve_dual_frame, budget=budget_watts(budget)))

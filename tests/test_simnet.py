@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from noiserise.baselines import schedule_fixed_power, schedule_target_sinr
 from noiserise.density import schedule_density, schedule_density_capped
-from noiserise.model import LN2, Cells, SolverConfig, UserLink, shannon_rate
+from noiserise.model import LN2, Cells, SolverConfig, UserLink, link_arrays
 from noiserise.simnet import (
     SCHEME_NAMES,
     Deployment,
@@ -30,9 +30,15 @@ from noiserise.simnet import (
     update_pf,
 )
 
-from noiserise.solver import NoTransmitterError, objective, solve_dual
+from noiserise.solver import NoTransmitterError, _objective, solve_dual
 
-from oracles import FrameMetrics, reference_quantize, reference_run_frame, reference_schedule
+from oracles import (
+    FrameMetrics,
+    reference_quantize,
+    reference_run_frame,
+    reference_schedule,
+    shannon_rate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +745,8 @@ def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links)
     frame = scheme.schedule(*frame_args)
     assert alloc.x == frame.x.tolist()
     assert alloc.p == frame.p.tolist()
-    assert alloc.objective == objective(alloc.x, alloc.p, links)
+    w, e, _, _ = link_arrays(links)
+    assert alloc.objective == _objective(alloc.x, alloc.p, w.tolist(), e.tolist())
     if frame.probes is not None:
         assert (alloc.lambda1, alloc.lambda2) == (frame.lambda1[0], frame.lambda2[0])
         assert alloc.iterations == frame.probes[0]

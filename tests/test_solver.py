@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +12,14 @@ from noiserise.simnet import Scheme, SimConfig, run_simulation
 from noiserise.solver import (
     _FLAT,
     NoTransmitterError,
+    _bandwidth_step,
     _kkt_residual,
     _objective,
+    _power_step,
     _seed_brackets,
     _user_rows,
     bandwidth_for_multiplier,
-    bandwidth_step,
-    kkt_residual,
     lambda2_bounds,
-    objective,
-    power_step,
     solve_dual,
     solve_dual_frame,
     solve_joint,
@@ -54,21 +53,34 @@ def _random_links(rng, m, lo=0.1, hi=20.0):
     return _links(rng.uniform(lo, hi, m), rng.uniform(lo, hi, m), rng.uniform(lo, hi, m))
 
 
+def _wel(links):
+    """Per-user ``w, e, l`` lists, as solve_joint reads them."""
+    return [a.tolist() for a in link_arrays(links)[:3]]
+
+
+def _active(p):
+    """The users the power step lets transmit."""
+    return [i for i, v in enumerate(p) if v > 0.0]
+
+
+TOL_BANDWIDTH = SolverConfig().tol_bandwidth
+
+
 # ---------------------------------------------------------------------------
 # power step
 
 
 def test_power_step_single_user():
-    res = power_step([1.0], _links([1.0], [1.0], [1.0]), 1.0)
-    assert res.lambda1 == pytest.approx(0.5, rel=1e-12)
-    assert res.p[0] == pytest.approx(1.0, rel=1e-12)
-    assert res.active_set == [0]
+    p, lambda1 = _power_step([1.0], *_wel(_links([1.0], [1.0], [1.0])), 1.0)
+    assert lambda1 == pytest.approx(0.5, rel=1e-12)
+    assert p[0] == pytest.approx(1.0, rel=1e-12)
+    assert _active(p) == [0]
 
 
 def test_power_step_symmetric_pair():
-    res = power_step([0.5, 0.5], _links([1, 1], [1, 1], [1, 1]), 1.0)
-    assert res.lambda1 == pytest.approx(0.5, rel=1e-12)
-    assert res.p == pytest.approx([0.5, 0.5], rel=1e-12)
+    p, lambda1 = _power_step([0.5, 0.5], *_wel(_links([1, 1], [1, 1], [1, 1])), 1.0)
+    assert lambda1 == pytest.approx(0.5, rel=1e-12)
+    assert p == pytest.approx([0.5, 0.5], rel=1e-12)
 
 
 def test_power_step_budget_spent_exactly():
@@ -78,8 +90,8 @@ def test_power_step_budget_spent_exactly():
         links = _random_links(rng, m)
         x = rng.dirichlet(np.ones(m)).tolist()
         budget = float(rng.uniform(0.5, 10.0))
-        res = power_step(x, links, budget)
-        spent = sum(l.norm_interference * p for l, p in zip(links, res.p))
+        p, _ = _power_step(x, *_wel(links), budget)
+        spent = sum(u.norm_interference * pi for u, pi in zip(links, p))
         assert spent == pytest.approx(budget, rel=1e-9)
 
 
@@ -89,12 +101,10 @@ def test_power_step_matches_bisection_oracle():
         links = _random_links(rng, 3)
         x = rng.dirichlet(np.ones(3)).tolist()
         budget = float(rng.uniform(0.5, 10.0))
-        res = power_step(x, links, budget)
-        w = [u.weight for u in links]
-        e = [u.norm_sinr for u in links]
-        l = [u.norm_interference for u in links]
+        w, e, l = _wel(links)
+        p, _ = _power_step(x, w, e, l, budget)
         p_ref, _mu = waterfill_bisect(x, w, e, l, budget)
-        assert res.p == pytest.approx(p_ref, abs=1e-8)
+        assert p == pytest.approx(p_ref, abs=1e-8)
 
 
 def test_power_step_remark_closed_form():
@@ -107,11 +117,11 @@ def test_power_step_remark_closed_form():
     x = [1.0 / m] * m
     budget = 50.0
     links = _links(np.ones(m), e, l)
-    res = power_step(x, links, budget)
+    p, _ = _power_step(x, *_wel(links), budget)
     level = budget + sum(x[j] * l[j] / e[j] for j in range(m))
     expected = [x[i] * (level / l[i] - 1.0 / e[i]) for i in range(m)]
-    assert res.p == pytest.approx(expected, rel=1e-12)
-    assert len(res.active_set) == m
+    assert p == pytest.approx(expected, rel=1e-12)
+    assert len(_active(p)) == m
 
 
 def test_power_step_water_level_monotone_in_interference():
@@ -122,21 +132,21 @@ def test_power_step_water_level_monotone_in_interference():
             UserLink(id=0, norm_interference=la, **base),
             UserLink(id=1, norm_interference=lb, **base),
         ]
-        res = power_step([0.5, 0.5], links, 20.0)
-        assert res.p[0] >= res.p[1]
+        p, _ = _power_step([0.5, 0.5], *_wel(links), 20.0)
+        assert p[0] >= p[1]
 
 
 def test_power_step_zero_bandwidth_user_gets_zero_power():
     links = _links([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    res = power_step([1.0, 0.0], links, 1.0)
-    assert res.p[1] == 0.0
-    assert res.active_set == [0]
+    p, _ = _power_step([1.0, 0.0], *_wel(links), 1.0)
+    assert p[1] == 0.0
+    assert _active(p) == [0]
 
 
 def test_power_step_no_transmitter():
     links = _links([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
     with pytest.raises(NoTransmitterError):
-        power_step([0.5, 0.5], links, 1.0)
+        _power_step([0.5, 0.5], *_wel(links), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +196,18 @@ def test_lambda2_bounds_need_received_power():
 
 
 def test_bandwidth_step_single_user_takes_band():
-    links = _links([2.0], [3.0], [1.0])
-    res = bandwidth_step([0.7], links)
-    assert res.x == [1.0]
+    w, e, _ = _wel(_links([2.0], [3.0], [1.0]))
+    x, lambda2 = _bandwidth_step([0.7], w, e, TOL_BANDWIDTH)
+    assert x == [1.0]
     pe = 0.7 * 3.0
-    assert res.lambda2 == pytest.approx(2.0 * (pe / (1 + pe) - math.log1p(pe)), rel=1e-12)
+    assert lambda2 == pytest.approx(2.0 * (pe / (1 + pe) - math.log1p(pe)), rel=1e-12)
 
 
 def test_bandwidth_step_identical_users_split_evenly():
-    links = _links([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    res = bandwidth_step([0.7, 0.7], links)
-    assert res.x[0] == pytest.approx(0.5, rel=1e-9)
-    assert res.x[1] == pytest.approx(0.5, rel=1e-9)
+    w, e, _ = _wel(_links([1.0, 1.0], [1.0, 1.0], [1.0, 1.0]))
+    x, _ = _bandwidth_step([0.7, 0.7], w, e, TOL_BANDWIDTH)
+    assert x[0] == pytest.approx(0.5, rel=1e-9)
+    assert x[1] == pytest.approx(0.5, rel=1e-9)
 
 
 def test_bandwidth_step_matches_reference_root():
@@ -205,14 +215,13 @@ def test_bandwidth_step_matches_reference_root():
     for _ in range(20):
         links = _random_links(rng, 3)
         p = rng.uniform(0.05, 3.0, 3).tolist()
-        res = bandwidth_step(p, links)
-        w = [u.weight for u in links]
-        e = [u.norm_sinr for u in links]
+        w, e, _ = _wel(links)
+        x, lambda2 = _bandwidth_step(p, w, e, TOL_BANDWIDTH)
         root = find_lambda2_ref(p, w, e)
         shares = bandwidth_shares_ref(p, w, e, root)
-        assert res.x == pytest.approx(shares, abs=1e-6)
+        assert x == pytest.approx(shares, abs=1e-6)
         lo, hi = lambda2_bounds(p, links)
-        assert lo - 1e-12 <= res.lambda2 <= hi + 1e-12
+        assert lo - 1e-12 <= lambda2 <= hi + 1e-12
 
 
 def test_bandwidth_share_sum_monotone_in_multiplier():
@@ -227,11 +236,23 @@ def test_bandwidth_share_sum_monotone_in_multiplier():
             assert b >= a - 1e-12
 
 
+def test_bandwidth_for_multiplier_outside_the_bracket():
+    # users 0 and 1 receive power; user 2 has no SINR and user 3 no power
+    links = _links([1.0, 2.0, 1.0, 1.0], [1.0, 3.0, 0.0, 2.0], [1.0] * 4)
+    p = [0.5, 0.2, 1.0, 0.0]
+    # a free band: every user with received power wants all of it
+    assert bandwidth_for_multiplier(p, links, 0.0) == [math.inf, math.inf, 0.0, 0.0]
+    # -lambda2/w = 1e4 is past the saturation point: the share underflows
+    assert bandwidth_for_multiplier([0.5], _links([1.0], [1.0], [1.0]), -1e4) == [0.0]
+    with pytest.raises(ValueError):
+        bandwidth_for_multiplier(p, links, 1e-3)
+
+
 def test_bandwidth_step_zero_power_user_gets_nothing():
-    links = _links([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    res = bandwidth_step([1.0, 0.0], links)
-    assert res.x[1] == 0.0
-    assert res.x[0] == pytest.approx(1.0, abs=1e-9)
+    w, e, _ = _wel(_links([1.0, 1.0], [1.0, 1.0], [1.0, 1.0]))
+    x, _ = _bandwidth_step([1.0, 0.0], w, e, TOL_BANDWIDTH)
+    assert x[1] == 0.0
+    assert x[0] == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +373,26 @@ def test_solve_joint_accepts_noise_rise_budget_object():
     assert alloc.certified
 
 
+def test_solve_joint_refuses_a_binding_power_cap():
+    # the golden optimum transmits p = (0.315, 2.74)
+    for caps in ((0.01, 0.01), (0.3, None), (None, 2.7)):
+        links = [replace(u, max_power=c) for u, c in zip(GOLDEN_LINKS, caps)]
+        with pytest.raises(ValueError, match="max power violated"):
+            solve_joint(links, GOLDEN_BUDGET)
+    # caps that do not bind leave the uncapped optimum as it is
+    loose = [replace(u, max_power=c) for u, c in zip(GOLDEN_LINKS, (0.32, 10.0))]
+    assert solve_joint(loose, GOLDEN_BUDGET) == solve_joint(GOLDEN_LINKS, GOLDEN_BUDGET)
+
+
 # ---------------------------------------------------------------------------
 # certification and objective
 
 
 def test_kkt_residual_small_at_reference_optimum():
     alloc = solve_joint(GOLDEN_LINKS, GOLDEN_BUDGET)
-    assert kkt_residual(alloc, GOLDEN_LINKS, GOLDEN_BUDGET) <= 1e-4
+    residual = _kkt_residual(alloc.x, alloc.p, alloc.lambda1, alloc.lambda2,
+                             *_wel(GOLDEN_LINKS), GOLDEN_BUDGET)
+    assert residual <= 1e-4
 
 
 def test_kkt_residual_decreases_along_trace():
@@ -371,44 +405,28 @@ def test_kkt_residual_decreases_along_trace():
 def test_kkt_residual_at_grid_optimum():
     # the reference instance has an interior optimum, so duals can be
     # implied from stationarity at the grid point
-    links = GOLDEN_LINKS
     budget = GOLDEN_BUDGET
-    w = [u.weight for u in links]
-    e = [u.norm_sinr for u in links]
-    l = [u.norm_interference for u in links]
+    w, e, l = _wel(GOLDEN_LINKS)
     best, x1, p1 = grid_search_two_user(w, e, l, budget, n=2000)
     x = [x1, 1.0 - x1]
     p = [p1, (budget - l[0] * p1) / l[1]]
     lam1 = np.mean([w[i] * x[i] * e[i] / (x[i] + p[i] * e[i]) / l[i] for i in range(2)])
     gap = lambda a: math.log1p(a) - a / (1.0 + a)
     lam2 = -np.mean([w[i] * gap(p[i] * e[i] / x[i]) for i in range(2)])
-    from noiserise.model import Allocation
-
-    alloc = Allocation(x=x, p=p, lambda1=float(lam1), lambda2=float(lam2))
-    assert kkt_residual(alloc, links, budget) <= 1e-2
-
-
-def test_kkt_residual_requires_duals():
-    from noiserise.model import Allocation
-
-    alloc = Allocation(x=[1.0], p=[1.0])
-    with pytest.raises(ValueError):
-        kkt_residual(alloc, _links([1.0], [1.0], [1.0]), 1.0)
+    assert _kkt_residual(x, p, float(lam1), float(lam2), w, e, l, budget) <= 1e-2
 
 
 def test_objective_values():
-    links = _links([2.0], [1.0], [1.0])
-    assert objective([1.0], [1.0], links) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
-    links2 = _links([1.0, 3.0], [1.0, 2.0], [1.0, 1.0])
-    assert objective([0.0, 0.5], [0.0, 0.0], links2) == 0.0
+    w, e, _ = _wel(_links([2.0], [1.0], [1.0]))
+    assert _objective([1.0], [1.0], w, e) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+    w2, e2, _ = _wel(_links([1.0, 3.0], [1.0, 2.0], [1.0, 1.0]))
+    assert _objective([0.0, 0.5], [0.0, 0.0], w2, e2) == 0.0
 
 
 def test_objective_matches_grid_at_reference():
-    w = [u.weight for u in GOLDEN_LINKS]
-    e = [u.norm_sinr for u in GOLDEN_LINKS]
-    l = [u.norm_interference for u in GOLDEN_LINKS]
+    w, e, l = _wel(GOLDEN_LINKS)
     best, _, _ = grid_search_two_user(w, e, l, GOLDEN_BUDGET, n=2000)
-    value = objective([GOLDEN_X1, 1 - GOLDEN_X1], [GOLDEN_P1, 4 - 4 * GOLDEN_P1], GOLDEN_LINKS)
+    value = _objective([GOLDEN_X1, 1 - GOLDEN_X1], [GOLDEN_P1, 4 - 4 * GOLDEN_P1], w, e)
     assert value == pytest.approx(best, abs=1e-3)
 
 

@@ -49,7 +49,8 @@ def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
 
     The winner is ``argmax w_i * log(1 + P * e_i)`` (ties to the lowest
     index) and takes the whole band at exactly ``P`` Watts regardless of
-    the interference it injects.
+    the interference it injects.  A ``power`` over the winner's
+    ``max_power`` raises :class:`ValueError`.
     """
     if not power > 0:
         raise ValueError(f"power must be > 0, got {power!r}")

@@ -302,7 +302,7 @@ def _with_scheme(cfg: SimConfig, **scheme_kwargs) -> SimConfig:
 
 
 def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes):
-    """Run every (scheme, dB) pair against a shared deployment seed.
+    """Run every (scheme, dB) pair on one shared deployment draw.
 
     The fixed-power baseline is calibrated per dB so its mean ingress
     matches the first noise-rise scheme's (or the budget itself when no
@@ -326,32 +326,37 @@ def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes):
     except ValueError as exc:
         raise ConfigError(f"scheme.{exc}") from None
     rows = []
-    for configs in by_db:
-        # the schemes run first: fixed is calibrated against one of them
-        bundles = [None if c.scheme.name == "fixed" else run_simulation(c) for c in configs]
-        # mean interference to match: the first budgeted scheme's, or the
-        # budget itself if the sweep holds only baselines
-        reference = next(
-            (bundle.mean_ingress_w() for c, bundle in zip(configs, bundles)
-             if c.scheme.name in ("nr", "nr_density", "nr_density_capped")),
-            configs[0].budget().linear_budget,
-        )
-        for run_cfg, bundle in zip(configs, bundles):
-            if bundle is not None:
-                rows.append(_sweep_row(run_cfg, bundle))
-                continue
-            calib_cfg = replace(run_cfg, run=replace(run_cfg.run, frames=_CALIBRATION_FRAMES))
+    # every run and calibration probe below shares one draw of the deployment;
+    # a scope, not a deployment argument, because bench/ counts the sweep's
+    # frames through its one-argument run_simulation(cfg) calls
+    with simnet.shared_draws():
+        for configs in by_db:
+            # the schemes run first: fixed is calibrated against one of them
+            bundles = [None if c.scheme.name == "fixed" else run_simulation(c) for c in configs]
+            # mean interference to match: the first budgeted scheme's, or the
+            # budget itself if the sweep holds only baselines
+            reference = next(
+                (bundle.mean_ingress_w() for c, bundle in zip(configs, bundles)
+                 if c.scheme.name in ("nr", "nr_density", "nr_density_capped")),
+                configs[0].budget().linear_budget,
+            )
+            for run_cfg, bundle in zip(configs, bundles):
+                if bundle is not None:
+                    rows.append(_sweep_row(run_cfg, bundle))
+                    continue
+                calib_cfg = replace(run_cfg, run=replace(run_cfg.run, frames=_CALIBRATION_FRAMES))
 
-            def mean_ingress(power, _cfg=calib_cfg):
-                return run_simulation(_with_scheme(_cfg, fixed_power_w=power)).mean_ingress_w()
+                def mean_ingress(power, _cfg=calib_cfg):
+                    return run_simulation(_with_scheme(_cfg, fixed_power_w=power)).mean_ingress_w()
 
-            try:
-                power = calibrate_fixed_power(mean_ingress, reference, initial_power=_power_guess(run_cfg))
-            except CalibrationError as exc:
-                rows.append(_sweep_row(run_cfg, status=f"calibration_failed: {exc}"))
-                continue
-            bundle = run_simulation(_with_scheme(run_cfg, fixed_power_w=power))
-            rows.append(_sweep_row(run_cfg, bundle, fixed_power_w=power))
+                guess = _power_guess(run_cfg)
+                try:
+                    power = calibrate_fixed_power(mean_ingress, reference, initial_power=guess)
+                except CalibrationError as exc:
+                    rows.append(_sweep_row(run_cfg, status=f"calibration_failed: {exc}"))
+                    continue
+                bundle = run_simulation(_with_scheme(run_cfg, fixed_power_w=power))
+                rows.append(_sweep_row(run_cfg, bundle, fixed_power_w=power))
     return rows
 
 
@@ -408,21 +413,34 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _number(name: str, value) -> float:
+    """A JSON number as a float; ``true`` and ``false`` are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _user_id(value):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"id must be an integer or a string, got {json.dumps(value)}")
+    return value
+
+
 def cmd_solve(args) -> int:
     try:
         with open(args.instance) as fh:
             instance = json.load(fh)
-        budget = budget_watts(instance["budget"])
+        budget = budget_watts(_number("budget", instance["budget"]))
         users = instance["users"]
         if not isinstance(users, list) or not users or not all(isinstance(u, dict) for u in users):
             raise ValueError("'users' must be a nonempty list of objects")
         links = [
             UserLink(
-                id=user.get("id", i),
-                weight=float(user["weight"]),
-                norm_sinr=float(user["norm_sinr"]),
-                norm_interference=float(user["norm_interference"]),
-                max_power=(float(user["max_power"]) if "max_power" in user else None),
+                id=_user_id(user.get("id", i)),
+                weight=_number("weight", user["weight"]),
+                norm_sinr=_number("norm_sinr", user["norm_sinr"]),
+                norm_interference=_number("norm_interference", user["norm_interference"]),
+                max_power=(_number("max_power", user["max_power"]) if "max_power" in user else None),
             )
             for i, user in enumerate(users)
         ]

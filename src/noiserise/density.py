@@ -81,7 +81,9 @@ def schedule_density(links: Sequence[UserLink], budget) -> Allocation:
     maximizing ``weight * log(1 + (I / l_i) e_i)`` takes the whole band
     at exactly that density.  Ties go to the lowest index; if every
     weighted rate is zero the lowest-index user is still scheduled (at
-    zero rate), so the output shape is always the same.
+    zero rate), so the output shape is always the same.  A winner whose
+    ``I / l_i`` breaks its ``max_power`` raises :class:`ValueError`;
+    :func:`schedule_density_capped` honours the cap.
     """
     return one_cell(links, partial(density_frame, budget=budget_watts(budget)))
 

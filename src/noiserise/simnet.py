@@ -12,6 +12,7 @@ gap a bounded egress budget narrows.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -51,6 +52,7 @@ __all__ = [
     "FrameAllocation",
     "cost_hata_pl",
     "build_deployment",
+    "shared_draws",
     "make_scheme",
     "run_frame",
     "update_pf",
@@ -290,6 +292,30 @@ class Deployment:
         return self.cells.index[bs, self.cells.valid[bs]]
 
 
+_draws: dict | None = None  # the shared draws while a shared_draws block runs
+
+
+@contextlib.contextmanager
+def shared_draws():
+    """Within the block, :func:`build_deployment` draws each
+    ``(DeploymentConfig, PathLossParams, seed)``, compared by value, once
+    and returns that one :class:`Deployment` to every later call.
+
+    A sweep's runs and calibration probes share one deployment config and
+    seed, so the sweep draws it once.  A nested block shares the outer
+    block's draws; when the outermost block ends, by return or by
+    exception, every call draws afresh again.
+    """
+    global _draws
+    outer = _draws
+    if outer is None:
+        _draws = {}
+    try:
+        yield
+    finally:
+        _draws = outer
+
+
 def build_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> Deployment:
     """Draw a deployment: lattice BSs, uniform MS positions, COST-Hata gains.
 
@@ -297,8 +323,18 @@ def build_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> De
     and plain modes use the same region, only the distance metric
     differs); the whole draw is rejected and repeated until every cell
     serves at least ``cfg.min_ms_per_cell`` mobiles.  Deterministic for a
-    given seed.
+    given seed.  The deployment's arrays are read-only, so a draw that
+    :func:`shared_draws` hands to several runs is the same for each.
     """
+    if _draws is None:
+        return _draw_deployment(cfg, channel, seed)
+    key = (cfg, channel, seed)
+    if key not in _draws:
+        _draws[key] = _draw_deployment(cfg, channel, seed)
+    return _draws[key]
+
+
+def _draw_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> Deployment:
     rng = np.random.default_rng(seed)
     bs_xy, u1, u2, centered = _lattice(cfg)
     shifts = _wrap_shifts(u1, u2, cfg.wrap)
@@ -314,7 +350,12 @@ def build_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> De
         serving = gain.argmax(axis=1)
         counts = np.bincount(serving, minlength=n_bs)
         if counts.min() >= cfg.min_ms_per_cell:
-            return Deployment(serving_map=serving, gain_matrix=gain)
+            deployment = Deployment(serving_map=serving, gain_matrix=gain)
+            cells = deployment.cells
+            for array in (serving, gain, deployment.serving_gain, deployment.norm_interference,
+                          cells.cell_of, cells.index, cells.valid):
+                array.flags.writeable = False
+            return deployment
     raise RuntimeError(
         f"could not place at least {cfg.min_ms_per_cell} MSs in each of "
         f"{n_bs} cells after {cfg.max_attempts} draws"

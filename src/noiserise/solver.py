@@ -286,11 +286,15 @@ def one_cell(links, frame) -> Allocation:
     ``frame(cells, w, e, l, cap)`` and return its shares, powers and
     weighted sum rate, plus the cell's prices, probes (as ``iterations``),
     convergence and KKT residual when the frame carries them; the
-    per-cell library functions are this call."""
+    per-cell library functions are this call.  A power over a link's
+    ``max_power`` raises :class:`ValueError` ("max power violated")."""
     if not links:
         raise ValueError("at least one user required")
     w, e, l, cap = link_arrays(links)
     alloc = frame(Cells.single(len(links)), w, e, l, cap)
+    over = np.flatnonzero(alloc.p > cap).tolist()
+    if over:
+        raise ValueError(f"max power violated by users {over}")
     x, p = alloc.x.tolist(), alloc.p.tolist()
     solved = {}
     if alloc.probes is not None:
@@ -773,8 +777,9 @@ def solve_dual(links, budget, config=None):
     ``iterations`` counts envelope probes, ``converged`` says the walk
     reached a stationary point, and there is no trace.
 
-    ``max_power`` is ignored, as in the simulator's ``nr`` frames: the
-    result may exceed a link's cap until the dual solve handles caps.
+    The walk does not honour ``max_power``, as the simulator's ``nr``
+    frames do not: when the uncapped optimum breaks a link's cap,
+    :class:`ValueError` ("max power violated") is raised.
     """
     cfg = config if config is not None else SolverConfig()
     alloc = one_cell(links, partial(solve_dual_frame, budget=budget_watts(budget)))

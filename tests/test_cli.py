@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import json
@@ -367,7 +368,14 @@ def test_cmd_solve_malformed_exit_1(tmp_path, capsys):
     path.write_text(json.dumps({"users": []}))
     assert main(["solve", str(path)]) == 1
     user = {"weight": 1.0, "norm_sinr": 3.0, "norm_interference": 0.5}
-    for budget, users in ((-1, [user]), ("nan", [user]), (2.0, [1, 2])):
+    # JSON booleans are not numbers, and an id is an integer or a string;
+    # at a budget of 0.25 W the user's power is 0.5 W, within a cap of true
+    not_numbers = [{**user, field: True} for field in ("weight", "norm_sinr", "norm_interference",
+                                                       "max_power")]
+    bad_ids = [{**user, "id": value} for value in (False, [1, 2], {"a": 1})]
+    found = {"weight": True, "norm_sinr": 3.0, "norm_interference": 0.5, "id": [1, 2]}
+    for budget, users in ((-1, [user]), ("nan", [user]), (2.0, [1, 2]), (True, [user]),
+                          *((0.25, [u]) for u in not_numbers + bad_ids), (True, [found])):
         path.write_text(json.dumps({"budget": budget, "users": users}))
         assert main(["solve", str(path)]) == 1
         assert "instance error" in capsys.readouterr().err
@@ -447,6 +455,69 @@ def test_cmd_sweep_failed_calibration_row_is_quoted(small_config, tmp_path, monk
         ("nr_density", "ok"), ("fixed", "calibration_failed"), ("nr_density", "ok"), ("fixed", "ok")]
     assert "bisection exhausted" in rows[1][7] and "," in rows[1][7]
     assert all(math.isnan(float(value)) for value in rows[1][2:7])
+
+
+# ---------------------------------------------------------------------------
+# one deployment draw per sweep
+
+
+def _counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The deployments actually drawn, shared or not."""
+    from noiserise import simnet
+
+    drawn = []
+    monkeypatch.setattr(simnet, "_draw_deployment", _counting(simnet._draw_deployment, drawn))
+    return drawn
+
+
+def test_sweep_draws_its_deployment_once(small_config, tmp_path, monkeypatch, draws):
+    from noiserise import cli, simnet
+
+    builds, runs = [], []
+    monkeypatch.setattr(simnet, "build_deployment", _counting(simnet.build_deployment, builds))
+    monkeypatch.setattr(cli, "run_simulation", _counting(cli.run_simulation, runs))
+    argv = ["--db", "2,5,7", "--schemes", "nr_density,fixed", "--set", "run.frames=8"]
+    assert main(["sweep", small_config, "--out", str(tmp_path / "shared"), *argv]) == 0
+    assert len(draws) == 1
+    # every run, and each dB point's calibration start, still asks for the deployment
+    calls = len(builds)
+    assert calls == len(runs) + 3 > 3
+    # a sweep whose every call draws afresh writes the same bytes
+    monkeypatch.setattr(simnet, "shared_draws", contextlib.nullcontext)
+    assert main(["sweep", small_config, "--out", str(tmp_path / "fresh"), *argv]) == 0
+    assert len(builds) == 2 * calls and len(draws) == 1 + calls
+    assert (tmp_path / "fresh" / "sweep.csv").read_bytes() == (tmp_path / "shared" / "sweep.csv").read_bytes()
+
+
+def test_runs_outside_a_sweep_draw_afresh(small_config, draws):
+    cfg, _ = load_config(small_config, ["run.frames=2"])
+    run_simulation(cfg)
+    run_simulation(cfg)
+    assert len(draws) == 2
+
+
+def test_sweep_that_raises_stops_sharing_its_draw(small_config, monkeypatch, draws):
+    from noiserise import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("calibration broke")
+
+    monkeypatch.setattr(cli, "calibrate_fixed_power", broken)
+    cfg, _ = load_config(small_config, ["run.frames=4"])
+    with pytest.raises(RuntimeError, match="calibration broke"):
+        cli.run_sweep(cfg, [2.0, 5.0], ["nr_density", "fixed"])
+    assert len(draws) == 1
+    run_simulation(cfg)
+    assert len(draws) == 2
 
 
 def test_cmd_sweep_bad_scheme_exit_1(small_config, tmp_path, capsys):

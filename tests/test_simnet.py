@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from noiserise.simnet import (
     run_frame,
     run_frames,
     run_simulation,
+    shared_draws,
     update_pf,
 )
 
@@ -101,6 +103,22 @@ def test_build_deployment_72_cells_722_ms():
     assert dep.n_ms == 722
     counts = np.bincount(dep.serving_map, minlength=72)
     assert counts.min() >= 2
+
+
+def test_shared_draw_is_one_read_only_deployment():
+    cfg = DeploymentConfig(rings=1, ms_per_cell=3)
+    with shared_draws():
+        dep = build_deployment(cfg, PathLossParams(), seed=4)
+        # the same config, path loss and seed, compared by value
+        assert build_deployment(DeploymentConfig(rings=1, ms_per_cell=3), PathLossParams(), 4) is dep
+        assert build_deployment(cfg, PathLossParams(), seed=5) is not dep
+        assert build_deployment(cfg, PathLossParams(shadowing_sigma_db=8.0), seed=4) is not dep
+    assert build_deployment(cfg, PathLossParams(), seed=4) is not dep
+    cells = dep.cells
+    for array in (dep.serving_map, dep.gain_matrix, dep.serving_gain, dep.norm_interference,
+                  cells.cell_of, cells.index, cells.valid):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
 
 
 def test_build_deployment_deterministic():
@@ -741,8 +759,15 @@ def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links)
         with pytest.raises(NoTransmitterError):
             scheme.schedule(*frame_args)
         return
-    alloc = schedule(links)
     frame = scheme.schedule(*frame_args)
+    over = np.flatnonzero(frame.p > frame_args[4]).tolist()
+    if over:
+        assert name not in ("nr_density_capped", "target_sinr")  # these two clamp at the cap
+        # the simulator's frame check refuses such powers; the per-cell call refuses them itself
+        with pytest.raises(ValueError, match=re.escape(f"max power violated by users {over}")):
+            schedule(links)
+        return
+    alloc = schedule(links)
     assert alloc.x == frame.x.tolist()
     assert alloc.p == frame.p.tolist()
     w, e, _, _ = link_arrays(links)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noiserise import simnet
+from noiserise.baselines import schedule_fixed_power, schedule_target_sinr
+from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import Cells, SolverConfig, UserLink, link_arrays
 from noiserise.simnet import Scheme, SimConfig, run_simulation
 from noiserise.solver import (
@@ -382,6 +385,20 @@ def test_solve_joint_refuses_a_binding_power_cap():
     # caps that do not bind leave the uncapped optimum as it is
     loose = [replace(u, max_power=c) for u, c in zip(GOLDEN_LINKS, (0.32, 10.0))]
     assert solve_joint(loose, GOLDEN_BUDGET) == solve_joint(GOLDEN_LINKS, GOLDEN_BUDGET)
+
+
+def test_per_cell_functions_refuse_a_broken_power_cap():
+    # the golden instance with both users capped at 0.01 W: the uncapped
+    # schedulers would transmit p = (0.315, 2.74), (0, 4) and (0.5, 0)
+    capped = [replace(u, max_power=0.01) for u in GOLDEN_LINKS]
+    for schedule, over in ((lambda: solve_dual(capped, GOLDEN_BUDGET), "[0, 1]"),
+                           (lambda: schedule_density(capped, GOLDEN_BUDGET), "[1]"),
+                           (lambda: schedule_fixed_power(capped, 0.5), "[0]")):
+        with pytest.raises(ValueError, match=re.escape(f"max power violated by users {over}")):
+            schedule()
+    # the schedulers that clamp at the cap are unaffected
+    for alloc in (schedule_density_capped(capped, GOLDEN_BUDGET), schedule_target_sinr(capped, 4.0)):
+        assert 0.0 < max(alloc.p) <= 0.01
 
 
 # ---------------------------------------------------------------------------

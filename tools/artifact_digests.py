@@ -60,6 +60,8 @@ INVOCATIONS = {
     "sweep_default": ["sweep"],
     "sweep_density_fixed_seed1": ["sweep", *DENSITY_FIXED, *_sets("run.seed=1")],
     "sweep_density_fixed_seed7243": ["sweep", *DENSITY_FIXED, *_sets("run.seed=7243")],
+    "sweep_shadowing8db": ["sweep", "--db", "2,5", "--schemes", "nr_density,fixed",
+                           *_sets("channel.shadowing_sigma_db=8")],
 }
 
 

@@ -399,27 +399,34 @@ class Scheme:
 
 
 def _frame_check(I, tol_kkt, egress=False, density=False):
-    """The check every scheme's frame must pass: no negative share or
-    power, no cell's band over 1, no power over its cap, and a KKT
-    residual within ``tol_kkt`` wherever the schedule carries one.
-    ``egress`` adds each cell's egress budget ``I`` (``nr``), ``density``
-    each user's interference density ``l p / x <= I`` (the density
-    schemes)."""
+    """The check every scheme's frame must pass: no negative, NaN or
+    infinite share or power, no cell's band over 1, no power over its cap,
+    no power on a user without band, and a KKT residual within ``tol_kkt``
+    wherever the schedule carries one.  ``egress`` adds each cell's egress
+    budget ``I`` (``nr``), ``density`` each user's interference density
+    ``l p / x <= I`` (the density schemes).  Every bound is written so that
+    NaN fails it, except the residual's: an empty cell's residual is NaN."""
 
     def check(cells, alloc, l, cap):
-        if (alloc.x < 0).any() or (alloc.p < 0).any():
-            raise AssertionError("negative allocation")
-        if (cells.sums(alloc.x) > 1.0 + _SLACK).any():
+        x, p = alloc.x, alloc.p
+        # reductions, which NaN fails, cost fewer numpy calls than sign
+        # tests; an infinite share overcommits its cell's band
+        if not (x.min() >= 0.0 and p.min() >= 0.0):
+            raise AssertionError("negative or NaN allocation")
+        if not cells.sums(x).max() <= 1.0 + _SLACK:
             raise AssertionError("bandwidth overcommitted")
-        if (alloc.p > cap * (1.0 + _SLACK)).any():
-            raise AssertionError("max power violated")
+        # strictly below, so that an infinite power fails an infinite cap
+        if not (p < cap * (1.0 + _SLACK)).all():
+            raise AssertionError("infinite power" if np.isinf(p).any() else "max power violated")
+        if p.dot(x == 0.0) > 0.0:  # the powers are finite and >= 0 here
+            raise AssertionError("power on a user without band")
         if egress:
-            spent = cells.sums(l * alloc.p)
-            if (spent > I * (1.0 + _SLACK)).any():
+            spent = cells.sums(l * p)
+            if not spent.max() <= I * (1.0 + _SLACK):
                 raise AssertionError(f"egress budget violated: {spent.max()} > {I}")
         if density:
-            on = alloc.x > 0
-            if (l[on] * alloc.p[on] / alloc.x[on] > I * (1.0 + _SLACK)).any():
+            on = x > 0
+            if not (l[on] * p[on] / x[on] <= I * (1.0 + _SLACK)).all():
                 raise AssertionError("per-user density cap violated")
         if alloc.kkt_residual is not None and (alloc.kkt_residual > tol_kkt).any():
             worst = np.nanmax(alloc.kkt_residual)
@@ -584,7 +591,9 @@ def run_frame(deployment: Deployment, scheme: Scheme, weights: np.ndarray, run: 
     writes row ``t`` of ``run``'s arrays and computes nothing the next
     frame does not need.
     """
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+    # NaN fails both comparisons, so two reductions refuse what
+    # isfinite().all() and (>= 0).all() would
+    if not (weights.min() >= 0.0 and weights.max() < math.inf):
         raise ValueError("PF weights must be finite and >= 0")
     cells = deployment.cells
     g = deployment.serving_gain

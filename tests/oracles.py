@@ -8,7 +8,7 @@ plain per-user, per-cell loops that the simulator's array code must
 reproduce, scoring each user with the scalar :func:`shannon_rate`.  The
 reference dual walk is the plain scalar form of ``solve_dual``: it starts
 from the outermost single-user minimisers and probes the envelope through
-per-user function calls.
+per-user function calls.  The CSV writer formats one row tuple at a time.
 """
 
 import math
@@ -573,3 +573,10 @@ def dual_optimum(w, e, l, I):
         p[lo_user] = (1.0 - share) * c_lo / l[lo_user]
     lam2 = -top
     return x, p, lam, lam2, steps, converged, _kkt_residual(x, p, lam, lam2, w, e, l, I)
+
+
+def reference_write_csv(path, header, row_format, rows):
+    """The per-row CSV writer: the header, then ``row_format % row`` for
+    each row tuple, one line each."""
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *(row_format % row for row in rows)]) + "\n")

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import noiserise
-from noiserise.cli import ConfigError, load_config, main
+from noiserise.cli import _BLOCK_ROWS, ConfigError, _write_csv, load_config, main
 from noiserise.simnet import SimConfig, run_simulation
+
+from oracles import reference_write_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -201,11 +203,14 @@ def test_cmd_run_byte_identical_reruns(small_config, tmp_path):
         assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes()
 
 
-def test_cmd_run_csv_floats_carry_12_significant_digits(small_config, tmp_path):
-    # every float in the run CSVs is format(v, ".12g") of the run's metrics
+@pytest.mark.parametrize("overrides", [[], ["deployment.rings=2", "run.frames=80"]],
+                         ids=["one_block", "several_blocks"])
+def test_cmd_run_csv_floats_carry_12_significant_digits(small_config, tmp_path, overrides):
+    # every float in the run CSVs is format(v, ".12g") of the run's metrics;
+    # 19 cells x 80 frames give frames.csv and powers.csv several row blocks
     out = tmp_path / "x"
-    assert main(["run", small_config, "--out", str(out)]) == 0
-    bundle = run_simulation(load_config(small_config)[0])
+    assert main(["run", small_config, "--out", str(out), *(a for o in overrides for a in ("--set", o))]) == 0
+    bundle = run_simulation(load_config(small_config, overrides)[0])
 
     def rows(name):
         with open(out / name, newline="") as fh:
@@ -229,6 +234,35 @@ def test_cmd_run_csv_floats_carry_12_significant_digits(small_config, tmp_path):
     totals = bundle.ms_bits.sum(axis=0)
     rates = totals / (bundle.n_frames * bundle.frame_duration_s)
     assert rows("per_ms.csv") == [[str(i), g(totals[i]), g(rates[i])] for i in range(bundle.n_ms)]
+
+
+_AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0, 12345678.5]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+def test_write_csv_matches_the_per_row_writer(tmp_path, n_rows):
+    # ints and %.12g floats, NaN, infinities, -0.0 and subnormals included,
+    # give the per-row writer's bytes on and around every block boundary
+    columns = [
+        list(range(n_rows)),
+        [(-7) ** (i % 5) for i in range(n_rows)],
+        [_AWKWARD_FLOATS[i % len(_AWKWARD_FLOATS)] for i in range(n_rows)],
+        [_AWKWARD_FLOATS[(3 * i + 1) % len(_AWKWARD_FLOATS)] * 10.0 ** (i % 7 - 3) for i in range(n_rows)],
+    ]
+    header, row_format = "a,b,c,d", "%d,%d,%.12g,%.12g"
+    _write_csv(str(tmp_path / "blocks.csv"), header, row_format, columns)
+    reference_write_csv(str(tmp_path / "rows.csv"), header, row_format, zip(*columns))
+    got = (tmp_path / "blocks.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.count(b"\n") == n_rows + 1
+    if n_rows == 0:
+        assert got == b"a,b,c,d\n"
+    assert not (tmp_path / "blocks.csv.tmp").exists()
+
+
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "x.csv"), "a,b", "%d,%d", [[1, 2], [1]])
 
 
 def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):

@@ -303,7 +303,7 @@ def test_run_frame_validates_weights():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=2), PathLossParams(), seed=2)
     cfg = SimConfig()
     scheme = make_scheme("nr_density", cfg.budget())
-    for weight in (np.nan, -1.0):
+    for weight in (np.nan, -1.0, np.inf):
         with pytest.raises(ValueError, match="weights"):
             run_frame(dep, scheme, np.full(dep.n_ms, weight), _Run(dep, cfg), 0)
 
@@ -332,6 +332,63 @@ def test_density_checks_reject_violations():
     negative = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([1.0, -0.5, 2.0]))
     with pytest.raises(AssertionError, match="negative"):
         plain(cells, negative, l, cap)
+
+
+class _FaultAt:
+    """Wraps a frame schedule so that frame ``at`` hands ``fault`` of its
+    allocation to the check."""
+
+    def __init__(self, inner, fault, at):
+        self.inner, self.fault, self.at, self.t = inner, fault, at, 0
+
+    def __call__(self, cells, w, e, l, cap):
+        alloc = self.inner(cells, w, e, l, cap)
+        if self.t == self.at:
+            alloc = self.fault(alloc)
+        self.t += 1
+        return alloc
+
+
+def _on_first_transmitter(field, value):
+    """A fault setting ``field`` of the first user holding band and power."""
+
+    def fault(alloc):
+        i = np.flatnonzero((alloc.x > 0) & (alloc.p > 0))[0]
+        values = getattr(alloc, field).copy()
+        values[i] = value
+        return replace(alloc, **{field: values})
+
+    return fault
+
+
+_FAULTS = {
+    "nan_share": (_on_first_transmitter("x", np.nan), "NaN allocation"),
+    "nan_power": (_on_first_transmitter("p", np.nan), "NaN allocation"),
+    "inf_power": (_on_first_transmitter("p", np.inf), "infinite power"),
+    "power_without_band": (_on_first_transmitter("x", 0.0), "without band"),
+}
+
+
+@pytest.mark.parametrize("at", [0, 2], ids=["first_frame", "last_frame"])
+@pytest.mark.parametrize("name, fault", [
+    (name, fault) for name in SCHEME_NAMES for fault in _FAULTS
+    # the egress and density bounds of the budgeted schemes refuse an
+    # infinite power already
+    if not (fault == "inf_power" and name in ("nr", "nr_density", "nr_density_capped"))
+])
+def test_frame_check_refuses_a_faulty_allocation(name, fault, at):
+    cfg = SimConfig(
+        deployment=DeploymentConfig(rings=1, ms_per_cell=3),
+        scheme=SchemeConfig(name=name, fixed_power_w=0.1, target_sinr=10.0),
+        run=RunConfig(frames=3),
+    )
+    dep = build_deployment(cfg.deployment, cfg.channel.pathloss, seed=5)
+    scheme = _schemes(cfg)[0]
+    run_frames(dep, scheme, cfg)  # the run passes without the fault
+    inject, message = _FAULTS[fault]
+    faulty = Scheme(name, _FaultAt(scheme.schedule, inject, at), scheme.check)
+    with pytest.raises(AssertionError, match=message):
+        run_frames(dep, faulty, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ __all__ = [
     "CalibrationError",
     "schedule_fixed_power",
     "calibrate_fixed_power",
+    "calibrate_in_lockstep",
     "schedule_target_sinr",
 ]
 
@@ -39,8 +40,8 @@ class CalibrationError(RuntimeError):
 
 def fixed_frame(cells: Cells, w, e, l, cap, power) -> FrameAllocation:
     """Each cell's user with the best weighted full-band rate at constant
-    power, ``w log(1 + P e)``, takes the band at exactly ``power``; ``l``
-    and ``cap`` are not used."""
+    power, ``w log(1 + P e)``, takes the band at exactly ``power`` (one
+    for all or one per user); ``l`` and ``cap`` are not used."""
     return winner_takes_band(cells, w * np.log1p(power * e), power)
 
 
@@ -70,9 +71,52 @@ def calibrate_fixed_power(
     The search expands geometrically from ``initial_power``, up or down
     as its first probe falls short of or overshoots the reference, until
     the reference is bracketed, then bisects in log scale until the
-    relative mismatch is within 2%.
+    relative mismatch is within 2%.  This is :func:`calibrate_in_lockstep`
+    with one search.
     """
-    ref = reference_mean_ingress
+    (power,) = calibrate_in_lockstep(
+        lambda powers: [run_mean_ingress(p) for p in powers.values()],
+        [reference_mean_ingress],
+        [initial_power],
+    )
+    if isinstance(power, CalibrationError):
+        raise power
+    return power
+
+
+def calibrate_in_lockstep(
+    run_round: Callable[[dict], Sequence[float]],
+    references: Sequence[float],
+    initial_powers: Sequence[float],
+) -> list:
+    """Run the :func:`calibrate_fixed_power` search for every reference
+    at once, from its initial power, advancing the searches in rounds.
+
+    Each round calls ``run_round({search: power})`` once, with the next
+    power of every unfinished search keyed by its index, and takes back
+    their mean ingresses in the same order.  Every search probes exactly
+    the powers it probes alone.  Returns per search its matched power, or
+    the :class:`CalibrationError` that ended it.
+    """
+    results = [None] * len(references)
+    searches = [_search(ref, power) for ref, power in zip(references, initial_powers)]
+    sent = dict.fromkeys(range(len(searches)))  # None starts a search
+    while sent:
+        powers = {}
+        for k, value in sent.items():
+            try:
+                powers[k] = searches[k].send(value)
+            except StopIteration as done:
+                results[k] = done.value
+            except CalibrationError as exc:
+                results[k] = exc
+        sent = dict(zip(powers, run_round(powers))) if powers else {}
+    return results
+
+
+def _search(ref: float, initial_power: float):
+    """The calibration search: yields each power to probe and is sent its
+    mean ingress; returns the matched power."""
     if not ref > 0:
         raise CalibrationError(f"reference mean ingress must be positive, got {ref!r}")
     if not initial_power > 0:
@@ -82,14 +126,14 @@ def calibrate_fixed_power(
         return abs(value - ref) / ref <= _TOLERANCE
 
     power = initial_power
-    value = run_mean_ingress(power)
+    value = yield power
     if within(value):
         return power
     rising = value < ref
     for _ in range(_MAX_EXPANSIONS):
         last = power
         power *= 4.0 if rising else 0.25
-        value = run_mean_ingress(power)
+        value = yield power
         if within(value):
             return power
         if value >= ref if rising else value <= ref:
@@ -102,7 +146,7 @@ def calibrate_fixed_power(
         )
     for _ in range(_MAX_BISECTIONS):
         power = math.sqrt(lo * hi)
-        value = run_mean_ingress(power)
+        value = yield power
         if within(value):
             return power
         if value < ref:

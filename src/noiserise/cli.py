@@ -28,7 +28,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__, simnet
-from .baselines import CalibrationError, calibrate_fixed_power
+from .baselines import CalibrationError, calibrate_in_lockstep
+from .baselines import calibrate_fixed_power  # noqa: F401 - bench/spans.py wraps cli.calibrate_fixed_power by name
 from .model import UserLink, budget_watts
 from .simnet import (
     ChannelConfig,
@@ -331,7 +332,10 @@ def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes):
     matches the first noise-rise scheme's (or the budget itself when no
     noise-rise scheme is in the sweep).  Returns one summary dict per
     pair, in sweep order; calibration failures mark the row and the sweep
-    continues.
+    continues.  Each other scheme runs over every dB point as one batch;
+    the calibrations advance in lockstep, each round one batch of the
+    next probe of every unfinished search; the calibrated ``fixed`` rows
+    then run as one batch.  Every run's figures are those it has alone.
     """
     if not noise_rise_dbs:
         raise ConfigError("sweep needs at least one noise-rise value")
@@ -348,39 +352,45 @@ def run_sweep(cfg: SimConfig, noise_rise_dbs, schemes):
         ]
     except ValueError as exc:
         raise ConfigError(f"scheme.{exc}") from None
-    rows = []
-    # every run and calibration probe below shares one draw of the deployment;
-    # a scope, not a deployment argument, because bench/ counts the sweep's
-    # frames through its one-argument run_simulation(cfg) calls
+    pairs = [(i, j) for i in range(len(by_db)) for j in range(len(schemes))]
+    fixed = [(i, j) for i, j in pairs if schemes[j] == "fixed"]
+    rows = {}
+    # mean interference to match: the first budgeted scheme's, or the
+    # budget itself if the sweep holds only baselines
+    references = [configs[0].budget().linear_budget for configs in by_db]
+    budgeted = next((j for j, name in enumerate(schemes)
+                     if name in ("nr", "nr_density", "nr_density_capped")), None)
+    # every run and calibration probe below shares one draw of the deployment
     with simnet.shared_draws():
-        for configs in by_db:
-            # the schemes run first: fixed is calibrated against one of them
-            bundles = [None if c.scheme.name == "fixed" else run_simulation(c) for c in configs]
-            # mean interference to match: the first budgeted scheme's, or the
-            # budget itself if the sweep holds only baselines
-            reference = next(
-                (bundle.mean_ingress_w() for c, bundle in zip(configs, bundles)
-                 if c.scheme.name in ("nr", "nr_density", "nr_density_capped")),
-                configs[0].budget().linear_budget,
-            )
-            for run_cfg, bundle in zip(configs, bundles):
-                if bundle is not None:
-                    rows.append(_sweep_row(run_cfg, bundle))
-                    continue
-                calib_cfg = replace(run_cfg, run=replace(run_cfg.run, frames=_CALIBRATION_FRAMES))
+        # the schemes run first: fixed is calibrated against one of them
+        for j, name in enumerate(schemes):
+            if name != "fixed":
+                for i, bundle in enumerate(run_simulation([configs[j] for configs in by_db])):
+                    rows[i, j] = _sweep_row(by_db[i][j], bundle)
+                    if j == budgeted:
+                        references[i] = bundle.mean_ingress_w()
+        calibration = [replace(by_db[i][j], run=replace(cfg.run, frames=_CALIBRATION_FRAMES))
+                       for i, j in fixed]
 
-                def mean_ingress(power, _cfg=calib_cfg):
-                    return run_simulation(_with_scheme(_cfg, fixed_power_w=power)).mean_ingress_w()
+        def probe_round(powers):
+            batch = run_simulation([_with_scheme(calibration[k], fixed_power_w=power)
+                                    for k, power in powers.items()])
+            return [bundle.mean_ingress_w() for bundle in batch]
 
-                guess = _power_guess(run_cfg)
-                try:
-                    power = calibrate_fixed_power(mean_ingress, reference, initial_power=guess)
-                except CalibrationError as exc:
-                    rows.append(_sweep_row(run_cfg, status=f"calibration_failed: {exc}"))
-                    continue
-                bundle = run_simulation(_with_scheme(run_cfg, fixed_power_w=power))
-                rows.append(_sweep_row(run_cfg, bundle, fixed_power_w=power))
-    return rows
+        powers = calibrate_in_lockstep(probe_round, [references[i] for i, _ in fixed],
+                                       [_power_guess(by_db[i][j]) for i, j in fixed])
+        calibrated = {}
+        for (i, j), power in zip(fixed, powers):
+            if isinstance(power, CalibrationError):
+                rows[i, j] = _sweep_row(by_db[i][j], status=f"calibration_failed: {power}")
+            else:
+                calibrated[i, j] = power
+        if calibrated:
+            batch = run_simulation([_with_scheme(by_db[i][j], fixed_power_w=power)
+                                    for (i, j), power in calibrated.items()])
+            for ((i, j), power), bundle in zip(calibrated.items(), batch):
+                rows[i, j] = _sweep_row(by_db[i][j], bundle, fixed_power_w=power)
+    return [rows[pair] for pair in pairs]
 
 
 def _power_guess(cfg: SimConfig) -> float:

@@ -9,7 +9,8 @@ users gives ``sum l_i p_i <= I * sum x_i <= I``.
 
 Each scheme is one frame function ``(cells, w, e, l, cap, budget)`` that
 schedules every cell of a :class:`Cells` layout at once from per-user
-arrays; the simulator binds it in ``make_scheme``, and the function
+arrays, the budget one for all users or one per user; the simulator binds
+it in ``make_scheme``, and the function
 taking a :class:`UserLink` list runs it on one cell through
 :func:`~noiserise.solver.one_cell`.
 """
@@ -52,7 +53,8 @@ def capped_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
     valid = np.take_along_axis(cells.valid, order, axis=1)
     cap_r = cap[ranked]
     l_r = l[ranked]
-    share = np.where(valid, cap_r * l_r / budget, 0.0)
+    budget_r = budget[ranked] if np.ndim(budget) else budget
+    share = np.where(valid, cap_r * l_r / budget_r, 0.0)
     band = np.empty((cells.n_cells, share.shape[1] + 1))
     band[:, 0] = 1.0
     band[:, 1:] = share
@@ -62,7 +64,7 @@ def capped_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
     full = live & (share <= before)  # granted its cap-limited share
     last = live & ~full  # takes whatever band is left
     x_r = np.where(full, share, np.where(last, before, 0.0))
-    p_r = np.where(full, cap_r, np.where(last, before * budget / l_r, 0.0))
+    p_r = np.where(full, cap_r, np.where(last, before * budget_r / l_r, 0.0))
     # band to spare after every user is capped: spread it over the grantees
     remaining = np.maximum(left[:, -1], 0.0)
     granted = 1.0 - remaining

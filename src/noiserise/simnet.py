@@ -48,6 +48,7 @@ __all__ = [
     "RunConfig",
     "SimConfig",
     "MetricsBundle",
+    "Batch",
     "Scheme",
     "FrameAllocation",
     "cost_hata_pl",
@@ -71,6 +72,11 @@ def _check_finite(config) -> None:
         value = getattr(config, f.name)
         if isinstance(value, float):
             _check_finite_value(f.name, value)
+
+
+def _read_only(*arrays) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +297,37 @@ class Deployment:
             raise ValueError(f"unknown BS id {bs!r}")
         return self.cells.index[bs, self.cells.valid[bs]]
 
+    def received(self, power: np.ndarray) -> np.ndarray:
+        """The power each BS receives from all mobiles: ``gain_matrix.T @ power``."""
+        return self.gain_matrix.T @ power
+
+
+class _Copies:
+    """``runs`` copies of a deployment side by side, as one layout of
+    ``runs * n_bs`` cells over ``runs * n_ms`` mobiles: copy ``r`` holds
+    cells ``r * n_bs`` on and mobiles ``r * n_ms`` on, in the deployment's
+    order, so each cell's users stay in ascending order.  A scheme
+    schedules every cell on its own, so the copies meet only in
+    :meth:`received`, which keeps one ``gain_matrix.T @ power`` per copy
+    and so sums each copy's received powers as a lone run does."""
+
+    def __init__(self, deployment: Deployment, runs: int):
+        self.deployment = deployment
+        self.runs = runs
+        self.n_bs = runs * deployment.n_bs
+        self.n_ms = runs * deployment.n_ms
+        shift = np.repeat(np.arange(runs) * deployment.n_bs, deployment.n_ms)
+        self.cells = Cells.from_cell_of(np.tile(deployment.cells.cell_of, runs) + shift, self.n_bs)
+        self.serving_gain = np.tile(deployment.serving_gain, runs)
+        self.norm_interference = np.tile(deployment.norm_interference, runs)
+        _read_only(self.serving_gain, self.norm_interference,
+                   self.cells.cell_of, self.cells.index, self.cells.valid)
+
+    def received(self, power: np.ndarray) -> np.ndarray:
+        n_ms = self.deployment.n_ms
+        gain_t = self.deployment.gain_matrix.T
+        return np.concatenate([gain_t @ power[r * n_ms:(r + 1) * n_ms] for r in range(self.runs)])
+
 
 _draws: dict | None = None  # the shared draws while a shared_draws block runs
 
@@ -352,9 +389,8 @@ def _draw_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> De
         if counts.min() >= cfg.min_ms_per_cell:
             deployment = Deployment(serving_map=serving, gain_matrix=gain)
             cells = deployment.cells
-            for array in (serving, gain, deployment.serving_gain, deployment.norm_interference,
-                          cells.cell_of, cells.index, cells.valid):
-                array.flags.writeable = False
+            _read_only(serving, gain, deployment.serving_gain, deployment.norm_interference,
+                       cells.cell_of, cells.index, cells.valid)
             return deployment
     raise RuntimeError(
         f"could not place at least {cfg.min_ms_per_cell} MSs in each of "
@@ -403,8 +439,9 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
     infinite share or power, no cell's band over 1, no power over its cap,
     no power on a user without band, and a KKT residual within ``tol_kkt``
     wherever the schedule carries one.  ``egress`` adds each cell's egress
-    budget ``I`` (``nr``), ``density`` each user's interference density
-    ``l p / x <= I`` (the density schemes).  Every bound is written so that
+    budget ``I``, one for all cells or one per cell (``nr``), ``density``
+    each user's interference density ``l p / x <= I``, one for all users or
+    one per user (the density schemes).  Every bound is written so that
     NaN fails it, except the residual's: an empty cell's residual is NaN."""
 
     def check(cells, alloc, l, cap):
@@ -422,11 +459,14 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             raise AssertionError("power on a user without band")
         if egress:
             spent = cells.sums(l * p)
-            if not spent.max() <= I * (1.0 + _SLACK):
-                raise AssertionError(f"egress budget violated: {spent.max()} > {I}")
+            within = spent <= I * (1.0 + _SLACK)
+            if not within.all():
+                k = np.flatnonzero(~within)[0]
+                budget = I[k] if np.ndim(I) else I
+                raise AssertionError(f"egress budget violated in cell {k}: {spent[k]} > {budget}")
         if density:
             on = x > 0
-            if not (l[on] * p[on] / x[on] <= I * (1.0 + _SLACK)).all():
+            if not (l[on] * p[on] / x[on] <= (I[on] if np.ndim(I) else I) * (1.0 + _SLACK)).all():
                 raise AssertionError("per-user density cap violated")
         if alloc.kkt_residual is not None and (alloc.kkt_residual > tol_kkt).any():
             worst = np.nanmax(alloc.kkt_residual)
@@ -439,30 +479,43 @@ def make_scheme(
     name: str,
     budget,
     solver_config: SolverConfig | None = None,
-    fixed_power: float | None = None,
+    fixed_power=None,
     target_sinr: float | None = None,
     assumed_noise_plus_interference: float | None = None,
+    cells: Cells | None = None,
 ) -> Scheme:
-    """Build the named scheduling scheme against a common budget."""
-    I = budget_watts(budget)
+    """Build the named scheduling scheme.
+
+    ``budget`` (a :class:`NoiseRiseBudget` or Watts) and ``fixed_power``
+    hold one value for every cell; with ``cells``, they are arrays of one
+    value per cell of that layout, the only layout the scheme then
+    schedules.  ``assumed_noise_plus_interference`` is not used: no
+    scheme reads it, and it is accepted so that existing callers keep
+    working.
+    """
+    if cells is None:
+        I = I_user = budget_watts(budget)
+    else:
+        I = np.array(budget, dtype=float)
+        if I.shape != (cells.n_cells,) or not (I.min() > 0 and I.max() < math.inf):
+            raise ValueError(f"budget must be one positive finite power per cell, got {budget!r}")
+        I_user = I[cells.cell_of]
+        if fixed_power is not None:
+            fixed_power = np.asarray(fixed_power, dtype=float)[cells.cell_of]
     tol_kkt = (solver_config if solver_config is not None else SolverConfig()).tol_kkt
     if name == "nr":
         return Scheme(name, partial(solve_dual_frame, budget=I), _frame_check(I, tol_kkt, egress=True))
     if name == "nr_density":
-        return Scheme(name, partial(density_frame, budget=I), _frame_check(I, tol_kkt, density=True))
+        return Scheme(name, partial(density_frame, budget=I_user), _frame_check(I_user, tol_kkt, density=True))
     if name == "nr_density_capped":
-        return Scheme(name, partial(capped_frame, budget=I), _frame_check(I, tol_kkt, density=True))
+        return Scheme(name, partial(capped_frame, budget=I_user), _frame_check(I_user, tol_kkt, density=True))
     if name == "fixed":
-        if fixed_power is None or not fixed_power > 0:
+        if fixed_power is None or not np.min(fixed_power) > 0:
             raise ValueError("scheme 'fixed' needs a positive fixed_power")
         return Scheme(name, partial(fixed_frame, power=fixed_power), _frame_check(I, tol_kkt))
     if name == "target_sinr":
         if target_sinr is None or not target_sinr > 0:
             raise ValueError("scheme 'target_sinr' needs a positive target_sinr")
-        if assumed_noise_plus_interference is None:
-            raise ValueError("scheme 'target_sinr' needs the assumed noise-plus-interference power")
-        if not assumed_noise_plus_interference > 0:
-            raise ValueError("assumed_noise_plus_interference must be > 0")
         return Scheme(name, partial(target_sinr_frame, target_sinr=target_sinr), _frame_check(I, tol_kkt))
     raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
 
@@ -511,35 +564,44 @@ _SOLVER_FIELDS = ("kkt_residual", "probes", "kinks")
 
 
 class _Run:
-    """A run's constants and the run-sized arrays its frames write into.
+    """The constants of a run, or of a batch of runs on copies of one
+    deployment (:class:`_Copies`), and the arrays its frames write into.
 
-    The noise power, budget, scheduling SINR ``g / (N0*B + I)``, power
-    caps, band, frame duration and quantization are computed once from
-    ``cfg``, whose dataclasses checked them when it was built.  Frame
-    ``t`` writes row ``t`` of the MS powers and delivered bits, the BS
-    ingress and, for the exact dual solver, the per-cell KKT residuals,
-    envelope probes and kink searches; :meth:`metrics` derives the rest
-    once, after the last frame.
+    ``cfg`` is one :class:`SimConfig` or a batch of them (see
+    :func:`_batch`).  The noise power, band, frame duration, quantization,
+    PF settings (``run_cfg``) and power caps are the batch's; each run's
+    budget and its users' scheduling SINR ``g / (N0*B + I)`` are its own.
+    All are computed once from configs whose dataclasses checked them when
+    they were built.  Frame ``t`` writes row ``t`` of the MS powers and
+    delivered bits, the BS ingress and, for the exact dual solver, the
+    per-cell KKT residuals, envelope probes and kink searches, each run in
+    its own columns; :meth:`metrics` derives the rest once, after the last
+    frame.
     """
 
-    def __init__(self, deployment: Deployment, cfg: SimConfig):
-        frames, n_ms = cfg.run.frames, deployment.n_ms
-        self.scheme = cfg.scheme.name
-        self.band = cfg.channel.bandwidth_hz
-        self.p_noise = cfg.channel.noise_power_w
-        self.budget_w = cfg.budget().linear_budget
-        self.frame_duration_s = cfg.run.frame_duration_s
-        self.quantize_units = cfg.run.quantize_units
-        max_power = cfg.scheme.max_power_w
+    def __init__(self, layout, cfg):
+        configs = _batch(cfg)
+        self.single = isinstance(cfg, SimConfig)
+        self.runs = runs = len(configs)
+        first = configs[0]
+        self.run_cfg = first.run
+        frames, n_ms = first.run.frames, layout.n_ms
+        self.scheme = first.scheme.name
+        self.band = first.channel.bandwidth_hz
+        self.p_noise = first.channel.noise_power_w
+        self.budgets = [c.budget().linear_budget for c in configs]
+        self.frame_duration_s = first.run.frame_duration_s
+        self.quantize_units = first.run.quantize_units
+        max_power = first.scheme.max_power_w
         # every frame hands the same two arrays to the scheme, so no frame may edit them
-        self.e = deployment.serving_gain / (self.p_noise + self.budget_w)
+        self.e = layout.serving_gain / (self.p_noise + np.repeat(self.budgets, n_ms // runs))
         self.cap = np.full(n_ms, math.inf if max_power is None else max_power)
-        self.e.flags.writeable = self.cap.flags.writeable = False
-        self.cells = deployment.cells
-        self.l = deployment.norm_interference
+        _read_only(self.e, self.cap)
+        self.cells = layout.cells
+        self.l = layout.norm_interference
         self.power = np.empty((frames, n_ms))
         self.bits = np.zeros((frames, n_ms))
-        self.ingress = np.empty((frames, deployment.n_bs))
+        self.ingress = np.empty((frames, layout.n_bs))
         self.solver = {}
 
     def record(self, t: int, alloc: FrameAllocation) -> None:
@@ -552,44 +614,58 @@ class _Run:
                     self.solver[name] = np.empty((len(self.power), len(row)), row.dtype)
                 self.solver[name][t] = row
 
-    def metrics(self) -> MetricsBundle:
-        """The run's :class:`MetricsBundle`.  Frame ``t``'s users are binned
-        at ``t * n_cells + cell``, so one ``bincount`` adds each cell's
-        users in ascending order, as :meth:`Cells.sums` does per frame."""
-        n_frames, n_cells = self.ingress.shape
-        bins = (np.arange(n_frames)[:, None] * n_cells + self.cells.cell_of).ravel()
+    def metrics(self):
+        """The run's :class:`MetricsBundle`, or a batch's :class:`Batch`.
+        Frame ``t``'s users are binned at ``t * n_cells + cell``, so one
+        ``bincount`` adds each cell's users in ascending order, as
+        :meth:`Cells.sums` does per frame."""
+        n_frames = len(self.power)
+        n_ms, n_cells = self.power.shape[1] // self.runs, self.ingress.shape[1] // self.runs
+        bins = (np.arange(n_frames)[:, None] * n_cells + self.cells.cell_of[:n_ms]).ravel()
 
         def cell_sums(values):
             sums = np.bincount(bins, weights=values.ravel(), minlength=n_frames * n_cells)
             return sums.reshape(n_frames, n_cells)
 
-        return MetricsBundle(
-            scheme=self.scheme,
-            budget_w=self.budget_w,
-            bandwidth_hz=self.band,
-            frame_duration_s=self.frame_duration_s,
-            cell_bits=cell_sums(self.bits),
-            ingress_w=self.ingress,
-            ingress_db=10.0 * np.log10((self.p_noise + self.ingress) / self.p_noise),
-            egress_w=cell_sums(self.l * self.power),
-            ms_power_w=self.power,
-            ms_bits=self.bits,
-            **{name: self.solver.get(name) for name in _SOLVER_FIELDS},
-        )
+        def bundle(r):
+            users, cells = slice(r * n_ms, (r + 1) * n_ms), slice(r * n_cells, (r + 1) * n_cells)
+            # the MS arrays are views of run r's columns: a bundle reduces
+            # them only along frames, which adds in frame order on any
+            # strides; the ingress, which mean and std reduce whole, is
+            # copied out, so that it sums as a lone run's contiguous array
+            power, bits = self.power[:, users], self.bits[:, users]
+            ingress = np.ascontiguousarray(self.ingress[:, cells])
+            return MetricsBundle(
+                scheme=self.scheme,
+                budget_w=self.budgets[r],
+                bandwidth_hz=self.band,
+                frame_duration_s=self.frame_duration_s,
+                cell_bits=cell_sums(bits),
+                ingress_w=ingress,
+                ingress_db=10.0 * np.log10((self.p_noise + ingress) / self.p_noise),
+                egress_w=cell_sums(self.l[users] * power),
+                ms_power_w=power,
+                ms_bits=bits,
+                **{name: values[:, cells] for name, values in self.solver.items()},
+            )
+
+        bundles = Batch(bundle(r) for r in range(self.runs))
+        return bundles[0] if self.single else bundles
 
 
-def run_frame(deployment: Deployment, scheme: Scheme, weights: np.ndarray, run: _Run, t: int) -> np.ndarray:
+def run_frame(deployment, scheme: Scheme, weights: np.ndarray, run: _Run, t: int) -> np.ndarray:
     """Schedule every cell of frame ``t`` against the planned interference,
     then score it at the interference that actually materialized; returns
     the frame's delivered bits per MS.
 
-    Scheduling builds each user's normalized SINR from the budgeted
-    noise-plus-interference ``N0*B + I``; delivered bits use the measured
-    ingress at the serving BS instead, spread uniformly over the band.
-    Cells are independent within a frame, so the scheme schedules and
-    checks all of them in one call on per-mobile arrays.  The frame
-    writes row ``t`` of ``run``'s arrays and computes nothing the next
-    frame does not need.
+    ``deployment`` is a :class:`Deployment`, or the :class:`_Copies` of a
+    batch, whose ``n_bs`` cells are all scheduled here.  Scheduling builds
+    each user's normalized SINR from the budgeted noise-plus-interference
+    ``N0*B + I``; delivered bits use the measured ingress at the serving
+    BS instead, spread uniformly over the band.  Cells are independent
+    within a frame, so the scheme schedules and checks all of them in one
+    call on per-mobile arrays.  The frame writes row ``t`` of ``run``'s
+    arrays and computes nothing the next frame does not need.
     """
     # NaN fails both comparisons, so two reductions refuse what
     # isfinite().all() and (>= 0).all() would
@@ -606,7 +682,7 @@ def run_frame(deployment: Deployment, scheme: Scheme, weights: np.ndarray, run: 
     frac, power = alloc.x, alloc.p
 
     ingress = run.ingress[t]
-    np.maximum(deployment.gain_matrix.T @ power - cells.sums(g * power), 0.0, out=ingress)
+    np.maximum(deployment.received(power) - cells.sums(g * power), 0.0, out=ingress)
 
     bits = run.bits[t]
     on = np.flatnonzero((frac > 0.0) & (power > 0.0))
@@ -785,29 +861,77 @@ class MetricsBundle:
         return float(totals.sum()) ** 2 / denom
 
 
-def run_frames(deployment: Deployment, scheme: Scheme, cfg: SimConfig) -> MetricsBundle:
+class Batch(tuple):
+    """The :class:`MetricsBundle` of every run of a batch, in the order of
+    their configs."""
+
+    @property
+    def n_frames(self) -> int:
+        return self[0].n_frames
+
+    @property
+    def n_cells(self) -> int:
+        """The cells of every run, so that ``n_cells * n_frames`` counts
+        the batch's cell-frames."""
+        return sum(bundle.n_cells for bundle in self)
+
+
+def _batch(cfg) -> list:
+    """The configs of ``cfg``: one :class:`SimConfig`, a batch of one, or a
+    nonempty sequence of them that differ only in the scheme's
+    ``noise_rise_db`` and ``fixed_power_w``, so that they run as one."""
+    if isinstance(cfg, SimConfig):
+        return [cfg]
+    configs = list(cfg)
+    if not configs:
+        raise ValueError("a batch needs at least one config")
+    first = configs[0].scheme
+    for c in configs:
+        if replace(c, scheme=replace(c.scheme, noise_rise_db=first.noise_rise_db,
+                                     fixed_power_w=first.fixed_power_w)) != configs[0]:
+            raise ValueError("the configs of a batch may differ only in scheme.noise_rise_db "
+                             "and scheme.fixed_power_w")
+    return configs
+
+
+def run_frames(deployment, scheme: Scheme, cfg):
     """Run ``cfg.run.frames`` frames of ``scheme`` on ``deployment``, the
     proportional-fair weights of each frame ``1 / t_avg`` of the bits
-    delivered before it."""
+    delivered before it.  For a batch of configs, ``deployment`` is their
+    :class:`_Copies` and ``scheme`` schedules that layout."""
     run = _Run(deployment, cfg)
-    t_avg = np.full(deployment.n_ms, cfg.run.pf_init, dtype=float)
+    run_cfg = run.run_cfg
+    t_avg = np.full(deployment.n_ms, run_cfg.pf_init, dtype=float)
     # bench/ wraps run_frame and update_pf by their simnet names, so both
     # stay module-level calls, once per frame
-    for t in range(cfg.run.frames):
-        update_pf(t_avg, run_frame(deployment, scheme, 1.0 / t_avg, run, t), cfg.run.pf_beta)
+    for t in range(run_cfg.frames):
+        update_pf(t_avg, run_frame(deployment, scheme, 1.0 / t_avg, run, t), run_cfg.pf_beta)
     return run.metrics()
 
 
-def run_simulation(cfg: SimConfig) -> MetricsBundle:
-    """Build the deployment and the scheme, then run the frame loop."""
-    deployment = build_deployment(cfg.deployment, cfg.channel.pathloss, cfg.run.seed)
-    budget = cfg.budget()
+def run_simulation(cfg):
+    """Build the deployment and the scheme, then run the frame loop.
+
+    ``cfg`` is one :class:`SimConfig`, which returns its
+    :class:`MetricsBundle`, or a sequence of configs that differ only in
+    the scheme's ``noise_rise_db`` and ``fixed_power_w`` (else
+    ``ValueError``), which returns their :class:`Batch`.  A batch runs as
+    one: the frame loop schedules copies of the one deployment draw side
+    by side (:class:`_Copies`), each with its run's budget and fixed power
+    per cell, and every run's figures equal its own run's.
+    """
+    configs = _batch(cfg)
+    first = configs[0]
+    deployment = build_deployment(first.deployment, first.channel.pathloss, first.run.seed)
+    layout = deployment if len(configs) == 1 else _Copies(deployment, len(configs))
+    n_bs = deployment.n_bs
     scheme = make_scheme(
-        cfg.scheme.name,
-        budget,
-        solver_config=cfg.solver,
-        fixed_power=cfg.scheme.fixed_power_w,
-        target_sinr=cfg.scheme.target_sinr,
-        assumed_noise_plus_interference=cfg.channel.noise_power_w + budget.linear_budget,
+        first.scheme.name,
+        np.repeat([c.budget().linear_budget for c in configs], n_bs),
+        solver_config=first.solver,
+        fixed_power=(np.repeat([c.scheme.fixed_power_w for c in configs], n_bs)
+                     if first.scheme.name == "fixed" else None),
+        target_sinr=first.scheme.target_sinr,
+        cells=layout.cells,
     )
-    return run_frames(deployment, scheme, cfg)
+    return run_frames(layout, scheme, cfg)

@@ -499,8 +499,9 @@ def _seed_brackets(W, ratio, beta, S, use, I):
 
     ``W, ratio, beta, S`` are (cells, width) matrices of ``w``, ``w e/l``,
     ``l/e`` and the minimisers ``w/(I + l/e)``, with ``W = 0`` where
-    ``use`` marks no user.  One (cells, width, width) pass evaluates the
-    envelope of the band values at every candidate.  Where one user tops
+    ``use`` marks no user, and ``I`` is a column of the cells' budgets.
+    One (cells, width, width) pass evaluates the envelope of the band
+    values at every candidate.  Where one user tops
     it alone, the walk's spend/slack rule says whether the candidate lies
     left of the optimum, right of it, or on it; a candidate where another
     band value comes within ``_GUARD`` of the top is left to a probe, so
@@ -657,9 +658,9 @@ def _walk(ws, rs, bs, ss, ls, I, left, right, lam):
 
 
 def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
-    """:func:`_kkt_residual` of every cell at once (NaN for a cell with no
-    users), for per-user ``x, p`` in which every user holding band has a
-    positive weight and SINR."""
+    """:func:`_kkt_residual` of every cell at once against its budget in
+    ``I`` (NaN for a cell with no users), for per-user ``x, p`` in which
+    every user holding band has a positive weight and SINR."""
     res = np.abs(cells.sums(x) - 1.0)
     res = np.where(cells.sums(p) > 0.0, np.maximum(res, np.abs(cells.sums(l * p) - I) / I), res)
     on = np.flatnonzero((x > 0.0) | (p > 0.0))
@@ -682,7 +683,8 @@ def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
 def _user_rows(cells: Cells, w, e, l, I):
     """Each cell's users with positive weight and SINR, as (cells, width)
     matrices: mobile ``index``, ``use`` mask, ``W`` (0 in padding), ``L``,
-    ``ratio = w e/l``, ``beta = l/e`` and the single-user minimisers ``S``.
+    ``ratio = w e/l``, ``beta = l/e`` and the single-user minimisers ``S``
+    for the column ``I`` of the cells' budgets.
     Raises :class:`NoTransmitterError` if a cell has users but none of
     them eligible."""
     ok = (w > 0.0) & (e > 0.0)
@@ -701,10 +703,10 @@ def _user_rows(cells: Cells, w, e, l, I):
     return index, use, W, L, W * E / L, beta, np.where(use, W / (I + beta), 1.0)
 
 
-def solve_dual_frame(cells: Cells, w, e, l, cap, budget: float) -> FrameAllocation:
+def solve_dual_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
     """:func:`solve_dual` for every cell of the ``cells`` layout at once,
-    on per-user arrays ``w, e, l`` and a budget in Watts; ``cap`` is not
-    used.
+    on per-user arrays ``w, e, l`` and a budget in Watts, one for all
+    cells or one per cell; ``cap`` is not used.
 
     One array pass over all cells seeds each cell's walk with the tightest
     bracket among its users' single-user minimisers (see
@@ -715,8 +717,9 @@ def solve_dual_frame(cells: Cells, w, e, l, cap, budget: float) -> FrameAllocati
     weight and SINR.
     """
     n_cells = cells.n_cells
-    index, use, W, L, ratio, beta, S = _user_rows(cells, w, e, l, budget)
-    lo, a_lo, hi, b_hi, start = _seed_brackets(W, ratio, beta, S, use, budget)
+    budget = np.broadcast_to(np.asarray(budget, dtype=float), (n_cells,))
+    index, use, W, L, ratio, beta, S = _user_rows(cells, w, e, l, budget[:, None])
+    lo, a_lo, hi, b_hi, start = _seed_brackets(W, ratio, beta, S, use, budget[:, None])
 
     x = np.zeros(len(w))
     p = np.zeros(len(w))
@@ -728,15 +731,15 @@ def solve_dual_frame(cells: Cells, w, e, l, cap, budget: float) -> FrameAllocati
     users, xs, ps = [], [], []
     rows = zip(use.sum(axis=1).tolist(), index.tolist(), W.tolist(), ratio.tolist(), beta.tolist(),
                S.tolist(), L.tolist(), lo.tolist(), a_lo.tolist(), hi.tolist(), b_hi.tolist(),
-               start.tolist())
-    for k, (n, ids, ws, rs, bs, ss, ls, lo_k, a, hi_k, b, start_k) in enumerate(rows):
+               start.tolist(), budget.tolist())
+    for k, (n, ids, ws, rs, bs, ss, ls, lo_k, a, hi_k, b, start_k, I) in enumerate(rows):
         if not n:
             continue
         left = (lo_k, a, [a]) if lo_k > -math.inf else None
         right = (hi_k, b, [b]) if hi_k < math.inf else None
         first = start_k if start_k < math.inf else None
         lam1[k], lam2[k], probes[k], kinks[k], converged[k], alloc = _walk(
-            ws[:n], rs[:n], bs[:n], ss[:n], ls[:n], budget, left, right, first)
+            ws[:n], rs[:n], bs[:n], ss[:n], ls[:n], I, left, right, first)
         for i, xi, pi in alloc:
             users.append(ids[i])
             xs.append(xi)

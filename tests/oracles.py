@@ -8,11 +8,13 @@ plain per-user, per-cell loops that the simulator's array code must
 reproduce, scoring each user with the scalar :func:`shannon_rate`.  The
 reference dual walk is the plain scalar form of ``solve_dual``: it starts
 from the outermost single-user minimisers and probes the envelope through
-per-user function calls.  The CSV writer formats one row tuple at a time.
+per-user function calls.  The CSV writer formats one row tuple at a time,
+and the sweep runs one simulation per config and one calibration search
+per dB point.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -580,3 +582,45 @@ def reference_write_csv(path, header, row_format, rows):
     each row tuple, one line each."""
     with open(path, "w") as fh:
         fh.write("\n".join([header, *(row_format % row for row in rows)]) + "\n")
+
+
+def reference_sweep(cfg, noise_rise_dbs, schemes):
+    """The sweep one run at a time: per dB point, each scheme's own
+    ``run_simulation(cfg)``, then one :func:`calibrate_fixed_power` per
+    ``fixed`` row, each probe its own 40-frame run, and the calibrated
+    row's own run.  Returns the rows :func:`noiserise.cli.run_sweep` must
+    return."""
+    from noiserise import cli, simnet
+    from noiserise.baselines import CalibrationError, calibrate_fixed_power
+    from noiserise.simnet import run_simulation
+
+    rows = []
+    with simnet.shared_draws():
+        for db in noise_rise_dbs:
+            configs = [cli._with_scheme(cfg, noise_rise_db=float(db), name=name,
+                                        **({"fixed_power_w": 1.0} if name == "fixed" else {}))
+                       for name in schemes]
+            bundles = [None if c.scheme.name == "fixed" else run_simulation(c) for c in configs]
+            reference = next(
+                (bundle.mean_ingress_w() for c, bundle in zip(configs, bundles)
+                 if c.scheme.name in ("nr", "nr_density", "nr_density_capped")),
+                configs[0].budget().linear_budget,
+            )
+            for run_cfg, bundle in zip(configs, bundles):
+                if bundle is not None:
+                    rows.append(cli._sweep_row(run_cfg, bundle))
+                    continue
+                calib_cfg = replace(run_cfg, run=replace(run_cfg.run, frames=cli._CALIBRATION_FRAMES))
+
+                def mean_ingress(power, _cfg=calib_cfg):
+                    return run_simulation(cli._with_scheme(_cfg, fixed_power_w=power)).mean_ingress_w()
+
+                try:
+                    power = calibrate_fixed_power(mean_ingress, reference,
+                                                  initial_power=cli._power_guess(run_cfg))
+                except CalibrationError as exc:
+                    rows.append(cli._sweep_row(run_cfg, status=f"calibration_failed: {exc}"))
+                    continue
+                bundle = run_simulation(cli._with_scheme(run_cfg, fixed_power_w=power))
+                rows.append(cli._sweep_row(run_cfg, bundle, fixed_power_w=power))
+    return rows

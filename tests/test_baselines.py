@@ -6,6 +6,7 @@ import pytest
 from noiserise.baselines import (
     CalibrationError,
     calibrate_fixed_power,
+    calibrate_in_lockstep,
     schedule_fixed_power,
     schedule_target_sinr,
 )
@@ -76,7 +77,7 @@ def test_calibration_from_above():
     assert abs(response(power) - 0.001) / 0.001 <= 0.02
 
 
-@pytest.mark.parametrize("response, ref, initial_power, probes", [
+PROBE_SEQUENCES = [
     # from below: x4 expansions, then log-scale bisection
     (lambda p: 0.3 * p**1.1, 2.5, 0.01,
      [0.01, 0.04, 0.16, 0.64, 2.56, 10.24, 5.12, 7.240773439350247, 6.0887404288139315,
@@ -86,7 +87,11 @@ def test_calibration_from_above():
      [100.0, 25.0, 6.25, 1.5625, 0.390625, 0.09765625, 0.0244140625, 0.006103515625,
       0.00152587890625, 0.0003814697265625, 9.5367431640625e-05, 0.00019073486328125,
       0.0002697398304697218, 0.00022682325649313377, 0.0002473525151540775]),
-], ids=["from_below", "from_above"])
+]
+
+
+@pytest.mark.parametrize("response, ref, initial_power, probes", PROBE_SEQUENCES,
+                         ids=["from_below", "from_above"])
 def test_calibration_probe_sequence(response, ref, initial_power, probes):
     # the exact powers probed; each probe is a calibration simulation, so
     # the sweep's cost and its calibrated powers hang on this sequence
@@ -98,6 +103,36 @@ def test_calibration_probe_sequence(response, ref, initial_power, probes):
 
     assert calibrate_fixed_power(probe, ref, initial_power=initial_power) == probes[-1]
     assert seen == probes
+
+
+def test_lockstep_searches_probe_what_they_probe_alone():
+    # the two pinned searches, one that never brackets its reference and
+    # one whose reference is 0, advanced together: each probes its own
+    # sequence, and the failures leave the others' probes and powers alone
+    saturating = lambda p: min(p, 1.0)  # noqa: E731
+    cases = [case[:3] for case in PROBE_SEQUENCES] + [(saturating, 50.0, 1.0), (saturating, 0.0, 1.0)]
+    seen = [[] for _ in cases]
+    rounds = []
+
+    def run_round(powers):
+        rounds.append(list(powers))
+        for k, power in powers.items():
+            seen[k].append(power)
+        return [cases[k][0](power) for k, power in powers.items()]
+
+    results = calibrate_in_lockstep(run_round, [c[1] for c in cases], [c[2] for c in cases])
+    assert seen[:2] == [case[3] for case in PROBE_SEQUENCES]
+    assert results[:2] == [case[3][-1] for case in PROBE_SEQUENCES]
+    alone = []
+    with pytest.raises(CalibrationError, match="could not bracket") as failure:
+        calibrate_fixed_power(lambda p: alone.append(p) or saturating(p), 50.0, 1.0)
+    assert seen[2] == alone
+    assert isinstance(results[2], CalibrationError) and str(results[2]) == str(failure.value)
+    assert seen[3] == [] and isinstance(results[3], CalibrationError)
+    assert "must be positive" in str(results[3])
+    # each round holds the next probe of every unfinished search, in order
+    assert rounds == [[k for k in range(len(cases)) if len(seen[k]) > r]
+                      for r in range(max(map(len, seen)))]
 
 
 def test_calibration_unreachable_reference_errors():

@@ -56,7 +56,8 @@ def test_every_workload_sets_up(bench):
 
 def test_cell_frame_counter_sees_every_sweep_frame(bench, tmp_path, monkeypatch):
     # the benchmark's throughput counts cell-frames through cli.run_simulation;
-    # every frame the sweep runs, calibration probes included, must pass it
+    # every frame the sweep runs, calibration probes and batched runs
+    # included, must pass it
     _, run = bench
     cells_per_frame = []
     run_frame = simnet.run_frame
@@ -66,8 +67,10 @@ def test_cell_frame_counter_sees_every_sweep_frame(bench, tmp_path, monkeypatch)
         return run_frame(deployment, *args)
 
     monkeypatch.setattr(simnet, "run_frame", counted_run_frame)
-    argv = ["sweep", "--out", str(tmp_path / "s"), "--db", "2,5", "--schemes", "nr_density,fixed",
-            "--set", "deployment.rings=1", "--set", "deployment.ms_per_cell=3", "--set", "run.frames=4"]
-    with run.counting_cell_frames(cli) as counter:
-        assert cli.main(argv) == 0
-    assert counter["cell_frames"] == sum(cells_per_frame) > 0
+    for dbs, schemes in (("2,5", "nr_density,fixed"), ("2,5,7", "nr,nr_density,fixed")):
+        cells_per_frame.clear()
+        argv = ["sweep", "--out", str(tmp_path / schemes), "--db", dbs, "--schemes", schemes,
+                "--set", "deployment.rings=1", "--set", "deployment.ms_per_cell=3", "--set", "run.frames=4"]
+        with run.counting_cell_frames(cli) as counter:
+            assert cli.main(argv) == 0
+        assert counter["cell_frames"] == sum(cells_per_frame) > 0

@@ -16,7 +16,7 @@ import noiserise
 from noiserise.cli import _BLOCK_ROWS, ConfigError, _write_csv, load_config, main
 from noiserise.simnet import SimConfig, run_simulation
 
-from oracles import reference_write_csv
+from oracles import reference_sweep, reference_write_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -468,16 +468,17 @@ def test_cmd_sweep_failed_calibration_row_is_quoted(small_config, tmp_path, monk
     # so its bisection exhausts with a message full of commas
     from noiserise import cli
 
-    real = cli.calibrate_fixed_power
-    failed = []
+    real = cli.calibrate_in_lockstep
 
-    def calibrate(run_mean_ingress, ref, *args, **kwargs):
-        if not failed:
-            failed.append(ref)
-            return real(lambda p: ref * (0.5 if p < 1.0 else 2.0), ref, *args, **kwargs)
-        return real(run_mean_ingress, ref, *args, **kwargs)
+    def calibrate(run_round, references, initial_powers):
+        def jumpy(powers):
+            values = run_round(powers)
+            return [references[0] * (0.5 if power < 1.0 else 2.0) if k == 0 else value
+                    for (k, power), value in zip(powers.items(), values)]
 
-    monkeypatch.setattr(cli, "calibrate_fixed_power", calibrate)
+        return real(jumpy, references, initial_powers)
+
+    monkeypatch.setattr(cli, "calibrate_in_lockstep", calibrate)
     out = tmp_path / "sweep"
     rc = main(["sweep", small_config, "--out", str(out), "--db", "2,5", "--schemes", "nr_density,fixed",
                "--set", "run.frames=8"])
@@ -489,6 +490,66 @@ def test_cmd_sweep_failed_calibration_row_is_quoted(small_config, tmp_path, monk
         ("nr_density", "ok"), ("fixed", "calibration_failed"), ("nr_density", "ok"), ("fixed", "ok")]
     assert "bisection exhausted" in rows[1][7] and "," in rows[1][7]
     assert all(math.isnan(float(value)) for value in rows[1][2:7])
+
+
+def _first_search_jumps(real):
+    """A calibration search factory whose first search sees a response
+    jumping over its reference at 1 W, so that it exhausts its bisection;
+    every later search is ``real``'s."""
+    made = []
+
+    def search(ref, initial_power):
+        made.append(ref)
+        inner = real(ref, initial_power)
+        return _jumping(inner, ref) if len(made) == 1 else inner
+
+    return search
+
+
+def _jumping(inner, ref):
+    power = next(inner)
+    while True:
+        yield power  # the probe's own mean ingress is ignored
+        try:
+            power = inner.send(ref * (0.5 if power < 1.0 else 2.0))
+        except StopIteration as done:
+            return done.value
+
+
+SWEEP_SCHEMES = {
+    "nr_density_fixed": (["nr", "nr_density", "fixed"], []),
+    "capped_target_q12": (["nr_density_capped", "target_sinr", "fixed"],
+                          ["scheme.target_sinr_db=10", "run.quantize_units=12"]),
+}
+
+
+@pytest.mark.parametrize("schemes, wrap, seed, failing", [
+    pytest.param(schemes, wrap, seed, failing,
+                 id=f"{schemes}-{'torus' if wrap else 'plain'}-{seed}{'-calibration_failed' * failing}")
+    for schemes in sorted(SWEEP_SCHEMES)
+    for wrap, seed, failing in [(True, 1, False), (True, 7243, False), (False, 1, False),
+                                (False, 7243, False), (True, 1, True)]
+])
+def test_sweep_rows_equal_one_run_per_config(schemes, wrap, seed, failing, monkeypatch):
+    # the batched sweep against one run_simulation per config and one
+    # calibrate_fixed_power per dB point: the same rows, float for float;
+    # a failing calibration fails its own row only
+    from noiserise import baselines, cli
+
+    names, overrides = SWEEP_SCHEMES[schemes]
+    cfg, _ = load_config(None, ["deployment.rings=1", "deployment.ms_per_cell=4", "run.frames=12",
+                                f"deployment.wrap={wrap}", f"run.seed={seed}", *overrides])
+    dbs = [2.0, 5.0, 8.0]
+    real = baselines._search
+    if failing:
+        monkeypatch.setattr(baselines, "_search", _first_search_jumps(real))
+    want = reference_sweep(cfg, dbs, names)
+    if failing:
+        monkeypatch.setattr(baselines, "_search", _first_search_jumps(real))
+    got = cli.run_sweep(cfg, dbs, names)
+    assert got == want
+    statuses = [row["status"].split(":")[0] for row in got if row["scheme"] == "fixed"]
+    assert statuses == (["calibration_failed", "ok", "ok"] if failing else ["ok"] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +606,7 @@ def test_sweep_that_raises_stops_sharing_its_draw(small_config, monkeypatch, dra
     def broken(*args, **kwargs):
         raise RuntimeError("calibration broke")
 
-    monkeypatch.setattr(cli, "calibrate_fixed_power", broken)
+    monkeypatch.setattr(cli, "calibrate_in_lockstep", broken)
     cfg, _ = load_config(small_config, ["run.frames=4"])
     with pytest.raises(RuntimeError, match="calibration broke"):
         cli.run_sweep(cfg, [2.0, 5.0], ["nr_density", "fixed"])

@@ -12,9 +12,11 @@ from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import LN2, Cells, SolverConfig, UserLink, link_arrays
 from noiserise.simnet import (
     SCHEME_NAMES,
+    Batch,
     Deployment,
     DeploymentConfig,
     FrameAllocation,
+    MetricsBundle,
     PathLossParams,
     RunConfig,
     Scheme,
@@ -332,6 +334,26 @@ def test_density_checks_reject_violations():
     negative = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([1.0, -0.5, 2.0]))
     with pytest.raises(AssertionError, match="negative"):
         plain(cells, negative, l, cap)
+
+
+def test_checks_take_one_budget_per_cell():
+    # two cells, budgets 2 W and 1 W: cell 1's egress of 1.5 W is over its
+    # own budget only, and its user's density over its own cap only
+    cells = Cells.from_cell_of([0, 0, 1], 2)
+    l = np.ones(3)
+    cap = np.full(3, np.inf)
+    alloc = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([0.5, 1.0, 1.5]))
+    make_scheme("nr", 2.0).check(cells, alloc, l, cap)
+    make_scheme("nr_density", 2.0).check(cells, alloc, l, cap)
+    with pytest.raises(AssertionError, match=r"egress budget violated in cell 1: 1\.5 > 1\.0"):
+        make_scheme("nr", [2.0, 1.0], cells=cells).check(cells, alloc, l, cap)
+    with pytest.raises(AssertionError, match="density cap"):
+        make_scheme("nr_density", [2.0, 1.0], cells=cells).check(cells, alloc, l, cap)
+    with pytest.raises(AssertionError, match=r"egress budget violated in cell 0: 1\.5 > 1\.0"):
+        make_scheme("nr", 1.0).check(cells, alloc, l, cap)
+    for budget in ([2.0], [2.0, 0.0], [2.0, np.nan], [2.0, np.inf]):
+        with pytest.raises(ValueError, match="one positive finite power per cell"):
+            make_scheme("nr", budget, cells=cells)
 
 
 class _FaultAt:
@@ -671,6 +693,17 @@ def test_scheme_config_validation():
         make_scheme("target_sinr", 1.0)
 
 
+def test_target_sinr_scheme_takes_no_assumed_noise_plus_interference():
+    # the keyword is accepted and not used, whatever its value
+    cells = Cells.single(2)
+    frame = (cells, np.ones(2), np.array([1.0, 2.0]), np.ones(2), np.full(2, np.inf))
+    want = make_scheme("target_sinr", 1.0, target_sinr=4.0).schedule(*frame)
+    for assumed in (None, 0.0, -1.0):
+        got = make_scheme("target_sinr", 1.0, target_sinr=4.0,
+                          assumed_noise_plus_interference=assumed).schedule(*frame)
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.p, want.p)
+
+
 # ---------------------------------------------------------------------------
 # array frame loop against the per-cell reference loop
 
@@ -760,6 +793,80 @@ def test_run_simulation_matches_reference_frame_loop(name, wrap, quantize):
             np.testing.assert_allclose(getattr(bundle, field)[t], getattr(want, field), rtol=1e-12, atol=0,
                                        err_msg=field)
         update_pf(t_avg, want.ms_bits, cfg.run.pf_beta)
+
+
+# ---------------------------------------------------------------------------
+# a batch of runs against each run alone
+
+
+@pytest.mark.parametrize("name, quantize, max_power", [
+    (name, quantize, max_power)
+    for name in SCHEME_NAMES for quantize in (None, 12) for max_power in (None, 5.0)
+    # nr and nr_density break any cap they meet here (see above)
+    if not (max_power is not None and name in ("nr", "nr_density"))
+])
+def test_batch_runs_equal_their_own_runs(name, quantize, max_power):
+    # three dB points, and for fixed three powers, as one batch: every
+    # field of every run, solver fields included, is the same floats as
+    # the run's own
+    base = SimConfig(
+        deployment=DeploymentConfig(rings=1, ms_per_cell=6),
+        scheme=SchemeConfig(name=name, max_power_w=max_power, target_sinr=10.0,
+                            fixed_power_w=0.1 if name == "fixed" else None),
+        run=RunConfig(seed=11, frames=5, quantize_units=quantize),
+    )
+    configs = [replace(base, scheme=replace(base.scheme, noise_rise_db=db,
+                                            fixed_power_w=power if name == "fixed" else None))
+               for db, power in ((2.0, 0.05), (5.0, 0.1), (8.0, 0.2))]
+    batch = run_simulation(configs)
+    assert isinstance(batch, Batch) and len(batch) == 3
+    assert batch.n_cells * batch.n_frames == 3 * 7 * 5
+    for cfg, bundle in zip(configs, batch):
+        alone = run_simulation(cfg)
+        for f in fields(MetricsBundle):
+            got, want = getattr(bundle, f.name), getattr(alone, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), f.name
+            else:
+                assert got == want, f.name
+        # and so is every figure derived from them, whatever the arrays' strides
+        for stat in ("mean_cell_throughput", "mean_ingress_w", "ingress_std_w", "ingress_std_db",
+                     "edge_spectral_efficiency", "jain_fairness", "solver_stats"):
+            assert getattr(bundle, stat)() == getattr(alone, stat)(), stat
+        assert np.array_equal(bundle.per_ms_spectral_efficiency(), alone.per_ms_spectral_efficiency())
+        assert (bundle.probes is not None) == (name == "nr")
+
+
+def test_long_batch_runs_sum_as_their_own_runs():
+    # 1,200 frames x 7 cells: numpy sums a strided array of more than
+    # 8,192 entries in another order than a contiguous one
+    base = SimConfig(deployment=DeploymentConfig(rings=1, ms_per_cell=2), scheme=SchemeConfig(name="nr_density"),
+                     run=RunConfig(frames=1200))
+    configs = [base, replace(base, scheme=replace(base.scheme, noise_rise_db=8.0))]
+    for cfg, bundle in zip(configs, run_simulation(configs)):
+        alone = run_simulation(cfg)
+        for stat in ("mean_ingress_w", "ingress_std_w", "ingress_std_db", "edge_spectral_efficiency"):
+            assert getattr(bundle, stat)() == getattr(alone, stat)(), stat
+
+
+def test_batch_configs_differ_only_in_db_and_fixed_power():
+    base = SimConfig(
+        deployment=DeploymentConfig(rings=1, ms_per_cell=3),
+        scheme=SchemeConfig(name="fixed", fixed_power_w=0.1),
+        run=RunConfig(frames=2),
+    )
+    run_simulation([base, replace(base, scheme=replace(base.scheme, noise_rise_db=8.0, fixed_power_w=0.3))])
+    for other in (
+        replace(base, run=replace(base.run, seed=2)),
+        replace(base, run=replace(base.run, frames=3)),
+        replace(base, scheme=replace(base.scheme, name="nr")),
+        replace(base, scheme=replace(base.scheme, max_power_w=1.0)),
+        replace(base, deployment=replace(base.deployment, wrap=False)),
+    ):
+        with pytest.raises(ValueError, match="differ only"):
+            run_simulation([base, other])
+    with pytest.raises(ValueError, match="at least one"):
+        run_simulation([])
 
 
 # ---------------------------------------------------------------------------

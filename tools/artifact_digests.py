@@ -62,6 +62,8 @@ INVOCATIONS = {
     "sweep_density_fixed_seed7243": ["sweep", *DENSITY_FIXED, *_sets("run.seed=7243")],
     "sweep_shadowing8db": ["sweep", "--db", "2,5", "--schemes", "nr_density,fixed",
                            *_sets("channel.shadowing_sigma_db=8")],
+    "sweep_capped_target_q12": ["sweep", "--db", "2,5", "--schemes", "nr_density_capped,target_sinr,fixed",
+                                *_sets("scheme.target_sinr_db=10", "run.quantize_units=12")],
 }
 
 

@@ -448,27 +448,28 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
         x, p = alloc.x, alloc.p
         # reductions, which NaN fails, cost fewer numpy calls than sign
         # tests; an infinite share overcommits its cell's band
-        if not (x.min() >= 0.0 and p.min() >= 0.0):
+        if not (np.minimum.reduce(x) >= 0.0 and np.minimum.reduce(p) >= 0.0):
             raise AssertionError("negative or NaN allocation")
-        if not cells.sums(x).max() <= 1.0 + _SLACK:
+        if not np.maximum.reduce(cells.sums(x)) <= 1.0 + _SLACK:
             raise AssertionError("bandwidth overcommitted")
         # strictly below, so that an infinite power fails an infinite cap
-        if not (p < cap * (1.0 + _SLACK)).all():
+        if not np.logical_and.reduce(p < cap * (1.0 + _SLACK)):
             raise AssertionError("infinite power" if np.isinf(p).any() else "max power violated")
         if p.dot(x == 0.0) > 0.0:  # the powers are finite and >= 0 here
             raise AssertionError("power on a user without band")
         if egress:
             spent = cells.sums(l * p)
             within = spent <= I * (1.0 + _SLACK)
-            if not within.all():
+            if not np.logical_and.reduce(within):
                 k = np.flatnonzero(~within)[0]
                 budget = I[k] if np.ndim(I) else I
                 raise AssertionError(f"egress budget violated in cell {k}: {spent[k]} > {budget}")
         if density:
             on = x > 0
-            if not (l[on] * p[on] / x[on] <= (I[on] if np.ndim(I) else I) * (1.0 + _SLACK)).all():
+            level = l[on] * p[on] / x[on]
+            if not np.logical_and.reduce(level <= (I[on] if np.ndim(I) else I) * (1.0 + _SLACK)):
                 raise AssertionError("per-user density cap violated")
-        if alloc.kkt_residual is not None and (alloc.kkt_residual > tol_kkt).any():
+        if alloc.kkt_residual is not None and np.logical_or.reduce(alloc.kkt_residual > tol_kkt):
             worst = np.nanmax(alloc.kkt_residual)
             raise AssertionError(f"uncertified allocation: KKT residual {worst}")
 
@@ -669,7 +670,7 @@ def run_frame(deployment, scheme: Scheme, weights: np.ndarray, run: _Run, t: int
     """
     # NaN fails both comparisons, so two reductions refuse what
     # isfinite().all() and (>= 0).all() would
-    if not (weights.min() >= 0.0 and weights.max() < math.inf):
+    if not (np.minimum.reduce(weights) >= 0.0 and np.maximum.reduce(weights) < math.inf):
         raise ValueError("PF weights must be finite and >= 0")
     cells = deployment.cells
     g = deployment.serving_gain
@@ -685,7 +686,7 @@ def run_frame(deployment, scheme: Scheme, weights: np.ndarray, run: _Run, t: int
     np.maximum(deployment.received(power) - cells.sums(g * power), 0.0, out=ingress)
 
     bits = run.bits[t]
-    on = np.flatnonzero((frac > 0.0) & (power > 0.0))
+    on = ((frac > 0.0) & (power > 0.0)).nonzero()[0]
     e_act = g[on] / (run.p_noise + ingress[cells.cell_of[on]])
     x_on = frac[on]
     rate = run.band * x_on * np.log1p(power[on] * e_act / x_on)

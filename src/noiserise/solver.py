@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -109,29 +110,40 @@ _ALPHA_SATURATED = 700.0  # beyond this y the bandwidth share underflows to 0
 _MAX_SEARCH = 200  # multiplier trials per bandwidth step; a handful suffice in practice
 
 
-def _alpha(y, warm):
+def _alpha(y):
     """Solve ``log(1+a) - a/(1+a) = y`` for the unique a > 0, given
     0 < y < _ALPHA_SATURATED.
 
-    Newton safeguarded by the analytic bracket [expm1(y), exp(y+1)], which
-    always contains the root; a warm start from a nearby multiplier trial
-    typically converges in two or three steps.
+    Newton from a closed form: in ``s = log(1+a)`` the equation reads
+    ``s - 1 + exp(-s) = y``, whose root is ``sqrt(2y) + y/3`` to leading
+    orders for small y and ``y + 1 - exp(-1-y)`` for large y; from there
+    two or three steps reach the float floor.  A step that leaves the
+    bracket the signs have shown falls back to a geometric bisection of
+    it, narrowed by the analytic bracket [expm1(y), exp(y+1)], which
+    always holds the root.
     """
-    lo = math.expm1(y)
-    hi = math.exp(y + 1.0)
-    a = warm if lo < warm < hi else math.sqrt(lo * hi)
+    a = math.expm1(math.sqrt(2.0 * y) + y / 3.0 if y < 0.75 else y + 1.0 - math.exp(-1.0 - y))
+    log1p = math.log1p
+    lo = 0.0
+    hi = math.inf
     for _ in range(80):
         one_a = 1.0 + a
-        g = math.log1p(a) - a / one_a - y
+        g = log1p(a) - a / one_a - y
         if g >= 0.0:
             hi = a
         else:
             lo = a
         nxt = a - g * one_a * one_a / a
-        if not lo < nxt < hi:
-            nxt = math.sqrt(lo * hi)
-        if abs(nxt - a) <= 1e-12 * nxt:
+        # the relative error squares (times at most 1/2) with each step, so
+        # after a step below 1e-8 it is at the float floor; tested before
+        # the bracket, as a step that lands on the root sits on a bracket
+        # end, from where bisecting would crawl
+        if abs(nxt - a) <= 1e-8 * nxt:
             return nxt
+        if not lo < nxt < hi:
+            lo = max(lo, math.expm1(y))
+            hi = min(hi, math.exp(y + 1.0))
+            nxt = math.sqrt(lo * hi)
         a = nxt
     return a
 
@@ -191,11 +203,11 @@ def bandwidth_for_multiplier(p, links, lambda2):
         elif y >= _ALPHA_SATURATED:
             out.append(0.0)
         else:
-            out.append(pe / _alpha(y, 0.0))
+            out.append(pe / _alpha(y))
     return out
 
 
-def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None):
+def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None):
     """Shares summing to one for fixed powers ``p``, and the band price
     ``lambda2``; users with no received power get none."""
     lo, hi, active = _lambda2_bounds(p, w, e)
@@ -209,8 +221,6 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None)
     pes = [p[i] * e[i] for i in active]
     ws = [w[i] for i in active]
     shares = [0.0] * len(active)
-    if alpha_cache is None:
-        alpha_cache = {}
     if lambda2_init is not None and lo < lambda2_init < hi:
         lam = lambda2_init
     else:
@@ -230,9 +240,7 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None)
                 shares[k] = math.inf
                 total = math.inf
                 continue
-            user = active[k]
-            a = _alpha(y, alpha_cache.get(user, 0.0))  # warm start kept across calls
-            alpha_cache[user] = a
+            a = _alpha(y)
             sk = pes[k] / a
             shares[k] = sk
             one_a = 1.0 + a
@@ -251,7 +259,9 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None, alpha_cache=None)
         else:
             lo = lam
         if math.isfinite(gap) and slope > 0.0:
-            nxt = lam - gap / slope
+            # Newton on the log of the band sum: a share falls off about
+            # exponentially in -lambda2, so the log is nearly linear
+            nxt = lam - math.log1p(gap) * (1.0 + gap) / slope
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
         else:
@@ -426,19 +436,18 @@ def solve_joint(links, budget, config=None):
     prev_x = prev_p = None
     converged = False
     history = []
-    alphas = {}
     fallback_x = None  # plain continuation point while an accelerated step is on trial
     cooldown = 0
     for it in range(1, cfg.max_iterations + 1):
         p, lam1 = _power_step(x, w, e, l, I)
-        xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2, alphas)
+        xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2)
         obj = _objective(xs, p, w, e)
         if fallback_x is not None:
             last_obj = trace[-1].objective
             if obj < last_obj - 1e-12 * max(1.0, abs(last_obj)):
                 # the extrapolation overshot: redo this iteration plainly
                 p, lam1 = _power_step(fallback_x, w, e, l, I)
-                xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2, alphas)
+                xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2)
                 obj = _objective(xs, p, w, e)
             fallback_x = None
         res = _kkt_residual(xs, p, lam1, lam2, w, e, l, I)
@@ -492,6 +501,8 @@ _MAX_PROBES = 200  # each probe shrinks the bracket; a few suffice in practice
 # pass judges a candidate only where no other band value comes this close
 # to the top, relative to the dual: a hundred tie windows
 _GUARD = 100.0 * _TIE
+# a cell without users: no prices, probes or allocation
+_NO_USERS = (math.nan, math.nan, 0, 0, False, (), (), ())
 
 
 def _seed_brackets(W, ratio, beta, S, use, I):
@@ -500,27 +511,28 @@ def _seed_brackets(W, ratio, beta, S, use, I):
     ``W, ratio, beta, S`` are (cells, width) matrices of ``w``, ``w e/l``,
     ``l/e`` and the minimisers ``w/(I + l/e)``, with ``W = 0`` where
     ``use`` marks no user, and ``I`` is a column of the cells' budgets.
-    One (cells, width, width) pass evaluates the envelope of the band
-    values at every candidate.  Where one user tops
-    it alone, the walk's spend/slack rule says whether the candidate lies
-    left of the optimum, right of it, or on it; a candidate where another
-    band value comes within ``_GUARD`` of the top is left to a probe, so
-    every left or right verdict is the walk's own.  Returns per cell the
+    One (width, cells, width) pass evaluates the envelope of the band
+    values at every candidate.  Where one user tops it alone, the walk's
+    spend/slack rule says whether the candidate lies left of the optimum,
+    right of it, or on it; a candidate where another band value comes
+    within ``_GUARD`` of the top is left to a probe, so every left or
+    right verdict is the walk's own.  Returns per cell the
     largest left candidate and its top user, the smallest right one and
     its top user (``-inf``/``inf`` if none), and the smallest other
     candidate between them (``inf`` if none).
     """
-    lam = S[:, :, None]
-    a = (ratio[:, None, :] - lam) / lam  # r - 1, free of cancellation near r = 1
+    # laid out (user, cell, candidate), so that the reductions over users
+    # run along the first axis, where numpy vectorises them
+    a = (ratio.T[:, :, None] - S) / S  # r - 1, free of cancellation near r = 1
     np.maximum(a, 0.0, out=a)
     values = np.log1p(a)
     values -= a / (1.0 + a)
-    values *= W[:, None, :]  # padding is 0: never the top, at most a false tie
-    top = values.max(axis=2)
+    values *= W.T[:, :, None]  # padding is 0: never the top, at most a false tie
+    top = np.maximum.reduce(values)
     near = top - _GUARD * (S * I + top)
-    alone = use & (np.count_nonzero(values >= near[:, :, None], axis=2) == 1)
+    alone = use & (np.add.reduce(values >= near) == 1)
     rows = np.arange(len(S))
-    best = values.argmax(axis=2)
+    best = values.argmax(axis=0)
     w_top = W[rows[:, None], best]
     spend = w_top / S - beta[rows[:, None], best]
     slack = _FLAT * w_top / S
@@ -534,7 +546,7 @@ def _seed_brackets(W, ratio, beta, S, use, I):
     lo = at_left[rows, kl]
     hi = at_right[rows, kr]
     between = use & ~left & ~right & (S > lo[:, None]) & (S < hi[:, None])
-    start = np.where(between, S, np.inf).min(axis=1)
+    start = np.minimum.reduce(np.where(between, S, np.inf), axis=1)
     return lo, best[rows, kl], hi, best[rows, kr], start
 
 
@@ -547,16 +559,17 @@ def _kink(wa, ra, ba, wb, rb, bb, lo, hi):
     geometric bisection, and the search stops once the two values agree
     to rounding.
     """
+    log1p = math.log1p
     lam = math.sqrt(lo * hi)
     for _ in range(200):
         t = (ra - lam) / lam
-        va = wa * (math.log1p(t) - t / (1.0 + t)) if t > 0.0 else 0.0
+        va = wa * (log1p(t) - t / (1.0 + t)) if t > 0.0 else 0.0
         t = (rb - lam) / lam
-        vb = wb * (math.log1p(t) - t / (1.0 + t)) if t > 0.0 else 0.0
+        vb = wb * (log1p(t) - t / (1.0 + t)) if t > 0.0 else 0.0
         d = va - vb
         # equal to rounding: where the pieces are nearly tangent, one more
         # Newton step would divide noise by a tiny slope
-        if abs(d) <= 1e-15 * max(va, vb):
+        if abs(d) <= 1e-15 * (vb if vb > va else va):
             break
         if d > 0.0:
             lo = lam
@@ -572,37 +585,42 @@ def _kink(wa, ra, ba, wb, rb, bb, lo, hi):
     return lam
 
 
-def _walk(ws, rs, bs, ss, ls, I, left, right, lam):
+def _band_values(ws, rs, lam):
+    """The band values ``w (ln r - 1 + 1/r)`` at ``lam`` of users with
+    ``w`` and ``w e/l`` listed in ``ws, rs``: with ``t = r - 1``, free of
+    cancellation near r = 1; 0 once r <= 1."""
+    log1p = math.log1p
+    return [w * (log1p(t) - t / (1.0 + t)) if (t := (r - lam) / lam) > 0.0 else 0.0
+            for w, r in zip(ws, rs)]
+
+
+def _walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam):
     """Finish one cell's dual walk from a bracket.
 
     ``ws, rs, bs, ss, ls`` list the cell's users' ``w``, ``w e/l``,
-    ``l/e``, single-user minimisers and ``l``.  ``left`` and ``right`` are
-    bracket ends ``(lam, top user, tied users)``, where the dual's slope
-    is < 0 and > 0, or None; ``lam`` is the first probe, or None to take
-    it from the bracket.  Each probe
-    evaluates the envelope at ``lam`` and moves the end that the slope
-    ``I - c`` of its top users points away from, until the slope's range
-    holds 0.  Returns ``(lambda1, lambda2, probes, kinks, converged,
-    allocation)``, the allocation as ``(user, x, p)`` triples.
+    ``l/e``, single-user minimisers and ``l``.  The bracket ends ``lo``
+    and ``hi``, where the dual's slope is < 0 and > 0, are topped by users
+    ``a`` and ``b``; ``lo = -inf`` or ``hi = inf`` stands for no end yet.
+    ``lam`` is the first probe, or ``inf`` to take it from the bracket.
+    Each probe evaluates the envelope at ``lam`` and moves the end that
+    the slope ``I - c`` of its top users points away from, until the
+    slope's range holds 0.  Returns ``(lambda1, lambda2, probes, kinks,
+    converged, users, shares, powers)``, the allocation as one or two
+    users with their shares and powers.
     """
-    log1p = math.log1p
-
-    def band_values(lam):
-        # w (ln r - 1 + 1/r) with a = r - 1, free of cancellation near r = 1;
-        # 0 once r <= 1
-        return [wi * (log1p(a) - a / (1.0 + a)) if (a := (ri - lam) / lam) > 0.0 else 0.0
-                for wi, ri in zip(ws, rs)]
-
+    inf = math.inf
+    # the users tied at an end once a probe has moved it; a seeded end's
+    # top user stands alone, which `a == b` covers
+    tied_lo = tied_hi = ()
     kinks = 0
     converged = False
     for probes in range(1, _MAX_PROBES + 1):
-        if lam is None:
-            if left is None:
+        if lam == inf:
+            if lo == -inf:
                 lam = min(ss)
-            elif right is None:
+            elif hi == inf:
                 lam = max(ss)
             else:
-                (lo, a, tied_lo), (hi, b, tied_hi) = left, right
                 if a == b or a in tied_hi or b in tied_lo:
                     # one piece, or two that are equal to rounding at an end,
                     # where their crossing is noise: probe the left piece's
@@ -613,48 +631,56 @@ def _walk(ws, rs, bs, ss, ls, I, left, right, lam):
                     kinks += 1
                 if not lo < lam < hi:
                     lam = math.sqrt(lo * hi)
-        values = band_values(lam)
+        values = _band_values(ws, rs, lam)
         top = max(values)
         floor = top - _TIE * (lam * I + top)
         tied = [i for i, v in enumerate(values) if v >= floor]
-        spend = [ws[i] / lam - bs[i] for i in tied]
         if len(tied) == 1:
-            j_hi = j_lo = 0
-            c_hi = c_lo = spend[0]
-            slack = _FLAT * ws[tied[0]] / lam
+            j_hi = j_lo = tied[0]
+            c_hi = c_lo = ws[j_hi] / lam - bs[j_hi]
+            slack = _FLAT * ws[j_hi] / lam
         else:
+            spend = [ws[i] / lam - bs[i] for i in tied]
             c_hi = max(spend)
             c_lo = min(spend)
             # spends this close are equal up to rounding, so the lowest
             # index among them stands for all
-            slack = _FLAT * max(ws[i] for i in tied) / lam
-            j_hi = next(j for j, c in enumerate(spend) if c >= c_hi - slack)
-            j_lo = next(j for j, c in enumerate(spend) if c <= c_lo + slack)
+            slack = _FLAT * max([ws[i] for i in tied]) / lam
+            for j_hi, c in zip(tied, spend):
+                if c >= c_hi - slack:
+                    break
+            for j_lo, c in zip(tied, spend):
+                if c <= c_lo + slack:
+                    break
         if c_lo - I > slack:
-            left = (lam, tied[j_lo], tied)
+            lo, a, tied_lo = lam, j_lo, tied
         elif I - c_hi > slack:
-            right = (lam, tied[j_hi], tied)
+            hi, b, tied_hi = lam, j_hi, tied
         else:
             converged = True
             break
-        lam = None
+        lam = inf
 
-    alone = [i for i, c in zip(tied, spend) if abs(c - I) <= slack]
-    if alone or j_hi == j_lo:
-        # a tied user spending the budget at its own minimiser takes the band
-        k = alone[0] if alone else tied[j_hi]
+    k = j_hi
+    if len(tied) > 1:
+        # a tied user spending the budget at its own minimiser takes the
+        # band, else the highest and the lowest spender share it
+        for k, c in zip(tied, spend):
+            if abs(c - I) <= slack:
+                break
+        else:
+            k = j_hi if j_hi == j_lo else None
+    if k is not None:
         if ss[k] != lam:
             lam = ss[k]
-            top = max(band_values(lam))
-        return lam, -top, probes, kinks, converged, ((k, 1.0, I / ls[k]),)
-    c_hi, c_lo = spend[j_hi], spend[j_lo]
+            top = max(_band_values(ws, rs, lam))
+        return lam, -top, probes, kinks, converged, (k,), (1.0,), (I / ls[k],)
+    c_hi = ws[j_hi] / lam - bs[j_hi]
+    c_lo = ws[j_lo] / lam - bs[j_lo]
     share = (I - c_lo) / (c_hi - c_lo) if c_hi > c_lo else 1.0
     share = min(1.0, max(0.0, share))
-    hi_user, lo_user = tied[j_hi], tied[j_lo]
-    return lam, -top, probes, kinks, converged, (
-        (hi_user, share, share * c_hi / ls[hi_user]),
-        (lo_user, 1.0 - share, (1.0 - share) * c_lo / ls[lo_user]),
-    )
+    return lam, -top, probes, kinks, converged, (j_hi, j_lo), (share, 1.0 - share), (
+        share * c_hi / ls[j_hi], (1.0 - share) * c_lo / ls[j_lo])
 
 
 def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
@@ -663,7 +689,7 @@ def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
     every user holding band has a positive weight and SINR."""
     res = np.abs(cells.sums(x) - 1.0)
     res = np.where(cells.sums(p) > 0.0, np.maximum(res, np.abs(cells.sums(l * p) - I) / I), res)
-    on = np.flatnonzero((x > 0.0) | (p > 0.0))
+    on = ((x > 0.0) | (p > 0.0)).nonzero()[0]
     k = cells.cell_of[on]
     xo, po, wo, eo = x[on], p[on], w[on], e[on]
     li = lam1[k] * l[on]
@@ -676,7 +702,7 @@ def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
     a = po * eo / np.where(both, xo, 1.0)
     gap = np.abs(wo * (np.log1p(a) - a / (1.0 + a)) + lam2[k]) / wo
     np.maximum.at(res, k, np.where(both, np.maximum(term, gap), term))
-    res[~cells.valid.any(axis=1)] = np.nan
+    res[~np.logical_or.reduce(cells.valid, axis=1)] = np.nan
     return res
 
 
@@ -688,12 +714,13 @@ def _user_rows(cells: Cells, w, e, l, I):
     Raises :class:`NoTransmitterError` if a cell has users but none of
     them eligible."""
     ok = (w > 0.0) & (e > 0.0)
-    if ok.all():
+    if np.logical_and.reduce(ok):
         index, use = cells.index, cells.valid
     else:
-        ids = np.flatnonzero(ok)
+        ids = ok.nonzero()[0]
         eligible = Cells.from_cell_of(cells.cell_of[ids], cells.n_cells)
-        if (cells.valid.any(axis=1) & ~eligible.valid.any(axis=1)).any():
+        if np.logical_or.reduce(np.logical_or.reduce(cells.valid, axis=1)
+                                & ~np.logical_or.reduce(eligible.valid, axis=1)):
             raise NoTransmitterError("no user with positive weight and SINR")
         index, use = ids[eligible.index], eligible.valid
     W = np.where(use, w[index], 0.0)
@@ -717,37 +744,32 @@ def solve_dual_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
     weight and SINR.
     """
     n_cells = cells.n_cells
-    budget = np.broadcast_to(np.asarray(budget, dtype=float), (n_cells,))
+    budget = np.asarray(budget, dtype=float)
+    if not budget.ndim:
+        budget = np.full(n_cells, budget)
     index, use, W, L, ratio, beta, S = _user_rows(cells, w, e, l, budget[:, None])
     lo, a_lo, hi, b_hi, start = _seed_brackets(W, ratio, beta, S, use, budget[:, None])
 
-    x = np.zeros(len(w))
-    p = np.zeros(len(w))
-    lam1 = np.full(n_cells, np.nan)
-    lam2 = np.full(n_cells, np.nan)
-    probes = np.zeros(n_cells, dtype=int)
-    kinks = np.zeros(n_cells, dtype=int)
-    converged = np.zeros(n_cells, dtype=bool)
-    users, xs, ps = [], [], []
-    rows = zip(use.sum(axis=1).tolist(), index.tolist(), W.tolist(), ratio.tolist(), beta.tolist(),
+    solved = []  # per cell: the walk's result, or _NO_USERS
+    rows = zip(np.add.reduce(use, axis=1).tolist(), W.tolist(), ratio.tolist(), beta.tolist(),
                S.tolist(), L.tolist(), lo.tolist(), a_lo.tolist(), hi.tolist(), b_hi.tolist(),
                start.tolist(), budget.tolist())
-    for k, (n, ids, ws, rs, bs, ss, ls, lo_k, a, hi_k, b, start_k, I) in enumerate(rows):
-        if not n:
-            continue
-        left = (lo_k, a, [a]) if lo_k > -math.inf else None
-        right = (hi_k, b, [b]) if hi_k < math.inf else None
-        first = start_k if start_k < math.inf else None
-        lam1[k], lam2[k], probes[k], kinks[k], converged[k], alloc = _walk(
-            ws[:n], rs[:n], bs[:n], ss[:n], ls[:n], I, left, right, first)
-        for i, xi, pi in alloc:
-            users.append(ids[i])
-            xs.append(xi)
-            ps.append(pi)
-    x[users] = xs
-    p[users] = ps
+    for n, ws, rs, bs, ss, ls, lo_k, a, hi_k, b, start_k, I in rows:
+        if n:
+            solved.append(_walk(ws[:n], rs[:n], bs[:n], ss[:n], ls[:n], I, lo_k, a, hi_k, b, start_k))
+        else:
+            solved.append(_NO_USERS)
+    lam1, lam2, probes, kinks, converged, users, xs, ps = zip(*solved)
+    x = np.zeros(len(w))
+    p = np.zeros(len(w))
+    users = [ids[i] for ids, cell in zip(index.tolist(), users) for i in cell]
+    x[users] = list(chain.from_iterable(xs))
+    p[users] = list(chain.from_iterable(ps))
+    lam1 = np.array(lam1, dtype=float)
+    lam2 = np.array(lam2, dtype=float)
     res = _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, budget)
-    return FrameAllocation(x, p, lam1, lam2, probes, kinks, converged, res)
+    return FrameAllocation(x, p, lam1, lam2, np.array(probes, dtype=int), np.array(kinks, dtype=int),
+                           np.array(converged, dtype=bool), res)
 
 
 def solve_dual(links, budget, config=None):

@@ -11,7 +11,7 @@ from noiserise import simnet
 from noiserise.baselines import schedule_fixed_power, schedule_target_sinr
 from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import Cells, SolverConfig, UserLink, link_arrays
-from noiserise.simnet import Scheme, SimConfig, run_simulation
+from noiserise.simnet import SimConfig, run_simulation
 from noiserise.solver import (
     _FLAT,
     NoTransmitterError,
@@ -659,26 +659,27 @@ def test_property_solve_dual_sinr_against_budget_scale(cell, c):
 # frame-level dual solve against the reference walk
 
 
+def _nr_frames(cfg):
+    """Every frame's ``solve_dual_frame`` inputs ``(cells, w, e, l, budget)``
+    in the run of ``cfg``, one config or a batch, with one budget per cell."""
+    frames = []
+
+    def recording(cells, w, e, l, cap, budget):
+        frames.append((cells, w, e, l, budget))
+        return solve_dual_frame(cells, w, e, l, cap, budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "solve_dual_frame", recording)
+        run_simulation(cfg)
+    return frames
+
+
 @pytest.fixture(scope="module")
 def default_run_frames():
     """The default run's 80 frame schedule inputs ``(cells, w, e, l)`` and
     its budget."""
-    frames = []
-    make = simnet.make_scheme
-
-    def recording(*args, **kwargs):
-        scheme = make(*args, **kwargs)
-
-        def schedule(cells, w, e, l, cap):
-            frames.append((cells, w, e, l))
-            return scheme.schedule(cells, w, e, l, cap)
-
-        return Scheme(scheme.name, schedule, scheme.check)
-
     cfg = SimConfig()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simnet, "make_scheme", recording)
-        run_simulation(cfg)
+    frames = [frame[:4] for frame in _nr_frames(cfg)]
     assert len(frames) == 80
     return frames, cfg.budget().linear_budget
 
@@ -689,22 +690,60 @@ def _cells_of(cells, *arrays):
         yield k, ms, [a[ms].tolist() for a in arrays]
 
 
-def test_frame_solve_matches_reference_walk_on_default_run(default_run_frames):
-    frames, budget = default_run_frames
+def _assert_frame_solve_matches_reference_walk(frames):
+    """Solve each frame and check every cell against the reference walk;
+    returns the number of cells solved."""
     solved = 0
-    for cells, w, e, l in frames:
+    for cells, w, e, l, budget in frames:
         sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
+        budgets = np.broadcast_to(budget, (cells.n_cells,)).tolist()
         for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
-            x, p, *_ = dual_optimum(wk, ek, lk, budget)
+            I = budgets[k]
+            x, p, *_ = dual_optimum(wk, ek, lk, I)
             xk, pk = sol.x[ms].tolist(), sol.p[ms].tolist()
             assert _objective(xk, pk, wk, ek) == pytest.approx(_objective(x, p, wk, ek), rel=1e-12)
             # the array certification agrees with the scalar residual to the
             # rounding of the O(1)..O(10) terms it is built from
-            scalar = _kkt_residual(xk, pk, sol.lambda1[k], sol.lambda2[k], wk, ek, lk, budget)
+            scalar = _kkt_residual(xk, pk, sol.lambda1[k], sol.lambda2[k], wk, ek, lk, I)
             assert abs(sol.kkt_residual[k] - scalar) <= 1e-14
             assert sol.converged[k] and 1 <= sol.probes[k] <= 4
             solved += 1
-    assert solved == 1520
+    return solved
+
+
+def test_frame_solve_matches_reference_walk_on_default_run(default_run_frames):
+    frames, budget = default_run_frames
+    assert _assert_frame_solve_matches_reference_walk(
+        [(cells, w, e, l, budget) for cells, w, e, l in frames]) == 1520
+
+
+_DEFAULT = SimConfig()
+_GRID72 = replace(_DEFAULT, deployment=replace(_DEFAULT.deployment, layout="grid", ms_total=722))
+_BATCH4 = [replace(_DEFAULT, scheme=replace(_DEFAULT.scheme, noise_rise_db=db))
+           for db in (2.0, 5.0, 7.0, 10.0)]
+
+
+@pytest.mark.parametrize("cfg, cells", [(_GRID72, 72), (_BATCH4, 4 * 19)], ids=["grid72", "batch4"])
+def test_frame_solve_matches_reference_walk_on_wide_frames(cfg, cells):
+    # the 72-cell grid, and a batch of four runs at their own budgets,
+    # 76 cells per frame
+    frames = _nr_frames(cfg)
+    assert len(frames) == 80 and all(frame[0].n_cells == cells for frame in frames)
+    assert _assert_frame_solve_matches_reference_walk(frames) == 80 * cells
+
+
+def test_frame_solve_takes_the_default_runs_walk_path(default_run_frames):
+    # the walk's path, not only where it lands: a rewrite that probes
+    # elsewhere changes these counts even where its allocations agree
+    frames, budget = default_run_frames
+    probes = np.zeros(5, dtype=int)
+    kinks = 0
+    for cells, w, e, l in frames:
+        sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
+        probes += np.bincount(sol.probes, minlength=5)
+        kinks += int(sol.kinks.sum())
+    assert probes.tolist() == [0, 1150, 315, 54, 1]
+    assert kinks == 1615
 
 
 def _assert_seeds_are_the_walks_verdicts(cells, w, e, l, budget):

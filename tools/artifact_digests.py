@@ -50,6 +50,7 @@ INVOCATIONS = {
     "run_default": ["run"],
     "run_grid72_density": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722",
                                          "scheme.name=nr_density")],
+    "run_grid72_nr": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722")],
     "run_fixed_20dbm": ["run", *_sets("scheme.name=fixed", "scheme.fixed_power_dbm=20")],
     "run_target_sinr_10db_cap0.2w_q12": ["run", *_sets("scheme.name=target_sinr", "scheme.target_sinr_db=10",
                                                        "scheme.max_power_w=0.2", "run.quantize_units=12")],

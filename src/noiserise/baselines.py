@@ -50,11 +50,12 @@ def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
 
     The winner is ``argmax w_i * log(1 + P * e_i)`` (ties to the lowest
     index) and takes the whole band at exactly ``P`` Watts regardless of
-    the interference it injects.  A ``power`` over the winner's
-    ``max_power`` raises :class:`ValueError`.
+    the interference it injects.  A ``power`` that is not positive and
+    finite, or over the winner's ``max_power``, raises
+    :class:`ValueError`.
     """
-    if not power > 0:
-        raise ValueError(f"power must be > 0, got {power!r}")
+    if not 0 < power < math.inf:
+        raise ValueError(f"power must be positive and finite, got {power!r}")
     return one_cell(links, partial(fixed_frame, power=power))
 
 
@@ -179,8 +180,9 @@ def schedule_target_sinr(links: Sequence[UserLink], target_sinr: float) -> Alloc
     noise-plus-interference power the scheme plans for; the rate factor
     ``log(1 + target)`` is common to everyone, so the winner is simply the
     heaviest user able to transmit (ties to the lowest index).  Power is
-    clamped to ``max_power`` when the link carries one.
+    clamped to ``max_power`` when the link carries one.  A ``target_sinr``
+    that is not positive and finite raises :class:`ValueError`.
     """
-    if not target_sinr > 0:
-        raise ValueError(f"target_sinr must be > 0, got {target_sinr!r}")
+    if not 0 < target_sinr < math.inf:
+        raise ValueError(f"target_sinr must be positive and finite, got {target_sinr!r}")
     return one_cell(links, partial(target_sinr_frame, target_sinr=target_sinr))

@@ -91,7 +91,12 @@ class Cells:
 
     @classmethod
     def from_cell_of(cls, cell_of, n_cells: int) -> "Cells":
+        """The layout of ``n_cells`` cells serving user ``i`` in cell
+        ``cell_of[i]``; ``ValueError`` for an id outside ``[0, n_cells)``."""
         cell_of = np.asarray(cell_of, dtype=np.intp)
+        # the initial values leave an empty cell_of in range
+        if not (cell_of.min(initial=0) >= 0 and cell_of.max(initial=-1) < n_cells):
+            raise ValueError(f"cell ids must lie in [0, {n_cells}), got {cell_of.min()} to {cell_of.max()}")
         counts = np.bincount(cell_of, minlength=n_cells)
         valid = np.arange(max(int(counts.max(initial=0)), 1))[None, :] < counts[:, None]
         index = np.zeros(valid.shape, dtype=np.intp)

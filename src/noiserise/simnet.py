@@ -297,37 +297,6 @@ class Deployment:
             raise ValueError(f"unknown BS id {bs!r}")
         return self.cells.index[bs, self.cells.valid[bs]]
 
-    def received(self, power: np.ndarray) -> np.ndarray:
-        """The power each BS receives from all mobiles: ``gain_matrix.T @ power``."""
-        return self.gain_matrix.T @ power
-
-
-class _Copies:
-    """``runs`` copies of a deployment side by side, as one layout of
-    ``runs * n_bs`` cells over ``runs * n_ms`` mobiles: copy ``r`` holds
-    cells ``r * n_bs`` on and mobiles ``r * n_ms`` on, in the deployment's
-    order, so each cell's users stay in ascending order.  A scheme
-    schedules every cell on its own, so the copies meet only in
-    :meth:`received`, which keeps one ``gain_matrix.T @ power`` per copy
-    and so sums each copy's received powers as a lone run does."""
-
-    def __init__(self, deployment: Deployment, runs: int):
-        self.deployment = deployment
-        self.runs = runs
-        self.n_bs = runs * deployment.n_bs
-        self.n_ms = runs * deployment.n_ms
-        shift = np.repeat(np.arange(runs) * deployment.n_bs, deployment.n_ms)
-        self.cells = Cells.from_cell_of(np.tile(deployment.cells.cell_of, runs) + shift, self.n_bs)
-        self.serving_gain = np.tile(deployment.serving_gain, runs)
-        self.norm_interference = np.tile(deployment.norm_interference, runs)
-        _read_only(self.serving_gain, self.norm_interference,
-                   self.cells.cell_of, self.cells.index, self.cells.valid)
-
-    def received(self, power: np.ndarray) -> np.ndarray:
-        n_ms = self.deployment.n_ms
-        gain_t = self.deployment.gain_matrix.T
-        return np.concatenate([gain_t @ power[r * n_ms:(r + 1) * n_ms] for r in range(self.runs)])
-
 
 _draws: dict | None = None  # the shared draws while a shared_draws block runs
 
@@ -476,6 +445,18 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
     return check
 
 
+def _powers(name: str, value, cells: Cells | None):
+    """``value`` as one positive finite power for every cell, or with
+    ``cells`` as an array of one per cell of that layout; ``ValueError``
+    for any other shape or value."""
+    powers = np.array(value, dtype=float)  # None reads as NaN
+    shape = () if cells is None else (cells.n_cells,)
+    if powers.shape != shape or not (powers.min() > 0 and powers.max() < math.inf):
+        where = "" if cells is None else " per cell"
+        raise ValueError(f"{name} must be one positive finite power{where}, got {value!r}")
+    return float(powers) if cells is None else powers
+
+
 def make_scheme(
     name: str,
     budget,
@@ -490,19 +471,16 @@ def make_scheme(
     ``budget`` (a :class:`NoiseRiseBudget` or Watts) and ``fixed_power``
     hold one value for every cell; with ``cells``, they are arrays of one
     value per cell of that layout, the only layout the scheme then
-    schedules.  ``assumed_noise_plus_interference`` is not used: no
-    scheme reads it, and it is accepted so that existing callers keep
-    working.
+    schedules.  Either raises ``ValueError`` if it has another shape or a
+    value that is not positive and finite.
+    ``assumed_noise_plus_interference`` is not used: no scheme reads it,
+    and it is accepted so that existing callers keep working.
     """
     if cells is None:
         I = I_user = budget_watts(budget)
     else:
-        I = np.array(budget, dtype=float)
-        if I.shape != (cells.n_cells,) or not (I.min() > 0 and I.max() < math.inf):
-            raise ValueError(f"budget must be one positive finite power per cell, got {budget!r}")
+        I = _powers("budget", budget, cells)
         I_user = I[cells.cell_of]
-        if fixed_power is not None:
-            fixed_power = np.asarray(fixed_power, dtype=float)[cells.cell_of]
     tol_kkt = (solver_config if solver_config is not None else SolverConfig()).tol_kkt
     if name == "nr":
         return Scheme(name, partial(solve_dual_frame, budget=I), _frame_check(I, tol_kkt, egress=True))
@@ -511,9 +489,10 @@ def make_scheme(
     if name == "nr_density_capped":
         return Scheme(name, partial(capped_frame, budget=I_user), _frame_check(I_user, tol_kkt, density=True))
     if name == "fixed":
-        if fixed_power is None or not np.min(fixed_power) > 0:
-            raise ValueError("scheme 'fixed' needs a positive fixed_power")
-        return Scheme(name, partial(fixed_frame, power=fixed_power), _frame_check(I, tol_kkt))
+        power = _powers("fixed_power", fixed_power, cells)
+        if cells is not None:
+            power = power[cells.cell_of]
+        return Scheme(name, partial(fixed_frame, power=power), _frame_check(I, tol_kkt))
     if name == "target_sinr":
         if target_sinr is None or not target_sinr > 0:
             raise ValueError("scheme 'target_sinr' needs a positive target_sinr")
@@ -565,28 +544,31 @@ _SOLVER_FIELDS = ("kkt_residual", "probes", "kinks")
 
 
 class _Run:
-    """The constants of a run, or of a batch of runs on copies of one
-    deployment (:class:`_Copies`), and the arrays its frames write into.
+    """The frame loop's one layout: a run, or a batch of runs on copies of
+    one deployment side by side, and the arrays its frames write into.
 
-    ``cfg`` is one :class:`SimConfig` or a batch of them (see
-    :func:`_batch`).  The noise power, band, frame duration, quantization,
-    PF settings (``run_cfg``) and power caps are the batch's; each run's
-    budget and its users' scheduling SINR ``g / (N0*B + I)`` are its own.
-    All are computed once from configs whose dataclasses checked them when
-    they were built.  Frame ``t`` writes row ``t`` of the MS powers and
-    delivered bits, the BS ingress and, for the exact dual solver, the
-    per-cell KKT residuals, envelope probes and kink searches, each run in
-    its own columns; :meth:`metrics` derives the rest once, after the last
-    frame.
+    ``cfg`` is one :class:`SimConfig`, a batch of one, or a sequence of
+    them (see :func:`_batch`), one copy of ``deployment`` each.  Copy ``r``
+    holds cells ``r * n_bs`` on and mobiles ``r * n_ms`` on, in the
+    deployment's order, so each cell's users stay in ascending order.  A
+    scheme schedules every cell on its own, so the copies meet only in
+    :meth:`received`, which keeps one ``gain_matrix.T @ power`` per copy
+    and so sums each copy's received powers as a lone run does.  The noise
+    power, band, frame duration, quantization, PF settings (``run_cfg``)
+    and power caps are the batch's; each run's budget and its users'
+    scheduling SINR ``g / (N0*B + I)`` are its own.  All are computed once
+    from configs whose dataclasses checked them when they were built.
+    Frame ``t`` writes row ``t`` of the MS powers and delivered bits, the
+    BS ingress and, for the exact dual solver, the per-cell KKT residuals,
+    envelope probes and kink searches, each run in its own columns;
+    :meth:`metrics` derives the rest once, after the last frame.
     """
 
-    def __init__(self, layout, cfg):
+    def __init__(self, deployment: Deployment, cfg):
         configs = _batch(cfg)
-        self.single = isinstance(cfg, SimConfig)
         self.runs = runs = len(configs)
         first = configs[0]
         self.run_cfg = first.run
-        frames, n_ms = first.run.frames, layout.n_ms
         self.scheme = first.scheme.name
         self.band = first.channel.bandwidth_hz
         self.p_noise = first.channel.noise_power_w
@@ -594,16 +576,36 @@ class _Run:
         self.frame_duration_s = first.run.frame_duration_s
         self.quantize_units = first.run.quantize_units
         max_power = first.scheme.max_power_w
-        # every frame hands the same two arrays to the scheme, so no frame may edit them
-        self.e = layout.serving_gain / (self.p_noise + np.repeat(self.budgets, n_ms // runs))
-        self.cap = np.full(n_ms, math.inf if max_power is None else max_power)
-        _read_only(self.e, self.cap)
-        self.cells = layout.cells
-        self.l = layout.norm_interference
-        self.power = np.empty((frames, n_ms))
-        self.bits = np.zeros((frames, n_ms))
-        self.ingress = np.empty((frames, layout.n_bs))
+        self.gain_t = deployment.gain_matrix.T
+        n_bs, n_ms = deployment.n_bs, deployment.n_ms
+        drawn = deployment.cells
+        copy = np.arange(runs)
+        # the draw's layout offset to each copy's cells and mobiles, not
+        # sorted again; the padding of ``index`` stays 0, as from_cell_of
+        # leaves it
+        self.cells = Cells(
+            cell_of=(drawn.cell_of + (copy * n_bs)[:, None]).ravel(),
+            index=(drawn.index + (copy * n_ms)[:, None, None] * drawn.valid).reshape(runs * n_bs, -1),
+            valid=np.tile(drawn.valid, (runs, 1)),
+        )
+        self.g = np.tile(deployment.serving_gain, runs)
+        self.l = np.tile(deployment.norm_interference, runs)
+        # every frame hands the same arrays to the scheme, so no frame may edit them
+        self.e = self.g / (self.p_noise + np.repeat(self.budgets, n_ms))
+        self.cap = np.full(runs * n_ms, math.inf if max_power is None else max_power)
+        _read_only(self.g, self.l, self.e, self.cap, self.cells.cell_of, self.cells.index, self.cells.valid)
+        frames = first.run.frames
+        self.power = np.empty((frames, runs * n_ms))
+        self.bits = np.zeros((frames, runs * n_ms))
+        self.ingress = np.empty((frames, runs * n_bs))
         self.solver = {}
+
+    def received(self, power: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out`` the power each BS receives from the mobiles of
+        its own copy."""
+        n_bs, n_ms = self.gain_t.shape
+        for r in range(self.runs):
+            np.matmul(self.gain_t, power[r * n_ms:(r + 1) * n_ms], out=out[r * n_bs:(r + 1) * n_bs])
 
     def record(self, t: int, alloc: FrameAllocation) -> None:
         """Write frame ``t``'s powers and whichever solver fields it carries."""
@@ -615,13 +617,13 @@ class _Run:
                     self.solver[name] = np.empty((len(self.power), len(row)), row.dtype)
                 self.solver[name][t] = row
 
-    def metrics(self):
-        """The run's :class:`MetricsBundle`, or a batch's :class:`Batch`.
+    def metrics(self) -> Batch:
+        """The :class:`MetricsBundle` of every run, as a :class:`Batch`.
         Frame ``t``'s users are binned at ``t * n_cells + cell``, so one
         ``bincount`` adds each cell's users in ascending order, as
         :meth:`Cells.sums` does per frame."""
         n_frames = len(self.power)
-        n_ms, n_cells = self.power.shape[1] // self.runs, self.ingress.shape[1] // self.runs
+        n_cells, n_ms = self.gain_t.shape
         bins = (np.arange(n_frames)[:, None] * n_cells + self.cells.cell_of[:n_ms]).ravel()
 
         def cell_sums(values):
@@ -633,7 +635,7 @@ class _Run:
             # the MS arrays are views of run r's columns: a bundle reduces
             # them only along frames, which adds in frame order on any
             # strides; the ingress, which mean and std reduce whole, is
-            # copied out, so that it sums as a lone run's contiguous array
+            # copied out, so that it sums as one contiguous array in any batch
             power, bits = self.power[:, users], self.bits[:, users]
             ingress = np.ascontiguousarray(self.ingress[:, cells])
             return MetricsBundle(
@@ -650,31 +652,28 @@ class _Run:
                 **{name: values[:, cells] for name, values in self.solver.items()},
             )
 
-        bundles = Batch(bundle(r) for r in range(self.runs))
-        return bundles[0] if self.single else bundles
+        return Batch(bundle(r) for r in range(self.runs))
 
 
-def run_frame(deployment, scheme: Scheme, weights: np.ndarray, run: _Run, t: int) -> np.ndarray:
+def run_frame(run: _Run, scheme: Scheme, weights: np.ndarray, t: int) -> np.ndarray:
     """Schedule every cell of frame ``t`` against the planned interference,
     then score it at the interference that actually materialized; returns
     the frame's delivered bits per MS.
 
-    ``deployment`` is a :class:`Deployment`, or the :class:`_Copies` of a
-    batch, whose ``n_bs`` cells are all scheduled here.  Scheduling builds
-    each user's normalized SINR from the budgeted noise-plus-interference
-    ``N0*B + I``; delivered bits use the measured ingress at the serving
-    BS instead, spread uniformly over the band.  Cells are independent
-    within a frame, so the scheme schedules and checks all of them in one
-    call on per-mobile arrays.  The frame writes row ``t`` of ``run``'s
-    arrays and computes nothing the next frame does not need.
+    ``scheme`` schedules ``run.cells``, every cell of every run of the
+    batch.  Scheduling builds each user's normalized SINR from the
+    budgeted noise-plus-interference ``N0*B + I``; delivered bits use the
+    measured ingress at the serving BS instead, spread uniformly over the
+    band.  Cells are independent within a frame, so the scheme schedules
+    and checks all of them in one call on per-mobile arrays.  The frame
+    writes row ``t`` of ``run``'s arrays and computes nothing the next
+    frame does not need.
     """
     # NaN fails both comparisons, so two reductions refuse what
     # isfinite().all() and (>= 0).all() would
     if not (np.minimum.reduce(weights) >= 0.0 and np.maximum.reduce(weights) < math.inf):
         raise ValueError("PF weights must be finite and >= 0")
-    cells = deployment.cells
-    g = deployment.serving_gain
-    l = deployment.norm_interference
+    cells, g, l = run.cells, run.g, run.l
     alloc = scheme.schedule(cells, weights, run.e, l, run.cap)
     scheme.check(cells, alloc, l, run.cap)
     if run.quantize_units:
@@ -683,7 +682,8 @@ def run_frame(deployment, scheme: Scheme, weights: np.ndarray, run: _Run, t: int
     frac, power = alloc.x, alloc.p
 
     ingress = run.ingress[t]
-    np.maximum(deployment.received(power) - cells.sums(g * power), 0.0, out=ingress)
+    run.received(power, out=ingress)
+    np.maximum(np.subtract(ingress, cells.sums(g * power), out=ingress), 0.0, out=ingress)
 
     bits = run.bits[t]
     on = ((frac > 0.0) & (power > 0.0)).nonzero()[0]
@@ -895,44 +895,45 @@ def _batch(cfg) -> list:
     return configs
 
 
-def run_frames(deployment, scheme: Scheme, cfg):
-    """Run ``cfg.run.frames`` frames of ``scheme`` on ``deployment``, the
-    proportional-fair weights of each frame ``1 / t_avg`` of the bits
-    delivered before it.  For a batch of configs, ``deployment`` is their
-    :class:`_Copies` and ``scheme`` schedules that layout."""
-    run = _Run(deployment, cfg)
+def run_frames(run: _Run, scheme: Scheme) -> Batch:
+    """Run the frames of ``run`` with ``scheme``, which schedules the
+    layout ``run.cells``, the proportional-fair weights of each frame
+    ``1 / t_avg`` of the bits delivered before it; returns every run's
+    :class:`MetricsBundle` as a :class:`Batch`."""
     run_cfg = run.run_cfg
-    t_avg = np.full(deployment.n_ms, run_cfg.pf_init, dtype=float)
+    t_avg = np.full(len(run.g), run_cfg.pf_init, dtype=float)
     # bench/ wraps run_frame and update_pf by their simnet names, so both
     # stay module-level calls, once per frame
     for t in range(run_cfg.frames):
-        update_pf(t_avg, run_frame(deployment, scheme, 1.0 / t_avg, run, t), run_cfg.pf_beta)
+        update_pf(t_avg, run_frame(run, scheme, 1.0 / t_avg, t), run_cfg.pf_beta)
     return run.metrics()
 
 
 def run_simulation(cfg):
-    """Build the deployment and the scheme, then run the frame loop.
+    """Draw the deployment, lay out its :class:`_Run`, bind the scheme to
+    that layout and run the frame loop.
 
     ``cfg`` is one :class:`SimConfig`, which returns its
     :class:`MetricsBundle`, or a sequence of configs that differ only in
     the scheme's ``noise_rise_db`` and ``fixed_power_w`` (else
-    ``ValueError``), which returns their :class:`Batch`.  A batch runs as
-    one: the frame loop schedules copies of the one deployment draw side
-    by side (:class:`_Copies`), each with its run's budget and fixed power
-    per cell, and every run's figures equal its own run's.
+    ``ValueError``), which returns their :class:`Batch`.  Either runs as a
+    batch of copies of one deployment draw (:class:`_Run`), each copy with
+    its run's budget and fixed power per cell, and every run's figures
+    equal its own run's.
     """
     configs = _batch(cfg)
     first = configs[0]
     deployment = build_deployment(first.deployment, first.channel.pathloss, first.run.seed)
-    layout = deployment if len(configs) == 1 else _Copies(deployment, len(configs))
+    run = _Run(deployment, configs)
     n_bs = deployment.n_bs
     scheme = make_scheme(
         first.scheme.name,
-        np.repeat([c.budget().linear_budget for c in configs], n_bs),
+        np.repeat(run.budgets, n_bs),
         solver_config=first.solver,
         fixed_power=(np.repeat([c.scheme.fixed_power_w for c in configs], n_bs)
                      if first.scheme.name == "fixed" else None),
         target_sinr=first.scheme.target_sinr,
-        cells=layout.cells,
+        cells=run.cells,
     )
-    return run_frames(layout, scheme, cfg)
+    batch = run_frames(run, scheme)
+    return batch[0] if isinstance(cfg, SimConfig) else batch

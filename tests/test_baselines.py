@@ -58,6 +58,16 @@ def test_fixed_power_single_winner_full_band():
         assert egress == pytest.approx(links[winner].norm_interference * 1.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_per_cell_baselines_refuse_a_power_or_target_that_is_not_positive_and_finite(value):
+    # an infinite power or target would schedule [inf, 0.0] at objective inf
+    links = _links([1.0, 1.0], [2.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="power must be positive and finite"):
+        schedule_fixed_power(links, value)
+    with pytest.raises(ValueError, match="target_sinr must be positive and finite"):
+        schedule_target_sinr(links, value)
+
+
 def test_calibration_zero_reference_errors():
     with pytest.raises(CalibrationError):
         calibrate_fixed_power(lambda p: p, 0.0)

@@ -27,6 +27,28 @@ SURFACES = {
         "solve_dual",
         "one_cell",
     ],
+    "noiserise.simnet": [
+        "PathLossParams",
+        "DeploymentConfig",
+        "Deployment",
+        "ChannelConfig",
+        "SchemeConfig",
+        "RunConfig",
+        "SimConfig",
+        "MetricsBundle",
+        "Batch",
+        "Scheme",
+        "FrameAllocation",
+        "cost_hata_pl",
+        "build_deployment",
+        "shared_draws",
+        "make_scheme",
+        "run_frame",
+        "update_pf",
+        "run_frames",
+        "run_simulation",
+        "SCHEME_NAMES",
+    ],
     "noiserise.model": [
         "LN2",
         "UserLink",

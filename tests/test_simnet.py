@@ -193,6 +193,13 @@ def test_cells_with_an_empty_cell():
     assert cells.sums(np.ones(4)).tolist() == [2.0, 0.0, 2.0]
 
 
+def test_cells_refuse_an_id_outside_the_layout():
+    for cell_of in ([0, 5], [0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match=r"cell ids must lie in \[0, 2\)"):
+            Cells.from_cell_of(cell_of, 2)
+    assert Cells.from_cell_of([], 2).valid.sum() == 0
+
+
 # ---------------------------------------------------------------------------
 # frame loop
 
@@ -220,7 +227,7 @@ class _OnlyCellZero:
 def _first_frame(dep, scheme, cfg):
     """Frame 0 of a run of ``scheme`` on ``dep``, where every PF weight is
     ``1 / pf_init`` (1 by default)."""
-    bundle = run_frames(dep, scheme, replace(cfg, run=replace(cfg.run, frames=1)))
+    (bundle,) = run_frames(_Run(dep, replace(cfg, run=replace(cfg.run, frames=1))), scheme)
     return FrameMetrics(**{f.name: getattr(bundle, f.name)[0] for f in fields(FrameMetrics)})
 
 
@@ -307,7 +314,7 @@ def test_run_frame_validates_weights():
     scheme = make_scheme("nr_density", cfg.budget())
     for weight in (np.nan, -1.0, np.inf):
         with pytest.raises(ValueError, match="weights"):
-            run_frame(dep, scheme, np.full(dep.n_ms, weight), _Run(dep, cfg), 0)
+            run_frame(_Run(dep, cfg), scheme, np.full(dep.n_ms, weight), 0)
 
 
 def test_density_checks_reject_violations():
@@ -354,6 +361,19 @@ def test_checks_take_one_budget_per_cell():
     for budget in ([2.0], [2.0, 0.0], [2.0, np.nan], [2.0, np.inf]):
         with pytest.raises(ValueError, match="one positive finite power per cell"):
             make_scheme("nr", budget, cells=cells)
+
+
+def test_fixed_power_is_one_positive_finite_power_per_cell():
+    cells = Cells.from_cell_of([0, 0, 1], 2)
+    frame = (cells, np.ones(3), np.array([1.0, 2.0, 1.0]), np.ones(3), np.full(3, np.inf))
+    alloc = make_scheme("fixed", [2.0, 1.0], fixed_power=[0.1, 0.2], cells=cells).schedule(*frame)
+    assert alloc.p.tolist() == [0.0, 0.1, 0.2]
+    for power in ([0.1, 0.0, 0.2], [0.1], 0.1, [0.1, 0.0], [0.1, np.nan], [0.1, np.inf], None):
+        with pytest.raises(ValueError, match="fixed_power must be one positive finite power per cell"):
+            make_scheme("fixed", [2.0, 1.0], fixed_power=power, cells=cells)
+    for power in (np.inf, np.nan, 0.0, [0.1, 0.2], None):
+        with pytest.raises(ValueError, match="fixed_power must be one positive finite power,"):
+            make_scheme("fixed", 2.0, fixed_power=power)
 
 
 class _FaultAt:
@@ -406,11 +426,11 @@ def test_frame_check_refuses_a_faulty_allocation(name, fault, at):
     )
     dep = build_deployment(cfg.deployment, cfg.channel.pathloss, seed=5)
     scheme = _schemes(cfg)[0]
-    run_frames(dep, scheme, cfg)  # the run passes without the fault
+    run_frames(_Run(dep, cfg), scheme)  # the run passes without the fault
     inject, message = _FAULTS[fault]
     faulty = Scheme(name, _FaultAt(scheme.schedule, inject, at), scheme.check)
     with pytest.raises(AssertionError, match=message):
-        run_frames(dep, faulty, cfg)
+        run_frames(_Run(dep, cfg), faulty)
 
 
 # ---------------------------------------------------------------------------
@@ -747,14 +767,14 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
         name in ("nr", "nr_density") or name == "fixed" and max_power < cfg.scheme.fixed_power_w)
     if breaks_cap:
         with pytest.raises(AssertionError, match="max power violated"):
-            run_frame(dep, recording, 1.0 / t_avg, run, 0)
+            run_frame(run, recording, 1.0 / t_avg, 0)
         return
     wants = []
     for t in range(cfg.run.frames):
         weights = 1.0 / t_avg
         wants.append(reference_run_frame(dep, reference, weights, cfg))
-        update_pf(t_avg, run_frame(dep, recording, weights, run, t), cfg.run.pf_beta)
-    got = run.metrics()
+        update_pf(t_avg, run_frame(run, recording, weights, t), cfg.run.pf_beta)
+    (got,) = run.metrics()
     for t, (want, want_x) in enumerate(wants):
         # both loops see the same weights, so the schedules are the same floats
         if quantize is None:
@@ -799,6 +819,16 @@ def test_run_simulation_matches_reference_frame_loop(name, wrap, quantize):
 # a batch of runs against each run alone
 
 
+def _assert_same_fields(got, want):
+    """Every field of two bundles, solver fields included, is the same floats."""
+    for f in fields(MetricsBundle):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), f.name
+        else:
+            assert a == b, f.name
+
+
 @pytest.mark.parametrize("name, quantize, max_power", [
     (name, quantize, max_power)
     for name in SCHEME_NAMES for quantize in (None, 12) for max_power in (None, 5.0)
@@ -823,18 +853,28 @@ def test_batch_runs_equal_their_own_runs(name, quantize, max_power):
     assert batch.n_cells * batch.n_frames == 3 * 7 * 5
     for cfg, bundle in zip(configs, batch):
         alone = run_simulation(cfg)
-        for f in fields(MetricsBundle):
-            got, want = getattr(bundle, f.name), getattr(alone, f.name)
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), f.name
-            else:
-                assert got == want, f.name
+        _assert_same_fields(bundle, alone)
         # and so is every figure derived from them, whatever the arrays' strides
         for stat in ("mean_cell_throughput", "mean_ingress_w", "ingress_std_w", "ingress_std_db",
                      "edge_spectral_efficiency", "jain_fairness", "solver_stats"):
             assert getattr(bundle, stat)() == getattr(alone, stat)(), stat
         assert np.array_equal(bundle.per_ms_spectral_efficiency(), alone.per_ms_spectral_efficiency())
         assert (bundle.probes is not None) == (name == "nr")
+
+
+@pytest.mark.parametrize("name", ["nr", "fixed"])
+def test_a_batch_of_one_is_the_run_alone(name):
+    # run_simulation alone picks the return shape: a MetricsBundle for a
+    # SimConfig, a Batch for a sequence, here of one equal bundle
+    cfg = SimConfig(deployment=DeploymentConfig(rings=1, ms_per_cell=4),
+                    scheme=SchemeConfig(name=name, fixed_power_w=0.1), run=RunConfig(seed=3, frames=4))
+    alone = run_simulation(cfg)
+    batch = run_simulation([cfg])
+    assert isinstance(alone, MetricsBundle)
+    assert isinstance(batch, Batch) and len(batch) == 1
+    assert (batch.n_cells, batch.n_frames) == (alone.n_cells, alone.n_frames) == (7, 4)
+    assert (alone.probes is not None) == (name == "nr")
+    _assert_same_fields(batch[0], alone)
 
 
 def test_long_batch_runs_sum_as_their_own_runs():

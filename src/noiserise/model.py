@@ -9,6 +9,7 @@ the total in-band noise power ``P_N = N0 * B``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,13 +191,16 @@ def noise_rise_budget_from_db(target_db, n0_density, bandwidth):
 
 
 def budget_watts(budget):
-    """Accept either a :class:`NoiseRiseBudget` or a plain power in Watts."""
+    """Accept either a :class:`NoiseRiseBudget` or a plain power in Watts,
+    a real number (not a bool) that is positive and finite; ``ValueError``
+    for anything else."""
     if isinstance(budget, NoiseRiseBudget):
         return budget.linear_budget
-    value = float(budget)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"budget must be a positive power in Watts, got {budget!r}")
-    return value
+    if isinstance(budget, numbers.Real) and not isinstance(budget, bool):
+        value = float(budget)
+        if math.isfinite(value) and value > 0:
+            return value
+    raise ValueError(f"budget must be a positive power in Watts, got {budget!r}")
 
 
 @dataclass(frozen=True)

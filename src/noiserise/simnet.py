@@ -36,7 +36,7 @@ from .model import (
 )
 from .model import _check_finite as _check_finite_value
 from .model import UserLink  # noqa: F401 - bench/spans.py counts simnet.UserLink constructions
-from .solver import solve_dual_frame
+from .solver import DualRun, solve_dual_frame
 from .solver import solve_joint  # noqa: F401 - bench/spans.py wraps simnet.solve_joint by name
 
 __all__ = [
@@ -465,6 +465,8 @@ def make_scheme(
     target_sinr: float | None = None,
     assumed_noise_plus_interference: float | None = None,
     cells: Cells | None = None,
+    e: np.ndarray | None = None,
+    l: np.ndarray | None = None,
 ) -> Scheme:
     """Build the named scheduling scheme.
 
@@ -472,7 +474,10 @@ def make_scheme(
     hold one value for every cell; with ``cells``, they are arrays of one
     value per cell of that layout, the only layout the scheme then
     schedules.  Either raises ``ValueError`` if it has another shape or a
-    value that is not positive and finite.
+    value that is not positive and finite.  With ``cells``, ``e`` and
+    ``l``, the per-user arrays a run hands every frame, ``nr`` binds what
+    they fix once (:class:`~noiserise.solver.DualRun`) instead of every
+    frame.
     ``assumed_noise_plus_interference`` is not used: no scheme reads it,
     and it is accepted so that existing callers keep working.
     """
@@ -483,7 +488,8 @@ def make_scheme(
         I_user = I[cells.cell_of]
     tol_kkt = (solver_config if solver_config is not None else SolverConfig()).tol_kkt
     if name == "nr":
-        return Scheme(name, partial(solve_dual_frame, budget=I), _frame_check(I, tol_kkt, egress=True))
+        run = None if cells is None or e is None or l is None else DualRun(cells, e, l, I)
+        return Scheme(name, partial(solve_dual_frame, budget=I, run=run), _frame_check(I, tol_kkt, egress=True))
     if name == "nr_density":
         return Scheme(name, partial(density_frame, budget=I_user), _frame_check(I_user, tol_kkt, density=True))
     if name == "nr_density_capped":
@@ -547,8 +553,8 @@ class _Run:
     """The frame loop's one layout: a run, or a batch of runs on copies of
     one deployment side by side, and the arrays its frames write into.
 
-    ``cfg`` is one :class:`SimConfig`, a batch of one, or a sequence of
-    them (see :func:`_batch`), one copy of ``deployment`` each.  Copy ``r``
+    ``configs`` is a list of :class:`SimConfig` that :func:`_batch` has
+    checked, one copy of ``deployment`` each.  Copy ``r``
     holds cells ``r * n_bs`` on and mobiles ``r * n_ms`` on, in the
     deployment's order, so each cell's users stay in ascending order.  A
     scheme schedules every cell on its own, so the copies meet only in
@@ -564,8 +570,7 @@ class _Run:
     :meth:`metrics` derives the rest once, after the last frame.
     """
 
-    def __init__(self, deployment: Deployment, cfg):
-        configs = _batch(cfg)
+    def __init__(self, deployment: Deployment, configs: list):
         self.runs = runs = len(configs)
         first = configs[0]
         self.run_cfg = first.run
@@ -934,6 +939,8 @@ def run_simulation(cfg):
                      if first.scheme.name == "fixed" else None),
         target_sinr=first.scheme.target_sinr,
         cells=run.cells,
+        e=run.e,
+        l=run.l,
     )
     batch = run_frames(run, scheme)
     return batch[0] if isinstance(cfg, SimConfig) else batch

@@ -505,51 +505,6 @@ _GUARD = 100.0 * _TIE
 _NO_USERS = (math.nan, math.nan, 0, 0, False, (), (), ())
 
 
-def _seed_brackets(W, ratio, beta, S, use, I):
-    """Classify every user's single-user minimiser as a probe of the dual.
-
-    ``W, ratio, beta, S`` are (cells, width) matrices of ``w``, ``w e/l``,
-    ``l/e`` and the minimisers ``w/(I + l/e)``, with ``W = 0`` where
-    ``use`` marks no user, and ``I`` is a column of the cells' budgets.
-    One (width, cells, width) pass evaluates the envelope of the band
-    values at every candidate.  Where one user tops it alone, the walk's
-    spend/slack rule says whether the candidate lies left of the optimum,
-    right of it, or on it; a candidate where another band value comes
-    within ``_GUARD`` of the top is left to a probe, so every left or
-    right verdict is the walk's own.  Returns per cell the
-    largest left candidate and its top user, the smallest right one and
-    its top user (``-inf``/``inf`` if none), and the smallest other
-    candidate between them (``inf`` if none).
-    """
-    # laid out (user, cell, candidate), so that the reductions over users
-    # run along the first axis, where numpy vectorises them
-    a = (ratio.T[:, :, None] - S) / S  # r - 1, free of cancellation near r = 1
-    np.maximum(a, 0.0, out=a)
-    values = np.log1p(a)
-    values -= a / (1.0 + a)
-    values *= W.T[:, :, None]  # padding is 0: never the top, at most a false tie
-    top = np.maximum.reduce(values)
-    near = top - _GUARD * (S * I + top)
-    alone = use & (np.add.reduce(values >= near) == 1)
-    rows = np.arange(len(S))
-    best = values.argmax(axis=0)
-    w_top = W[rows[:, None], best]
-    spend = w_top / S - beta[rows[:, None], best]
-    slack = _FLAT * w_top / S
-    left = alone & (spend - I > slack)
-    right = alone & (I - spend > slack)
-
-    at_left = np.where(left, S, -np.inf)
-    at_right = np.where(right, S, np.inf)
-    kl = at_left.argmax(axis=1)
-    kr = at_right.argmin(axis=1)
-    lo = at_left[rows, kl]
-    hi = at_right[rows, kr]
-    between = use & ~left & ~right & (S > lo[:, None]) & (S < hi[:, None])
-    start = np.minimum.reduce(np.where(between, S, np.inf), axis=1)
-    return lo, best[rows, kl], hi, best[rows, kr], start
-
-
 def _kink(wa, ra, ba, wb, rb, bb, lo, hi):
     """Where the band values of users a and b cross inside (lo, hi).
 
@@ -683,10 +638,11 @@ def _walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam):
         share * c_hi / ls[j_hi], (1.0 - share) * c_lo / ls[j_lo])
 
 
-def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
+def _kkt_residuals(cells, empty, x, p, lam1, lam2, w, e, l, I):
     """:func:`_kkt_residual` of every cell at once against its budget in
-    ``I`` (NaN for a cell with no users), for per-user ``x, p`` in which
-    every user holding band has a positive weight and SINR."""
+    ``I`` (NaN for the cells with no users, which ``empty`` marks), for
+    per-user ``x, p`` in which every user holding band has a positive
+    weight and SINR."""
     res = np.abs(cells.sums(x) - 1.0)
     res = np.where(cells.sums(p) > 0.0, np.maximum(res, np.abs(cells.sums(l * p) - I) / I), res)
     on = ((x > 0.0) | (p > 0.0)).nonzero()[0]
@@ -702,74 +658,172 @@ def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
     a = po * eo / np.where(both, xo, 1.0)
     gap = np.abs(wo * (np.log1p(a) - a / (1.0 + a)) + lam2[k]) / wo
     np.maximum.at(res, k, np.where(both, np.maximum(term, gap), term))
-    res[~np.logical_or.reduce(cells.valid, axis=1)] = np.nan
+    res[empty] = np.nan
     return res
 
 
-def _user_rows(cells: Cells, w, e, l, I):
-    """Each cell's users with positive weight and SINR, as (cells, width)
-    matrices: mobile ``index``, ``use`` mask, ``W`` (0 in padding), ``L``,
-    ``ratio = w e/l``, ``beta = l/e`` and the single-user minimisers ``S``
-    for the column ``I`` of the cells' budgets.
-    Raises :class:`NoTransmitterError` if a cell has users but none of
-    them eligible."""
-    ok = (w > 0.0) & (e > 0.0)
-    if np.logical_and.reduce(ok):
-        index, use = cells.index, cells.valid
-    else:
-        ids = ok.nonzero()[0]
-        eligible = Cells.from_cell_of(cells.cell_of[ids], cells.n_cells)
-        if np.logical_or.reduce(np.logical_or.reduce(cells.valid, axis=1)
-                                & ~np.logical_or.reduce(eligible.valid, axis=1)):
-            raise NoTransmitterError("no user with positive weight and SINR")
-        index, use = ids[eligible.index], eligible.valid
-    W = np.where(use, w[index], 0.0)
-    E = np.where(use, e[index], 1.0)
-    L = np.where(use, l[index], 1.0)
-    beta = L / E
-    return index, use, W, L, W * E / L, beta, np.where(use, W / (I + beta), 1.0)
+class DualRun:
+    """What a run fixes of its :func:`solve_dual_frame` calls.
+
+    A run schedules the same layout ``cells`` on the same ``e``, ``l`` and
+    budgets every frame; only the PF weights ``w`` change.  So this binds,
+    once, each eligible user's ``E = e``, ``L = l``, ``beta = l/e`` and
+    ``I + beta`` as (cells, width) matrices (1 in padding), each cell's
+    user count, ``beta`` and ``l`` lists and mobile ids, the empty cells
+    and the seed pass's (width, cells, width) work buffers; :meth:`solve`
+    gathers per frame only what the weights change.
+    Eligible are the users with ``e > 0`` and, given ``w``, ``w > 0``, so
+    a run binds without ``w`` and a frame whose weights are not all
+    positive binds afresh.  The budget in Watts is one for all cells or
+    one per cell.  Raises :class:`NoTransmitterError` if a cell has users
+    but none eligible.
+    """
+
+    def __init__(self, cells: Cells, e, l, budget, w=None):
+        n_cells = cells.n_cells
+        budget = np.asarray(budget, dtype=float)
+        if not budget.ndim:
+            budget = np.full(n_cells, budget)
+        ok = e > 0.0 if w is None else (w > 0.0) & (e > 0.0)
+        if np.logical_and.reduce(ok):
+            index, use = cells.index, cells.valid
+        else:
+            ids = ok.nonzero()[0]
+            eligible = Cells.from_cell_of(cells.cell_of[ids], n_cells)
+            if np.logical_or.reduce(np.logical_or.reduce(cells.valid, axis=1)
+                                    & ~np.logical_or.reduce(eligible.valid, axis=1)):
+                raise NoTransmitterError("no user with positive weight and SINR")
+            index, use = ids[eligible.index], eligible.valid
+        self.cells, self.e, self.l, self.budget = cells, e, l, budget
+        self.index, self.use = index, use
+        self.I = I = budget[:, None]
+        self.E = np.where(use, e[index], 1.0)
+        self.L = L = np.where(use, l[index], 1.0)
+        self.beta = beta = L / self.E
+        self.I_beta = I + beta
+        self.counts = counts = np.add.reduce(use, axis=1).tolist()
+        self.betas = [row[:n] for row, n in zip(beta.tolist(), counts)]
+        self.ls = [row[:n] for row, n in zip(L.tolist(), counts)]
+        self.ids = index.tolist()
+        self.budgets = budget.tolist()
+        self.empty = ~np.logical_or.reduce(cells.valid, axis=1)
+        self.rows = np.arange(n_cells)
+        shape = (use.shape[1], n_cells, use.shape[1])
+        self.buffers = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+    def binds(self, cells: Cells, w, e, l) -> bool:
+        """Whether a frame on these very arrays, with these weights, may
+        use this binding: every weight positive, as a run's PF weights are."""
+        return cells is self.cells and e is self.e and l is self.l and bool(np.logical_and.reduce(w > 0.0))
+
+    def rows_of(self, w):
+        """The frame's (cells, width) matrices ``W`` (0 in padding),
+        ``ratio = w e/l`` and the single-user minimisers
+        ``S = w/(I + l/e)`` (1 in padding)."""
+        use = self.use
+        W = np.where(use, w[self.index], 0.0)
+        return W, W * self.E / self.L, np.where(use, W / self.I_beta, 1.0)
+
+    def seed(self, W, ratio, S):
+        """Classify every user's single-user minimiser as a probe of the dual.
+
+        One (width, cells, width) pass over the matrices of
+        :meth:`rows_of` evaluates the envelope of the band values at every
+        candidate.  Where one user tops it alone, the walk's spend/slack
+        rule says whether the candidate lies left of the optimum, right of
+        it, or on it; a candidate where another band value comes within
+        ``_GUARD`` of the top is left to a probe, so every verdict is the
+        walk's own.  Returns per cell the largest left candidate and its
+        top user, the smallest right one and its top user (``-inf``/``inf``
+        if none), the smallest other candidate between them (``inf`` if
+        none), and that candidate's own user where the candidate settles
+        the cell, -1 elsewhere.  A candidate settles its cell when it is
+        neither left nor right, its user tops the envelope there alone and
+        it is that user's own minimiser: the walk's first probe, at it,
+        then stops on that user without moving ``lam``.
+        """
+        a, values, t, hits = self.buffers
+        I, use, rows = self.I, self.use, self.rows
+        # laid out (user, cell, candidate), so that the reductions over users
+        # run along the first axis, where numpy vectorises them;
+        # r - 1 is free of cancellation near r = 1
+        np.divide(np.subtract(ratio.T[:, :, None], S, out=a), S, out=a)
+        np.maximum(a, 0.0, out=a)
+        np.log1p(a, out=values)
+        values -= np.divide(a, np.add(1.0, a, out=t), out=t)
+        values *= W.T[:, :, None]  # padding is 0: never the top, at most a false tie
+        top = np.maximum.reduce(values)
+        near = top - _GUARD * (S * I + top)
+        alone = use & (np.add.reduce(np.greater_equal(values, near, out=hits)) == 1)
+        best = values.argmax(axis=0)
+        w_top = W[rows[:, None], best]
+        spend = w_top / S - self.beta[rows[:, None], best]
+        slack = _FLAT * w_top / S
+        left = alone & (spend - I > slack)
+        right = alone & (I - spend > slack)
+
+        at_left = np.where(left, S, -np.inf)
+        at_right = np.where(right, S, np.inf)
+        kl = at_left.argmax(axis=1)
+        kr = at_right.argmin(axis=1)
+        lo = at_left[rows, kl]
+        hi = at_right[rows, kr]
+        between = use & ~left & ~right & (S > lo[:, None]) & (S < hi[:, None])
+        at_start = np.where(between, S, np.inf)
+        k = at_start.argmin(axis=1)
+        settled = between[rows, k] & alone[rows, k] & (best[rows, k] == k)
+        return lo, best[rows, kl], hi, best[rows, kr], at_start[rows, k], np.where(settled, k, -1)
+
+    def solve(self, w) -> FrameAllocation:
+        """The frame's allocation under weights ``w``, positive for every
+        eligible user; see :func:`solve_dual_frame`."""
+        W, ratio, S = self.rows_of(w)
+        lo, a, hi, b, start, own = self.seed(W, ratio, S)
+        solved = []  # per cell: the walk's result, or _NO_USERS
+        per_cell = zip(self.counts, W.tolist(), ratio.tolist(), S.tolist(), self.betas, self.ls, self.budgets,
+                       lo.tolist(), a.tolist(), hi.tolist(), b.tolist(), start.tolist(), own.tolist())
+        for n, ws, rs, ss, bs, ls, I, lo_k, a_k, hi_k, b_k, start_k, k in per_cell:
+            if k >= 0:
+                # the walk's one probe, at user k's own minimiser: k takes
+                # the band at p = I/l, and lambda2 is minus its band value
+                lam = ss[k]
+                solved.append((lam, -_band_values((ws[k],), (rs[k],), lam)[0], 1, 0, True, (k,), (1.0,),
+                               (I / ls[k],)))
+            elif n:
+                solved.append(_walk(ws[:n], rs[:n], bs, ss[:n], ls, I, lo_k, a_k, hi_k, b_k, start_k))
+            else:
+                solved.append(_NO_USERS)
+        lam1, lam2, probes, kinks, converged, users, xs, ps = zip(*solved)
+        x = np.zeros(len(w))
+        p = np.zeros(len(w))
+        users = [ids[i] for ids, cell in zip(self.ids, users) for i in cell]
+        x[users] = list(chain.from_iterable(xs))
+        p[users] = list(chain.from_iterable(ps))
+        lam1 = np.array(lam1, dtype=float)
+        lam2 = np.array(lam2, dtype=float)
+        res = _kkt_residuals(self.cells, self.empty, x, p, lam1, lam2, w, self.e, self.l, self.budget)
+        return FrameAllocation(x, p, lam1, lam2, np.array(probes, dtype=int), np.array(kinks, dtype=int),
+                               np.array(converged, dtype=bool), res)
 
 
-def solve_dual_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
+def solve_dual_frame(cells: Cells, w, e, l, cap, budget, run: DualRun | None = None) -> FrameAllocation:
     """:func:`solve_dual` for every cell of the ``cells`` layout at once,
     on per-user arrays ``w, e, l`` and a budget in Watts, one for all
     cells or one per cell; ``cap`` is not used.
 
-    One array pass over all cells seeds each cell's walk with the tightest
-    bracket among its users' single-user minimisers (see
-    :func:`_seed_brackets`); a scalar walk per cell finishes from there,
-    and every decision that fixes an allocation is taken by its probes.
-    A second array pass certifies every cell.  Raises
-    :class:`NoTransmitterError` if a cell has users but none with positive
-    weight and SINR.
+    ``run`` is the :class:`DualRun` a run bound to these ``cells, e, l``
+    and budget, which the frame uses while every weight is positive;
+    without it, or otherwise, the call binds its own.  One array pass over
+    all cells seeds each cell's walk with the tightest bracket among its
+    users' single-user minimisers and settles the cells whose first probe
+    would stop at once (see :meth:`DualRun.seed`); a scalar walk per
+    remaining cell finishes from its bracket.  A second array pass
+    certifies every cell.  Raises :class:`NoTransmitterError` if a cell
+    has users but none with positive weight and SINR.
     """
-    n_cells = cells.n_cells
-    budget = np.asarray(budget, dtype=float)
-    if not budget.ndim:
-        budget = np.full(n_cells, budget)
-    index, use, W, L, ratio, beta, S = _user_rows(cells, w, e, l, budget[:, None])
-    lo, a_lo, hi, b_hi, start = _seed_brackets(W, ratio, beta, S, use, budget[:, None])
-
-    solved = []  # per cell: the walk's result, or _NO_USERS
-    rows = zip(np.add.reduce(use, axis=1).tolist(), W.tolist(), ratio.tolist(), beta.tolist(),
-               S.tolist(), L.tolist(), lo.tolist(), a_lo.tolist(), hi.tolist(), b_hi.tolist(),
-               start.tolist(), budget.tolist())
-    for n, ws, rs, bs, ss, ls, lo_k, a, hi_k, b, start_k, I in rows:
-        if n:
-            solved.append(_walk(ws[:n], rs[:n], bs[:n], ss[:n], ls[:n], I, lo_k, a, hi_k, b, start_k))
-        else:
-            solved.append(_NO_USERS)
-    lam1, lam2, probes, kinks, converged, users, xs, ps = zip(*solved)
-    x = np.zeros(len(w))
-    p = np.zeros(len(w))
-    users = [ids[i] for ids, cell in zip(index.tolist(), users) for i in cell]
-    x[users] = list(chain.from_iterable(xs))
-    p[users] = list(chain.from_iterable(ps))
-    lam1 = np.array(lam1, dtype=float)
-    lam2 = np.array(lam2, dtype=float)
-    res = _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, budget)
-    return FrameAllocation(x, p, lam1, lam2, np.array(probes, dtype=int), np.array(kinks, dtype=int),
-                           np.array(converged, dtype=bool), res)
+    if run is None or not run.binds(cells, w, e, l):
+        run = DualRun(cells, e, l, budget, w)
+    return run.solve(w)
 
 
 def solve_dual(links, budget, config=None):

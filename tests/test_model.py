@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from noiserise.model import (
     Allocation,
     NoiseRiseBudget,
     UserLink,
+    budget_watts,
     noise_rise_budget_from_db,
     normalized_interference,
 )
-from noiserise.simnet import DeploymentConfig, PathLossParams, build_deployment
+from noiserise.density import schedule_density
+from noiserise.simnet import DeploymentConfig, PathLossParams, build_deployment, make_scheme
+from noiserise.solver import solve_dual
 
 from oracles import egress_interference, ingress_interference, shannon_rate
 
@@ -179,6 +183,21 @@ def test_budget_rejects_nonpositive_db():
         noise_rise_budget_from_db(0.0, 1e-20, 1e7)
     with pytest.raises(ValueError):
         noise_rise_budget_from_db(-3.0, 1e-20, 1e7)
+
+
+def test_budget_watts_takes_a_budget_or_a_real_number():
+    assert budget_watts(NoiseRiseBudget(target_db=3.0, linear_budget=2.5)) == 2.5
+    assert budget_watts(3) == 3.0 and budget_watts(np.float64(0.5)) == 0.5
+
+
+@pytest.mark.parametrize("budget", [[1.0, 2.0], None, "3", True], ids=["list", "none", "string", "bool"])
+def test_budget_that_is_not_a_real_number_is_a_value_error(budget):
+    # every caller of budget_watts refuses it, naming the value
+    link = [UserLink(id=0, weight=1.0, norm_sinr=2.0, norm_interference=1.0)]
+    for call in (budget_watts, lambda b: make_scheme("nr", b), lambda b: solve_dual(link, b),
+                 lambda b: schedule_density(link, b)):
+        with pytest.raises(ValueError, match=re.escape(repr(budget))):
+            call(budget)
 
 
 def test_noise_rise_budget_validates():

@@ -227,7 +227,7 @@ class _OnlyCellZero:
 def _first_frame(dep, scheme, cfg):
     """Frame 0 of a run of ``scheme`` on ``dep``, where every PF weight is
     ``1 / pf_init`` (1 by default)."""
-    (bundle,) = run_frames(_Run(dep, replace(cfg, run=replace(cfg.run, frames=1))), scheme)
+    (bundle,) = run_frames(_Run(dep, [replace(cfg, run=replace(cfg.run, frames=1))]), scheme)
     return FrameMetrics(**{f.name: getattr(bundle, f.name)[0] for f in fields(FrameMetrics)})
 
 
@@ -314,7 +314,7 @@ def test_run_frame_validates_weights():
     scheme = make_scheme("nr_density", cfg.budget())
     for weight in (np.nan, -1.0, np.inf):
         with pytest.raises(ValueError, match="weights"):
-            run_frame(_Run(dep, cfg), scheme, np.full(dep.n_ms, weight), 0)
+            run_frame(_Run(dep, [cfg]), scheme, np.full(dep.n_ms, weight), 0)
 
 
 def test_density_checks_reject_violations():
@@ -426,11 +426,11 @@ def test_frame_check_refuses_a_faulty_allocation(name, fault, at):
     )
     dep = build_deployment(cfg.deployment, cfg.channel.pathloss, seed=5)
     scheme = _schemes(cfg)[0]
-    run_frames(_Run(dep, cfg), scheme)  # the run passes without the fault
+    run_frames(_Run(dep, [cfg]), scheme)  # the run passes without the fault
     inject, message = _FAULTS[fault]
     faulty = Scheme(name, _FaultAt(scheme.schedule, inject, at), scheme.check)
     with pytest.raises(AssertionError, match=message):
-        run_frames(_Run(dep, cfg), faulty)
+        run_frames(_Run(dep, [cfg]), faulty)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +750,7 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
         run=RunConfig(frames=6, quantize_units=quantize),
     )
     dep = build_deployment(cfg.deployment, cfg.channel.pathloss, seed=11)
-    run = _Run(dep, cfg)
+    run = _Run(dep, [cfg])
     scheme, reference = _schemes(cfg)
     shares = []
 

@@ -14,13 +14,13 @@ from noiserise.model import Cells, SolverConfig, UserLink, link_arrays
 from noiserise.simnet import SimConfig, run_simulation
 from noiserise.solver import (
     _FLAT,
+    DualRun,
     NoTransmitterError,
     _bandwidth_step,
     _kkt_residual,
     _objective,
     _power_step,
-    _seed_brackets,
-    _user_rows,
+    _walk,
     bandwidth_for_multiplier,
     lambda2_bounds,
     solve_dual,
@@ -664,9 +664,9 @@ def _nr_frames(cfg):
     in the run of ``cfg``, one config or a batch, with one budget per cell."""
     frames = []
 
-    def recording(cells, w, e, l, cap, budget):
+    def recording(cells, w, e, l, cap, budget, **bound):
         frames.append((cells, w, e, l, budget))
-        return solve_dual_frame(cells, w, e, l, cap, budget)
+        return solve_dual_frame(cells, w, e, l, cap, budget, **bound)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simnet, "solve_dual_frame", recording)
@@ -746,11 +746,134 @@ def test_frame_solve_takes_the_default_runs_walk_path(default_run_frames):
     assert kinks == 1615
 
 
+def _assert_settled_cells_are_the_walks(frames):
+    """Check that every cell the seed pass settles gets exactly what the
+    walk returns from that cell's bracket; returns the number settled."""
+    settled = 0
+    for cells, w, e, l, budget in frames:
+        sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
+        lo, a, hi, b, start, own = (seed.tolist() for seed in _seeds(cells, w, e, l, budget))
+        budgets = np.broadcast_to(budget, (cells.n_cells,)).tolist()
+        for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
+            if own[k] < 0:
+                continue
+            I = budgets[k]
+            rk = [wi * ei / li for wi, ei, li in zip(wk, ek, lk)]
+            bk = [li / ei for ei, li in zip(ek, lk)]
+            sk = [wi / (I + bi) for wi, bi in zip(wk, bk)]
+            walk = _walk(wk, rk, bk, sk, lk, I, lo[k], a[k], hi[k], b[k], start[k])
+            xk = [0.0] * len(ms)
+            pk = [0.0] * len(ms)
+            for user, share, power in zip(*walk[5:]):
+                xk[user], pk[user] = share, power
+            assert walk[0] == start[k] and walk[2:6] == (1, 0, True, (own[k],))
+            assert (sol.lambda1[k], sol.lambda2[k], sol.probes[k], sol.kinks[k], sol.converged[k]) == walk[:5]
+            assert sol.x[ms].tolist() == xk and sol.p[ms].tolist() == pk
+            settled += 1
+    return settled
+
+
+def test_settled_cells_are_the_walks_on_default_run(default_run_frames):
+    frames, budget = default_run_frames
+    assert _assert_settled_cells_are_the_walks(
+        [(cells, w, e, l, budget) for cells, w, e, l in frames]) == 331
+
+
+@pytest.mark.parametrize("cfg, settled", [(_GRID72, 1256), (_BATCH4, 1320)], ids=["grid72", "batch4"])
+def test_settled_cells_are_the_walks_on_wide_frames(cfg, settled):
+    assert _assert_settled_cells_are_the_walks(_nr_frames(cfg)) == settled
+
+
+def test_a_start_topped_by_another_user_is_walked():
+    # both users' minimisers are 1.0, so the start is user 0's, but user 1
+    # tops the envelope there alone and spends the budget: the seed pass
+    # leaves the cell to the walk, which gives user 1 the band
+    w, e, l = np.array([4.0, 2.0]), np.ones(2), np.array([3.0, 1.0])
+    cells = Cells.single(2)
+    *_, start, own = _seeds(cells, w, e, l, 1.0)
+    assert start.tolist() == [1.0] and own.tolist() == [-1]
+    sol = solve_dual_frame(cells, w, e, l, np.full(2, np.inf), 1.0)
+    assert sol.x.tolist() == [0.0, 1.0] and sol.p.tolist() == [0.0, 1.0]
+    assert (sol.lambda1[0], sol.probes[0], sol.kinks[0]) == (1.0, 1, 0)
+
+
+def test_a_start_on_a_tie_is_walked():
+    # two identical users tie everywhere, so no candidate is alone: the
+    # walk settles the tie, to the lowest index
+    w, e, l = np.array([2.0, 2.0]), np.ones(2), np.ones(2)
+    cells = Cells.single(2)
+    *_, start, own = _seeds(cells, w, e, l, 1.0)
+    assert start.tolist() == [1.0] and own.tolist() == [-1]
+    sol = solve_dual_frame(cells, w, e, l, np.full(2, np.inf), 1.0)
+    assert sol.x.tolist() == [1.0, 0.0] and sol.p.tolist() == [1.0, 0.0]
+
+
+def _assert_same_frame(got, want):
+    for name in ("x", "p", "lambda1", "lambda2", "probes", "kinks", "converged", "kkt_residual"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("cfg", [_DEFAULT, _GRID72, _BATCH4], ids=["default", "grid72", "batch4"])
+def test_run_bound_frame_solve_is_the_per_call_solve(cfg):
+    # a run binds its frame solve once, and each of its frames equals the
+    # solve that binds per call
+    calls = []
+
+    def recording(cells, w, e, l, cap, budget, **bound):
+        calls.append((bound.get("run"), cells, w, e, l, cap, budget,
+                      solve_dual_frame(cells, w, e, l, cap, budget, **bound)))
+        return calls[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "solve_dual_frame", recording)
+        run_simulation(cfg)
+    assert len(calls) == 80 and isinstance(calls[0][0], DualRun)
+    for run, cells, w, e, l, cap, budget, alloc in calls:
+        assert run is calls[0][0] and run.binds(cells, w, e, l)
+        _assert_same_frame(alloc, solve_dual_frame(cells, w, e, l, cap, budget))
+
+
+def test_run_bound_frame_solve_falls_back_per_frame():
+    # an empty cell, a user without SINR and frames with a zero weight: the
+    # binding serves the frames whose weights are all positive, every other
+    # frame binds afresh, and each equals the solve that binds per call
+    rng = np.random.default_rng(7)
+    n = 40
+    cell_of = rng.integers(0, 5, n)
+    cell_of[cell_of == 3] = 4
+    e = 10.0 ** rng.uniform(-3, 1, n)
+    l = 10.0 ** rng.uniform(-15, -11, n)
+    e[5] = 0.0
+    cells = Cells.from_cell_of(cell_of, 5)
+    budget = np.array([3e-13, 1e-13, 5e-13, 2e-13, 4e-13])
+    cap = np.full(n, np.inf)
+    run = DualRun(cells, e, l, budget)
+    for frame in range(6):
+        w = 10.0 ** rng.uniform(-6, 0, n)
+        if frame % 2:
+            w[rng.integers(0, n)] = 0.0
+        assert run.binds(cells, w, e, l) == (frame % 2 == 0)
+        want = solve_dual_frame(cells, w, e, l, cap, budget)
+        assert np.isnan(want.lambda1[3]) and want.probes[3] == 0
+        _assert_same_frame(solve_dual_frame(cells, w, e, l, cap, budget, run=run), want)
+        # arrays other than the bound ones, if equal, bind afresh
+        _assert_same_frame(solve_dual_frame(cells, w, e.copy(), l, cap, budget, run=run), want)
+
+
+def _seeds(cells, w, e, l, budget):
+    """The seed pass of a frame: per cell ``lo, a, hi, b, start`` and the
+    settled user (-1 if none)."""
+    run = DualRun(cells, e, l, budget, w)
+    return run.seed(*run.rows_of(w))
+
+
 def _assert_seeds_are_the_walks_verdicts(cells, w, e, l, budget):
     # every bracket end the array pass proposes is one the scalar envelope
-    # of the reference walk classifies the same way, with the same top user
-    _, use, W, _, ratio, beta, S = _user_rows(cells, w, e, l, budget)
-    lo, a, hi, b, start = _seed_brackets(W, ratio, beta, S, use, budget)
+    # of the reference walk classifies the same way, with the same top
+    # user, and every cell it settles is one where the reference envelope
+    # at the start is topped by the start's own user alone, spending the
+    # budget to within the walk's slack
+    lo, a, hi, b, start, own = _seeds(cells, w, e, l, budget)
     for k, _, (wk, ek, lk) in _cells_of(cells, w, e, l):
         users = range(len(wk))
         rk = [wi * ei / li for wi, ei, li in zip(wk, ek, lk)]
@@ -762,6 +885,12 @@ def _assert_seeds_are_the_walks_verdicts(cells, w, e, l, budget):
             assert list(spend) == [user]
             assert sign * (spend[user] - budget) > _FLAT * wk[user] / lam
         assert lo[k] < hi[k] and (np.isinf(start[k]) or lo[k] < start[k] < hi[k])
+        user = own[k]
+        if user >= 0:
+            assert start[k] == wk[user] / (budget + bk[user])
+            _, spend = _envelope(start[k], users, wk, rk, bk, budget)
+            assert list(spend) == [user]
+            assert abs(spend[user] - budget) <= _FLAT * wk[user] / start[k]
 
 
 def test_seed_brackets_are_the_walks_verdicts_on_default_run(default_run_frames):

@@ -58,6 +58,7 @@ INVOCATIONS = {
                                                       "scheme.max_power_dbm=24", "run.quantize_units=48")],
     "run_nr_plain": ["run", *_sets("deployment.wrap=false")],
     "run_nr_shadowing8db": ["run", *_sets("channel.shadowing_sigma_db=8")],
+    "run_nr_seed7243": ["run", *_sets("run.seed=7243")],
     "sweep_default": ["sweep"],
     "sweep_density_fixed_seed1": ["sweep", *DENSITY_FIXED, *_sets("run.seed=1")],
     "sweep_density_fixed_seed7243": ["sweep", *DENSITY_FIXED, *_sets("run.seed=7243")],

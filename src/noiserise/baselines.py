@@ -6,7 +6,9 @@ neither respects the egress budget by construction, which is the point of
 comparing against them.  As in :mod:`noiserise.density`, each scheme is
 one frame function ``(cells, w, e, l, cap, <param>)`` serving every cell
 of a :class:`Cells` layout at once, and the :class:`UserLink` function
-runs it on one cell through :func:`~noiserise.solver.one_cell`.
+runs it on one cell through :func:`~noiserise.solver.one_cell`.  The
+fixed-power formulas live in :func:`fixed_rates`, which ``make_scheme``
+evaluates once per run (:class:`~noiserise.model.Greedy`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Allocation, Cells, FrameAllocation, UserLink, winner_takes_band
+from .model import Allocation, Cells, Greedy, UserLink, Winners, winner_takes_band
 from .solver import one_cell
 
 __all__ = [
@@ -38,11 +40,17 @@ class CalibrationError(RuntimeError):
     """Fixed-power calibration could not match the reference interference."""
 
 
-def fixed_frame(cells: Cells, w, e, l, cap, power) -> FrameAllocation:
+def fixed_rates(e, l, power):
+    """Each user's full-band rate factor at constant power, ``log(1 + P e)``,
+    and that power, one for all or one per user; ``l`` is not used."""
+    return np.log1p(power * e), power
+
+
+def fixed_frame(cells: Cells, w, e, l, cap, power) -> Winners:
     """Each cell's user with the best weighted full-band rate at constant
     power, ``w log(1 + P e)``, takes the band at exactly ``power`` (one
     for all or one per user); ``l`` and ``cap`` are not used."""
-    return winner_takes_band(cells, w * np.log1p(power * e), power)
+    return Greedy(partial(fixed_rates, power=power))(cells, w, e, l, cap)
 
 
 def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
@@ -160,7 +168,7 @@ def _search(ref: float, initial_power: float):
     )
 
 
-def target_sinr_frame(cells: Cells, w, e, l, cap, target_sinr) -> FrameAllocation:
+def target_sinr_frame(cells: Cells, w, e, l, cap, target_sinr) -> Winners:
     """Each cell's heaviest user with ``e > 0`` takes the band at the power
     reaching ``target_sinr`` at SINR ``e``, clamped at ``cap``; a cell where
     nobody has ``e > 0`` gives the band to its first user at zero power.

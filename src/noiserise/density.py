@@ -12,7 +12,9 @@ schedules every cell of a :class:`Cells` layout at once from per-user
 arrays, the budget one for all users or one per user; the simulator binds
 it in ``make_scheme``, and the function
 taking a :class:`UserLink` list runs it on one cell through
-:func:`~noiserise.solver.one_cell`.
+:func:`~noiserise.solver.one_cell`.  The single-winner scheme's per-user
+formulas live in :func:`density_rates`, which ``make_scheme`` evaluates
+once per run (:class:`~noiserise.model.Greedy`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Allocation, Cells, FrameAllocation, UserLink, budget_watts, winner_takes_band
+from .model import Allocation, Cells, FrameAllocation, Greedy, UserLink, Winners, budget_watts
 from .solver import one_cell
 
 __all__ = [
@@ -31,11 +33,18 @@ __all__ = [
 ]
 
 
-def density_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
+def density_rates(e, l, budget):
+    """Each user's rate factor at full density, ``log(1 + (I/l) e)``, and
+    its power there, ``I/l``."""
+    power = budget / l
+    return np.log1p(power * e), power
+
+
+def density_frame(cells: Cells, w, e, l, cap, budget) -> Winners:
     """Each cell's user with the best weighted Shannon rate at full
     density, ``w log(1 + (I/l) e)``, takes the band at ``p = I/l``; ``cap``
     is not used."""
-    return winner_takes_band(cells, w * np.log1p(budget / l * e), budget / l)
+    return Greedy(partial(density_rates, budget=budget))(cells, w, e, l, cap)
 
 
 def capped_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:

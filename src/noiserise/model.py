@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,11 +118,20 @@ class Cells:
         """``values`` per user as an (n_cells, width) matrix, ``fill`` in padding."""
         return np.where(self.valid, values[self.index], fill)
 
+    @cached_property
+    def occupied(self) -> np.ndarray:
+        """The non-empty cells, in ascending order; read-only, as every
+        :class:`Winners` frame of the layout holds this one array."""
+        rows = self.valid[:, 0].nonzero()[0]
+        rows.flags.writeable = False
+        return rows
+
     def winners(self, scores):
-        """Each non-empty cell's highest-scoring user, ties to the lowest index."""
+        """Each non-empty cell's highest-scoring user, ties to the lowest
+        index, in the order of :attr:`occupied`."""
         col = self.gather(scores, -np.inf).argmax(axis=1)
-        rows = np.arange(self.n_cells)
-        return self.index[rows, col][self.valid[rows, col]]
+        rows = self.occupied
+        return self.index[rows, col[rows]]
 
     def sums(self, values):
         """Per-cell sums of a per-user array."""
@@ -149,15 +159,67 @@ class FrameAllocation:
     kkt_residual: np.ndarray | None = None
 
 
-def winner_takes_band(cells: Cells, scores, power) -> FrameAllocation:
-    """Each cell's highest-scoring user holds the whole band at ``power``
-    (a scalar or per-user array), everyone else nothing."""
-    x = np.zeros(len(cells.cell_of))
-    p = np.zeros(len(cells.cell_of))
-    best = cells.winners(scores)
-    x[best] = 1.0
-    p[best] = power[best] if np.ndim(power) else power
-    return FrameAllocation(x, p)
+@dataclass(frozen=True)
+class Winners:
+    """A greedy frame: in each non-empty cell ``cell[k]``, ascending, the
+    one user ``users[k]`` holds the whole band at ``power[k]``, and the
+    other users of the ``n`` mobiles hold nothing.
+
+    The dense ``x`` and ``p`` of :class:`FrameAllocation` are derived from
+    these fields on every read, so they cannot be set and cannot disagree
+    with them; the solver fields are None, as for every greedy frame.
+    """
+
+    users: np.ndarray
+    cell: np.ndarray
+    power: np.ndarray
+    n: int
+
+    lambda1 = lambda2 = probes = kinks = converged = kkt_residual = None
+
+    @property
+    def x(self) -> np.ndarray:
+        x = np.zeros(self.n)
+        x[self.users] = 1.0
+        return x
+
+    @property
+    def p(self) -> np.ndarray:
+        p = np.zeros(self.n)
+        p[self.users] = self.power
+        return p
+
+
+def winner_takes_band(cells: Cells, scores, power) -> Winners:
+    """Each non-empty cell's highest-scoring user, ties to the lowest
+    index, holds the whole band at ``power`` (a scalar or per-user array)."""
+    users = cells.winners(scores)
+    power = power[users] if np.ndim(power) else np.full(len(users), float(power))
+    return Winners(users, cells.occupied, power, len(cells.cell_of))
+
+
+class Greedy:
+    """A greedy frame function ``(cells, w, e, l, cap)``: each non-empty
+    cell's user with the best ``w * rate`` takes the band at ``power``
+    (:func:`winner_takes_band`), where ``rate, power = rates(e, l)`` per
+    user; ``cap`` is not used.
+
+    Given the layout ``cells`` and the arrays ``e`` and ``l`` that a run
+    hands every frame, it computes ``rates(e, l)`` once, as
+    :class:`~noiserise.solver.DualRun` binds the exact solver; a call on
+    other arrays computes them per call.
+    """
+
+    def __init__(self, rates, cells: Cells | None = None, e=None, l=None):
+        self.rates, self.cells, self.e, self.l = rates, cells, e, l
+        self.bound = None if cells is None or e is None or l is None else rates(e, l)
+
+    def __call__(self, cells: Cells, w, e, l, cap) -> Winners:
+        if self.bound is not None and cells is self.cells and e is self.e and l is self.l:
+            rate, power = self.bound
+        else:
+            rate, power = self.rates(e, l)
+        return winner_takes_band(cells, w * rate, power)
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,18 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import fixed_frame, target_sinr_frame
+from .baselines import fixed_rates, target_sinr_frame
 from .baselines import schedule_fixed_power  # noqa: F401 - bench/spans.py wraps simnet.schedule_fixed_power by name
-from .density import capped_frame, density_frame
+from .density import capped_frame, density_rates
 from .density import schedule_density  # noqa: F401 - bench/spans.py wraps simnet.schedule_density by name
 from .model import (
     LN2,
     Cells,
     FrameAllocation,
+    Greedy,
     NoiseRiseBudget,
     SolverConfig,
+    Winners,
     budget_watts,
     noise_rise_budget_from_db,
 )
@@ -411,9 +413,42 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
     budget ``I``, one for all cells or one per cell (``nr``), ``density``
     each user's interference density ``l p / x <= I``, one for all users or
     one per user (the density schemes).  Every bound is written so that
-    NaN fails it, except the residual's: an empty cell's residual is NaN."""
+    NaN fails it, except the residual's: an empty cell's residual is NaN.
+
+    A :class:`Winners` frame has exact shares and no power off its
+    winners, so without ``egress`` its check refuses only what the type
+    can still get wrong: a negative, NaN, infinite or over-cap power, a
+    density bound broken by a winner, and a winner outside its cell or a
+    second winner in one, which overcommit a cell's band.  The bounds are
+    scaled by the forgiven rounding once: ``I`` here, and ``cap`` once per
+    read-only cap array, as a run hands every frame the same one."""
+    I_max = I * (1.0 + _SLACK)
+    scaled = [None, None]  # the last read-only cap and its bound
+
+    def cap_max(cap):
+        if scaled[0] is not cap or cap.flags.writeable:
+            scaled[:] = cap, cap * (1.0 + _SLACK)
+        return scaled[1]
+
+    def refuse_over_cap(p, bound):
+        # strictly below, so that an infinite power fails an infinite cap
+        if not np.logical_and.reduce(p < bound):
+            raise AssertionError("infinite power" if np.isinf(p).any() else "max power violated")
+
+    def check_winners(cells, alloc, l, cap):
+        users, cell, power = alloc.users, alloc.cell, alloc.power
+        if not np.minimum.reduce(power) >= 0.0:
+            raise AssertionError("negative or NaN allocation")
+        if not (np.logical_and.reduce(cells.cell_of[users] == cell) and np.logical_and.reduce(cell[1:] > cell[:-1])):
+            raise AssertionError("bandwidth overcommitted")
+        refuse_over_cap(power, cap_max(cap)[users])
+        # a winner's density l p / x at x = 1
+        if density and not np.logical_and.reduce(l[users] * power <= (I_max[users] if np.ndim(I) else I_max)):
+            raise AssertionError("per-user density cap violated")
 
     def check(cells, alloc, l, cap):
+        if isinstance(alloc, Winners) and not egress:
+            return check_winners(cells, alloc, l, cap)
         x, p = alloc.x, alloc.p
         # reductions, which NaN fails, cost fewer numpy calls than sign
         # tests; an infinite share overcommits its cell's band
@@ -421,23 +456,20 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             raise AssertionError("negative or NaN allocation")
         if not np.maximum.reduce(cells.sums(x)) <= 1.0 + _SLACK:
             raise AssertionError("bandwidth overcommitted")
-        # strictly below, so that an infinite power fails an infinite cap
-        if not np.logical_and.reduce(p < cap * (1.0 + _SLACK)):
-            raise AssertionError("infinite power" if np.isinf(p).any() else "max power violated")
+        refuse_over_cap(p, cap_max(cap))
         if p.dot(x == 0.0) > 0.0:  # the powers are finite and >= 0 here
             raise AssertionError("power on a user without band")
         if egress:
             spent = cells.sums(l * p)
-            within = spent <= I * (1.0 + _SLACK)
+            within = spent <= I_max
             if not np.logical_and.reduce(within):
                 k = np.flatnonzero(~within)[0]
                 budget = I[k] if np.ndim(I) else I
                 raise AssertionError(f"egress budget violated in cell {k}: {spent[k]} > {budget}")
-        if density:
-            on = x > 0
-            level = l[on] * p[on] / x[on]
-            if not np.logical_and.reduce(level <= (I[on] if np.ndim(I) else I) * (1.0 + _SLACK)):
-                raise AssertionError("per-user density cap violated")
+        # l p <= I x is l p / x <= I where x > 0, and 0 <= 0 where x = 0,
+        # as no power is left on a user without band
+        if density and not np.logical_and.reduce(l * p <= I_max * x):
+            raise AssertionError("per-user density cap violated")
         if alloc.kkt_residual is not None and np.logical_or.reduce(alloc.kkt_residual > tol_kkt):
             worst = np.nanmax(alloc.kkt_residual)
             raise AssertionError(f"uncertified allocation: KKT residual {worst}")
@@ -475,9 +507,10 @@ def make_scheme(
     value per cell of that layout, the only layout the scheme then
     schedules.  Either raises ``ValueError`` if it has another shape or a
     value that is not positive and finite.  With ``cells``, ``e`` and
-    ``l``, the per-user arrays a run hands every frame, ``nr`` binds what
-    they fix once (:class:`~noiserise.solver.DualRun`) instead of every
-    frame.
+    ``l``, the per-user arrays a run hands every frame, ``nr``,
+    ``nr_density`` and ``fixed`` bind what they fix once
+    (:class:`~noiserise.solver.DualRun`, :class:`~noiserise.model.Greedy`)
+    instead of every frame.
     ``assumed_noise_plus_interference`` is not used: no scheme reads it,
     and it is accepted so that existing callers keep working.
     """
@@ -491,14 +524,15 @@ def make_scheme(
         run = None if cells is None or e is None or l is None else DualRun(cells, e, l, I)
         return Scheme(name, partial(solve_dual_frame, budget=I, run=run), _frame_check(I, tol_kkt, egress=True))
     if name == "nr_density":
-        return Scheme(name, partial(density_frame, budget=I_user), _frame_check(I_user, tol_kkt, density=True))
+        schedule = Greedy(partial(density_rates, budget=I_user), cells, e, l)
+        return Scheme(name, schedule, _frame_check(I_user, tol_kkt, density=True))
     if name == "nr_density_capped":
         return Scheme(name, partial(capped_frame, budget=I_user), _frame_check(I_user, tol_kkt, density=True))
     if name == "fixed":
         power = _powers("fixed_power", fixed_power, cells)
         if cells is not None:
             power = power[cells.cell_of]
-        return Scheme(name, partial(fixed_frame, power=power), _frame_check(I, tol_kkt))
+        return Scheme(name, Greedy(partial(fixed_rates, power=power), cells, e, l), _frame_check(I, tol_kkt))
     if name == "target_sinr":
         if target_sinr is None or not target_sinr > 0:
             raise ValueError("scheme 'target_sinr' needs a positive target_sinr")
@@ -510,8 +544,9 @@ def make_scheme(
 # quantization
 
 
-def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int) -> FrameAllocation:
-    """Re-express every cell's shares and powers on the resource-unit grid.
+def _quantize_frame(cells: Cells, alloc, l, cap, num_units: int) -> FrameAllocation:
+    """Re-express every cell's shares and powers on the resource-unit grid,
+    as a :class:`FrameAllocation`, also for a :class:`Winners` frame.
 
     Largest-remainder rounding: each user gets ``floor(x N)`` units, and
     each cell's leftover units, up to ``min(N, round(N sum x))``, go to its
@@ -539,7 +574,7 @@ def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int
     rescale = ((freed > 0.0) & (kept > 0.0))[cells.cell_of] & (p > 0.0)
     scale = ((kept + freed) / np.where(kept > 0.0, kept, 1.0))[cells.cell_of]
     pq = np.where(zeroed, 0.0, np.where(rescale, np.minimum(p * scale, cap), p))
-    return replace(alloc, x=xq, p=pq)
+    return replace(alloc, x=xq, p=pq) if isinstance(alloc, FrameAllocation) else FrameAllocation(xq, pq)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +593,16 @@ class _Run:
     holds cells ``r * n_bs`` on and mobiles ``r * n_ms`` on, in the
     deployment's order, so each cell's users stay in ascending order.  A
     scheme schedules every cell on its own, so the copies meet only in
-    :meth:`received`, which keeps one ``gain_matrix.T @ power`` per copy
-    and so sums each copy's received powers as a lone run does.  The noise
+    :meth:`received`, one ``gain_matrix.T @ power`` per copy in one stacked
+    product, which sums each copy's received powers as a lone run does.  The noise
     power, band, frame duration, quantization, PF settings (``run_cfg``)
     and power caps are the batch's; each run's budget and its users'
     scheduling SINR ``g / (N0*B + I)`` are its own.  All are computed once
     from configs whose dataclasses checked them when they were built.
     Frame ``t`` writes row ``t`` of the MS powers and delivered bits, the
     BS ingress and, for the exact dual solver, the per-cell KKT residuals,
-    envelope probes and kink searches, each run in its own columns;
+    envelope probes and kink searches, each run in its own columns; the
+    powers and bits start at 0, so a frame writes only its transmitters'.
     :meth:`metrics` derives the rest once, after the last frame.
     """
 
@@ -600,7 +636,7 @@ class _Run:
         self.cap = np.full(runs * n_ms, math.inf if max_power is None else max_power)
         _read_only(self.g, self.l, self.e, self.cap, self.cells.cell_of, self.cells.index, self.cells.valid)
         frames = first.run.frames
-        self.power = np.empty((frames, runs * n_ms))
+        self.power = np.zeros((frames, runs * n_ms))
         self.bits = np.zeros((frames, runs * n_ms))
         self.ingress = np.empty((frames, runs * n_bs))
         self.solver = {}
@@ -609,18 +645,23 @@ class _Run:
         """Write into ``out`` the power each BS receives from the mobiles of
         its own copy."""
         n_bs, n_ms = self.gain_t.shape
-        for r in range(self.runs):
-            np.matmul(self.gain_t, power[r * n_ms:(r + 1) * n_ms], out=out[r * n_bs:(r + 1) * n_bs])
+        np.matmul(self.gain_t, power.reshape(self.runs, n_ms, 1), out=out.reshape(self.runs, n_bs, 1))
 
-    def record(self, t: int, alloc: FrameAllocation) -> None:
-        """Write frame ``t``'s powers and whichever solver fields it carries."""
-        self.power[t] = alloc.p
+    def record(self, t: int, alloc) -> np.ndarray:
+        """Write frame ``t``'s powers and whichever solver fields it
+        carries; returns the powers' row."""
+        power = self.power[t]
+        if isinstance(alloc, Winners):
+            power[alloc.users] = alloc.power
+            return power
+        power[...] = alloc.p
         for name in _SOLVER_FIELDS:
             row = getattr(alloc, name)
             if row is not None:
                 if name not in self.solver:
                     self.solver[name] = np.empty((len(self.power), len(row)), row.dtype)
                 self.solver[name][t] = row
+        return power
 
     def metrics(self) -> Batch:
         """The :class:`MetricsBundle` of every run, as a :class:`Batch`.
@@ -672,7 +713,9 @@ def run_frame(run: _Run, scheme: Scheme, weights: np.ndarray, t: int) -> np.ndar
     band.  Cells are independent within a frame, so the scheme schedules
     and checks all of them in one call on per-mobile arrays.  The frame
     writes row ``t`` of ``run``'s arrays and computes nothing the next
-    frame does not need.
+    frame does not need.  A :class:`Winners` frame is scored at its
+    winners only, with the floating-point operations of the dense scoring
+    at a share of 1.
     """
     # NaN fails both comparisons, so two reductions refuse what
     # isfinite().all() and (>= 0).all() would
@@ -683,14 +726,23 @@ def run_frame(run: _Run, scheme: Scheme, weights: np.ndarray, t: int) -> np.ndar
     scheme.check(cells, alloc, l, run.cap)
     if run.quantize_units:
         alloc = _quantize_frame(cells, alloc, l, run.cap, run.quantize_units)
-    run.record(t, alloc)
-    frac, power = alloc.x, alloc.p
+    power = run.record(t, alloc)
 
     ingress = run.ingress[t]
     run.received(power, out=ingress)
-    np.maximum(np.subtract(ingress, cells.sums(g * power), out=ingress), 0.0, out=ingress)
-
     bits = run.bits[t]
+    if isinstance(alloc, Winners):
+        # each cell's own received power is its winner's alone
+        users, cell = alloc.users, alloc.cell
+        g_on, p_on = g[users], alloc.power
+        ingress[cell] -= g_on * p_on
+        np.maximum(ingress, 0.0, out=ingress)
+        # a winner without power scores log1p(0) = 0 bits
+        e_act = g_on / (run.p_noise + ingress[cell])
+        bits[users] = run.band * np.log1p(p_on * e_act) / LN2 * run.frame_duration_s
+        return bits
+    frac = alloc.x
+    np.maximum(np.subtract(ingress, cells.sums(g * power), out=ingress), 0.0, out=ingress)
     on = ((frac > 0.0) & (power > 0.0)).nonzero()[0]
     e_act = g[on] / (run.p_noise + ingress[cells.cell_of[on]])
     x_on = frac[on]

@@ -89,6 +89,11 @@ def _power_step(x, w, e, l, budget):
                 count = pos + 1
                 break
     p = [0.0] * len(x)
+    if count == 1:
+        # a lone transmitter spends the whole budget, p = I/l; the general
+        # form below cancels when I e/l is small
+        p[order[0]] = budget / l[order[0]]
+        return p, lam
     for i in order[:count]:
         headroom = w[i] / (lam * l[i]) - 1.0 / e[i]
         if headroom > 0.0:

@@ -1,15 +1,16 @@
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiserise.baselines import schedule_fixed_power, schedule_target_sinr
-from noiserise.density import schedule_density, schedule_density_capped
-from noiserise.model import LN2, Cells, SolverConfig, UserLink, link_arrays
+from noiserise.baselines import fixed_frame, schedule_fixed_power, schedule_target_sinr
+from noiserise.density import density_frame, schedule_density, schedule_density_capped
+from noiserise.model import LN2, Allocation, Cells, SolverConfig, UserLink, Winners, link_arrays
 from noiserise.simnet import (
     SCHEME_NAMES,
     Batch,
@@ -363,6 +364,23 @@ def test_checks_take_one_budget_per_cell():
             make_scheme("nr", budget, cells=cells)
 
 
+def test_checks_take_a_winners_frame():
+    # users 1 and 2 win cells 0 and 1 at 2 W and 1.5 W; the density check
+    # and the caps read the winners alone, and nr's egress check, which no
+    # greedy frame meets in a run, reads the derived dense frame
+    cells = Cells.from_cell_of([0, 0, 1], 2)
+    l, cap = np.ones(3), np.full(3, np.inf)
+    alloc = Winners(users=np.array([1, 2]), cell=np.array([0, 1]), power=np.array([2.0, 1.5]), n=3)
+    for name in ("nr_density", "nr"):
+        make_scheme(name, [2.0, 1.5], cells=cells).check(cells, alloc, l, cap)
+    with pytest.raises(AssertionError, match="density cap"):
+        make_scheme("nr_density", [2.0, 1.0], cells=cells).check(cells, alloc, l, cap)
+    with pytest.raises(AssertionError, match=r"egress budget violated in cell 1: 1\.5 > 1\.0"):
+        make_scheme("nr", [2.0, 1.0], cells=cells).check(cells, alloc, l, cap)
+    with pytest.raises(AssertionError, match="max power"):
+        make_scheme("fixed", 2.0, fixed_power=1.0).check(cells, alloc, l, np.array([1.0, 1.9, 1.0]))
+
+
 def test_fixed_power_is_one_positive_finite_power_per_cell():
     cells = Cells.from_cell_of([0, 0, 1], 2)
     frame = (cells, np.ones(3), np.array([1.0, 2.0, 1.0]), np.ones(3), np.full(3, np.inf))
@@ -378,7 +396,7 @@ def test_fixed_power_is_one_positive_finite_power_per_cell():
 
 class _FaultAt:
     """Wraps a frame schedule so that frame ``at`` hands ``fault`` of its
-    allocation to the check."""
+    allocation, given the layout, to the check."""
 
     def __init__(self, inner, fault, at):
         self.inner, self.fault, self.at, self.t = inner, fault, at, 0
@@ -386,15 +404,23 @@ class _FaultAt:
     def __call__(self, cells, w, e, l, cap):
         alloc = self.inner(cells, w, e, l, cap)
         if self.t == self.at:
-            alloc = self.fault(alloc)
+            alloc = self.fault(alloc, cells)
         self.t += 1
         return alloc
 
 
 def _on_first_transmitter(field, value):
-    """A fault setting ``field`` of the first user holding band and power."""
+    """A fault setting ``field`` of the first user holding band and power.
+    A :class:`Winners` frame keeps its powers in ``power``, one per
+    winner, and has no field for its shares: setting ``x`` raises
+    ``TypeError``."""
 
-    def fault(alloc):
+    def fault(alloc, cells):
+        if isinstance(alloc, Winners) and field == "p":
+            k = np.flatnonzero(alloc.power > 0)[0]
+            power = alloc.power.copy()
+            power[k] = value
+            return replace(alloc, power=power)
         i = np.flatnonzero((alloc.x > 0) & (alloc.p > 0))[0]
         values = getattr(alloc, field).copy()
         values[i] = value
@@ -403,12 +429,33 @@ def _on_first_transmitter(field, value):
     return fault
 
 
+def _winner_outside_its_cell(alloc, cells):
+    """The second cell's winner also stands in for the first cell's."""
+    users = alloc.users.copy()
+    users[0] = users[1]
+    return replace(alloc, users=users)
+
+
+def _two_winners_in_one_cell(alloc, cells):
+    """Another user of the first cell joins its winner at the same power."""
+    k, winner = alloc.cell[0], alloc.users[0]
+    members = cells.index[k, cells.valid[k]]
+    other = members[members != winner][0]
+    return replace(alloc, users=np.insert(alloc.users, 1, other), cell=np.insert(alloc.cell, 1, k),
+                   power=np.insert(alloc.power, 1, alloc.power[0]))
+
+
 _FAULTS = {
     "nan_share": (_on_first_transmitter("x", np.nan), "NaN allocation"),
     "nan_power": (_on_first_transmitter("p", np.nan), "NaN allocation"),
     "inf_power": (_on_first_transmitter("p", np.inf), "infinite power"),
     "power_without_band": (_on_first_transmitter("x", 0.0), "without band"),
+    "winner_outside_its_cell": (_winner_outside_its_cell, "bandwidth overcommitted"),
+    "two_winners_in_one_cell": (_two_winners_in_one_cell, "bandwidth overcommitted"),
 }
+# the schemes whose frames are Winners, and the faults only they can carry
+_GREEDY = ("nr_density", "fixed", "target_sinr")
+_WINNERS_FAULTS = ("winner_outside_its_cell", "two_winners_in_one_cell")
 
 
 @pytest.mark.parametrize("at", [0, 2], ids=["first_frame", "last_frame"])
@@ -417,6 +464,7 @@ _FAULTS = {
     # the egress and density bounds of the budgeted schemes refuse an
     # infinite power already
     if not (fault == "inf_power" and name in ("nr", "nr_density", "nr_density_capped"))
+    and (fault not in _WINNERS_FAULTS or name in _GREEDY)
 ])
 def test_frame_check_refuses_a_faulty_allocation(name, fault, at):
     cfg = SimConfig(
@@ -429,8 +477,48 @@ def test_frame_check_refuses_a_faulty_allocation(name, fault, at):
     run_frames(_Run(dep, [cfg]), scheme)  # the run passes without the fault
     inject, message = _FAULTS[fault]
     faulty = Scheme(name, _FaultAt(scheme.schedule, inject, at), scheme.check)
+    if name in _GREEDY and fault in ("nan_share", "power_without_band"):
+        # a winners frame cannot carry a fault in its shares: x is derived
+        # (see test_winners_frame_derives_its_shares_and_powers)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'x'"):
+            run_frames(_Run(dep, [cfg]), faulty)
+        return
     with pytest.raises(AssertionError, match=message):
         run_frames(_Run(dep, [cfg]), faulty)
+
+
+def _empty_cell_run(name="nr_density"):
+    """Seven of the 19 cells of this draw serve nobody."""
+    cfg = SimConfig(deployment=DeploymentConfig(ms_per_cell=1, min_ms_per_cell=0),
+                    scheme=SchemeConfig(name=name, fixed_power_w=0.1, target_sinr=10.0), run=RunConfig(seed=1))
+    dep = build_deployment(cfg.deployment, cfg.channel.pathloss, cfg.run.seed)
+    assert int((np.bincount(dep.serving_map, minlength=dep.n_bs) == 0).sum()) == 7
+    return dep, cfg
+
+
+@pytest.mark.parametrize("name", _GREEDY)
+def test_winners_frame_derives_its_shares_and_powers(name):
+    dep, cfg = _empty_cell_run(name)
+    run = _Run(dep, [cfg])
+    alloc = _schemes(cfg)[0].schedule(run.cells, np.ones(dep.n_ms), run.e, run.l, run.cap)
+    assert isinstance(alloc, Winners)
+    with pytest.raises(TypeError):
+        replace(alloc, x=alloc.x)
+    with pytest.raises(TypeError):
+        replace(alloc, p=alloc.p)
+    for field in ("x", "p"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(alloc, field, np.zeros(dep.n_ms))
+    x, p = alloc.x, alloc.p
+    occupied = np.bincount(dep.serving_map, minlength=dep.n_bs) > 0
+    # exactly one 1.0 per non-empty cell, 0.0 everywhere else
+    assert np.array_equal(np.bincount(dep.serving_map, weights=x == 1.0, minlength=dep.n_bs), occupied)
+    assert set(x.tolist()) == {0.0, 1.0}
+    assert np.array_equal(np.flatnonzero(x), np.sort(alloc.users))
+    assert np.array_equal(alloc.cell, np.flatnonzero(occupied))
+    # the powers sit on the winners only
+    assert np.array_equal(p[alloc.users], alloc.power)
+    assert not p[x == 0.0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -980,3 +1068,83 @@ def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links)
         assert (alloc.lambda1, alloc.lambda2) == (frame.lambda1[0], frame.lambda2[0])
         assert alloc.iterations == frame.probes[0]
         assert alloc.kkt_residual == frame.kkt_residual[0]
+
+
+def _bound_run(layout):
+    """A run's layout and configs, by name: the default run, the 72-cell
+    grid, a batch of four configs, and a layout with empty cells."""
+    base = SimConfig(scheme=SchemeConfig(fixed_power_w=0.1), run=RunConfig(seed=1))
+    if layout == "empty_cells":
+        dep, cfg = _empty_cell_run()
+        return dep, [replace(cfg, scheme=base.scheme)]
+    configs = [base]
+    if layout == "grid72":
+        configs = [replace(base, deployment=DeploymentConfig(layout="grid", ms_total=722))]
+    if layout == "batch4":
+        configs = [replace(base, scheme=replace(base.scheme, noise_rise_db=db, fixed_power_w=power))
+                   for db, power in ((2.0, 0.01), (5.0, 0.02), (7.0, 0.05), (10.0, 0.1))]
+    cfg = configs[0]
+    return build_deployment(cfg.deployment, cfg.channel.pathloss, cfg.run.seed), configs
+
+
+@pytest.mark.parametrize("layout", ["default", "grid72", "batch4", "empty_cells"])
+def test_bound_greedy_schemes_are_their_frame_functions(layout):
+    # make_scheme binds nr_density and fixed to a run's cells, e and l as
+    # run_simulation does; every frame equals the per-call frame function,
+    # and a frame on other arrays, even equal copies, computes per call
+    dep, configs = _bound_run(layout)
+    run = _Run(dep, configs)
+    budget = np.repeat(run.budgets, dep.n_bs)
+    fixed_power = np.repeat([c.scheme.fixed_power_w for c in configs], dep.n_bs)
+    per_call = {
+        "nr_density": partial(density_frame, budget=budget[run.cells.cell_of]),
+        "fixed": partial(fixed_frame, power=fixed_power[run.cells.cell_of]),
+    }
+    rng = np.random.default_rng(3)
+    for name, frame in per_call.items():
+        scheme = make_scheme(name, budget, fixed_power=fixed_power, cells=run.cells, e=run.e, l=run.l)
+        assert scheme.schedule.bound is not None
+        for w in (np.ones(len(run.g)), rng.uniform(0.1, 10.0, len(run.g))):
+            bound = scheme.schedule(run.cells, w, run.e, run.l, run.cap)
+            want = frame(run.cells, w, run.e, run.l, run.cap)
+            assert np.array_equal(bound.x, want.x) and np.array_equal(bound.p, want.p), name
+            # copies fall back; changed copies show that they do
+            e, l = run.e.copy(), run.l.copy()
+            got = scheme.schedule(run.cells, w, e, l, run.cap)
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.p, want.p), name
+            e[bound.users] *= 1e-3
+            l[bound.users] *= 1e3
+            got = scheme.schedule(run.cells, w, e, l, run.cap)
+            want = frame(run.cells, w, e, l, run.cap)
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.p, want.p), name
+            assert not np.array_equal(got.p, bound.p), name
+
+
+@pytest.mark.parametrize("runs", [1, 4])
+def test_received_is_each_copys_product(runs):
+    dep, configs = _bound_run("batch4")
+    run = _Run(dep, configs[:runs])
+    power = np.random.default_rng(5).uniform(0.0, 2.0, runs * dep.n_ms)
+    power[::3] = 0.0
+    got = np.empty(runs * dep.n_bs)
+    run.received(power, out=got)
+    want = np.concatenate([dep.gain_matrix.T @ power[r * dep.n_ms:(r + 1) * dep.n_ms] for r in range(runs)])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["nr_density", "fixed", "target_sinr"])
+@settings(max_examples=100, deadline=None)
+@given(links=user_links())
+def test_property_greedy_library_calls_match_the_reference(name, links):
+    # the same Allocation as the per-cell reference schedulers give, its
+    # objective included; a winner over its max_power is refused (the
+    # target-SINR scheme clamps at the cap instead)
+    schedule, _ = PER_CELL[name]
+    ref = reference_schedule(name, 2.0, fixed_power=0.5, target_sinr=4.0)(links)
+    caps = [math.inf if u.max_power is None else u.max_power for u in links]
+    if any(p > cap for p, cap in zip(ref.p, caps)):
+        with pytest.raises(ValueError, match="max power violated"):
+            schedule(links)
+        return
+    w, e, _, _ = link_arrays(links)
+    assert schedule(links) == Allocation(x=ref.x, p=ref.p, objective=_objective(ref.x, ref.p, w.tolist(), e.tolist()))

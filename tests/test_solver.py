@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noiserise import simnet
@@ -608,6 +608,9 @@ def test_property_solve_dual_certified_feasible_and_zero_gap(cell):
 
 @settings(max_examples=100, deadline=None)
 @given(simulator_cells())
+# a lone transmitter with I e / l near 1e-7, where p = x (w/(lam l) - 1/e)
+# cancels to a power 1.2e-9 over the budget
+@example(cell=(_links([0.1], [10.0**-2.875], [1e-11]), 10.0**-14.9375))
 def test_property_solve_dual_matches_long_solve_joint(cell):
     # solve_joint's objective is feasible, so at most the optimum, and its
     # own multiplier bounds the optimum from above; the exact optimum must

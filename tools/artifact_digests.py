@@ -59,6 +59,11 @@ INVOCATIONS = {
     "run_nr_plain": ["run", *_sets("deployment.wrap=false")],
     "run_nr_shadowing8db": ["run", *_sets("channel.shadowing_sigma_db=8")],
     "run_nr_seed7243": ["run", *_sets("run.seed=7243")],
+    # seven of the 19 cells serve nobody at seed 1
+    "run_nr_density_empty_cells": ["run", *_sets("deployment.ms_per_cell=1", "deployment.min_ms_per_cell=0",
+                                                 "scheme.name=nr_density")],
+    "run_grid72_fixed": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722",
+                                       "scheme.name=fixed", "scheme.fixed_power_dbm=20")],
     "sweep_default": ["sweep"],
     "sweep_density_fixed_seed1": ["sweep", *DENSITY_FIXED, *_sets("run.seed=1")],
     "sweep_density_fixed_seed7243": ["sweep", *DENSITY_FIXED, *_sets("run.seed=7243")],

@@ -4,11 +4,12 @@ mean-interference calibration, and a simplified target-SINR power control.
 Both baselines schedule exactly one user per frame on the whole band;
 neither respects the egress budget by construction, which is the point of
 comparing against them.  As in :mod:`noiserise.density`, each scheme is
-one frame function ``(cells, w, e, l, cap, <param>)`` serving every cell
-of a :class:`Cells` layout at once, and the :class:`UserLink` function
-runs it on one cell through :func:`~noiserise.solver.one_cell`.  The
-fixed-power formulas live in :func:`fixed_rates`, which ``make_scheme``
-evaluates once per run (:class:`~noiserise.model.Greedy`).
+one binder ``(cells, e, l, cap, <param>)`` returning the frame function
+``schedule(w)`` that serves every cell of a :class:`Cells` layout at
+once, and the :class:`UserLink` function binds it to one cell through
+:func:`~noiserise.solver.one_cell`.  The fixed-power formulas live in
+:func:`fixed_rates`, which the binder :func:`~noiserise.model.greedy`
+evaluates once per run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Allocation, Cells, Greedy, UserLink, Winners, winner_takes_band
+from .model import Allocation, Cells, UserLink, greedy, winner_takes_band
 from .solver import one_cell
 
 __all__ = [
@@ -46,13 +47,6 @@ def fixed_rates(e, l, power):
     return np.log1p(power * e), power
 
 
-def fixed_frame(cells: Cells, w, e, l, cap, power) -> Winners:
-    """Each cell's user with the best weighted full-band rate at constant
-    power, ``w log(1 + P e)``, takes the band at exactly ``power`` (one
-    for all or one per user); ``l`` and ``cap`` are not used."""
-    return Greedy(partial(fixed_rates, power=power))(cells, w, e, l, cap)
-
-
 def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
     """Schedule the user with the best weighted full-band rate at constant power.
 
@@ -64,7 +58,7 @@ def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
     """
     if not 0 < power < math.inf:
         raise ValueError(f"power must be positive and finite, got {power!r}")
-    return one_cell(links, partial(fixed_frame, power=power))
+    return one_cell(links, greedy(fixed_rates, power))
 
 
 def calibrate_fixed_power(
@@ -168,16 +162,18 @@ def _search(ref: float, initial_power: float):
     )
 
 
-def target_sinr_frame(cells: Cells, w, e, l, cap, target_sinr) -> Winners:
-    """Each cell's heaviest user with ``e > 0`` takes the band at the power
-    reaching ``target_sinr`` at SINR ``e``, clamped at ``cap``; a cell where
-    nobody has ``e > 0`` gives the band to its first user at zero power.
-    ``l`` is not used."""
+def bind_target_sinr(cells: Cells, e, l, cap, target_sinr):
+    """The target-SINR scheme bound to a run: each user with ``e > 0`` is
+    given, once, the power reaching ``target_sinr`` at SINR ``e``, clamped
+    at ``cap``, and the frame function ``schedule(w)`` gives each cell's
+    band to its heaviest such user at that power; a cell where nobody has
+    ``e > 0`` gives the band to its first user at zero power.  ``l`` is
+    not used."""
     able = e > 0
-    scores = np.where(able, w * math.log1p(target_sinr), -np.inf)
     power = np.zeros(len(e))
     power[able] = np.minimum(target_sinr / e[able], cap[able])
-    return winner_takes_band(cells, scores, power)
+    rate = math.log1p(target_sinr)
+    return lambda w: winner_takes_band(cells, np.where(able, w * rate, -np.inf), power)
 
 
 def schedule_target_sinr(links: Sequence[UserLink], target_sinr: float) -> Allocation:
@@ -193,4 +189,4 @@ def schedule_target_sinr(links: Sequence[UserLink], target_sinr: float) -> Alloc
     """
     if not 0 < target_sinr < math.inf:
         raise ValueError(f"target_sinr must be positive and finite, got {target_sinr!r}")
-    return one_cell(links, partial(target_sinr_frame, target_sinr=target_sinr))
+    return one_cell(links, partial(bind_target_sinr, target_sinr=target_sinr))

@@ -7,14 +7,13 @@ Shannon rate at full density.  Every allocation produced here also
 satisfies the whole-band budget, since summing the density cap over
 users gives ``sum l_i p_i <= I * sum x_i <= I``.
 
-Each scheme is one frame function ``(cells, w, e, l, cap, budget)`` that
-schedules every cell of a :class:`Cells` layout at once from per-user
-arrays, the budget one for all users or one per user; the simulator binds
-it in ``make_scheme``, and the function
-taking a :class:`UserLink` list runs it on one cell through
-:func:`~noiserise.solver.one_cell`.  The single-winner scheme's per-user
-formulas live in :func:`density_rates`, which ``make_scheme`` evaluates
-once per run (:class:`~noiserise.model.Greedy`).
+Each scheme is one binder ``(cells, e, l, cap, budget)`` that, bound to
+a :class:`Cells` layout and per-user arrays, returns the frame function
+``schedule(w)`` scheduling every cell at once, the budget one for all
+cells or one per cell; the simulator binds it once per run, and the
+function taking a :class:`UserLink` list binds it to one cell through
+:func:`~noiserise.solver.one_cell`.  Both schemes rank users by the rate
+factor of :func:`density_rates`, the one home of that formula.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Allocation, Cells, FrameAllocation, Greedy, UserLink, Winners, budget_watts
+from .model import Allocation, Cells, FrameAllocation, UserLink, budget_watts, greedy
 from .solver import one_cell
 
 __all__ = [
@@ -40,29 +39,30 @@ def density_rates(e, l, budget):
     return np.log1p(power * e), power
 
 
-def density_frame(cells: Cells, w, e, l, cap, budget) -> Winners:
-    """Each cell's user with the best weighted Shannon rate at full
-    density, ``w log(1 + (I/l) e)``, takes the band at ``p = I/l``; ``cap``
-    is not used."""
-    return Greedy(partial(density_rates, budget=budget))(cells, w, e, l, cap)
+def bind_capped(cells: Cells, e, l, cap, budget):
+    """The capped cascade (see :func:`schedule_density_capped`) bound to a
+    run: each user's full-density rate factor is computed once, and the
+    frame function ``schedule(w)`` ranks every cell's users by ``w`` times
+    it."""
+    budget = cells.per_cell(budget)[cells.cell_of]
+    rate, _ = density_rates(e, l, budget)
+    return lambda w: _cascade(cells, w * rate, l, cap, budget)
 
 
-def capped_frame(cells: Cells, w, e, l, cap, budget) -> FrameAllocation:
-    """The capped cascade (see :func:`schedule_density_capped`), every cell
-    at once.
+def _cascade(cells: Cells, score, l, cap, budget) -> FrameAllocation:
+    """The capped cascade of every cell at once, users ranked by ``score``.
 
-    Within a row, users are ranked by weighted full-density rate (ties to
-    the lowest index); ``np.subtract.accumulate`` gives the band left
-    before each rank with the same sequential rounding as a walk.
+    Within a row, ties go to the lowest index; ``np.subtract.accumulate``
+    gives the band left before each rank with the same sequential
+    rounding as a walk.
     """
     n = len(l)
-    score = cells.gather(w * np.log1p(budget * e / l), -np.inf)
-    order = np.argsort(-score, axis=1, kind="stable")
+    order = np.argsort(-cells.gather(score, -np.inf), axis=1, kind="stable")
     ranked = np.take_along_axis(cells.index, order, axis=1)
     valid = np.take_along_axis(cells.valid, order, axis=1)
     cap_r = cap[ranked]
     l_r = l[ranked]
-    budget_r = budget[ranked] if np.ndim(budget) else budget
+    budget_r = budget[ranked]
     share = np.where(valid, cap_r * l_r / budget_r, 0.0)
     band = np.empty((cells.n_cells, share.shape[1] + 1))
     band[:, 0] = 1.0
@@ -96,7 +96,7 @@ def schedule_density(links: Sequence[UserLink], budget) -> Allocation:
     ``I / l_i`` breaks its ``max_power`` raises :class:`ValueError`;
     :func:`schedule_density_capped` honours the cap.
     """
-    return one_cell(links, partial(density_frame, budget=budget_watts(budget)))
+    return one_cell(links, greedy(density_rates, budget_watts(budget)))
 
 
 def schedule_density_capped(links: Sequence[UserLink], budget) -> Allocation:
@@ -110,4 +110,4 @@ def schedule_density_capped(links: Sequence[UserLink], budget) -> Allocation:
     shares with powers frozen, which drops their density below the cap but
     never violates the budget.  A missing ``max_power`` means no cap.
     """
-    return one_cell(links, partial(capped_frame, budget=budget_watts(budget)))
+    return one_cell(links, partial(bind_capped, budget=budget_watts(budget)))

@@ -137,6 +137,17 @@ class Cells:
         """Per-cell sums of a per-user array."""
         return np.bincount(self.cell_of, weights=values, minlength=self.n_cells)
 
+    def per_cell(self, value) -> np.ndarray:
+        """``value``, one number for every cell or an array of one per cell,
+        as an array of one per cell; ``ValueError`` for an array of another
+        length."""
+        if not np.ndim(value):
+            return np.full(self.n_cells, value, dtype=float)
+        values = np.asarray(value, dtype=float)
+        if values.shape != (self.n_cells,):
+            raise ValueError(f"expected one value, or one per cell of {self.n_cells} cells, got {values.tolist()!r}")
+        return values
+
 
 @dataclass(frozen=True)
 class FrameAllocation:
@@ -192,34 +203,29 @@ class Winners:
 
 def winner_takes_band(cells: Cells, scores, power) -> Winners:
     """Each non-empty cell's highest-scoring user, ties to the lowest
-    index, holds the whole band at ``power`` (a scalar or per-user array)."""
+    index, holds the whole band at its entry of the per-user ``power``."""
     users = cells.winners(scores)
-    power = power[users] if np.ndim(power) else np.full(len(users), float(power))
-    return Winners(users, cells.occupied, power, len(cells.cell_of))
+    return Winners(users, cells.occupied, power[users], len(cells.cell_of))
 
 
-class Greedy:
-    """A greedy frame function ``(cells, w, e, l, cap)``: each non-empty
-    cell's user with the best ``w * rate`` takes the band at ``power``
-    (:func:`winner_takes_band`), where ``rate, power = rates(e, l)`` per
-    user; ``cap`` is not used.
+def greedy(rates, value):
+    """The binder ``bind(cells, e, l, cap)`` of a greedy scheme whose users'
+    rate factors and powers are ``rate, power = rates(e, l, v)``, ``v``
+    being ``value`` (one for every cell or one per cell) at each user's
+    cell.
 
-    Given the layout ``cells`` and the arrays ``e`` and ``l`` that a run
-    hands every frame, it computes ``rates(e, l)`` once, as
-    :class:`~noiserise.solver.DualRun` binds the exact solver; a call on
-    other arrays computes them per call.
+    Bound to a run's layout ``cells`` and the arrays ``e`` and ``l`` it
+    hands every frame, it computes them once and returns the run's frame
+    function ``schedule(w)``: each non-empty cell's user with the best
+    ``w * rate`` takes the band at ``power`` (:func:`winner_takes_band`).
+    ``cap`` is not used.
     """
 
-    def __init__(self, rates, cells: Cells | None = None, e=None, l=None):
-        self.rates, self.cells, self.e, self.l = rates, cells, e, l
-        self.bound = None if cells is None or e is None or l is None else rates(e, l)
+    def bind(cells: Cells, e, l, cap):
+        rate, power = rates(e, l, cells.per_cell(value)[cells.cell_of])
+        return lambda w: winner_takes_band(cells, w * rate, power)
 
-    def __call__(self, cells: Cells, w, e, l, cap) -> Winners:
-        if self.bound is not None and cells is self.cells and e is self.e and l is self.l:
-            rate, power = self.bound
-        else:
-            rate, power = self.rates(e, l)
-        return winner_takes_band(cells, w * rate, power)
+    return bind
 
 
 @dataclass(frozen=True)

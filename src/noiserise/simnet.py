@@ -21,24 +21,23 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import fixed_rates, target_sinr_frame
+from .baselines import bind_target_sinr, fixed_rates
 from .baselines import schedule_fixed_power  # noqa: F401 - bench/spans.py wraps simnet.schedule_fixed_power by name
-from .density import capped_frame, density_rates
+from .density import bind_capped, density_rates
 from .density import schedule_density  # noqa: F401 - bench/spans.py wraps simnet.schedule_density by name
 from .model import (
     LN2,
     Cells,
     FrameAllocation,
-    Greedy,
     NoiseRiseBudget,
     SolverConfig,
     Winners,
-    budget_watts,
+    greedy,
     noise_rise_budget_from_db,
 )
 from .model import _check_finite as _check_finite_value
 from .model import UserLink  # noqa: F401 - bench/spans.py counts simnet.UserLink constructions
-from .solver import DualRun, solve_dual_frame
+from .solver import DualRun
 from .solver import solve_joint  # noqa: F401 - bench/spans.py wraps simnet.solve_joint by name
 
 __all__ = [
@@ -392,16 +391,18 @@ def update_pf(t_avg: np.ndarray, delivered_bits: np.ndarray, beta: float) -> Non
 class Scheme:
     """A frame-level scheduler plus the feasibility check it must satisfy.
 
-    ``schedule(cells, w, e, l, cap)`` maps the frame's per-mobile weights,
-    normalized SINRs, normalized interferences and power caps (``inf`` for
-    none) to a :class:`FrameAllocation`, scheduling every cell of the
-    ``cells`` layout independently.  ``check(cells, alloc, l, cap)``
-    raises ``AssertionError`` if the schedule breaks the scheme's
+    ``bind(cells, e, l, cap)`` takes what a run hands every frame: the
+    ``cells`` layout and the per-mobile normalized SINRs, normalized
+    interferences and power caps (``inf`` for none).  It returns the run's
+    frame function ``schedule(w)``, which maps the frame's per-mobile
+    weights to a :class:`FrameAllocation`, scheduling every cell
+    independently.  ``check(cells, alloc, l, cap)`` raises
+    ``AssertionError`` if a frame's schedule breaks the scheme's
     constraints in any cell.
     """
 
     name: str
-    schedule: Callable[..., FrameAllocation]
+    bind: Callable[..., Callable[[np.ndarray], FrameAllocation]]
     check: Callable[..., None]
 
 
@@ -411,8 +412,8 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
     no power on a user without band, and a KKT residual within ``tol_kkt``
     wherever the schedule carries one.  ``egress`` adds each cell's egress
     budget ``I``, one for all cells or one per cell (``nr``), ``density``
-    each user's interference density ``l p / x <= I``, one for all users or
-    one per user (the density schemes).  Every bound is written so that
+    each user's interference density ``l p / x <= I``, ``I`` of its cell
+    (the density schemes).  Every bound is written so that
     NaN fails it, except the residual's: an empty cell's residual is NaN.
 
     A :class:`Winners` frame has exact shares and no power off its
@@ -443,7 +444,7 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             raise AssertionError("bandwidth overcommitted")
         refuse_over_cap(power, cap_max(cap)[users])
         # a winner's density l p / x at x = 1
-        if density and not np.logical_and.reduce(l[users] * power <= (I_max[users] if np.ndim(I) else I_max)):
+        if density and not np.logical_and.reduce(l[users] * power <= (I_max[cell] if np.ndim(I) else I_max)):
             raise AssertionError("per-user density cap violated")
 
     def check(cells, alloc, l, cap):
@@ -468,7 +469,7 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
                 raise AssertionError(f"egress budget violated in cell {k}: {spent[k]} > {budget}")
         # l p <= I x is l p / x <= I where x > 0, and 0 <= 0 where x = 0,
         # as no power is left on a user without band
-        if density and not np.logical_and.reduce(l * p <= I_max * x):
+        if density and not np.logical_and.reduce(l * p <= (I_max[cells.cell_of] if np.ndim(I) else I_max) * x):
             raise AssertionError("per-user density cap violated")
         if alloc.kkt_residual is not None and np.logical_or.reduce(alloc.kkt_residual > tol_kkt):
             worst = np.nanmax(alloc.kkt_residual)
@@ -477,16 +478,17 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
     return check
 
 
-def _powers(name: str, value, cells: Cells | None):
-    """``value`` as one positive finite power for every cell, or with
-    ``cells`` as an array of one per cell of that layout; ``ValueError``
-    for any other shape or value."""
-    powers = np.array(value, dtype=float)  # None reads as NaN
-    shape = () if cells is None else (cells.n_cells,)
-    if powers.shape != shape or not (powers.min() > 0 and powers.max() < math.inf):
-        where = "" if cells is None else " per cell"
-        raise ValueError(f"{name} must be one positive finite power{where}, got {value!r}")
-    return float(powers) if cells is None else powers
+def _powers(name: str, value):
+    """``value``, one positive finite power for every cell or a sequence of
+    one per cell, as a float or an array; ``ValueError`` for any other
+    shape or value, a bool or a string among them."""
+    powers = np.asarray(value)
+    # a bool or a string is no power, though numpy reads it as one; None
+    # and ragged sequences are objects
+    if (powers.dtype.kind in "iuf" and powers.ndim <= 1 and powers.size
+            and powers.min() > 0 and powers.max() < math.inf):
+        return powers.astype(float) if powers.ndim else float(powers)
+    raise ValueError(f"{name} must be one positive finite power, or one per cell, got {value!r}")
 
 
 def make_scheme(
@@ -496,47 +498,36 @@ def make_scheme(
     fixed_power=None,
     target_sinr: float | None = None,
     assumed_noise_plus_interference: float | None = None,
-    cells: Cells | None = None,
-    e: np.ndarray | None = None,
-    l: np.ndarray | None = None,
 ) -> Scheme:
     """Build the named scheduling scheme.
 
     ``budget`` (a :class:`NoiseRiseBudget` or Watts) and ``fixed_power``
-    hold one value for every cell; with ``cells``, they are arrays of one
-    value per cell of that layout, the only layout the scheme then
-    schedules.  Either raises ``ValueError`` if it has another shape or a
-    value that is not positive and finite.  With ``cells``, ``e`` and
-    ``l``, the per-user arrays a run hands every frame, ``nr``,
-    ``nr_density`` and ``fixed`` bind what they fix once
-    (:class:`~noiserise.solver.DualRun`, :class:`~noiserise.model.Greedy`)
-    instead of every frame.
+    are one value for every cell or a sequence of one per cell, which the
+    scheme's ``bind`` lays out per user of the layout it binds to (and
+    refuses for a layout of another number of cells).  Either raises
+    ``ValueError`` for another shape or for a value that is not a
+    positive finite number, as ``target_sinr`` does.  What a run fixes,
+    ``bind`` computes once: ``nr`` binds a
+    :class:`~noiserise.solver.DualRun`, ``nr_density`` and ``fixed`` each
+    user's rate factor and power (:func:`~noiserise.model.greedy`).
     ``assumed_noise_plus_interference`` is not used: no scheme reads it,
     and it is accepted so that existing callers keep working.
     """
-    if cells is None:
-        I = I_user = budget_watts(budget)
-    else:
-        I = _powers("budget", budget, cells)
-        I_user = I[cells.cell_of]
+    I = _powers("budget", budget.linear_budget if isinstance(budget, NoiseRiseBudget) else budget)
     tol_kkt = (solver_config if solver_config is not None else SolverConfig()).tol_kkt
     if name == "nr":
-        run = None if cells is None or e is None or l is None else DualRun(cells, e, l, I)
-        return Scheme(name, partial(solve_dual_frame, budget=I, run=run), _frame_check(I, tol_kkt, egress=True))
+        return Scheme(name, lambda cells, e, l, cap: DualRun(cells, e, l, I).solve,
+                      _frame_check(I, tol_kkt, egress=True))
     if name == "nr_density":
-        schedule = Greedy(partial(density_rates, budget=I_user), cells, e, l)
-        return Scheme(name, schedule, _frame_check(I_user, tol_kkt, density=True))
+        return Scheme(name, greedy(density_rates, I), _frame_check(I, tol_kkt, density=True))
     if name == "nr_density_capped":
-        return Scheme(name, partial(capped_frame, budget=I_user), _frame_check(I_user, tol_kkt, density=True))
+        return Scheme(name, partial(bind_capped, budget=I), _frame_check(I, tol_kkt, density=True))
     if name == "fixed":
-        power = _powers("fixed_power", fixed_power, cells)
-        if cells is not None:
-            power = power[cells.cell_of]
-        return Scheme(name, Greedy(partial(fixed_rates, power=power), cells, e, l), _frame_check(I, tol_kkt))
+        return Scheme(name, greedy(fixed_rates, _powers("fixed_power", fixed_power)), _frame_check(I, tol_kkt))
     if name == "target_sinr":
-        if target_sinr is None or not target_sinr > 0:
-            raise ValueError("scheme 'target_sinr' needs a positive target_sinr")
-        return Scheme(name, partial(target_sinr_frame, target_sinr=target_sinr), _frame_check(I, tol_kkt))
+        if target_sinr is None or not 0 < target_sinr < math.inf:
+            raise ValueError(f"scheme 'target_sinr' needs a positive finite target_sinr, got {target_sinr!r}")
+        return Scheme(name, partial(bind_target_sinr, target_sinr=target_sinr), _frame_check(I, tol_kkt))
     raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
 
 
@@ -701,14 +692,17 @@ class _Run:
         return Batch(bundle(r) for r in range(self.runs))
 
 
-def run_frame(run: _Run, scheme: Scheme, weights: np.ndarray, t: int) -> np.ndarray:
+def run_frame(run: _Run, schedule, check, weights: np.ndarray, t: int) -> np.ndarray:
     """Schedule every cell of frame ``t`` against the planned interference,
     then score it at the interference that actually materialized; returns
     the frame's delivered bits per MS.
 
-    ``scheme`` schedules ``run.cells``, every cell of every run of the
-    batch.  Scheduling builds each user's normalized SINR from the
-    budgeted noise-plus-interference ``N0*B + I``; delivered bits use the
+    ``schedule(weights)`` is a scheme's frame function bound to ``run``
+    (:attr:`Scheme.bind`), which schedules ``run.cells``, every cell of
+    every run of the batch, and ``check`` is the scheme's check.  The PF
+    weights must be positive and finite.  Scheduling builds each user's
+    normalized SINR from the budgeted noise-plus-interference
+    ``N0*B + I``; delivered bits use the
     measured ingress at the serving BS instead, spread uniformly over the
     band.  Cells are independent within a frame, so the scheme schedules
     and checks all of them in one call on per-mobile arrays.  The frame
@@ -718,12 +712,12 @@ def run_frame(run: _Run, scheme: Scheme, weights: np.ndarray, t: int) -> np.ndar
     at a share of 1.
     """
     # NaN fails both comparisons, so two reductions refuse what
-    # isfinite().all() and (>= 0).all() would
-    if not (np.minimum.reduce(weights) >= 0.0 and np.maximum.reduce(weights) < math.inf):
-        raise ValueError("PF weights must be finite and >= 0")
+    # isfinite().all() and (> 0).all() would
+    if not (np.minimum.reduce(weights) > 0.0 and np.maximum.reduce(weights) < math.inf):
+        raise ValueError("PF weights must be positive and finite")
     cells, g, l = run.cells, run.g, run.l
-    alloc = scheme.schedule(cells, weights, run.e, l, run.cap)
-    scheme.check(cells, alloc, l, run.cap)
+    alloc = schedule(weights)
+    check(cells, alloc, l, run.cap)
     if run.quantize_units:
         alloc = _quantize_frame(cells, alloc, l, run.cap, run.quantize_units)
     power = run.record(t, alloc)
@@ -953,22 +947,25 @@ def _batch(cfg) -> list:
 
 
 def run_frames(run: _Run, scheme: Scheme) -> Batch:
-    """Run the frames of ``run`` with ``scheme``, which schedules the
-    layout ``run.cells``, the proportional-fair weights of each frame
-    ``1 / t_avg`` of the bits delivered before it; returns every run's
-    :class:`MetricsBundle` as a :class:`Batch`."""
+    """Bind ``scheme`` once to ``run`` (its layout ``run.cells`` and the
+    arrays ``run.e``, ``run.l`` and ``run.cap``) and run its frames, the
+    proportional-fair weights of each frame ``1 / t_avg`` of the bits
+    delivered before it; returns every run's :class:`MetricsBundle` as a
+    :class:`Batch`."""
     run_cfg = run.run_cfg
     t_avg = np.full(len(run.g), run_cfg.pf_init, dtype=float)
+    schedule = scheme.bind(run.cells, run.e, run.l, run.cap)
     # bench/ wraps run_frame and update_pf by their simnet names, so both
     # stay module-level calls, once per frame
     for t in range(run_cfg.frames):
-        update_pf(t_avg, run_frame(run, scheme, 1.0 / t_avg, t), run_cfg.pf_beta)
+        update_pf(t_avg, run_frame(run, schedule, scheme.check, 1.0 / t_avg, t), run_cfg.pf_beta)
     return run.metrics()
 
 
 def run_simulation(cfg):
-    """Draw the deployment, lay out its :class:`_Run`, bind the scheme to
-    that layout and run the frame loop.
+    """Draw the deployment, lay out its :class:`_Run`, build the scheme
+    with each run's budget and fixed power per cell and run the frame loop,
+    which binds the scheme to the layout.
 
     ``cfg`` is one :class:`SimConfig`, which returns its
     :class:`MetricsBundle`, or a sequence of configs that differ only in
@@ -990,9 +987,6 @@ def run_simulation(cfg):
         fixed_power=(np.repeat([c.scheme.fixed_power_w for c in configs], n_bs)
                      if first.scheme.name == "fixed" else None),
         target_sinr=first.scheme.target_sinr,
-        cells=run.cells,
-        e=run.e,
-        l=run.l,
     )
     batch = run_frames(run, scheme)
     return batch[0] if isinstance(cfg, SimConfig) else batch

@@ -10,22 +10,22 @@ joint optimum, slowly near ties between users.
 
 :func:`solve_dual` finds the same optimum exactly by minimizing the
 problem's convex dual over the single budget multiplier; the simulator
-schedules every cell of a frame with the same code
-(:func:`solve_dual_frame`).  Both results are certified through
-first-order (KKT) residuals rather than trusted blindly.
+schedules every cell of a frame with the same code (:class:`DualRun`,
+bound once per run).  Both results are certified through the one
+first-order (KKT) residual, :func:`_kkt_residuals`, rather than trusted
+blindly.
 
 Exported are the two solvers, :func:`one_cell` for the per-cell
 schedulers, their errors and trace records, and the bandwidth
 multiplier's bracket and share map.  The steps :func:`solve_joint`
-alternates, its objective and its KKT residual are private and take
-unvalidated per-user lists ``w, e, l``.
+alternates and its objective are private and take unvalidated per-user
+lists ``w, e, l``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -219,10 +219,9 @@ def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None):
     n = len(p)
     x = [0.0] * n
     if len(active) == 1:
-        i = active[0]
-        pe = p[i] * e[i]
-        x[i] = 1.0
-        return x, w[i] * (pe / (1.0 + pe) - math.log1p(pe))
+        # the lone user's band price is the bracket's upper end
+        x[active[0]] = 1.0
+        return x, hi
     pes = [p[i] * e[i] for i in active]
     ws = [w[i] for i in active]
     shares = [0.0] * len(active)
@@ -296,17 +295,19 @@ def _objective(x, p, w, e):
     return total
 
 
-def one_cell(links, frame) -> Allocation:
-    """Schedule one cell's ``UserLink`` list with a frame function
-    ``frame(cells, w, e, l, cap)`` and return its shares, powers and
-    weighted sum rate, plus the cell's prices, probes (as ``iterations``),
-    convergence and KKT residual when the frame carries them; the
-    per-cell library functions are this call.  A power over a link's
-    ``max_power`` raises :class:`ValueError` ("max power violated")."""
+def one_cell(links, bind) -> Allocation:
+    """Schedule one cell's ``UserLink`` list with a scheme's binder
+    ``bind(cells, e, l, cap)``, bound once to a one-cell layout of the
+    links and called once with their weights, and return its shares,
+    powers and weighted sum rate, plus the cell's prices, probes (as
+    ``iterations``), convergence and KKT residual when the frame carries
+    them; the per-cell library functions are this call.  A power over a
+    link's ``max_power`` raises :class:`ValueError` ("max power
+    violated")."""
     if not links:
         raise ValueError("at least one user required")
     w, e, l, cap = link_arrays(links)
-    alloc = frame(Cells.single(len(links)), w, e, l, cap)
+    alloc = bind(Cells.single(len(links)), e, l, cap)(w)
     over = np.flatnonzero(alloc.p > cap).tolist()
     if over:
         raise ValueError(f"max power violated by users {over}")
@@ -317,32 +318,6 @@ def one_cell(links, frame) -> Allocation:
                       iterations=int(alloc.probes[0]), converged=bool(alloc.converged[0]),
                       kkt_residual=float(alloc.kkt_residual[0]))
     return Allocation(x=x, p=p, objective=_objective(x, p, w.tolist(), e.tolist()), **solved)
-
-
-def _kkt_residual(x, p, lam1, lam2, w, e, l, budget):
-    """Max-normed, dimensionless first-order residual of one cell's allocation."""
-    res = abs(sum(x) - 1.0)
-    spend = 0.0
-    any_power = False
-    for i in range(len(x)):
-        spend += l[i] * p[i]
-        if p[i] > 0.0:
-            any_power = True
-    if any_power:
-        res = max(res, abs(spend - budget) / budget)
-    for i in range(len(x)):
-        li = lam1 * l[i]
-        if p[i] > 0.0:
-            grad = w[i] * x[i] * e[i] / (x[i] + p[i] * e[i])
-            res = max(res, abs(grad - li) / li)
-        elif x[i] > 0.0:
-            # dual feasibility: a user holding bandwidth but no power must
-            # not want power at the current water level
-            res = max(res, max(0.0, w[i] * e[i] - li) / li)
-        if x[i] > 0.0 and p[i] > 0.0:
-            a = p[i] * e[i] / x[i]
-            res = max(res, abs(w[i] * _marginal_gap(a) + lam2) / w[i])
-    return res
 
 
 def _refloor(x, w, e, l, lam1, lam2, eligible, floor):
@@ -428,7 +403,10 @@ def solve_joint(links, budget, config=None):
     n = len(links)
     if n == 0:
         raise ValueError("at least one user required")
-    w, e, l, cap = (a.tolist() for a in link_arrays(links))
+    arrays = link_arrays(links)
+    w, e, l, cap = (a.tolist() for a in arrays)
+    # the certification of every cell of a frame, here of one non-empty cell
+    cell, empty = Cells.single(n), np.zeros(1, dtype=bool)
     eligible = [i for i in range(n) if w[i] > 0.0 and e[i] > 0.0]
     if not eligible:
         raise NoTransmitterError("no user with positive weight and SINR")
@@ -455,7 +433,8 @@ def solve_joint(links, budget, config=None):
                 xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2)
                 obj = _objective(xs, p, w, e)
             fallback_x = None
-        res = _kkt_residual(xs, p, lam1, lam2, w, e, l, I)
+        res = float(_kkt_residuals(cell, empty, np.array(xs), np.array(p), np.array([lam1]), np.array([lam2]),
+                                   *arrays[:3], I)[0])
         if prev_x is None:
             dx = dp = math.inf
         else:
@@ -644,10 +623,13 @@ def _walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam):
 
 
 def _kkt_residuals(cells, empty, x, p, lam1, lam2, w, e, l, I):
-    """:func:`_kkt_residual` of every cell at once against its budget in
-    ``I`` (NaN for the cells with no users, which ``empty`` marks), for
-    per-user ``x, p`` in which every user holding band has a positive
-    weight and SINR."""
+    """The max-normed, dimensionless first-order residual of every cell's
+    allocation at once, against its prices in ``lam1, lam2`` and its
+    budget in ``I`` (one for all cells or one per cell): the band sum,
+    the budget spent where the cell transmits, and each user's power and
+    bandwidth stationarity.  NaN for the cells with no users, which
+    ``empty`` marks.  Every user holding band must have a positive weight
+    and SINR."""
     res = np.abs(cells.sums(x) - 1.0)
     res = np.where(cells.sums(p) > 0.0, np.maximum(res, np.abs(cells.sums(l * p) - I) / I), res)
     on = ((x > 0.0) | (p > 0.0)).nonzero()[0]
@@ -668,27 +650,26 @@ def _kkt_residuals(cells, empty, x, p, lam1, lam2, w, e, l, I):
 
 
 class DualRun:
-    """What a run fixes of its :func:`solve_dual_frame` calls.
+    """:func:`solve_dual` for every cell of the ``cells`` layout at once,
+    bound to the per-user arrays ``e, l`` and a budget in Watts, one for
+    all cells or one per cell.
 
-    A run schedules the same layout ``cells`` on the same ``e``, ``l`` and
-    budgets every frame; only the PF weights ``w`` change.  So this binds,
-    once, each eligible user's ``E = e``, ``L = l``, ``beta = l/e`` and
+    A run schedules the same layout on the same ``e``, ``l`` and budgets
+    every frame; only the PF weights ``w`` change.  So this binds, once,
+    each eligible user's ``E = e``, ``L = l``, ``beta = l/e`` and
     ``I + beta`` as (cells, width) matrices (1 in padding), each cell's
     user count, ``beta`` and ``l`` lists and mobile ids, the empty cells
-    and the seed pass's (width, cells, width) work buffers; :meth:`solve`
-    gathers per frame only what the weights change.
-    Eligible are the users with ``e > 0`` and, given ``w``, ``w > 0``, so
-    a run binds without ``w`` and a frame whose weights are not all
-    positive binds afresh.  The budget in Watts is one for all cells or
-    one per cell.  Raises :class:`NoTransmitterError` if a cell has users
-    but none eligible.
+    and the seed pass's (width, cells, width) work buffers; :meth:`solve`,
+    the frame function, gathers per frame only what the weights change.
+    Eligible are the users with ``e > 0`` and, given ``w``, ``w > 0``: a
+    run binds without ``w``, as its PF weights are all positive, and
+    :func:`solve_dual` binds with the call's weights.  Raises
+    :class:`NoTransmitterError` if a cell has users but none eligible.
     """
 
     def __init__(self, cells: Cells, e, l, budget, w=None):
         n_cells = cells.n_cells
-        budget = np.asarray(budget, dtype=float)
-        if not budget.ndim:
-            budget = np.full(n_cells, budget)
+        budget = cells.per_cell(budget)
         ok = e > 0.0 if w is None else (w > 0.0) & (e > 0.0)
         if np.logical_and.reduce(ok):
             index, use = cells.index, cells.valid
@@ -715,11 +696,6 @@ class DualRun:
         self.rows = np.arange(n_cells)
         shape = (use.shape[1], n_cells, use.shape[1])
         self.buffers = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-
-    def binds(self, cells: Cells, w, e, l) -> bool:
-        """Whether a frame on these very arrays, with these weights, may
-        use this binding: every weight positive, as a run's PF weights are."""
-        return cells is self.cells and e is self.e and l is self.l and bool(np.logical_and.reduce(w > 0.0))
 
     def rows_of(self, w):
         """The frame's (cells, width) matrices ``W`` (0 in padding),
@@ -781,7 +757,14 @@ class DualRun:
 
     def solve(self, w) -> FrameAllocation:
         """The frame's allocation under weights ``w``, positive for every
-        eligible user; see :func:`solve_dual_frame`."""
+        eligible user.
+
+        One array pass over all cells seeds each cell's walk with the
+        tightest bracket among its users' single-user minimisers and
+        settles the cells whose first probe would stop at once (see
+        :meth:`seed`); a scalar walk per remaining cell finishes from its
+        bracket.  A second array pass certifies every cell.
+        """
         W, ratio, S = self.rows_of(w)
         lo, a, hi, b, start, own = self.seed(W, ratio, S)
         solved = []  # per cell: the walk's result, or _NO_USERS
@@ -811,26 +794,6 @@ class DualRun:
                                np.array(converged, dtype=bool), res)
 
 
-def solve_dual_frame(cells: Cells, w, e, l, cap, budget, run: DualRun | None = None) -> FrameAllocation:
-    """:func:`solve_dual` for every cell of the ``cells`` layout at once,
-    on per-user arrays ``w, e, l`` and a budget in Watts, one for all
-    cells or one per cell; ``cap`` is not used.
-
-    ``run`` is the :class:`DualRun` a run bound to these ``cells, e, l``
-    and budget, which the frame uses while every weight is positive;
-    without it, or otherwise, the call binds its own.  One array pass over
-    all cells seeds each cell's walk with the tightest bracket among its
-    users' single-user minimisers and settles the cells whose first probe
-    would stop at once (see :meth:`DualRun.seed`); a scalar walk per
-    remaining cell finishes from its bracket.  A second array pass
-    certifies every cell.  Raises :class:`NoTransmitterError` if a cell
-    has users but none with positive weight and SINR.
-    """
-    if run is None or not run.binds(cells, w, e, l):
-        run = DualRun(cells, e, l, budget, w)
-    return run.solve(w)
-
-
 def solve_dual(links, budget, config=None):
     """Exact joint optimum through the one-dimensional dual of the budget.
 
@@ -846,8 +809,9 @@ def solve_dual(links, budget, config=None):
     the piece that tops both ends, or at the kink where the two end pieces
     cross (located by safeguarded Newton); the envelope's slope at the
     probe, ``I - c`` of the top user, tells which end moves.  This is
-    :func:`one_cell` on :func:`solve_dual_frame`, the frame function that
-    schedules every cell of a simulated frame under ``nr``.
+    :func:`one_cell` on a :class:`DualRun`, the binding that schedules
+    every cell of a simulated frame under ``nr``, here bound with the
+    call's weights, so that a user of zero weight takes no band.
 
     At the minimiser either one user takes the whole band at ``p = I/l``,
     or two tied users share it so that their spends average to ``I``.
@@ -866,6 +830,7 @@ def solve_dual(links, budget, config=None):
     :class:`ValueError` ("max power violated") is raised.
     """
     cfg = config if config is not None else SolverConfig()
-    alloc = one_cell(links, partial(solve_dual_frame, budget=budget_watts(budget)))
+    I = budget_watts(budget)
+    alloc = one_cell(links, lambda cells, e, l, cap: lambda w: DualRun(cells, e, l, I, w).solve(w))
     alloc.certified = alloc.kkt_residual <= cfg.tol_kkt
     return alloc

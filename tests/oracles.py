@@ -25,7 +25,6 @@ from noiserise.solver import (
     _MAX_PROBES,
     _TIE,
     NoTransmitterError,
-    _kkt_residual,
     _marginal_gap,
     solve_dual,
 )
@@ -449,6 +448,34 @@ def reference_run_frame(deployment, schedule, weights, cfg):
 
 # ---------------------------------------------------------------------------
 # reference dual walk
+
+
+def _kkt_residual(x, p, lam1, lam2, w, e, l, budget):
+    """Max-normed, dimensionless first-order residual of one cell's
+    allocation: the scalar form of ``solver._kkt_residuals``, one user at a
+    time."""
+    res = abs(sum(x) - 1.0)
+    spend = 0.0
+    any_power = False
+    for i in range(len(x)):
+        spend += l[i] * p[i]
+        if p[i] > 0.0:
+            any_power = True
+    if any_power:
+        res = max(res, abs(spend - budget) / budget)
+    for i in range(len(x)):
+        li = lam1 * l[i]
+        if p[i] > 0.0:
+            grad = w[i] * x[i] * e[i] / (x[i] + p[i] * e[i])
+            res = max(res, abs(grad - li) / li)
+        elif x[i] > 0.0:
+            # dual feasibility: a user holding bandwidth but no power must
+            # not want power at the current water level
+            res = max(res, max(0.0, w[i] * e[i] - li) / li)
+        if x[i] > 0.0 and p[i] > 0.0:
+            a = p[i] * e[i] / x[i]
+            res = max(res, abs(w[i] * _marginal_gap(a) + lam2) / w[i])
+    return res
 
 
 def _band_value(w, ratio, lam):

@@ -6,6 +6,7 @@ import pytest
 
 from noiserise.model import (
     Allocation,
+    Cells,
     NoiseRiseBudget,
     UserLink,
     budget_watts,
@@ -190,11 +191,15 @@ def test_budget_watts_takes_a_budget_or_a_real_number():
     assert budget_watts(3) == 3.0 and budget_watts(np.float64(0.5)) == 0.5
 
 
-@pytest.mark.parametrize("budget", [[1.0, 2.0], None, "3", True], ids=["list", "none", "string", "bool"])
+@pytest.mark.parametrize("budget", [[1.0, 2.0], None, "3", True, [True, True], ["1", "2"]],
+                         ids=["list", "none", "string", "bool", "bool_list", "string_list"])
 def test_budget_that_is_not_a_real_number_is_a_value_error(budget):
-    # every caller of budget_watts refuses it, naming the value
+    # every caller of budget_watts refuses it, naming the value, and so does
+    # make_scheme, which takes one budget per cell too: a scheme refuses
+    # two budgets when it binds to one cell
     link = [UserLink(id=0, weight=1.0, norm_sinr=2.0, norm_interference=1.0)]
-    for call in (budget_watts, lambda b: make_scheme("nr", b), lambda b: solve_dual(link, b),
+    layout = (Cells.single(1), np.ones(1), np.ones(1), np.full(1, np.inf))
+    for call in (budget_watts, lambda b: make_scheme("nr", b).bind(*layout), lambda b: solve_dual(link, b),
                  lambda b: schedule_density(link, b)):
         with pytest.raises(ValueError, match=re.escape(repr(budget))):
             call(budget)

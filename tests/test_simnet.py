@@ -1,15 +1,16 @@
+import itertools
 import math
 import re
 from dataclasses import FrozenInstanceError, fields, replace
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiserise.baselines import fixed_frame, schedule_fixed_power, schedule_target_sinr
-from noiserise.density import density_frame, schedule_density, schedule_density_capped
+from noiserise import simnet
+from noiserise.baselines import schedule_fixed_power, schedule_target_sinr
+from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import LN2, Allocation, Cells, SolverConfig, UserLink, Winners, link_arrays
 from noiserise.simnet import (
     SCHEME_NAMES,
@@ -35,7 +36,7 @@ from noiserise.simnet import (
     update_pf,
 )
 
-from noiserise.solver import NoTransmitterError, _objective, solve_dual
+from noiserise.solver import DualRun, NoTransmitterError, _objective, solve_dual
 
 from oracles import (
     FrameMetrics,
@@ -208,21 +209,31 @@ def test_cells_refuse_an_id_outside_the_layout():
 def _silent_scheme():
     return Scheme(
         name="silent",
-        schedule=lambda cells, w, e, l, cap: FrameAllocation(x=np.zeros(len(w)), p=np.zeros(len(w))),
+        bind=lambda cells, e, l, cap: lambda w: FrameAllocation(x=np.zeros(len(w)), p=np.zeros(len(w))),
         check=lambda cells, alloc, l, cap: None,
     )
 
 
-class _OnlyCellZero:
-    """Wraps a frame schedule so that only cell 0 transmits."""
+def _only_cell_zero(bind):
+    """Wraps a scheme's binder so that only cell 0 transmits."""
 
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __call__(self, cells, w, e, l, cap):
-        alloc = self.inner(cells, w, e, l, cap)
+    def only_cell_zero(cells, e, l, cap):
+        schedule = bind(cells, e, l, cap)
         keep = cells.cell_of == 0
-        return FrameAllocation(x=np.where(keep, alloc.x, 0.0), p=np.where(keep, alloc.p, 0.0))
+
+        def frame(w):
+            alloc = schedule(w)
+            return FrameAllocation(x=np.where(keep, alloc.x, 0.0), p=np.where(keep, alloc.p, 0.0))
+
+        return frame
+
+    return only_cell_zero
+
+
+def _bound(scheme, run):
+    """``scheme``'s frame function bound to ``run``, as :func:`run_frames`
+    binds it."""
+    return scheme.bind(run.cells, run.e, run.l, run.cap)
 
 
 def _first_frame(dep, scheme, cfg):
@@ -247,7 +258,7 @@ def test_run_frame_isolated_cell_matches_shannon_rate():
     cfg = SimConfig()
     channel = cfg.channel
     inner = make_scheme("nr_density", cfg.budget())
-    scheme = Scheme(name="only0", schedule=_OnlyCellZero(inner.schedule), check=lambda *args: None)
+    scheme = Scheme(name="only0", bind=_only_cell_zero(inner.bind), check=lambda *args: None)
     metrics = _first_frame(dep, scheme, cfg)
     # no other cell transmits, so cell 0 is scored at zero ingress
     assert metrics.ingress_w[0] == 0.0
@@ -290,7 +301,7 @@ def test_run_frame_scheme_constraints_asserted():
     cfg = SimConfig()
     bad = Scheme(
         name="nr",
-        schedule=lambda cells, w, e, l, cap: FrameAllocation(x=np.ones(len(w)), p=np.ones(len(w))),
+        bind=lambda cells, e, l, cap: lambda w: FrameAllocation(x=np.ones(len(w)), p=np.ones(len(w))),
         check=make_scheme("nr", cfg.budget()).check,
     )
     with pytest.raises(AssertionError):
@@ -313,9 +324,14 @@ def test_run_frame_validates_weights():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=2), PathLossParams(), seed=2)
     cfg = SimConfig()
     scheme = make_scheme("nr_density", cfg.budget())
-    for weight in (np.nan, -1.0, np.inf):
-        with pytest.raises(ValueError, match="weights"):
-            run_frame(_Run(dep, [cfg]), scheme, np.full(dep.n_ms, weight), 0)
+    run = _Run(dep, [cfg])
+    # a run binds its schedule without weights, for PF weights 1/t_avg,
+    # which are positive: a zero weight is refused as well
+    for weight in (np.nan, -1.0, np.inf, 0.0):
+        w = np.ones(dep.n_ms)
+        w[3] = weight
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            run_frame(run, _bound(scheme, run), scheme.check, w, 0)
 
 
 def test_density_checks_reject_violations():
@@ -354,14 +370,16 @@ def test_checks_take_one_budget_per_cell():
     make_scheme("nr", 2.0).check(cells, alloc, l, cap)
     make_scheme("nr_density", 2.0).check(cells, alloc, l, cap)
     with pytest.raises(AssertionError, match=r"egress budget violated in cell 1: 1\.5 > 1\.0"):
-        make_scheme("nr", [2.0, 1.0], cells=cells).check(cells, alloc, l, cap)
+        make_scheme("nr", [2.0, 1.0]).check(cells, alloc, l, cap)
     with pytest.raises(AssertionError, match="density cap"):
-        make_scheme("nr_density", [2.0, 1.0], cells=cells).check(cells, alloc, l, cap)
+        make_scheme("nr_density", [2.0, 1.0]).check(cells, alloc, l, cap)
     with pytest.raises(AssertionError, match=r"egress budget violated in cell 0: 1\.5 > 1\.0"):
         make_scheme("nr", 1.0).check(cells, alloc, l, cap)
+    # one budget for the wrong number of cells is refused when the scheme
+    # binds to the layout, a budget that is not positive and finite at once
     for budget in ([2.0], [2.0, 0.0], [2.0, np.nan], [2.0, np.inf]):
-        with pytest.raises(ValueError, match="one positive finite power per cell"):
-            make_scheme("nr", budget, cells=cells)
+        with pytest.raises(ValueError, match="one per cell"):
+            make_scheme("nr", budget).bind(cells, np.ones(3), l, cap)
 
 
 def test_checks_take_a_winners_frame():
@@ -372,41 +390,51 @@ def test_checks_take_a_winners_frame():
     l, cap = np.ones(3), np.full(3, np.inf)
     alloc = Winners(users=np.array([1, 2]), cell=np.array([0, 1]), power=np.array([2.0, 1.5]), n=3)
     for name in ("nr_density", "nr"):
-        make_scheme(name, [2.0, 1.5], cells=cells).check(cells, alloc, l, cap)
+        make_scheme(name, [2.0, 1.5]).check(cells, alloc, l, cap)
     with pytest.raises(AssertionError, match="density cap"):
-        make_scheme("nr_density", [2.0, 1.0], cells=cells).check(cells, alloc, l, cap)
+        make_scheme("nr_density", [2.0, 1.0]).check(cells, alloc, l, cap)
     with pytest.raises(AssertionError, match=r"egress budget violated in cell 1: 1\.5 > 1\.0"):
-        make_scheme("nr", [2.0, 1.0], cells=cells).check(cells, alloc, l, cap)
+        make_scheme("nr", [2.0, 1.0]).check(cells, alloc, l, cap)
     with pytest.raises(AssertionError, match="max power"):
         make_scheme("fixed", 2.0, fixed_power=1.0).check(cells, alloc, l, np.array([1.0, 1.9, 1.0]))
 
 
 def test_fixed_power_is_one_positive_finite_power_per_cell():
     cells = Cells.from_cell_of([0, 0, 1], 2)
-    frame = (cells, np.ones(3), np.array([1.0, 2.0, 1.0]), np.ones(3), np.full(3, np.inf))
-    alloc = make_scheme("fixed", [2.0, 1.0], fixed_power=[0.1, 0.2], cells=cells).schedule(*frame)
+    layout = (cells, np.array([1.0, 2.0, 1.0]), np.ones(3), np.full(3, np.inf))
+    alloc = make_scheme("fixed", [2.0, 1.0], fixed_power=[0.1, 0.2]).bind(*layout)(np.ones(3))
     assert alloc.p.tolist() == [0.0, 0.1, 0.2]
-    for power in ([0.1, 0.0, 0.2], [0.1], 0.1, [0.1, 0.0], [0.1, np.nan], [0.1, np.inf], None):
-        with pytest.raises(ValueError, match="fixed_power must be one positive finite power per cell"):
-            make_scheme("fixed", [2.0, 1.0], fixed_power=power, cells=cells)
-    for power in (np.inf, np.nan, 0.0, [0.1, 0.2], None):
-        with pytest.raises(ValueError, match="fixed_power must be one positive finite power,"):
+    # one power for every cell is laid out per user by bind
+    assert make_scheme("fixed", 2.0, fixed_power=0.1).bind(*layout)(np.ones(3)).p.tolist() == [0.0, 0.1, 0.1]
+    # the wrong number of cells, refused by bind
+    for power in ([0.1, 0.2, 0.2], [0.1]):
+        scheme = make_scheme("fixed", 2.0, fixed_power=power)
+        with pytest.raises(ValueError, match=r"expected one value, or one per cell of 2 cells"):
+            scheme.bind(*layout)
+    # a power that is not one positive finite number, or a sequence of
+    # them, refused by make_scheme: a bool or a string among them
+    for power in ([0.1, 0.0, 0.2], [0.1, 0.0], [0.1, np.nan], [0.1, np.inf], None, np.inf, np.nan, 0.0,
+                  [[0.1, 0.2]], [], True, "0.5", [True, True], ["1", "2"]):
+        with pytest.raises(ValueError, match=re.escape(f"fixed_power must be one positive finite power, "
+                                                       f"or one per cell, got {power!r}")):
             make_scheme("fixed", 2.0, fixed_power=power)
 
 
-class _FaultAt:
-    """Wraps a frame schedule so that frame ``at`` hands ``fault`` of its
-    allocation, given the layout, to the check."""
+def _fault_at(bind, fault, at):
+    """Wraps a scheme's binder so that frame ``at`` of the bound run hands
+    ``fault`` of its allocation, given the layout, to the check."""
 
-    def __init__(self, inner, fault, at):
-        self.inner, self.fault, self.at, self.t = inner, fault, at, 0
+    def faulty(cells, e, l, cap):
+        schedule = bind(cells, e, l, cap)
+        frames = itertools.count()
 
-    def __call__(self, cells, w, e, l, cap):
-        alloc = self.inner(cells, w, e, l, cap)
-        if self.t == self.at:
-            alloc = self.fault(alloc, cells)
-        self.t += 1
-        return alloc
+        def frame(w):
+            alloc = schedule(w)
+            return fault(alloc, cells) if next(frames) == at else alloc
+
+        return frame
+
+    return faulty
 
 
 def _on_first_transmitter(field, value):
@@ -476,7 +504,7 @@ def test_frame_check_refuses_a_faulty_allocation(name, fault, at):
     scheme = _schemes(cfg)[0]
     run_frames(_Run(dep, [cfg]), scheme)  # the run passes without the fault
     inject, message = _FAULTS[fault]
-    faulty = Scheme(name, _FaultAt(scheme.schedule, inject, at), scheme.check)
+    faulty = Scheme(name, _fault_at(scheme.bind, inject, at), scheme.check)
     if name in _GREEDY and fault in ("nan_share", "power_without_band"):
         # a winners frame cannot carry a fault in its shares: x is derived
         # (see test_winners_frame_derives_its_shares_and_powers)
@@ -500,7 +528,7 @@ def _empty_cell_run(name="nr_density"):
 def test_winners_frame_derives_its_shares_and_powers(name):
     dep, cfg = _empty_cell_run(name)
     run = _Run(dep, [cfg])
-    alloc = _schemes(cfg)[0].schedule(run.cells, np.ones(dep.n_ms), run.e, run.l, run.cap)
+    alloc = _bound(_schemes(cfg)[0], run)(np.ones(dep.n_ms))
     assert isinstance(alloc, Winners)
     with pytest.raises(TypeError):
         replace(alloc, x=alloc.x)
@@ -706,21 +734,29 @@ def test_run_simulation_calls_frame_hooks_once_per_frame(monkeypatch):
     assert calls == {"run_frame": 3, "update_pf": 3}
 
 
-def test_default_run_every_nr_allocation_certified(monkeypatch):
-    from noiserise import simnet
+def _recording(bind, allocations):
+    """Wraps a scheme's binder so that its frames append their allocations
+    to ``allocations``."""
 
+    def recording(cells, e, l, cap):
+        schedule = bind(cells, e, l, cap)
+
+        def frame(w):
+            allocations.append(schedule(w))
+            return allocations[-1]
+
+        return frame
+
+    return recording
+
+
+def test_default_run_every_nr_allocation_certified(monkeypatch):
     allocations = []
     make = simnet.make_scheme
 
     def recording_scheme(*args, **kwargs):
         scheme = make(*args, **kwargs)
-
-        def schedule(*frame):
-            alloc = scheme.schedule(*frame)
-            allocations.append(alloc)
-            return alloc
-
-        return Scheme(scheme.name, schedule, scheme.check)
+        return Scheme(scheme.name, _recording(scheme.bind, allocations), scheme.check)
 
     monkeypatch.setattr(simnet, "make_scheme", recording_scheme)
     run_simulation(SimConfig())
@@ -801,14 +837,27 @@ def test_scheme_config_validation():
         make_scheme("target_sinr", 1.0)
 
 
+def test_target_sinr_scheme_refuses_a_target_that_is_not_positive_and_finite():
+    # an infinite target makes every score infinite, so each cell's band
+    # would go to its lowest-index user with e > 0 whatever the weights,
+    # here [0, 2], and every power to its cap; a finite target gives the
+    # band to the heaviest users
+    cells = Cells.from_cell_of([0, 0, 1, 1], 2)
+    layout = (cells, np.ones(4), np.ones(4), np.full(4, 0.5))
+    w = np.array([1.0, 2.0, 1.0, 2.0])
+    assert make_scheme("target_sinr", 1.0, target_sinr=4.0).bind(*layout)(w).users.tolist() == [1, 3]
+    for target in (np.inf, np.nan, 0.0, -1.0, None):
+        with pytest.raises(ValueError, match=re.escape(f"positive finite target_sinr, got {target!r}")):
+            make_scheme("target_sinr", 1.0, target_sinr=target)
+
+
 def test_target_sinr_scheme_takes_no_assumed_noise_plus_interference():
     # the keyword is accepted and not used, whatever its value
-    cells = Cells.single(2)
-    frame = (cells, np.ones(2), np.array([1.0, 2.0]), np.ones(2), np.full(2, np.inf))
-    want = make_scheme("target_sinr", 1.0, target_sinr=4.0).schedule(*frame)
+    layout = (Cells.single(2), np.array([1.0, 2.0]), np.ones(2), np.full(2, np.inf))
+    want = make_scheme("target_sinr", 1.0, target_sinr=4.0).bind(*layout)(np.ones(2))
     for assumed in (None, 0.0, -1.0):
         got = make_scheme("target_sinr", 1.0, target_sinr=4.0,
-                          assumed_noise_plus_interference=assumed).schedule(*frame)
+                          assumed_noise_plus_interference=assumed).bind(*layout)(np.ones(2))
         assert np.array_equal(got.x, want.x) and np.array_equal(got.p, want.p)
 
 
@@ -841,12 +890,7 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
     run = _Run(dep, [cfg])
     scheme, reference = _schemes(cfg)
     shares = []
-
-    def schedule(*frame):
-        shares.append(scheme.schedule(*frame))
-        return shares[-1]
-
-    recording = Scheme(name, schedule, scheme.check)
+    recording = _recording(scheme.bind, shares)(run.cells, run.e, run.l, run.cap)
     t_avg = np.ones(dep.n_ms)
     # nr and nr_density ignore the cap (their first frame reaches watts
     # here) and fixed sends its fixed power whatever the cap, so the check
@@ -855,13 +899,13 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
         name in ("nr", "nr_density") or name == "fixed" and max_power < cfg.scheme.fixed_power_w)
     if breaks_cap:
         with pytest.raises(AssertionError, match="max power violated"):
-            run_frame(run, recording, 1.0 / t_avg, 0)
+            run_frame(run, recording, scheme.check, 1.0 / t_avg, 0)
         return
     wants = []
     for t in range(cfg.run.frames):
         weights = 1.0 / t_avg
         wants.append(reference_run_frame(dep, reference, weights, cfg))
-        update_pf(t_avg, run_frame(run, recording, weights, t), cfg.run.pf_beta)
+        update_pf(t_avg, run_frame(run, recording, scheme.check, weights, t), cfg.run.pf_beta)
     (got,) = run.metrics()
     for t, (want, want_x) in enumerate(wants):
         # both loops see the same weights, so the schedules are the same floats
@@ -1036,23 +1080,24 @@ def user_links(draw):
 def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links):
     schedule, keywords = PER_CELL[name]
     n = len(links)
-    frame_args = (
-        Cells.single(n),
-        np.array([u.weight for u in links]),
-        np.array([u.norm_sinr for u in links]),
-        np.array([u.norm_interference for u in links]),
-        np.array([math.inf if u.max_power is None else u.max_power for u in links]),
-    )
-    scheme = make_scheme(name, 2.0, **keywords)
+    w, e, l, cap = link_arrays(links)
+    layout = (Cells.single(n), e, l, cap)
+    bound = make_scheme(name, 2.0, **keywords).bind
+    if name == "nr" and not (w > 0).all():
+        # a run binds nr without weights, as its PF weights are positive;
+        # solve_dual binds with the call's, so a user of zero weight is
+        # ineligible, as in a frame solve bound to them
+        def bound(cells, e, l, cap):
+            return lambda w: DualRun(cells, e, l, 2.0, w).solve(w)
     if name == "nr" and not any(u.weight > 0 and u.norm_sinr > 0 for u in links):
         # the dual solve needs a user that can transmit, on either path
         with pytest.raises(NoTransmitterError):
             schedule(links)
         with pytest.raises(NoTransmitterError):
-            scheme.schedule(*frame_args)
+            bound(*layout)(w)
         return
-    frame = scheme.schedule(*frame_args)
-    over = np.flatnonzero(frame.p > frame_args[4]).tolist()
+    frame = bound(*layout)(w)
+    over = np.flatnonzero(frame.p > cap).tolist()
     if over:
         assert name not in ("nr_density_capped", "target_sinr")  # these two clamp at the cap
         # the simulator's frame check refuses such powers; the per-cell call refuses them itself
@@ -1062,7 +1107,6 @@ def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links)
     alloc = schedule(links)
     assert alloc.x == frame.x.tolist()
     assert alloc.p == frame.p.tolist()
-    w, e, _, _ = link_arrays(links)
     assert alloc.objective == _objective(alloc.x, alloc.p, w.tolist(), e.tolist())
     if frame.probes is not None:
         assert (alloc.lambda1, alloc.lambda2) == (frame.lambda1[0], frame.lambda2[0])
@@ -1087,37 +1131,93 @@ def _bound_run(layout):
     return build_deployment(cfg.deployment, cfg.channel.pathloss, cfg.run.seed), configs
 
 
+def _reference_frame(schedule, cells, w, e, l):
+    """The frame of per-cell scheduler ``schedule`` (see
+    :func:`oracles.reference_schedule`), each cell's links built from
+    ``w, e, l``, as per-user ``x`` and ``p``."""
+    x, p = np.zeros(len(w)), np.zeros(len(w))
+    for k in range(cells.n_cells):
+        ms = cells.index[k, cells.valid[k]]
+        if len(ms):
+            alloc = schedule([UserLink(id=int(i), weight=w[i], norm_sinr=e[i], norm_interference=l[i]) for i in ms])
+            x[ms], p[ms] = alloc.x, alloc.p
+    return x, p
+
+
 @pytest.mark.parametrize("layout", ["default", "grid72", "batch4", "empty_cells"])
 def test_bound_greedy_schemes_are_their_frame_functions(layout):
-    # make_scheme binds nr_density and fixed to a run's cells, e and l as
-    # run_simulation does; every frame equals the per-call frame function,
-    # and a frame on other arrays, even equal copies, computes per call
+    # bound once to a run's cells, e and l, with each run's budget and
+    # fixed power per cell, as run_frames binds them, every frame is the
+    # per-cell reference scheduler's, cell by cell at that cell's own
+    # budget or power; bound to changed arrays, it is the reference's on
+    # those arrays
     dep, configs = _bound_run(layout)
     run = _Run(dep, configs)
     budget = np.repeat(run.budgets, dep.n_bs)
     fixed_power = np.repeat([c.scheme.fixed_power_w for c in configs], dep.n_bs)
-    per_call = {
-        "nr_density": partial(density_frame, budget=budget[run.cells.cell_of]),
-        "fixed": partial(fixed_frame, power=fixed_power[run.cells.cell_of]),
-    }
     rng = np.random.default_rng(3)
-    for name, frame in per_call.items():
-        scheme = make_scheme(name, budget, fixed_power=fixed_power, cells=run.cells, e=run.e, l=run.l)
-        assert scheme.schedule.bound is not None
+
+    def reference(name, w, e, l):
+        x, p = np.zeros(len(w)), np.zeros(len(w))
+        for r, cfg in enumerate(configs):
+            users = slice(r * dep.n_ms, (r + 1) * dep.n_ms)
+            schedule = reference_schedule(name, cfg.budget(), fixed_power=cfg.scheme.fixed_power_w)
+            x[users], p[users] = _reference_frame(schedule, dep.cells, w[users], e[users], l[users])
+        return x, p
+
+    for name in ("nr_density", "fixed"):
+        scheme = make_scheme(name, budget, fixed_power=fixed_power)
+        schedule = scheme.bind(run.cells, run.e, run.l, run.cap)
+        e, l = run.e.copy(), run.l.copy()
         for w in (np.ones(len(run.g)), rng.uniform(0.1, 10.0, len(run.g))):
-            bound = scheme.schedule(run.cells, w, run.e, run.l, run.cap)
-            want = frame(run.cells, w, run.e, run.l, run.cap)
-            assert np.array_equal(bound.x, want.x) and np.array_equal(bound.p, want.p), name
-            # copies fall back; changed copies show that they do
-            e, l = run.e.copy(), run.l.copy()
-            got = scheme.schedule(run.cells, w, e, l, run.cap)
-            assert np.array_equal(got.x, want.x) and np.array_equal(got.p, want.p), name
+            bound = schedule(w)
+            x, p = reference(name, w, run.e, run.l)
+            assert np.array_equal(bound.x, x) and np.array_equal(bound.p, p), name
             e[bound.users] *= 1e-3
             l[bound.users] *= 1e3
-            got = scheme.schedule(run.cells, w, e, l, run.cap)
-            want = frame(run.cells, w, e, l, run.cap)
-            assert np.array_equal(got.x, want.x) and np.array_equal(got.p, want.p), name
+            got = scheme.bind(run.cells, e, l, run.cap)(w)
+            x, p = reference(name, w, e, l)
+            assert np.array_equal(got.x, x) and np.array_equal(got.p, p), name
             assert not np.array_equal(got.p, bound.p), name
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_run_frames_binds_once_per_run(monkeypatch, name):
+    # whatever its frame count or batch size, a run binds its scheme once
+    # to its whole layout, and nr builds one DualRun, bound without
+    # weights; each frame calls the bound schedule once
+    binds, dual_runs, frames = [], [], []
+
+    class CountedDualRun(DualRun):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            dual_runs.append(kwargs.get("w", args[4] if len(args) > 4 else None))
+
+    make = simnet.make_scheme
+
+    def counted_scheme(*args, **kwargs):
+        scheme = make(*args, **kwargs)
+
+        def bind(*layout):
+            binds.append(layout)
+            return _recording(scheme.bind, frames)(*layout)
+
+        return Scheme(scheme.name, bind, scheme.check)
+
+    monkeypatch.setattr(simnet, "DualRun", CountedDualRun)
+    monkeypatch.setattr(simnet, "make_scheme", counted_scheme)
+    for n_frames, runs in ((1, 1), (7, 1), (7, 3)):
+        base = SimConfig(deployment=DeploymentConfig(rings=1, ms_per_cell=3),
+                         scheme=SchemeConfig(name=name, fixed_power_w=0.1, target_sinr=10.0),
+                         run=RunConfig(frames=n_frames))
+        configs = [replace(base, scheme=replace(base.scheme, noise_rise_db=db)) for db in (2.0, 5.0, 8.0)[:runs]]
+        for calls in (binds, dual_runs, frames):
+            calls.clear()
+        run_simulation(configs)
+        assert len(binds) == 1 and len(frames) == n_frames
+        cells, e, l, cap = binds[0]
+        assert cells.n_cells == runs * 7 and len(e) == len(l) == len(cap) == runs * 21
+        assert dual_runs == ([None] if name == "nr" else [])
 
 
 @pytest.mark.parametrize("runs", [1, 4])

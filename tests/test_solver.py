@@ -17,19 +17,18 @@ from noiserise.solver import (
     DualRun,
     NoTransmitterError,
     _bandwidth_step,
-    _kkt_residual,
     _objective,
     _power_step,
     _walk,
     bandwidth_for_multiplier,
     lambda2_bounds,
     solve_dual,
-    solve_dual_frame,
     solve_joint,
 )
 
 from oracles import (
     _envelope,
+    _kkt_residual,
     bandwidth_shares_ref,
     dual_optimum,
     find_lambda2_ref,
@@ -410,6 +409,9 @@ def test_kkt_residual_small_at_reference_optimum():
     residual = _kkt_residual(alloc.x, alloc.p, alloc.lambda1, alloc.lambda2,
                              *_wel(GOLDEN_LINKS), GOLDEN_BUDGET)
     assert residual <= 1e-4
+    # the solver certifies with the array residual of a frame's cells,
+    # which agrees with the scalar one to rounding
+    assert abs(alloc.kkt_residual - residual) <= 1e-14
 
 
 def test_kkt_residual_decreases_along_trace():
@@ -662,19 +664,46 @@ def test_property_solve_dual_sinr_against_budget_scale(cell, c):
 # frame-level dual solve against the reference walk
 
 
-def _nr_frames(cfg):
-    """Every frame's ``solve_dual_frame`` inputs ``(cells, w, e, l, budget)``
-    in the run of ``cfg``, one config or a batch, with one budget per cell."""
-    frames = []
+def _frame_solve(cells, w, e, l, budget):
+    """The frame solve of every cell of ``cells``, bound to the frame's
+    weights as :func:`solve_dual` binds it."""
+    return DualRun(cells, e, l, budget, w).solve(w)
 
-    def recording(cells, w, e, l, cap, budget, **bound):
-        frames.append((cells, w, e, l, budget))
-        return solve_dual_frame(cells, w, e, l, cap, budget, **bound)
+
+class _RecordingDualRun(DualRun):
+    """A run's :class:`DualRun`, which records each frame's inputs
+    ``(cells, w, e, l, budget)``, with one budget per cell, and its
+    allocation."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.frames = []
+
+    def solve(self, w):
+        alloc = super().solve(w)
+        self.frames.append(((self.cells, w, self.e, self.l, self.budget), alloc))
+        return alloc
+
+
+def _nr_runs(cfg):
+    """The :class:`_RecordingDualRun` of the run of ``cfg``, one config or
+    a batch, one per binding."""
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(_RecordingDualRun(*args, **kwargs))
+        return runs[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simnet, "solve_dual_frame", recording)
+        patch.setattr(simnet, "DualRun", recording)
         run_simulation(cfg)
-    return frames
+    return runs
+
+
+def _nr_frames(cfg):
+    """Every frame's frame-solve inputs ``(cells, w, e, l, budget)`` in the
+    run of ``cfg``, one config or a batch, with one budget per cell."""
+    return [frame for run in _nr_runs(cfg) for frame, _ in run.frames]
 
 
 @pytest.fixture(scope="module")
@@ -698,7 +727,7 @@ def _assert_frame_solve_matches_reference_walk(frames):
     returns the number of cells solved."""
     solved = 0
     for cells, w, e, l, budget in frames:
-        sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
+        sol = _frame_solve(cells, w, e, l, budget)
         budgets = np.broadcast_to(budget, (cells.n_cells,)).tolist()
         for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
             I = budgets[k]
@@ -742,7 +771,7 @@ def test_frame_solve_takes_the_default_runs_walk_path(default_run_frames):
     probes = np.zeros(5, dtype=int)
     kinks = 0
     for cells, w, e, l in frames:
-        sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
+        sol = _frame_solve(cells, w, e, l, budget)
         probes += np.bincount(sol.probes, minlength=5)
         kinks += int(sol.kinks.sum())
     assert probes.tolist() == [0, 1150, 315, 54, 1]
@@ -754,7 +783,7 @@ def _assert_settled_cells_are_the_walks(frames):
     walk returns from that cell's bracket; returns the number settled."""
     settled = 0
     for cells, w, e, l, budget in frames:
-        sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
+        sol = _frame_solve(cells, w, e, l, budget)
         lo, a, hi, b, start, own = (seed.tolist() for seed in _seeds(cells, w, e, l, budget))
         budgets = np.broadcast_to(budget, (cells.n_cells,)).tolist()
         for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
@@ -795,7 +824,7 @@ def test_a_start_topped_by_another_user_is_walked():
     cells = Cells.single(2)
     *_, start, own = _seeds(cells, w, e, l, 1.0)
     assert start.tolist() == [1.0] and own.tolist() == [-1]
-    sol = solve_dual_frame(cells, w, e, l, np.full(2, np.inf), 1.0)
+    sol = _frame_solve(cells, w, e, l, 1.0)
     assert sol.x.tolist() == [0.0, 1.0] and sol.p.tolist() == [0.0, 1.0]
     assert (sol.lambda1[0], sol.probes[0], sol.kinks[0]) == (1.0, 1, 0)
 
@@ -807,7 +836,7 @@ def test_a_start_on_a_tie_is_walked():
     cells = Cells.single(2)
     *_, start, own = _seeds(cells, w, e, l, 1.0)
     assert start.tolist() == [1.0] and own.tolist() == [-1]
-    sol = solve_dual_frame(cells, w, e, l, np.full(2, np.inf), 1.0)
+    sol = _frame_solve(cells, w, e, l, 1.0)
     assert sol.x.tolist() == [1.0, 0.0] and sol.p.tolist() == [1.0, 0.0]
 
 
@@ -818,28 +847,19 @@ def _assert_same_frame(got, want):
 
 @pytest.mark.parametrize("cfg", [_DEFAULT, _GRID72, _BATCH4], ids=["default", "grid72", "batch4"])
 def test_run_bound_frame_solve_is_the_per_call_solve(cfg):
-    # a run binds its frame solve once, and each of its frames equals the
-    # solve that binds per call
-    calls = []
-
-    def recording(cells, w, e, l, cap, budget, **bound):
-        calls.append((bound.get("run"), cells, w, e, l, cap, budget,
-                      solve_dual_frame(cells, w, e, l, cap, budget, **bound)))
-        return calls[-1][-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simnet, "solve_dual_frame", recording)
-        run_simulation(cfg)
-    assert len(calls) == 80 and isinstance(calls[0][0], DualRun)
-    for run, cells, w, e, l, cap, budget, alloc in calls:
-        assert run is calls[0][0] and run.binds(cells, w, e, l)
-        _assert_same_frame(alloc, solve_dual_frame(cells, w, e, l, cap, budget))
+    # a run binds its frame solve once, without weights, and each of its
+    # frames equals the solve bound to that frame's weights
+    runs = _nr_runs(cfg)
+    assert len(runs) == 1 and len(runs[0].frames) == 80
+    for (cells, w, e, l, budget), alloc in runs[0].frames:
+        _assert_same_frame(alloc, _frame_solve(cells, w, e, l, budget))
 
 
-def test_run_bound_frame_solve_falls_back_per_frame():
-    # an empty cell, a user without SINR and frames with a zero weight: the
-    # binding serves the frames whose weights are all positive, every other
-    # frame binds afresh, and each equals the solve that binds per call
+def test_run_bound_frame_solve_is_the_weight_bound_solve():
+    # an empty cell and a user without SINR: a binding without weights
+    # serves frames of positive weights, each equal to the solve bound to
+    # its weights; bound to weights with a zero, the zero-weight user takes
+    # no band, as solve_dual gives it none
     rng = np.random.default_rng(7)
     n = 40
     cell_of = rng.integers(0, 5, n)
@@ -849,18 +869,20 @@ def test_run_bound_frame_solve_falls_back_per_frame():
     e[5] = 0.0
     cells = Cells.from_cell_of(cell_of, 5)
     budget = np.array([3e-13, 1e-13, 5e-13, 2e-13, 4e-13])
-    cap = np.full(n, np.inf)
     run = DualRun(cells, e, l, budget)
     for frame in range(6):
         w = 10.0 ** rng.uniform(-6, 0, n)
-        if frame % 2:
-            w[rng.integers(0, n)] = 0.0
-        assert run.binds(cells, w, e, l) == (frame % 2 == 0)
-        want = solve_dual_frame(cells, w, e, l, cap, budget)
+        want = _frame_solve(cells, w, e, l, budget)
         assert np.isnan(want.lambda1[3]) and want.probes[3] == 0
-        _assert_same_frame(solve_dual_frame(cells, w, e, l, cap, budget, run=run), want)
-        # arrays other than the bound ones, if equal, bind afresh
-        _assert_same_frame(solve_dual_frame(cells, w, e.copy(), l, cap, budget, run=run), want)
+        _assert_same_frame(run.solve(w), want)
+        zero = rng.integers(0, n)
+        w[zero] = 0.0
+        got = _frame_solve(cells, w, e, l, budget)
+        assert got.x[zero] == got.p[zero] == 0.0
+        k = cell_of[zero]
+        ms = cells.index[k, cells.valid[k]]
+        alloc = solve_dual(_links(w[ms].tolist(), e[ms].tolist(), l[ms].tolist()), budget[k])
+        assert got.x[ms].tolist() == alloc.x and got.p[ms].tolist() == alloc.p
 
 
 def _seeds(cells, w, e, l, budget):
@@ -934,7 +956,7 @@ def test_frame_solve_equals_per_cell_solve_dual():
     e[3::11] = 0.0
     budget = 3e-13
     cells = Cells.from_cell_of(cell_of, 6)
-    sol = solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
+    sol = _frame_solve(cells, w, e, l, budget)
     for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
         if not len(ms):
             assert np.isnan(sol.kkt_residual[k]) and np.isnan(sol.lambda1[k]) and sol.probes[k] == 0
@@ -946,5 +968,5 @@ def test_frame_solve_equals_per_cell_solve_dual():
         assert abs(sol.kkt_residual[k] - alloc.kkt_residual) <= 1e-14
     w[cells.index[2, cells.valid[2]]] = 0.0
     with pytest.raises(NoTransmitterError):
-        solve_dual_frame(cells, w, e, l, np.full(len(w), np.inf), budget)
+        _frame_solve(cells, w, e, l, budget)
 

@@ -3,24 +3,32 @@
 Run from the repository root:
 
     python3 tools/artifact_digests.py > digests.txt
+    python3 tools/artifact_digests.py --against HEAD~1
 
 Every invocation runs in process through ``noiserise.cli.main`` from this
 tree's ``src``, writing into a temporary directory.  Each artifact prints
 one ``label file sha256`` line.  ``summary.json`` is hashed without its
 ``runtime_s`` key, the one value that differs between identical runs;
 ``solve`` writes no file, so its stdout is hashed.  A change meant to
-keep the artifacts byte-identical prints the same lines as its parent:
-copy this script into the parent's tree, run both, and diff the outputs.
-Uses only the standard library besides noiserise itself.
+keep the artifacts byte-identical prints the same lines as its parent.
+``--against REV`` checks that: it extracts REV's ``src`` with ``git
+archive`` into a temporary directory, runs this script there in a
+subprocess, and prints every line that differs between REV's listing
+(``-``) and this tree's (``+``); it exits 1 on any difference.  Uses only
+the standard library and ``git`` besides noiserise itself.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -92,19 +100,60 @@ def _call(argv) -> str:
     return stdout.getvalue()
 
 
-def main() -> None:
+def digest_lines() -> list:
+    """The ``label file sha256`` line of every artifact, in a fixed order."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for label, argv in INVOCATIONS.items():
             out = tmp / label
             _call([argv[0], "--out", str(out), *argv[1:]])
-            for path in sorted(out.iterdir()):
-                print(label, path.name, _digest(path))
+            lines += [f"{label} {path.name} {_digest(path)}" for path in sorted(out.iterdir())]
         instance = tmp / "instance.json"
         instance.write_text(json.dumps(README_INSTANCE))
         stdout = _call(["solve", str(instance), "--trace"])
-        print("solve_readme", "stdout", hashlib.sha256(stdout.encode()).hexdigest())
+        lines.append(f"solve_readme stdout {hashlib.sha256(stdout.encode()).hexdigest()}")
+    return lines
+
+
+def lines_at(rev: str) -> list:
+    """The digest lines of ``rev``'s ``src``, from this script run in a
+    subprocess beside a ``git archive`` of it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        (tmp / "tools").mkdir()
+        script = shutil.copy(Path(__file__).resolve(), tmp / "tools")
+        run = subprocess.run([sys.executable, str(script)], check=True, capture_output=True, text=True, cwd=tmp)
+    return run.stdout.splitlines()
+
+
+def differences(parent: list, here: list) -> list:
+    """The lines of two digest listings that differ: ``- line`` for each
+    line of ``parent`` missing from ``here``, then ``+ line`` for each line
+    of ``here`` missing from ``parent``, each in its listing's order."""
+    theirs, ours = set(parent), set(here)
+    return [f"- {line}" for line in parent if line not in ours] + [f"+ {line}" for line in here if line not in theirs]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Digest the artifacts of a fixed list of noiserise invocations.")
+    parser.add_argument("--against", metavar="REV", help="compare with the digests of REV's src; exit 1 on a difference")
+    args = parser.parse_args(argv)
+    here = digest_lines()
+    if args.against is None:
+        print(*here, sep="\n")
+        return 0
+    diff = differences(lines_at(args.against), here)
+    if diff:
+        print(*diff, sep="\n")
+        return 1
+    print(f"all {len(here)} lines identical at {args.against}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

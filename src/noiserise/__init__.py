@@ -8,7 +8,8 @@ imported from its module (``noiserise.simnet``, ``noiserise.solver``, ...).
 """
 
 from .model import UserLink, normalized_interference
-from .solver import solve_dual, solve_joint
+from .simnet import solve_dual
+from .solver import solve_joint
 
 __all__ = [
     "UserLink",

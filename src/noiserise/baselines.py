@@ -6,29 +6,25 @@ neither respects the egress budget by construction, which is the point of
 comparing against them.  As in :mod:`noiserise.density`, each scheme is
 one binder ``(cells, e, l, cap, <param>)`` returning the frame function
 ``schedule(w)`` that serves every cell of a :class:`Cells` layout at
-once, and the :class:`UserLink` function binds it to one cell through
-:func:`~noiserise.solver.one_cell`.  The fixed-power formulas live in
-:func:`fixed_rates`, which the binder :func:`~noiserise.model.greedy`
-evaluates once per run.
+once; ``simnet.make_scheme`` builds the schemes from them, and
+``simnet`` holds their per-cell functions.  The fixed-power formulas
+live in :func:`fixed_rates`, which the binder
+:func:`~noiserise.model.greedy` evaluates once per run.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Allocation, Cells, UserLink, greedy, winner_takes_band
-from .solver import one_cell
+from .model import Cells, winner_takes_band
 
 __all__ = [
     "CalibrationError",
-    "schedule_fixed_power",
     "calibrate_fixed_power",
     "calibrate_in_lockstep",
-    "schedule_target_sinr",
 ]
 
 
@@ -45,20 +41,6 @@ def fixed_rates(e, l, power):
     """Each user's full-band rate factor at constant power, ``log(1 + P e)``,
     and that power, one for all or one per user; ``l`` is not used."""
     return np.log1p(power * e), power
-
-
-def schedule_fixed_power(links: Sequence[UserLink], power: float) -> Allocation:
-    """Schedule the user with the best weighted full-band rate at constant power.
-
-    The winner is ``argmax w_i * log(1 + P * e_i)`` (ties to the lowest
-    index) and takes the whole band at exactly ``P`` Watts regardless of
-    the interference it injects.  A ``power`` that is not positive and
-    finite, or over the winner's ``max_power``, raises
-    :class:`ValueError`.
-    """
-    if not 0 < power < math.inf:
-        raise ValueError(f"power must be positive and finite, got {power!r}")
-    return one_cell(links, greedy(fixed_rates, power))
 
 
 def calibrate_fixed_power(
@@ -174,19 +156,3 @@ def bind_target_sinr(cells: Cells, e, l, cap, target_sinr):
     power[able] = np.minimum(target_sinr / e[able], cap[able])
     rate = math.log1p(target_sinr)
     return lambda w: winner_takes_band(cells, np.where(able, w * rate, -np.inf), power)
-
-
-def schedule_target_sinr(links: Sequence[UserLink], target_sinr: float) -> Allocation:
-    """Winner-takes-band power control aiming at a fixed received SINR.
-
-    The winner's power is set so that ``p * e`` equals ``target_sinr``,
-    which is its received SINR when ``e`` was normalized by the
-    noise-plus-interference power the scheme plans for; the rate factor
-    ``log(1 + target)`` is common to everyone, so the winner is simply the
-    heaviest user able to transmit (ties to the lowest index).  Power is
-    clamped to ``max_power`` when the link carries one.  A ``target_sinr``
-    that is not positive and finite raises :class:`ValueError`.
-    """
-    if not 0 < target_sinr < math.inf:
-        raise ValueError(f"target_sinr must be positive and finite, got {target_sinr!r}")
-    return one_cell(links, partial(bind_target_sinr, target_sinr=target_sinr))

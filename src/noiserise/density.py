@@ -10,26 +10,18 @@ users gives ``sum l_i p_i <= I * sum x_i <= I``.
 Each scheme is one binder ``(cells, e, l, cap, budget)`` that, bound to
 a :class:`Cells` layout and per-user arrays, returns the frame function
 ``schedule(w)`` scheduling every cell at once, the budget one for all
-cells or one per cell; the simulator binds it once per run, and the
-function taking a :class:`UserLink` list binds it to one cell through
-:func:`~noiserise.solver.one_cell`.  Both schemes rank users by the rate
-factor of :func:`density_rates`, the one home of that formula.
+cells or one per cell.  ``simnet.make_scheme`` builds the schemes from
+them, and ``simnet`` holds their per-cell functions.  Both rank users by
+the rate factor of :func:`density_rates`, the one home of that formula.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Sequence
-
 import numpy as np
 
-from .model import Allocation, Cells, FrameAllocation, UserLink, budget_watts, greedy
-from .solver import one_cell
+from .model import Cells, FrameAllocation
 
-__all__ = [
-    "schedule_density",
-    "schedule_density_capped",
-]
+__all__ = []
 
 
 def density_rates(e, l, budget):
@@ -40,10 +32,10 @@ def density_rates(e, l, budget):
 
 
 def bind_capped(cells: Cells, e, l, cap, budget):
-    """The capped cascade (see :func:`schedule_density_capped`) bound to a
-    run: each user's full-density rate factor is computed once, and the
-    frame function ``schedule(w)`` ranks every cell's users by ``w`` times
-    it."""
+    """The capped cascade (see
+    :func:`noiserise.simnet.schedule_density_capped`) bound to a run: each
+    user's full-density rate factor is computed once, and the frame
+    function ``schedule(w)`` ranks every cell's users by ``w`` times it."""
     budget = cells.per_cell(budget)[cells.cell_of]
     rate, _ = density_rates(e, l, budget)
     return lambda w: _cascade(cells, w * rate, l, cap, budget)
@@ -83,31 +75,3 @@ def _cascade(cells: Cells, score, l, cap, budget) -> FrameAllocation:
     x[ranked[valid]] = x_r[valid]
     p[ranked[valid]] = p_r[valid]
     return FrameAllocation(x, p)
-
-
-def schedule_density(links: Sequence[UserLink], budget) -> Allocation:
-    """Single-winner scheduler under the per-user density cap.
-
-    Every user would transmit at density ``I / l_i``, so the user
-    maximizing ``weight * log(1 + (I / l_i) e_i)`` takes the whole band
-    at exactly that density.  Ties go to the lowest index; if every
-    weighted rate is zero the lowest-index user is still scheduled (at
-    zero rate), so the output shape is always the same.  A winner whose
-    ``I / l_i`` breaks its ``max_power`` raises :class:`ValueError`;
-    :func:`schedule_density_capped` honours the cap.
-    """
-    return one_cell(links, greedy(density_rates, budget_watts(budget)))
-
-
-def schedule_density_capped(links: Sequence[UserLink], budget) -> Allocation:
-    """Cascading variant of the density scheduler honoring max power.
-
-    Users are ranked by weighted full-density Shannon rate; each one takes
-    the largest band share its power cap supports at full density
-    (``x = Pmax * l / I`` pins ``p`` at Pmax), and the walk stops once the
-    band is gone.  If every user is power-capped with band to spare, the
-    leftover is spread over the scheduled users proportionally to their
-    shares with powers frozen, which drops their density below the cap but
-    never violates the budget.  A missing ``max_power`` means no cap.
-    """
-    return one_cell(links, partial(bind_capped, budget=budget_watts(budget)))

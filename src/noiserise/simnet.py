@@ -8,6 +8,11 @@ station receives is a single scalar power.  Scheduling in each cell uses
 the planned, budgeted interference level; delivered bits are then scored
 against the interference that actually materializes, which is exactly the
 gap a bounded egress budget narrows.
+
+:func:`make_scheme` builds the schemes from the binders of the modules
+below this one, which never import it.  Each per-cell library function
+taking a ``UserLink`` list is :func:`one_cell`: a one-cell, one-frame
+run of a scheme, ending in the scheme's frame check.
 """
 
 from __future__ import annotations
@@ -22,22 +27,22 @@ from typing import Callable
 import numpy as np
 
 from .baselines import bind_target_sinr, fixed_rates
-from .baselines import schedule_fixed_power  # noqa: F401 - bench/spans.py wraps simnet.schedule_fixed_power by name
 from .density import bind_capped, density_rates
-from .density import schedule_density  # noqa: F401 - bench/spans.py wraps simnet.schedule_density by name
 from .model import (
     LN2,
+    Allocation,
     Cells,
     FrameAllocation,
     NoiseRiseBudget,
     SolverConfig,
     Winners,
     greedy,
+    link_arrays,
     noise_rise_budget_from_db,
 )
 from .model import _check_finite as _check_finite_value
 from .model import UserLink  # noqa: F401 - bench/spans.py counts simnet.UserLink constructions
-from .solver import DualRun
+from .solver import DualRun, _objective
 from .solver import solve_joint  # noqa: F401 - bench/spans.py wraps simnet.solve_joint by name
 
 __all__ = [
@@ -56,6 +61,12 @@ __all__ = [
     "build_deployment",
     "shared_draws",
     "make_scheme",
+    "one_cell",
+    "solve_dual",
+    "schedule_density",
+    "schedule_density_capped",
+    "schedule_fixed_power",
+    "schedule_target_sinr",
     "run_frame",
     "update_pf",
     "run_frames",
@@ -408,8 +419,8 @@ class Scheme:
 
 def _frame_check(I, tol_kkt, egress=False, density=False):
     """The check every scheme's frame must pass: no negative, NaN or
-    infinite share or power, no cell's band over 1, no power over its cap,
-    no power on a user without band, and a KKT residual within ``tol_kkt``
+    infinite share or power, no cell's band over 1, no power over its cap
+    (the message names the mobiles over it), no power on a user without band, and a KKT residual within ``tol_kkt``
     wherever the schedule carries one.  ``egress`` adds each cell's egress
     budget ``I``, one for all cells or one per cell (``nr``), ``density``
     each user's interference density ``l p / x <= I``, ``I`` of its cell
@@ -431,10 +442,14 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             scaled[:] = cap, cap * (1.0 + _SLACK)
         return scaled[1]
 
-    def refuse_over_cap(p, bound):
-        # strictly below, so that an infinite power fails an infinite cap
+    def refuse_over_cap(p, bound, users=None):
+        # strictly below, so that an infinite power fails an infinite cap;
+        # ``users`` are the mobiles of ``p``'s entries, if not 0, 1, ...
         if not np.logical_and.reduce(p < bound):
-            raise AssertionError("infinite power" if np.isinf(p).any() else "max power violated")
+            if np.isinf(p).any():
+                raise AssertionError("infinite power")
+            over = np.flatnonzero(~(p < bound))
+            raise AssertionError(f"max power violated by users {(over if users is None else users[over]).tolist()}")
 
     def check_winners(cells, alloc, l, cap):
         users, cell, power = alloc.users, alloc.cell, alloc.power
@@ -442,7 +457,7 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             raise AssertionError("negative or NaN allocation")
         if not (np.logical_and.reduce(cells.cell_of[users] == cell) and np.logical_and.reduce(cell[1:] > cell[:-1])):
             raise AssertionError("bandwidth overcommitted")
-        refuse_over_cap(power, cap_max(cap)[users])
+        refuse_over_cap(power, cap_max(cap)[users], users)
         # a winner's density l p / x at x = 1
         if density and not np.logical_and.reduce(l[users] * power <= (I_max[cell] if np.ndim(I) else I_max)):
             raise AssertionError("per-user density cap violated")
@@ -491,6 +506,11 @@ def _powers(name: str, value):
     raise ValueError(f"{name} must be one positive finite power, or one per cell, got {value!r}")
 
 
+def _watts(budget):
+    """``budget``, a :class:`NoiseRiseBudget` or Watts, in Watts (:func:`_powers`)."""
+    return _powers("budget", budget.linear_budget if isinstance(budget, NoiseRiseBudget) else budget)
+
+
 def make_scheme(
     name: str,
     budget,
@@ -513,7 +533,7 @@ def make_scheme(
     ``assumed_noise_plus_interference`` is not used: no scheme reads it,
     and it is accepted so that existing callers keep working.
     """
-    I = _powers("budget", budget.linear_budget if isinstance(budget, NoiseRiseBudget) else budget)
+    I = _watts(budget)
     tol_kkt = (solver_config if solver_config is not None else SolverConfig()).tol_kkt
     if name == "nr":
         return Scheme(name, lambda cells, e, l, cap: DualRun(cells, e, l, I).solve,
@@ -525,10 +545,128 @@ def make_scheme(
     if name == "fixed":
         return Scheme(name, greedy(fixed_rates, _powers("fixed_power", fixed_power)), _frame_check(I, tol_kkt))
     if name == "target_sinr":
-        if target_sinr is None or not 0 < target_sinr < math.inf:
+        # a bool, a string and None are no number, whatever kind numpy gives them
+        target = np.asarray(target_sinr)
+        if not (target.ndim == 0 and target.dtype.kind in "iuf" and 0 < target < math.inf):
             raise ValueError(f"scheme 'target_sinr' needs a positive finite target_sinr, got {target_sinr!r}")
         return Scheme(name, partial(bind_target_sinr, target_sinr=target_sinr), _frame_check(I, tol_kkt))
     raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+
+
+# ---------------------------------------------------------------------------
+# per-cell library calls
+
+
+def one_cell(links, scheme: Scheme) -> Allocation:
+    """Schedule one cell's ``UserLink`` list as a one-frame run of
+    ``scheme``, bound to a one-cell layout and called with the links'
+    weights, and run ``scheme.check`` on the frame, without its KKT
+    residual, which the caller reports as ``certified`` instead.  A frame
+    the check refuses raises :class:`ValueError` with its message.
+    Returns the shares, powers and weighted sum rate, plus the cell's
+    prices, probes (as ``iterations``), convergence and KKT residual when
+    the frame carries them."""
+    if not links:
+        raise ValueError("at least one user required")
+    w, e, l, cap = link_arrays(links)
+    cells = Cells.single(len(links))
+    alloc = scheme.bind(cells, e, l, cap)(w)
+    try:
+        scheme.check(cells, alloc if alloc.kkt_residual is None else replace(alloc, kkt_residual=None), l, cap)
+    except AssertionError as refused:
+        raise ValueError(str(refused)) from None
+    x, p = alloc.x.tolist(), alloc.p.tolist()
+    solved = {}
+    if alloc.probes is not None:
+        solved = dict(lambda1=float(alloc.lambda1[0]), lambda2=float(alloc.lambda2[0]),
+                      iterations=int(alloc.probes[0]), converged=bool(alloc.converged[0]),
+                      kkt_residual=float(alloc.kkt_residual[0]))
+    return Allocation(x=x, p=p, objective=_objective(x, p, w.tolist(), e.tolist()), **solved)
+
+
+def solve_dual(links, budget, config=None) -> Allocation:
+    """Exact joint optimum through the one-dimensional dual of the budget:
+    :func:`one_cell` on the ``nr`` scheme, its
+    :class:`~noiserise.solver.DualRun` bound with the call's weights, so
+    that a user of zero weight takes no band.
+
+    For a budget price ``lam`` (lambda1), user i's band value is
+    ``v_i = w_i (ln r_i - 1 + 1/r_i)`` with ``r_i = w_i e_i / (lam l_i)``,
+    and it spends ``c_i = w_i/lam - l_i/e_i`` of egress per unit band, so
+    the dual ``g(lam) = lam I + max_i v_i`` is convex in one scalar.  The
+    walk probes its envelope from the tightest bracket among the users'
+    single-user minimisers ``w_i / (I + l_i/e_i)``, at a candidate, at the
+    minimiser of the piece that tops both ends, or at the kink where the
+    two end pieces cross; the slope ``I - c`` of the top user at the
+    probe tells which end moves.
+
+    At the minimiser either one user takes the whole band at ``p = I/l``,
+    or two tied users share it so that their spends average to ``I``.
+    Tie rule, for any number of users tied on the envelope: if some spend
+    ``I`` (to rounding), the lowest index of them takes the whole band;
+    otherwise the highest and the lowest spender share it, each the
+    lowest index among spends equal to rounding.  ``lambda2 = -max_i
+    v_i``, ``iterations`` counts envelope probes, ``converged`` says the
+    walk reached a stationary point, and there is no trace.  ``certified``
+    compares the KKT residual with ``config.tol_kkt``.
+
+    The walk does not honour ``max_power``, as the simulator's ``nr``
+    frames do not: the scheme's check refuses a power over a link's cap
+    ("max power violated by users [...]"), as it refuses a broken band or
+    egress budget.  An uncertified solve is reported, not refused.
+    """
+    cfg = config if config is not None else SolverConfig()
+    I = _watts(budget)
+
+    def bind(cells, e, l, cap):
+        return lambda w: DualRun(cells, e, l, I, w).solve(w)
+
+    alloc = one_cell(links, replace(make_scheme("nr", I), bind=bind))
+    alloc.certified = alloc.kkt_residual <= cfg.tol_kkt
+    return alloc
+
+
+def schedule_density(links, budget) -> Allocation:
+    """The ``nr_density`` scheme on one cell: the user maximizing
+    ``weight * log(1 + (I / l_i) e_i)`` (ties to the lowest index, even
+    at zero rate) takes the whole band at density ``I / l_i``.  A winner
+    whose ``I / l_i`` breaks its ``max_power``, or is infinite, raises
+    :class:`ValueError`; :func:`schedule_density_capped` honours the cap.
+    """
+    return one_cell(links, make_scheme("nr_density", budget))
+
+
+def schedule_density_capped(links, budget) -> Allocation:
+    """The ``nr_density_capped`` scheme on one cell: users ranked by
+    weighted full-density rate each take the largest band share their
+    ``max_power`` supports at full density (``x = Pmax * l / I``) until
+    the band is gone.  Band to spare after every user is capped is spread
+    over the scheduled users in proportion to their shares, at frozen
+    powers, which stays within the budget.  No ``max_power``, no cap.
+    """
+    return one_cell(links, make_scheme("nr_density_capped", budget))
+
+
+def schedule_fixed_power(links, power) -> Allocation:
+    """The ``fixed`` scheme on one cell: the user maximizing
+    ``w_i * log(1 + P * e_i)`` (ties to the lowest index) takes the whole
+    band at ``P`` Watts, whatever interference it injects.  A ``power``
+    that is not positive and finite, or over the winner's ``max_power``,
+    raises :class:`ValueError`.
+    """
+    # the budget is a placeholder: neither the scheme nor its check reads it
+    return one_cell(links, make_scheme("fixed", 1.0, fixed_power=power))
+
+
+def schedule_target_sinr(links, target_sinr) -> Allocation:
+    """The ``target_sinr`` scheme on one cell: the heaviest user with
+    ``e > 0`` (ties to the lowest index) takes the whole band at the power
+    where ``p * e`` is ``target_sinr``, clamped at its ``max_power``.  A
+    ``target_sinr`` that is not positive and finite raises
+    :class:`ValueError`.
+    """
+    # the budget is a placeholder: neither the scheme nor its check reads it
+    return one_cell(links, make_scheme("target_sinr", 1.0, target_sinr=target_sinr))
 
 
 # ---------------------------------------------------------------------------

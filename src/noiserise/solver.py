@@ -8,18 +8,15 @@ equalizes the marginal value of bandwidth by locating the bandwidth
 multiplier inside analytic bounds.  The alternation converges to the
 joint optimum, slowly near ties between users.
 
-:func:`solve_dual` finds the same optimum exactly by minimizing the
-problem's convex dual over the single budget multiplier; the simulator
-schedules every cell of a frame with the same code (:class:`DualRun`,
-bound once per run).  Both results are certified through the one
-first-order (KKT) residual, :func:`_kkt_residuals`, rather than trusted
-blindly.
+:class:`DualRun` finds the same optimum exactly, for every cell of a
+frame at once, by minimizing each cell's convex dual over its budget
+multiplier; the ``nr`` scheme binds it once per run, and
+``simnet.solve_dual`` is that scheme on one cell.  Both results are
+certified through the one first-order (KKT) residual,
+:func:`_kkt_residuals`, rather than trusted blindly.
 
-Exported are the two solvers, :func:`one_cell` for the per-cell
-schedulers, their errors and trace records, and the bandwidth
-multiplier's bracket and share map.  The steps :func:`solve_joint`
-alternates and its objective are private and take unvalidated per-user
-lists ``w, e, l``.
+Exported are :func:`solve_joint`, its error and its trace records; its
+steps and objective are private and take unvalidated per-user lists.
 """
 
 from __future__ import annotations
@@ -35,11 +32,7 @@ from .model import Allocation, Cells, FrameAllocation, SolverConfig, budget_watt
 __all__ = [
     "NoTransmitterError",
     "IterationRecord",
-    "lambda2_bounds",
-    "bandwidth_for_multiplier",
     "solve_joint",
-    "solve_dual",
-    "one_cell",
 ]
 
 
@@ -168,50 +161,6 @@ def _lambda2_bounds(p, w, e):
     return lo, hi, active
 
 
-def lambda2_bounds(p, links):
-    """Analytic bracket for the bandwidth multiplier.
-
-    Over users with positive received power (M of them), the multiplier
-    solving ``sum x_i = 1`` lies between
-    ``min_i w_i (M p e/(1+M p e) - log(1+M p e))`` and
-    ``max_i w_i (p e/(1+p e) - log(1+p e))``; both are <= 0.
-    """
-    if len(p) != len(links):
-        raise ValueError("p and links must have the same length")
-    w, e = (a.tolist() for a in link_arrays(links)[:2])
-    lo, hi, _ = _lambda2_bounds(p, w, e)
-    return lo, hi
-
-
-def bandwidth_for_multiplier(p, links, lambda2):
-    """Bandwidth shares x_i at a given multiplier, before the sum constraint.
-
-    Each share with positive received power solves the stationarity
-    equation ``w log(1+pe/x) - pe w/(x+pe) = -lambda2``; the share is
-    nondecreasing in ``lambda2`` per coordinate.  Mostly useful for scans
-    and diagnostics.
-    """
-    if lambda2 > 0:
-        raise ValueError("lambda2 must be <= 0")
-    if len(p) != len(links):
-        raise ValueError("p and links must have the same length")
-    w, e = (a.tolist() for a in link_arrays(links)[:2])
-    out = []
-    for i in range(len(p)):
-        pe = p[i] * e[i]
-        if pe <= 0.0:
-            out.append(0.0)
-            continue
-        y = -lambda2 / w[i]
-        if y <= 0.0:
-            out.append(math.inf)
-        elif y >= _ALPHA_SATURATED:
-            out.append(0.0)
-        else:
-            out.append(pe / _alpha(y))
-    return out
-
-
 def _bandwidth_step(p, w, e, tol_bandwidth, lambda2_init=None):
     """Shares summing to one for fixed powers ``p``, and the band price
     ``lambda2``; users with no received power get none."""
@@ -293,31 +242,6 @@ def _objective(x, p, w, e):
         if x[i] > 0.0 and p[i] > 0.0:
             total += w[i] * x[i] * math.log1p(p[i] * e[i] / x[i])
     return total
-
-
-def one_cell(links, bind) -> Allocation:
-    """Schedule one cell's ``UserLink`` list with a scheme's binder
-    ``bind(cells, e, l, cap)``, bound once to a one-cell layout of the
-    links and called once with their weights, and return its shares,
-    powers and weighted sum rate, plus the cell's prices, probes (as
-    ``iterations``), convergence and KKT residual when the frame carries
-    them; the per-cell library functions are this call.  A power over a
-    link's ``max_power`` raises :class:`ValueError` ("max power
-    violated")."""
-    if not links:
-        raise ValueError("at least one user required")
-    w, e, l, cap = link_arrays(links)
-    alloc = bind(Cells.single(len(links)), e, l, cap)(w)
-    over = np.flatnonzero(alloc.p > cap).tolist()
-    if over:
-        raise ValueError(f"max power violated by users {over}")
-    x, p = alloc.x.tolist(), alloc.p.tolist()
-    solved = {}
-    if alloc.probes is not None:
-        solved = dict(lambda1=float(alloc.lambda1[0]), lambda2=float(alloc.lambda2[0]),
-                      iterations=int(alloc.probes[0]), converged=bool(alloc.converged[0]),
-                      kkt_residual=float(alloc.kkt_residual[0]))
-    return Allocation(x=x, p=p, objective=_objective(x, p, w.tolist(), e.tolist()), **solved)
 
 
 def _refloor(x, w, e, l, lam1, lam2, eligible, floor):
@@ -650,9 +574,10 @@ def _kkt_residuals(cells, empty, x, p, lam1, lam2, w, e, l, I):
 
 
 class DualRun:
-    """:func:`solve_dual` for every cell of the ``cells`` layout at once,
-    bound to the per-user arrays ``e, l`` and a budget in Watts, one for
-    all cells or one per cell.
+    """The exact dual solve (see :func:`noiserise.simnet.solve_dual`) of
+    every cell of the ``cells`` layout at once, bound to the per-user
+    arrays ``e, l`` and a budget in Watts, one for all cells or one per
+    cell.
 
     A run schedules the same layout on the same ``e``, ``l`` and budgets
     every frame; only the PF weights ``w`` change.  So this binds, once,
@@ -663,7 +588,8 @@ class DualRun:
     the frame function, gathers per frame only what the weights change.
     Eligible are the users with ``e > 0`` and, given ``w``, ``w > 0``: a
     run binds without ``w``, as its PF weights are all positive, and
-    :func:`solve_dual` binds with the call's weights.  Raises
+    ``solve_dual`` swaps the ``nr`` scheme's binding for one with the
+    call's weights.  Raises
     :class:`NoTransmitterError` if a cell has users but none eligible.
     """
 
@@ -792,45 +718,3 @@ class DualRun:
         res = _kkt_residuals(self.cells, self.empty, x, p, lam1, lam2, w, self.e, self.l, self.budget)
         return FrameAllocation(x, p, lam1, lam2, np.array(probes, dtype=int), np.array(kinks, dtype=int),
                                np.array(converged, dtype=bool), res)
-
-
-def solve_dual(links, budget, config=None):
-    """Exact joint optimum through the one-dimensional dual of the budget.
-
-    For a budget price ``lam`` (lambda1), each user's best power per unit
-    band gives it a band value ``v_i = w_i (ln r_i - 1 + 1/r_i)`` with
-    ``r_i = w_i e_i / (lam l_i)``, spending ``c_i = w_i/lam - l_i/e_i`` of
-    egress per unit band, so the dual ``g(lam) = lam I + max_i v_i`` is
-    convex in one scalar.  Its minimiser lies between the users'
-    single-user minimisers ``w_i / (I + l_i/e_i)``.  One array pass
-    evaluates the envelope of the ``v_i`` at every one of them and keeps
-    the tightest bracket, plus a candidate that may be the minimiser; the
-    walk then probes the envelope: at that candidate, at the minimiser of
-    the piece that tops both ends, or at the kink where the two end pieces
-    cross (located by safeguarded Newton); the envelope's slope at the
-    probe, ``I - c`` of the top user, tells which end moves.  This is
-    :func:`one_cell` on a :class:`DualRun`, the binding that schedules
-    every cell of a simulated frame under ``nr``, here bound with the
-    call's weights, so that a user of zero weight takes no band.
-
-    At the minimiser either one user takes the whole band at ``p = I/l``,
-    or two tied users share it so that their spends average to ``I``.
-    Tie rule, for any number of users tied on the envelope: if some spend
-    ``I`` (to rounding), the lowest index of them takes the whole band;
-    otherwise the highest and the lowest spender share it, each the
-    lowest index among spends equal to rounding.  So identical users
-    leave the band to the lowest index.
-    ``lambda2 = -max_i v_i``.  The result is certified by the same KKT
-    residual as :func:`solve_joint`; only ``config.tol_kkt`` is used.
-    ``iterations`` counts envelope probes, ``converged`` says the walk
-    reached a stationary point, and there is no trace.
-
-    The walk does not honour ``max_power``, as the simulator's ``nr``
-    frames do not: when the uncapped optimum breaks a link's cap,
-    :class:`ValueError` ("max power violated") is raised.
-    """
-    cfg = config if config is not None else SolverConfig()
-    I = budget_watts(budget)
-    alloc = one_cell(links, lambda cells, e, l, cap: lambda w: DualRun(cells, e, l, I, w).solve(w))
-    alloc.certified = alloc.kkt_residual <= cfg.tol_kkt
-    return alloc

@@ -10,7 +10,10 @@ reference dual walk is the plain scalar form of ``solve_dual``: it starts
 from the outermost single-user minimisers and probes the envelope through
 per-user function calls.  The CSV writer formats one row tuple at a time,
 and the sweep runs one simulation per config and one calibration search
-per dB point.
+per dB point.  Two exceptions are not references but views of the
+package's own bandwidth-step helpers on ``UserLink`` lists, for scans
+and for the tests of those helpers: :func:`lambda2_bounds` and
+:func:`bandwidth_for_multiplier`.
 """
 
 import math
@@ -19,14 +22,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from noiserise.model import LN2, Allocation, UserLink, budget_watts
+from noiserise.model import LN2, Allocation, UserLink, budget_watts, link_arrays
+from noiserise.simnet import solve_dual
 from noiserise.solver import (
+    _ALPHA_SATURATED,
     _FLAT,
     _MAX_PROBES,
     _TIE,
     NoTransmitterError,
+    _alpha,
+    _lambda2_bounds,
     _marginal_gap,
-    solve_dual,
 )
 
 
@@ -161,6 +167,51 @@ def find_lambda2_ref(p, w, e):
         if lo < -1e12:
             raise AssertionError("could not bracket from below")
     return brentq(g, lo, hi, xtol=1e-15, rtol=1e-15)
+
+
+def lambda2_bounds(p, links):
+    """Analytic bracket for the bandwidth multiplier, the package's own
+    ``solver._lambda2_bounds``.
+
+    Over users with positive received power (M of them), the multiplier
+    solving ``sum x_i = 1`` lies between
+    ``min_i w_i (M p e/(1+M p e) - log(1+M p e))`` and
+    ``max_i w_i (p e/(1+p e) - log(1+p e))``; both are <= 0.
+    """
+    if len(p) != len(links):
+        raise ValueError("p and links must have the same length")
+    w, e = (a.tolist() for a in link_arrays(links)[:2])
+    lo, hi, _ = _lambda2_bounds(p, w, e)
+    return lo, hi
+
+
+def bandwidth_for_multiplier(p, links, lambda2):
+    """Bandwidth shares x_i at a given multiplier, before the sum
+    constraint, from the package's own ``solver._alpha``.
+
+    Each share with positive received power solves the stationarity
+    equation ``w log(1+pe/x) - pe w/(x+pe) = -lambda2``; the share is
+    nondecreasing in ``lambda2`` per coordinate.
+    """
+    if lambda2 > 0:
+        raise ValueError("lambda2 must be <= 0")
+    if len(p) != len(links):
+        raise ValueError("p and links must have the same length")
+    w, e = (a.tolist() for a in link_arrays(links)[:2])
+    out = []
+    for i in range(len(p)):
+        pe = p[i] * e[i]
+        if pe <= 0.0:
+            out.append(0.0)
+            continue
+        y = -lambda2 / w[i]
+        if y <= 0.0:
+            out.append(math.inf)
+        elif y >= _ALPHA_SATURATED:
+            out.append(0.0)
+        else:
+            out.append(pe / _alpha(y))
+    return out
 
 
 def cascade_ref(weights, sinrs, interferences, caps, budget):

@@ -10,12 +10,18 @@ import numpy as np
 import pytest
 
 from noiserise.cli import main, run_sweep
-from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import SolverConfig, UserLink
-from noiserise.simnet import DeploymentConfig, RunConfig, SimConfig, run_simulation
-from noiserise.solver import bandwidth_for_multiplier, lambda2_bounds, solve_joint
+from noiserise.simnet import (
+    DeploymentConfig,
+    RunConfig,
+    SimConfig,
+    run_simulation,
+    schedule_density,
+    schedule_density_capped,
+)
+from noiserise.solver import solve_joint
 
-from oracles import grid_search_two_user
+from oracles import bandwidth_for_multiplier, grid_search_two_user, lambda2_bounds
 
 GOLDEN = {
     "budget": 4.0,

@@ -1,16 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from noiserise.baselines import (
-    CalibrationError,
-    calibrate_fixed_power,
-    calibrate_in_lockstep,
-    schedule_fixed_power,
-    schedule_target_sinr,
-)
+from noiserise.baselines import CalibrationError, calibrate_fixed_power, calibrate_in_lockstep
 from noiserise.model import UserLink
+from noiserise.simnet import schedule_fixed_power, schedule_target_sinr
 
 
 def _links(weights, sinrs, interferences, caps=None):
@@ -58,13 +54,16 @@ def test_fixed_power_single_winner_full_band():
         assert egress == pytest.approx(links[winner].norm_interference * 1.5, rel=1e-15)
 
 
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0, True, "0.5", "4"])
 def test_per_cell_baselines_refuse_a_power_or_target_that_is_not_positive_and_finite(value):
-    # an infinite power or target would schedule [inf, 0.0] at objective inf
+    # an infinite power or target would schedule [inf, 0.0] at objective inf,
+    # and 0 < True < inf alone would let a bool through as 1 W or SINR 1;
+    # the per-cell calls refuse every such value as make_scheme does, naming it
     links = _links([1.0, 1.0], [2.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match="power must be positive and finite"):
+    with pytest.raises(ValueError, match=re.escape(f"fixed_power must be one positive finite power, "
+                                                   f"or one per cell, got {value!r}")):
         schedule_fixed_power(links, value)
-    with pytest.raises(ValueError, match="target_sinr must be positive and finite"):
+    with pytest.raises(ValueError, match=re.escape(f"positive finite target_sinr, got {value!r}")):
         schedule_target_sinr(links, value)
 
 

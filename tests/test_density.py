@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import UserLink
+from noiserise.simnet import schedule_density, schedule_density_capped
 from noiserise.solver import _objective, solve_joint
 
 from oracles import cascade_ref

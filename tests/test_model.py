@@ -13,9 +13,14 @@ from noiserise.model import (
     noise_rise_budget_from_db,
     normalized_interference,
 )
-from noiserise.density import schedule_density
-from noiserise.simnet import DeploymentConfig, PathLossParams, build_deployment, make_scheme
-from noiserise.solver import solve_dual
+from noiserise.simnet import (
+    DeploymentConfig,
+    PathLossParams,
+    build_deployment,
+    make_scheme,
+    schedule_density,
+    solve_dual,
+)
 
 from oracles import egress_interference, ingress_interference, shannon_rate
 

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,14 +20,22 @@ def test_every_all_entry_exists(name):
 # each module's public surface, pinned so that it cannot grow or shrink
 # unnoticed
 SURFACES = {
+    "noiserise": [
+        "UserLink",
+        "normalized_interference",
+        "solve_dual",
+        "solve_joint",
+    ],
     "noiserise.solver": [
         "NoTransmitterError",
         "IterationRecord",
-        "lambda2_bounds",
-        "bandwidth_for_multiplier",
         "solve_joint",
-        "solve_dual",
-        "one_cell",
+    ],
+    "noiserise.density": [],
+    "noiserise.baselines": [
+        "CalibrationError",
+        "calibrate_fixed_power",
+        "calibrate_in_lockstep",
     ],
     "noiserise.simnet": [
         "PathLossParams",
@@ -43,6 +53,12 @@ SURFACES = {
         "build_deployment",
         "shared_draws",
         "make_scheme",
+        "one_cell",
+        "solve_dual",
+        "schedule_density",
+        "schedule_density_capped",
+        "schedule_fixed_power",
+        "schedule_target_sinr",
         "run_frame",
         "update_pf",
         "run_frames",
@@ -67,3 +83,39 @@ SURFACES = {
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_public_surface_is_pinned(name):
     assert sorted(importlib.import_module(name).__all__) == sorted(SURFACES[name])
+
+
+# the modules below simnet, which simnet builds its schemes from
+LOWER = ["model", "solver", "density", "baselines"]
+
+
+def _imported_modules(name):
+    """The noiserise modules that module ``name`` imports, relative
+    imports resolved, from its source."""
+    tree = ast.parse((Path(noiserise.__file__).parent / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "noiserise" if node.level else ""
+            module = ".".join(filter(None, (base, node.module)))
+            found.add(module)
+            # ``from . import simnet`` names the module in the alias
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("name", LOWER)
+def test_lower_modules_do_not_import_simnet_or_cli(name):
+    # the per-cell library calls live in simnet beside make_scheme, which
+    # builds its schemes from these modules: an import back would be a cycle
+    imported = _imported_modules(name)
+    assert not imported & {"noiserise.simnet", "noiserise.cli"}, imported
+
+
+def test_import_parser_sees_each_import_form():
+    # cli imports simnet as ``from . import simnet`` and ``from .simnet import``,
+    # and simnet imports solver as ``from .solver import``
+    assert "noiserise.simnet" in _imported_modules("cli")
+    assert {"noiserise.solver", "noiserise.model"} <= _imported_modules("simnet")

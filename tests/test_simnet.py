@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noiserise import simnet
-from noiserise.baselines import schedule_fixed_power, schedule_target_sinr
-from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import LN2, Allocation, Cells, SolverConfig, UserLink, Winners, link_arrays
 from noiserise.simnet import (
     SCHEME_NAMES,
@@ -29,14 +27,20 @@ from noiserise.simnet import (
     build_deployment,
     cost_hata_pl,
     make_scheme,
+    one_cell,
     run_frame,
     run_frames,
     run_simulation,
+    schedule_density,
+    schedule_density_capped,
+    schedule_fixed_power,
+    schedule_target_sinr,
     shared_draws,
+    solve_dual,
     update_pf,
 )
 
-from noiserise.solver import DualRun, NoTransmitterError, _objective, solve_dual
+from noiserise.solver import DualRun, NoTransmitterError, _objective
 
 from oracles import (
     FrameMetrics,
@@ -841,12 +845,13 @@ def test_target_sinr_scheme_refuses_a_target_that_is_not_positive_and_finite():
     # an infinite target makes every score infinite, so each cell's band
     # would go to its lowest-index user with e > 0 whatever the weights,
     # here [0, 2], and every power to its cap; a finite target gives the
-    # band to the heaviest users
+    # band to the heaviest users; a string is no number, and a bool, which
+    # 0 < True < inf would read as SINR 1, is none either
     cells = Cells.from_cell_of([0, 0, 1, 1], 2)
     layout = (cells, np.ones(4), np.ones(4), np.full(4, 0.5))
     w = np.array([1.0, 2.0, 1.0, 2.0])
     assert make_scheme("target_sinr", 1.0, target_sinr=4.0).bind(*layout)(w).users.tolist() == [1, 3]
-    for target in (np.inf, np.nan, 0.0, -1.0, None):
+    for target in (np.inf, np.nan, 0.0, -1.0, None, "4", True):
         with pytest.raises(ValueError, match=re.escape(f"positive finite target_sinr, got {target!r}")):
             make_scheme("target_sinr", 1.0, target_sinr=target)
 
@@ -1100,10 +1105,18 @@ def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links)
     over = np.flatnonzero(frame.p > cap).tolist()
     if over:
         assert name not in ("nr_density_capped", "target_sinr")  # these two clamp at the cap
-        # the simulator's frame check refuses such powers; the per-cell call refuses them itself
-        with pytest.raises(ValueError, match=re.escape(f"max power violated by users {over}")):
+        # the scheme's frame check refuses such powers, in a simulated frame
+        # and in the per-cell call alike, naming the mobiles over their cap
+        message = re.escape(f"max power violated by users {over}")
+        with pytest.raises(AssertionError, match=message):
+            make_scheme(name, 2.0, **keywords).check(layout[0], frame, l, cap)
+        with pytest.raises(ValueError, match=message):
             schedule(links)
         return
+    # a frame the check passes (leaving certification to ``certified``) is
+    # the per-cell call's allocation
+    checked = frame if frame.kkt_residual is None else replace(frame, kkt_residual=None)
+    make_scheme(name, 2.0, **keywords).check(layout[0], checked, l, cap)
     alloc = schedule(links)
     assert alloc.x == frame.x.tolist()
     assert alloc.p == frame.p.tolist()
@@ -1112,6 +1125,60 @@ def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links)
         assert (alloc.lambda1, alloc.lambda2) == (frame.lambda1[0], frame.lambda2[0])
         assert alloc.iterations == frame.probes[0]
         assert alloc.kkt_residual == frame.kkt_residual[0]
+
+
+def test_per_cell_density_functions_refuse_an_infinite_power():
+    # I / l overflows for l = 1e-320, so user 0 would take the band at
+    # p = inf and objective inf; numpy warns of the overflow, and the
+    # scheme's check refuses the frame
+    links = [UserLink(id=0, weight=1.0, norm_sinr=1.0, norm_interference=1e-320),
+             UserLink(id=1, weight=1.0, norm_sinr=1.0, norm_interference=1.0)]
+    for schedule in (schedule_density, schedule_density_capped):
+        with pytest.raises(ValueError, match="^infinite power$"), pytest.warns(RuntimeWarning, match="overflow"):
+            schedule(links, 2.0)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda alloc: FrameAllocation(-alloc.x, alloc.p), "negative or NaN allocation"),
+    (lambda alloc: FrameAllocation(np.zeros_like(alloc.x), alloc.p), "power on a user without band"),
+], ids=["negative_share", "power_without_band"])
+def test_one_cell_refuses_a_frame_its_check_refuses(fault, message):
+    # a fixed scheme at 0.5 W whose binder hands out a faulty frame
+    links = [UserLink(id=i, weight=1.0, norm_sinr=2.0, norm_interference=1.0) for i in range(3)]
+    fixed = make_scheme("fixed", 1.0, fixed_power=0.5)
+
+    def bind(cells, e, l, cap):
+        return lambda w: fault(fixed.bind(cells, e, l, cap)(w))
+
+    scheme = replace(fixed, bind=bind)
+    frame = scheme.bind(Cells.single(3), *link_arrays(links)[1:])(np.ones(3))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        scheme.check(Cells.single(3), frame, np.ones(3), np.full(3, np.inf))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        one_cell(links, scheme)
+    # the unbroken scheme passes
+    assert one_cell(links, fixed).x == [1.0, 0.0, 0.0]
+
+
+def test_one_cell_leaves_certification_to_the_caller():
+    # a frame whose residual the simulator's check refuses as uncertified
+    # is returned with that residual: certification is the caller's
+    # ``certified`` flag, not a refusal
+    links = [UserLink(id=0, weight=1.0, norm_sinr=2.0, norm_interference=1.0),
+             UserLink(id=1, weight=2.0, norm_sinr=1.0, norm_interference=3.0)]
+    nr = make_scheme("nr", 2.0)
+
+    def bind(cells, e, l, cap):
+        return lambda w: replace(nr.bind(cells, e, l, cap)(w), kkt_residual=np.ones(1))
+
+    uncertified = replace(nr, bind=bind)
+    frame = uncertified.bind(Cells.single(2), *link_arrays(links)[1:])(np.array([1.0, 2.0]))
+    with pytest.raises(AssertionError, match="uncertified allocation: KKT residual 1.0"):
+        nr.check(Cells.single(2), frame, np.array([1.0, 3.0]), np.full(2, np.inf))
+    alloc = one_cell(links, uncertified)
+    assert alloc.kkt_residual == 1.0 and alloc.certified is None
+    exact = solve_dual(links, 2.0)
+    assert (alloc.x, alloc.p) == (exact.x, exact.p)
 
 
 def _bound_run(layout):

@@ -8,10 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noiserise import simnet
-from noiserise.baselines import schedule_fixed_power, schedule_target_sinr
-from noiserise.density import schedule_density, schedule_density_capped
 from noiserise.model import Cells, SolverConfig, UserLink, link_arrays
-from noiserise.simnet import SimConfig, run_simulation
+from noiserise.simnet import (
+    SimConfig,
+    run_simulation,
+    schedule_density,
+    schedule_density_capped,
+    schedule_fixed_power,
+    schedule_target_sinr,
+    solve_dual,
+)
 from noiserise.solver import (
     _FLAT,
     DualRun,
@@ -20,19 +26,18 @@ from noiserise.solver import (
     _objective,
     _power_step,
     _walk,
-    bandwidth_for_multiplier,
-    lambda2_bounds,
-    solve_dual,
     solve_joint,
 )
 
 from oracles import (
     _envelope,
     _kkt_residual,
+    bandwidth_for_multiplier,
     bandwidth_shares_ref,
     dual_optimum,
     find_lambda2_ref,
     grid_search_two_user,
+    lambda2_bounds,
     waterfill_bisect,
 )
 
@@ -388,12 +393,14 @@ def test_solve_joint_refuses_a_binding_power_cap():
 
 def test_per_cell_functions_refuse_a_broken_power_cap():
     # the golden instance with both users capped at 0.01 W: the uncapped
-    # schedulers would transmit p = (0.315, 2.74), (0, 4) and (0.5, 0)
+    # schedulers would transmit p = (0.315, 2.74), (0, 4) and (0.5, 0); the
+    # scheme's frame check refuses each, naming the mobiles over their cap,
+    # and the per-cell call raises its message as a ValueError
     capped = [replace(u, max_power=0.01) for u in GOLDEN_LINKS]
     for schedule, over in ((lambda: solve_dual(capped, GOLDEN_BUDGET), "[0, 1]"),
                            (lambda: schedule_density(capped, GOLDEN_BUDGET), "[1]"),
                            (lambda: schedule_fixed_power(capped, 0.5), "[0]")):
-        with pytest.raises(ValueError, match=re.escape(f"max power violated by users {over}")):
+        with pytest.raises(ValueError, match=re.escape(f"max power violated by users {over}") + "$"):
             schedule()
     # the schedulers that clamp at the cap are unaffected
     for alloc in (schedule_density_capped(capped, GOLDEN_BUDGET), schedule_target_sinr(capped, 4.0)):

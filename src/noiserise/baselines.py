@@ -155,4 +155,13 @@ def bind_target_sinr(cells: Cells, e, l, cap, target_sinr):
     power = np.zeros(len(e))
     power[able] = np.minimum(target_sinr / e[able], cap[able])
     rate = math.log1p(target_sinr)
-    return lambda w: winner_takes_band(cells, np.where(able, w * rate, -np.inf), power)
+    # a user without e > 0 keeps the buffer's -inf, which is never
+    # multiplied by a weight: a weight of 0 would make it NaN
+    scores = cells.score_buffer()
+    users = scores[:-1]
+
+    def schedule(w):
+        np.multiply(w, rate, out=users, where=able)
+        return winner_takes_band(cells, scores, power)
+
+    return schedule

@@ -463,7 +463,7 @@ def cmd_solve(args) -> int:
     try:
         with open(args.instance) as fh:
             instance = json.load(fh)
-        budget = budget_watts(_number("budget", instance["budget"]))
+        budget = budget_watts(instance["budget"])
         users = instance["users"]
         if not isinstance(users, list) or not users or not all(isinstance(u, dict) for u in users):
             raise ValueError("'users' must be a nonempty list of objects")

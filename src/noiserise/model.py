@@ -9,7 +9,6 @@ the total in-band noise power ``P_N = N0 * B``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,12 +125,30 @@ class Cells:
         rows.flags.writeable = False
         return rows
 
+    @cached_property
+    def _pick(self):
+        """The users of each occupied cell as one padded row, the padding
+        at ``n``, the slot after the last of the ``n`` users; the rows
+        flattened; and the offset of each row in them."""
+        rows = self.occupied
+        padded = np.where(self.valid[rows], self.index[rows], len(self.cell_of))
+        row_base = np.arange(0, padded.size, padded.shape[1])
+        padded.flags.writeable = row_base.flags.writeable = False
+        return padded, padded.ravel(), row_base
+
+    def score_buffer(self) -> np.ndarray:
+        """A buffer of scores for :meth:`winners`: one per user, for the
+        caller to write, and a last entry ``-inf``, which the padding
+        reads and which the caller leaves as it is."""
+        return np.full(len(self.cell_of) + 1, -np.inf)
+
     def winners(self, scores):
         """Each non-empty cell's highest-scoring user, ties to the lowest
-        index, in the order of :attr:`occupied`."""
-        col = self.gather(scores, -np.inf).argmax(axis=1)
-        rows = self.occupied
-        return self.index[rows, col[rows]]
+        index, in the order of :attr:`occupied`.  ``scores`` is a
+        :meth:`score_buffer`, so that every row's padding scores ``-inf``
+        and one gather scores every occupied cell."""
+        padded, flat, row_base = self._pick
+        return flat[row_base + scores[padded].argmax(axis=1)]
 
     def sums(self, values):
         """Per-cell sums of a per-user array."""
@@ -139,14 +156,20 @@ class Cells:
 
     def per_cell(self, value) -> np.ndarray:
         """``value``, one number for every cell or an array of one per cell,
-        as an array of one per cell; ``ValueError`` for an array of another
-        length."""
-        if not np.ndim(value):
-            return np.full(self.n_cells, value, dtype=float)
-        values = np.asarray(value, dtype=float)
-        if values.shape != (self.n_cells,):
-            raise ValueError(f"expected one value, or one per cell of {self.n_cells} cells, got {values.tolist()!r}")
-        return values
+        as an array of one per cell (:func:`_per_cell`)."""
+        return _per_cell(value, self.n_cells)
+
+
+def _per_cell(value, n_cells: int) -> np.ndarray:
+    """``value``, one number for every one of ``n_cells`` cells or an
+    array of one per cell, as an array of one per cell; ``ValueError``
+    for an array of another length."""
+    if not np.ndim(value):
+        return np.full(n_cells, value, dtype=float)
+    values = np.asarray(value, dtype=float)
+    if values.shape != (n_cells,):
+        raise ValueError(f"expected one value, or one per cell of {n_cells} cells, got {values.tolist()!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -203,7 +226,8 @@ class Winners:
 
 def winner_takes_band(cells: Cells, scores, power) -> Winners:
     """Each non-empty cell's highest-scoring user, ties to the lowest
-    index, holds the whole band at its entry of the per-user ``power``."""
+    index, holds the whole band at its entry of the per-user ``power``;
+    ``scores`` is a :meth:`Cells.score_buffer`."""
     users = cells.winners(scores)
     return Winners(users, cells.occupied, power[users], len(cells.cell_of))
 
@@ -217,13 +241,21 @@ def greedy(rates, value):
     Bound to a run's layout ``cells`` and the arrays ``e`` and ``l`` it
     hands every frame, it computes them once and returns the run's frame
     function ``schedule(w)``: each non-empty cell's user with the best
-    ``w * rate`` takes the band at ``power`` (:func:`winner_takes_band`).
-    ``cap`` is not used.
+    ``w * rate``, written into the binding's :meth:`Cells.score_buffer`,
+    takes the band at ``power`` (:func:`winner_takes_band`).  ``cap`` is
+    not used.
     """
 
     def bind(cells: Cells, e, l, cap):
         rate, power = rates(e, l, cells.per_cell(value)[cells.cell_of])
-        return lambda w: winner_takes_band(cells, w * rate, power)
+        scores = cells.score_buffer()
+        users = scores[:-1]
+
+        def schedule(w):
+            np.multiply(w, rate, out=users)
+            return winner_takes_band(cells, scores, power)
+
+        return schedule
 
     return bind
 
@@ -258,17 +290,31 @@ def noise_rise_budget_from_db(target_db, n0_density, bandwidth):
     return NoiseRiseBudget(float(target_db), p_noise * (10.0 ** (target_db / 10.0) - 1.0))
 
 
-def budget_watts(budget):
-    """Accept either a :class:`NoiseRiseBudget` or a plain power in Watts,
-    a real number (not a bool) that is positive and finite; ``ValueError``
-    for anything else."""
-    if isinstance(budget, NoiseRiseBudget):
-        return budget.linear_budget
-    if isinstance(budget, numbers.Real) and not isinstance(budget, bool):
-        value = float(budget)
-        if math.isfinite(value) and value > 0:
-            return value
-    raise ValueError(f"budget must be a positive power in Watts, got {budget!r}")
+def _powers(name: str, value):
+    """``value``, one positive finite power for every cell or a sequence of
+    one per cell, as a float or an array; ``ValueError`` for any other
+    shape or value, a bool or a string among them."""
+    powers = np.asarray(value)
+    # a bool or a string is no power, though numpy reads it as one; None
+    # and ragged sequences are objects
+    if (powers.dtype.kind in "iuf" and powers.ndim <= 1 and powers.size
+            and powers.min() > 0 and powers.max() < math.inf):
+        return powers.astype(float) if powers.ndim else float(powers)
+    raise ValueError(f"{name} must be one positive finite power, or one per cell, got {value!r}")
+
+
+def _watts(budget):
+    """``budget``, a :class:`NoiseRiseBudget` or Watts, one for every cell
+    or one per cell, in Watts (:func:`_powers`): the one rule for every
+    budget the package takes."""
+    return _powers("budget", budget.linear_budget if isinstance(budget, NoiseRiseBudget) else budget)
+
+
+def budget_watts(budget) -> float:
+    """One cell's budget in Watts: a :class:`NoiseRiseBudget` or Watts,
+    one value or a sequence of one, by the rule of :func:`_watts`;
+    ``ValueError`` for anything else."""
+    return float(_per_cell(_watts(budget), 1)[0])
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,8 @@ from .model import (
     NoiseRiseBudget,
     SolverConfig,
     Winners,
+    _powers,
+    _watts,
     greedy,
     link_arrays,
     noise_rise_budget_from_db,
@@ -431,9 +433,13 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
     winners, so without ``egress`` its check refuses only what the type
     can still get wrong: a negative, NaN, infinite or over-cap power, a
     density bound broken by a winner, and a winner outside its cell or a
-    second winner in one, which overcommit a cell's band.  The bounds are
-    scaled by the forgiven rounding once: ``I`` here, and ``cap`` once per
-    read-only cap array, as a run hands every frame the same one."""
+    second winner in one, which overcommit a cell's band.  Its cells must
+    ascend, which holds by construction, and is not tested, when they are
+    the layout's own :attr:`~noiserise.model.Cells.occupied` array, as in
+    every frame a greedy binder returns; any other array of cells, even
+    an equal copy, is tested.  The bounds are scaled by the forgiven
+    rounding once: ``I`` here, and ``cap`` once per read-only cap array,
+    as a run hands every frame the same one."""
     I_max = I * (1.0 + _SLACK)
     scaled = [None, None]  # the last read-only cap and its bound
 
@@ -455,7 +461,9 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
         users, cell, power = alloc.users, alloc.cell, alloc.power
         if not np.minimum.reduce(power) >= 0.0:
             raise AssertionError("negative or NaN allocation")
-        if not (np.logical_and.reduce(cells.cell_of[users] == cell) and np.logical_and.reduce(cell[1:] > cell[:-1])):
+        # the layout's own read-only occupied cells ascend by construction
+        ascending = cell is cells.occupied or np.logical_and.reduce(cell[1:] > cell[:-1])
+        if not (np.logical_and.reduce(cells.cell_of[users] == cell) and ascending):
             raise AssertionError("bandwidth overcommitted")
         refuse_over_cap(power, cap_max(cap)[users], users)
         # a winner's density l p / x at x = 1
@@ -491,24 +499,6 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             raise AssertionError(f"uncertified allocation: KKT residual {worst}")
 
     return check
-
-
-def _powers(name: str, value):
-    """``value``, one positive finite power for every cell or a sequence of
-    one per cell, as a float or an array; ``ValueError`` for any other
-    shape or value, a bool or a string among them."""
-    powers = np.asarray(value)
-    # a bool or a string is no power, though numpy reads it as one; None
-    # and ragged sequences are objects
-    if (powers.dtype.kind in "iuf" and powers.ndim <= 1 and powers.size
-            and powers.min() > 0 and powers.max() < math.inf):
-        return powers.astype(float) if powers.ndim else float(powers)
-    raise ValueError(f"{name} must be one positive finite power, or one per cell, got {value!r}")
-
-
-def _watts(budget):
-    """``budget``, a :class:`NoiseRiseBudget` or Watts, in Watts (:func:`_powers`)."""
-    return _powers("budget", budget.linear_budget if isinstance(budget, NoiseRiseBudget) else budget)
 
 
 def make_scheme(
@@ -732,7 +722,9 @@ class _Run:
     BS ingress and, for the exact dual solver, the per-cell KKT residuals,
     envelope probes and kink searches, each run in its own columns; the
     powers and bits start at 0, so a frame writes only its transmitters'.
-    :meth:`metrics` derives the rest once, after the last frame.
+    :meth:`metrics` hands each run its columns after the last frame; a
+    :class:`MetricsBundle` derives its per-cell figures from them on
+    first read.
     """
 
     def __init__(self, deployment: Deployment, configs: list):
@@ -794,36 +786,26 @@ class _Run:
 
     def metrics(self) -> Batch:
         """The :class:`MetricsBundle` of every run, as a :class:`Batch`.
-        Frame ``t``'s users are binned at ``t * n_cells + cell``, so one
-        ``bincount`` adds each cell's users in ascending order, as
-        :meth:`Cells.sums` does per frame."""
-        n_frames = len(self.power)
+        A bundle's MS arrays are views of its run's columns, which it
+        reduces only along frames, and so adds in frame order on any
+        strides; its ingress, which mean and std reduce whole, is copied
+        out, so that it sums as one contiguous array in any batch."""
         n_cells, n_ms = self.gain_t.shape
-        bins = (np.arange(n_frames)[:, None] * n_cells + self.cells.cell_of[:n_ms]).ravel()
-
-        def cell_sums(values):
-            sums = np.bincount(bins, weights=values.ravel(), minlength=n_frames * n_cells)
-            return sums.reshape(n_frames, n_cells)
+        cell_of = self.cells.cell_of[:n_ms]
 
         def bundle(r):
             users, cells = slice(r * n_ms, (r + 1) * n_ms), slice(r * n_cells, (r + 1) * n_cells)
-            # the MS arrays are views of run r's columns: a bundle reduces
-            # them only along frames, which adds in frame order on any
-            # strides; the ingress, which mean and std reduce whole, is
-            # copied out, so that it sums as one contiguous array in any batch
-            power, bits = self.power[:, users], self.bits[:, users]
-            ingress = np.ascontiguousarray(self.ingress[:, cells])
             return MetricsBundle(
                 scheme=self.scheme,
                 budget_w=self.budgets[r],
                 bandwidth_hz=self.band,
                 frame_duration_s=self.frame_duration_s,
-                cell_bits=cell_sums(bits),
-                ingress_w=ingress,
-                ingress_db=10.0 * np.log10((self.p_noise + ingress) / self.p_noise),
-                egress_w=cell_sums(self.l[users] * power),
-                ms_power_w=power,
-                ms_bits=bits,
+                noise_power_w=self.p_noise,
+                ingress_w=np.ascontiguousarray(self.ingress[:, cells]),
+                ms_power_w=self.power[:, users],
+                ms_bits=self.bits[:, users],
+                ms_cell=cell_of,
+                ms_norm_interference=self.l[users],
                 **{name: values[:, cells] for name, values in self.solver.items()},
             )
 
@@ -978,29 +960,60 @@ class MetricsBundle:
     """A run's observables as ``(frames, cells)`` or ``(frames, ms)``
     arrays, including the solver's per-cell KKT residuals, envelope probes
     and kink searches (None for the greedy schemes), with the summary
-    statistics the CLI reports."""
+    statistics the CLI reports.
+
+    ``cell_bits`` (delivered bits per cell), ``egress_w`` (the interference
+    each cell's mobiles inject, ``l p`` summed) and ``ingress_db`` (the
+    ingress over the noise power ``noise_power_w``, in dB) are derived
+    from the other fields the first time each is read, and kept, so that a
+    run whose caller reads only its mean ingress, as a calibration probe
+    does, derives none of them.  ``n_frames`` and ``n_cells`` read the
+    shape of ``ingress_w``.  ``ms_cell`` is each mobile's cell and
+    ``ms_norm_interference`` its ``l``."""
 
     scheme: str
     budget_w: float
     bandwidth_hz: float
     frame_duration_s: float
-    cell_bits: np.ndarray
+    noise_power_w: float
     ingress_w: np.ndarray
-    ingress_db: np.ndarray
-    egress_w: np.ndarray
     ms_power_w: np.ndarray
     ms_bits: np.ndarray
+    ms_cell: np.ndarray
+    ms_norm_interference: np.ndarray
     kkt_residual: np.ndarray | None = None
     probes: np.ndarray | None = None
     kinks: np.ndarray | None = None
 
     @property
     def n_frames(self) -> int:
-        return self.cell_bits.shape[0]
+        return self.ingress_w.shape[0]
 
     @property
     def n_cells(self) -> int:
-        return self.cell_bits.shape[1]
+        return self.ingress_w.shape[1]
+
+    def _cell_sums(self, values) -> np.ndarray:
+        """Per-frame, per-cell sums of a ``(frames, ms)`` array.  Frame
+        ``t``'s users are binned at ``t * n_cells + cell``, so one
+        ``bincount`` adds each cell's users in ascending order, as
+        :meth:`Cells.sums` does per frame."""
+        n_frames, n_cells = self.ingress_w.shape
+        bins = (np.arange(n_frames)[:, None] * n_cells + self.ms_cell).ravel()
+        sums = np.bincount(bins, weights=values.ravel(), minlength=n_frames * n_cells)
+        return sums.reshape(n_frames, n_cells)
+
+    @cached_property
+    def cell_bits(self) -> np.ndarray:
+        return self._cell_sums(self.ms_bits)
+
+    @cached_property
+    def egress_w(self) -> np.ndarray:
+        return self._cell_sums(self.ms_norm_interference * self.ms_power_w)
+
+    @cached_property
+    def ingress_db(self) -> np.ndarray:
+        return 10.0 * np.log10((self.noise_power_w + self.ingress_w) / self.noise_power_w)
 
     @property
     def n_ms(self) -> int:

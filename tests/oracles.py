@@ -288,6 +288,16 @@ def ingress_interference(deployment, allocations, target_bs):
 # per-cell frame loop: one UserLink per mobile, one scheduler call per cell
 
 
+def reference_winners(cells, scores):
+    """Each non-empty cell's highest-scoring user, ties to the lowest
+    index, from a per-user ``scores`` array: the argmax of every cell's row
+    of :meth:`~noiserise.model.Cells.gather`, ``-inf`` in the padding, at
+    the rows of the cells that serve anyone."""
+    col = cells.gather(scores, -math.inf).argmax(axis=1)
+    rows = np.flatnonzero(cells.valid[:, 0])
+    return cells.index[rows, col[rows]]
+
+
 def _winner_takes_band(links, scores, powers):
     best = 0
     best_score = -math.inf

@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+from noiserise.cli import main
 from noiserise.model import (
     Allocation,
     Cells,
@@ -21,6 +25,7 @@ from noiserise.simnet import (
     schedule_density,
     solve_dual,
 )
+from noiserise.solver import solve_joint
 
 from oracles import egress_interference, ingress_interference, shannon_rate
 
@@ -196,18 +201,54 @@ def test_budget_watts_takes_a_budget_or_a_real_number():
     assert budget_watts(3) == 3.0 and budget_watts(np.float64(0.5)) == 0.5
 
 
+def _budget_callers(tmp_path):
+    """The six callers that take one cell's budget, each a function of the
+    budget: ``budget_watts``, a ``make_scheme`` scheme bound to one cell,
+    ``solve_dual``, ``schedule_density``, ``solve_joint`` and ``noiserise
+    solve``, which returns its JSON output or raises ``ValueError`` with
+    its error message."""
+    link = [UserLink(id=0, weight=1.0, norm_sinr=2.0, norm_interference=1.0)]
+    layout = (Cells.single(1), np.array([2.0]), np.ones(1), np.full(1, np.inf))
+
+    def cli_solve(budget):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"budget": budget, "users": [{"weight": 1.0, "norm_sinr": 2.0,
+                                                                 "norm_interference": 1.0}]}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["solve", str(path)])
+        if rc:
+            raise ValueError(err.getvalue())
+        return json.loads(out.getvalue())
+
+    return {
+        "budget_watts": budget_watts,
+        "make_scheme": lambda b: make_scheme("nr", b).bind(*layout)(np.ones(1)).p.tolist(),
+        "solve_dual": lambda b: solve_dual(link, b),
+        "schedule_density": lambda b: schedule_density(link, b),
+        "solve_joint": lambda b: solve_joint(link, b),
+        "noiserise_solve": cli_solve,
+    }
+
+
 @pytest.mark.parametrize("budget", [[1.0, 2.0], None, "3", True, [True, True], ["1", "2"]],
                          ids=["list", "none", "string", "bool", "bool_list", "string_list"])
-def test_budget_that_is_not_a_real_number_is_a_value_error(budget):
-    # every caller of budget_watts refuses it, naming the value, and so does
-    # make_scheme, which takes one budget per cell too: a scheme refuses
-    # two budgets when it binds to one cell
-    link = [UserLink(id=0, weight=1.0, norm_sinr=2.0, norm_interference=1.0)]
-    layout = (Cells.single(1), np.ones(1), np.ones(1), np.full(1, np.inf))
-    for call in (budget_watts, lambda b: make_scheme("nr", b).bind(*layout), lambda b: solve_dual(link, b),
-                 lambda b: schedule_density(link, b)):
+def test_budget_that_is_not_a_real_number_is_a_value_error(budget, tmp_path):
+    # every caller of one cell's budget refuses it, naming the value, by
+    # the one rule of model._watts; a list of two is two cells' budgets,
+    # refused for one cell
+    for name, call in _budget_callers(tmp_path).items():
         with pytest.raises(ValueError, match=re.escape(repr(budget))):
             call(budget)
+            pytest.fail(f"{name} took {budget!r}")
+
+
+def test_one_budget_in_a_list_is_one_cells_budget(tmp_path):
+    # a sequence of one budget per cell, here of the one cell, is that
+    # budget to every caller
+    for name, call in _budget_callers(tmp_path).items():
+        assert call([2.0]) == call(2.0), name
+    assert budget_watts([2.0]) == 2.0 and budget_watts(np.array([0.5])) == 0.5
 
 
 def test_noise_rise_budget_validates():

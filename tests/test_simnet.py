@@ -47,6 +47,7 @@ from oracles import (
     reference_quantize,
     reference_run_frame,
     reference_schedule,
+    reference_winners,
     shannon_rate,
 )
 
@@ -187,16 +188,70 @@ def test_cells_layout_matches_members():
     for k in range(dep.n_bs):
         assert np.array_equal(dep.members(k), np.flatnonzero(dep.serving_map == k))
         assert np.array_equal(cells.index[k][cells.valid[k]], dep.members(k))
-    # ties go to the lowest index, as in a walk over members(k)
-    scores = np.ones(dep.n_ms)
+    # ties go to the lowest index, as in a walk over members(k); the
+    # winners read the users' scores, written into the buffer, alone
+    scores = cells.score_buffer()
+    assert len(scores) == dep.n_ms + 1 and np.all(scores == -np.inf)
+    scores[:-1] = 1.0
     assert np.array_equal(cells.winners(scores), [dep.members(k)[0] for k in range(dep.n_bs)])
+    assert scores[-1] == -np.inf and np.all(scores[:-1] == 1.0)
 
 
 def test_cells_with_an_empty_cell():
     cells = Cells.from_cell_of([2, 0, 2, 0], 3)
     assert cells.valid.sum(axis=1).tolist() == [2, 0, 2]
-    assert cells.winners(np.array([1.0, 5.0, 3.0, 2.0])).tolist() == [1, 2]
+    scores = cells.score_buffer()
+    scores[:-1] = [1.0, 5.0, 3.0, 2.0]
+    assert cells.winners(scores).tolist() == [1, 2]
     assert cells.sums(np.ones(4)).tolist() == [2.0, 0.0, 2.0]
+    # a cell of three beside a cell of two: the padding's -inf never wins
+    cells = Cells.from_cell_of([2, 0, 2, 0, 2], 3)
+    scores = cells.score_buffer()
+    scores[:-1] = [-np.inf, 5.0, -np.inf, 2.0, -np.inf]
+    assert cells.winners(scores).tolist() == [1, 0]
+    scores[:-1] = [1.0, 5.0, 3.0, 2.0, 3.0]
+    assert cells.winners(scores).tolist() == [1, 2]
+
+
+@st.composite
+def winner_frames(draw):
+    """A run's layout of 1 to 4 copies of a drawn layout, some of whose
+    cells serve nobody, and per-user scores drawn from a few values, so
+    that ties are common, ``-inf`` among them."""
+    n_cells = draw(st.integers(1, 6))
+    cell_of = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=12))
+    copies = draw(st.integers(1, 4))
+    dep = Deployment(serving_map=np.array(cell_of), gain_matrix=np.ones((len(cell_of), n_cells)))
+    run = _Run(dep, [SimConfig()] * copies)
+    scores = draw(st.lists(st.sampled_from([-np.inf, 0.0, 1.0, 2.5]), min_size=copies * len(cell_of),
+                           max_size=copies * len(cell_of)))
+    return run.cells, np.array(scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(winner_frames())
+def test_property_winners_are_the_reference_pick(frame):
+    cells, scores = frame
+    buffer = cells.score_buffer()
+    buffer[:-1] = scores
+    got = cells.winners(buffer)
+    assert np.array_equal(got, reference_winners(cells, scores))
+    # each occupied cell's first user among its best, in the order of the cells
+    want = []
+    for k in np.unique(cells.cell_of):
+        members = np.flatnonzero(cells.cell_of == k)
+        want.append(members[np.argmax(scores[members] == scores[members].max())])
+    assert got.tolist() == want
+    assert np.array_equal(cells.occupied, np.unique(cells.cell_of))
+    assert buffer[-1] == -np.inf and np.array_equal(buffer[:-1], scores)
+
+
+def test_target_sinr_scores_no_weight_times_minus_inf():
+    # user 0, without e > 0, scores -inf; multiplied by its weight of 0 it
+    # would score NaN, which argmax picks
+    links = [UserLink(id=0, weight=0.0, norm_sinr=0.0, norm_interference=1.0),
+             UserLink(id=1, weight=0.0, norm_sinr=1.0, norm_interference=1.0)]
+    assert schedule_target_sinr(links, 4.0).x == [0.0, 1.0]
 
 
 def test_cells_refuse_an_id_outside_the_layout():
@@ -401,6 +456,28 @@ def test_checks_take_a_winners_frame():
         make_scheme("nr", [2.0, 1.0]).check(cells, alloc, l, cap)
     with pytest.raises(AssertionError, match="max power"):
         make_scheme("fixed", 2.0, fixed_power=1.0).check(cells, alloc, l, np.array([1.0, 1.9, 1.0]))
+
+
+@pytest.mark.parametrize("name", ["nr_density", "fixed", "target_sinr"])
+def test_winners_check_tests_the_cells_it_cannot_prove_ascending(name):
+    # users 0 and 1 in cell 0, user 2 in cell 1, user 3 in cell 2; the
+    # check skips the ascending test for the layout's own occupied cells
+    # only, and tests every other array of cells, even an equal copy
+    cells = Cells.from_cell_of([0, 0, 1, 2], 3)
+    l, cap, power = np.ones(4), np.full(4, np.inf), np.ones(3)
+    check = make_scheme(name, 1.0, fixed_power=1.0, target_sinr=1.0).check
+    occupied = cells.occupied
+    for cell in (occupied, occupied.copy()):
+        check(cells, Winners(users=np.array([0, 2, 3]), cell=cell, power=power, n=4), l, cap)
+    refused = {
+        "out_of_order_copy": Winners(users=np.array([2, 0, 3]), cell=np.array([1, 0, 2]), power=power, n=4),
+        "repeated_cell": Winners(users=np.array([0, 1, 3]), cell=np.array([0, 0, 2]), power=power, n=4),
+        "outside_its_cell": Winners(users=np.array([0, 3, 3]), cell=occupied, power=power, n=4),
+    }
+    for fault, alloc in refused.items():
+        with pytest.raises(AssertionError, match="bandwidth overcommitted"):
+            check(cells, alloc, l, cap)
+            pytest.fail(f"the check passed {fault}")
 
 
 def test_fixed_power_is_one_positive_finite_power_per_cell():
@@ -956,14 +1033,18 @@ def test_run_simulation_matches_reference_frame_loop(name, wrap, quantize):
 # a batch of runs against each run alone
 
 
+_DERIVED = ("cell_bits", "egress_w", "ingress_db")  # a bundle's figures derived on first read
+
+
 def _assert_same_fields(got, want):
-    """Every field of two bundles, solver fields included, is the same floats."""
-    for f in fields(MetricsBundle):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+    """Every field of two bundles, solver fields included, and every
+    figure derived from them on first read, is the same floats."""
+    for name in [f.name for f in fields(MetricsBundle)] + list(_DERIVED):
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), f.name
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 @pytest.mark.parametrize("name, quantize, max_power", [
@@ -1012,6 +1093,27 @@ def test_a_batch_of_one_is_the_run_alone(name):
     assert (batch.n_cells, batch.n_frames) == (alone.n_cells, alone.n_frames) == (7, 4)
     assert (alone.probes is not None) == (name == "nr")
     _assert_same_fields(batch[0], alone)
+
+
+def test_a_batch_derives_no_figure_that_is_not_read():
+    # a calibration probe reads mean_ingress_w() alone, and the benchmark
+    # counts n_cells * n_frames of every batch: neither derives cell_bits,
+    # egress_w or ingress_db, which are derived once on first read
+    base = SimConfig(deployment=DeploymentConfig(rings=1, ms_per_cell=4),
+                     scheme=SchemeConfig(name="fixed", fixed_power_w=0.1), run=RunConfig(seed=3, frames=4))
+    batch = run_simulation([replace(base, scheme=replace(base.scheme, fixed_power_w=power))
+                            for power in (0.05, 0.1, 0.2)])
+    assert batch.n_cells * batch.n_frames == 3 * 7 * 4
+    means = [bundle.mean_ingress_w() for bundle in batch]
+    for bundle in batch:
+        assert (bundle.n_frames, bundle.n_cells) == (4, 7)
+        assert not set(_DERIVED) & set(vars(bundle))
+    for bundle, mean in zip(batch, means):
+        assert bundle.mean_cell_throughput() > 0 and bundle.ingress_std_db() > 0
+        assert set(vars(bundle)) >= {"cell_bits", "ingress_db"} and "egress_w" not in vars(bundle)
+        assert bundle.cell_bits is bundle.cell_bits and bundle.egress_w is bundle.egress_w
+        assert bundle.mean_ingress_w() == mean
+
 
 
 def test_long_batch_runs_sum_as_their_own_runs():

@@ -75,6 +75,9 @@ INVOCATIONS = {
     "sweep_default": ["sweep"],
     "sweep_density_fixed_seed1": ["sweep", *DENSITY_FIXED, *_sets("run.seed=1")],
     "sweep_density_fixed_seed7243": ["sweep", *DENSITY_FIXED, *_sets("run.seed=7243")],
+    # batched greedy frames and calibration probes with seven empty cells per copy
+    "sweep_density_fixed_empty_cells": ["sweep", *DENSITY_FIXED, *_sets("deployment.ms_per_cell=1",
+                                                                       "deployment.min_ms_per_cell=0")],
     "sweep_shadowing8db": ["sweep", "--db", "2,5", "--schemes", "nr_density,fixed",
                            *_sets("channel.shadowing_sigma_db=8")],
     "sweep_capped_target_q12": ["sweep", "--db", "2,5", "--schemes", "nr_density_capped,target_sinr,fixed",

@@ -249,24 +249,56 @@ def _write_csv(path: str, header: str, row_format: str, columns) -> None:
     _atomic_write(path, chunks())
 
 
+def _texts_at(values: np.ndarray, index: np.ndarray) -> list:
+    """The ``%.12g`` text of ``values[index]``, as ``_write_csv`` writes a
+    float, formatting each of the float array ``values`` once."""
+    text = (("%.12g\n" * len(values)) % tuple(values.tolist())).split("\n")[:-1]
+    return np.array(text, dtype=object)[index].tolist()
+
+
+def _floats(values: np.ndarray):
+    """The float array ``values`` as a ``_write_csv`` column and its field
+    format.  When at most half the values are distinct, the column is each
+    distinct value's text, formatted once (:func:`_texts_at`), as ``%s``;
+    else it is the values, as ``%.12g``.  The same bytes either way.
+    Values are told apart by bit pattern, so ``0.0`` and ``-0.0`` (``0``
+    and ``-0``) never share a text."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    if 2 * len(distinct) > len(bits):
+        return "%.12g", values.tolist()
+    return "%s", _texts_at(distinct.view(float), index)
+
+
 def _write_artifacts(out_dir: str, cfg: SimConfig, resolved: str, bundle, runtime_s: float) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
     n_frames, n_cells = bundle.n_frames, bundle.n_cells
+    # every cell that spends its budget egresses it, give or take rounding
+    egress_format, egress = _floats(bundle.egress_w.ravel())
     _write_csv(
         os.path.join(out_dir, "frames.csv"),
         "frame,cell,throughput_bits,ingress_w,ingress_db,egress_w",
-        "%d,%d,%.12g,%.12g,%.12g,%.12g",
+        "%d,%d,%.12g,%.12g,%.12g," + egress_format,
         [np.repeat(np.arange(n_frames), n_cells).tolist(), list(range(n_cells)) * n_frames,
-         *(values.ravel().tolist()
-           for values in (bundle.cell_bits, bundle.ingress_w, bundle.ingress_db, bundle.egress_w))],
+         *(values.ravel().tolist() for values in (bundle.cell_bits, bundle.ingress_w, bundle.ingress_db)),
+         egress],
     )
-    frame, ms = np.nonzero(bundle.ms_power_w > 0)  # row-major: by frame, then by MS
+    power = bundle.ms_power_w
+    frame, ms = np.nonzero(power > 0)  # row-major: by frame, then by MS
+    scheduled, top = power[frame, ms], power.max(axis=0)
+    # a greedy scheme gives each mobile one power for the whole run: then
+    # each mobile's power is formatted once.  The scheduled powers are
+    # positive, where equal values have equal bits
+    if np.array_equal(scheduled, top[ms]):
+        power_format, power_w = "%s", _texts_at(top, ms)
+    else:
+        power_format, power_w = "%.12g", scheduled.tolist()
     _write_csv(
         os.path.join(out_dir, "powers.csv"),
         "frame,ms,power_w",
-        "%d,%d,%.12g",
-        [frame.tolist(), ms.tolist(), bundle.ms_power_w[frame, ms].tolist()],
+        "%d,%d," + power_format,
+        [frame.tolist(), ms.tolist(), power_w],
     )
     totals = bundle.ms_bits.sum(axis=0)
     rates = totals / (bundle.n_frames * bundle.frame_duration_s)
@@ -447,10 +479,14 @@ def cmd_sweep(args) -> int:
 
 
 def _number(name: str, value) -> float:
-    """A JSON number as a float; ``true`` and ``false`` are not numbers."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
-    return float(value)
+    """A JSON number as a float; ``true``, ``false`` and strings are not
+    numbers, nor is an integer beyond a float's range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
 
 
 def _user_id(value):

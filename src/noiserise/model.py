@@ -290,6 +290,28 @@ def noise_rise_budget_from_db(target_db, n0_density, bandwidth):
     return NoiseRiseBudget(float(target_db), p_noise * (10.0 ** (target_db / 10.0) - 1.0))
 
 
+_SLACK = 1e-9  # relative rounding a feasibility check forgives on each bound
+
+
+def _cap_bound(cap):
+    """The bound each power must stay strictly below: its cap, a float or
+    an array (``inf`` for none), plus the forgiven rounding."""
+    return cap * (1.0 + _SLACK)
+
+
+def _refuse_over_cap(p, bound, users=None, error=AssertionError) -> None:
+    """The one cap rule: raise ``error`` unless every power of the array
+    ``p`` lies strictly below its ``bound`` (:func:`_cap_bound`), so that
+    an infinite power fails an infinite cap.  The message names the users
+    over their cap, ``users`` being the mobiles of ``p``'s entries if not
+    0, 1, ..., or says ``infinite power``."""
+    if not np.logical_and.reduce(p < bound):
+        if np.isinf(p).any():
+            raise error("infinite power")
+        over = np.flatnonzero(~(p < bound))
+        raise error(f"max power violated by users {(over if users is None else users[over]).tolist()}")
+
+
 def _powers(name: str, value):
     """``value``, one positive finite power for every cell or a sequence of
     one per cell, as a float or an array; ``ValueError`` for any other

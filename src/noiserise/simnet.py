@@ -36,7 +36,10 @@ from .model import (
     NoiseRiseBudget,
     SolverConfig,
     Winners,
+    _SLACK,
+    _cap_bound,
     _powers,
+    _refuse_over_cap,
     _watts,
     greedy,
     link_arrays,
@@ -77,7 +80,6 @@ __all__ = [
 ]
 
 SCHEME_NAMES = ("nr", "nr_density", "nr_density_capped", "fixed", "target_sinr")
-_SLACK = 1e-9  # relative rounding a frame check forgives on each bound
 
 
 def _check_finite(config) -> None:
@@ -445,17 +447,8 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
 
     def cap_max(cap):
         if scaled[0] is not cap or cap.flags.writeable:
-            scaled[:] = cap, cap * (1.0 + _SLACK)
+            scaled[:] = cap, _cap_bound(cap)
         return scaled[1]
-
-    def refuse_over_cap(p, bound, users=None):
-        # strictly below, so that an infinite power fails an infinite cap;
-        # ``users`` are the mobiles of ``p``'s entries, if not 0, 1, ...
-        if not np.logical_and.reduce(p < bound):
-            if np.isinf(p).any():
-                raise AssertionError("infinite power")
-            over = np.flatnonzero(~(p < bound))
-            raise AssertionError(f"max power violated by users {(over if users is None else users[over]).tolist()}")
 
     def check_winners(cells, alloc, l, cap):
         users, cell, power = alloc.users, alloc.cell, alloc.power
@@ -465,7 +458,7 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
         ascending = cell is cells.occupied or np.logical_and.reduce(cell[1:] > cell[:-1])
         if not (np.logical_and.reduce(cells.cell_of[users] == cell) and ascending):
             raise AssertionError("bandwidth overcommitted")
-        refuse_over_cap(power, cap_max(cap)[users], users)
+        _refuse_over_cap(power, cap_max(cap)[users], users)
         # a winner's density l p / x at x = 1
         if density and not np.logical_and.reduce(l[users] * power <= (I_max[cell] if np.ndim(I) else I_max)):
             raise AssertionError("per-user density cap violated")
@@ -480,7 +473,7 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             raise AssertionError("negative or NaN allocation")
         if not np.maximum.reduce(cells.sums(x)) <= 1.0 + _SLACK:
             raise AssertionError("bandwidth overcommitted")
-        refuse_over_cap(p, cap_max(cap))
+        _refuse_over_cap(p, cap_max(cap))
         if p.dot(x == 0.0) > 0.0:  # the powers are finite and >= 0 here
             raise AssertionError("power on a user without band")
         if egress:

@@ -27,7 +27,16 @@ from itertools import chain
 
 import numpy as np
 
-from .model import Allocation, Cells, FrameAllocation, SolverConfig, budget_watts, link_arrays
+from .model import (
+    Allocation,
+    Cells,
+    FrameAllocation,
+    SolverConfig,
+    _cap_bound,
+    _refuse_over_cap,
+    budget_watts,
+    link_arrays,
+)
 
 __all__ = [
     "NoTransmitterError",
@@ -320,7 +329,8 @@ def solve_joint(links, budget, config=None):
 
     The iteration does not honour ``max_power``.  When no link's cap
     binds, the uncapped optimum is also the capped one and is returned;
-    otherwise :class:`ValueError` ("max power violated") is raised.
+    otherwise :class:`ValueError` ("max power violated") is raised, by the
+    frame check's cap rule, which forgives rounding of 1e-9 relative.
     """
     cfg = config if config is not None else SolverConfig()
     I = budget_watts(budget)
@@ -328,7 +338,7 @@ def solve_joint(links, budget, config=None):
     if n == 0:
         raise ValueError("at least one user required")
     arrays = link_arrays(links)
-    w, e, l, cap = (a.tolist() for a in arrays)
+    w, e, l = (a.tolist() for a in arrays[:3])
     # the certification of every cell of a frame, here of one non-empty cell
     cell, empty = Cells.single(n), np.zeros(1, dtype=bool)
     eligible = [i for i in range(n) if w[i] > 0.0 and e[i] > 0.0]
@@ -382,9 +392,7 @@ def solve_joint(links, budget, config=None):
                 x = candidate
                 history.clear()
                 cooldown = 1
-    over = [i for i, (pi, ci) in enumerate(zip(p, cap)) if pi > ci]
-    if over:
-        raise ValueError(f"max power violated by users {over}")
+    _refuse_over_cap(np.array(p), _cap_bound(arrays[3]), error=ValueError)
     return Allocation(
         x=list(xs),
         p=list(p),

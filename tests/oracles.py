@@ -10,7 +10,10 @@ reference dual walk is the plain scalar form of ``solve_dual``: it starts
 from the outermost single-user minimisers and probes the envelope through
 per-user function calls.  The CSV writer formats one row tuple at a time,
 and the sweep runs one simulation per config and one calibration search
-per dB point.  Two exceptions are not references but views of the
+per dB point.  The deployment draw places the base stations one at a
+time, measures the distance to each of the nine lattice images in turn
+and computes every path loss and gain before it counts a cell's
+mobiles.  Two exceptions are not references but views of the
 package's own bandwidth-step helpers on ``UserLink`` lists, for scans
 and for the tests of those helpers: :func:`lambda2_bounds` and
 :func:`bandwidth_for_multiplier`.
@@ -663,6 +666,47 @@ def dual_optimum(w, e, l, I):
         p[lo_user] = (1.0 - share) * c_lo / l[lo_user]
     lam2 = -top
     return x, p, lam, lam2, steps, converged, _kkt_residual(x, p, lam, lam2, w, e, l, I)
+
+
+def reference_draw(cfg, channel, seed):
+    """A deployment draw without shortcuts: the base stations one at a
+    time, per draw each of the nine lattice images' squared distances in
+    turn, then every path loss and gain, then the strongest-gain count
+    that accepts or rejects the draw.
+    Returns ``(serving_map, gain_matrix)``, which
+    :func:`noiserise.simnet.build_deployment` must reproduce bit for bit."""
+    from noiserise.simnet import _wrap_shifts, cost_hata_pl
+
+    s = cfg.isd_m
+    a1 = np.array([s, 0.0])
+    a2 = np.array([0.5 * s, 0.5 * math.sqrt(3.0) * s])
+    if cfg.layout == "rings":
+        r = cfg.rings
+        coords = sorted(((q, t) for q in range(-r, r + 1) for t in range(-r, r + 1)
+                         if max(abs(q), abs(t), abs(q + t)) <= r),
+                        key=lambda c: (max(abs(c[0]), abs(c[1]), abs(c[0] + c[1])), c))
+        u1, u2 = (r + 1) * a1 + r * a2, -r * a1 + (2 * r + 1) * a2
+        offset = -0.5 * (u1 + u2)
+    else:
+        coords = [(i, j) for i in range(cfg.rows) for j in range(cfg.cols)]
+        u1, u2 = cfg.rows * a1, cfg.cols * a2
+        offset = np.zeros(2)
+    bs = np.array([q * a1 + t * a2 for q, t in coords])
+    rng = np.random.default_rng(seed)
+    for _ in range(cfg.max_attempts):
+        st = rng.random((cfg.n_ms, 2))
+        ms = offset + st[:, :1] * u1 + st[:, 1:] * u2
+        best = np.full((len(ms), len(bs)), np.inf)
+        for sx, sy in _wrap_shifts(u1, u2, cfg.wrap):
+            dx = ms[:, :1] - (bs[:, 0] + sx)
+            dy = ms[:, 1:] - (bs[:, 1] + sy)
+            best = np.minimum(best, dx * dx + dy * dy)
+        pl = cost_hata_pl(np.sqrt(best), channel, rng if channel.shadowing_sigma_db > 0 else None)
+        gain = 10.0 ** (-pl / 10.0)
+        serving = gain.argmax(axis=1)
+        if np.bincount(serving, minlength=len(bs)).min() >= cfg.min_ms_per_cell:
+            return serving, gain
+    raise RuntimeError("no draw accepted")
 
 
 def reference_write_csv(path, header, row_format, rows):

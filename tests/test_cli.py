@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noiserise
-from noiserise.cli import _BLOCK_ROWS, ConfigError, _write_csv, load_config, main
+from noiserise.cli import _BLOCK_ROWS, ConfigError, _floats, _texts_at, _write_csv, load_config, main
 from noiserise.simnet import SimConfig, run_simulation
 
 from oracles import reference_sweep, reference_write_csv
@@ -203,8 +205,8 @@ def test_cmd_run_byte_identical_reruns(small_config, tmp_path):
         assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes()
 
 
-@pytest.mark.parametrize("overrides", [[], ["deployment.rings=2", "run.frames=80"]],
-                         ids=["one_block", "several_blocks"])
+@pytest.mark.parametrize("overrides", [[], ["deployment.rings=2", "run.frames=80"], ["scheme.name=nr_density"]],
+                         ids=["one_block", "several_blocks", "power_per_mobile"])
 def test_cmd_run_csv_floats_carry_12_significant_digits(small_config, tmp_path, overrides):
     # every float in the run CSVs is format(v, ".12g") of the run's metrics;
     # 19 cells x 80 frames give frames.csv and powers.csv several row blocks
@@ -258,6 +260,45 @@ def test_write_csv_matches_the_per_row_writer(tmp_path, n_rows):
     if n_rows == 0:
         assert got == b"a,b,c,d\n"
     assert not (tmp_path / "blocks.csv.tmp").exists()
+
+
+# NaNs of other payloads and signs, beside 0.0 and -0.0, infinities and subnormals
+_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(float)
+_POOL = st.sampled_from([*_AWKWARD_FLOATS, 0.0, -5e-324, 2.2e-308, *_NANS.tolist()]) | st.floats()
+
+
+@st.composite
+def csv_columns(draw):
+    """An int column and two float columns of one length, on and around
+    the block boundaries.  The first is drawn from a pool of 0.0, -0.0
+    and a few values, so that it repeats, or from that pool and as many
+    other values as the column holds; the second takes a few per-key
+    values at drawn keys, as ``powers.csv`` takes each mobile's power."""
+    n = draw(st.sampled_from([0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+             | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([0.0, -0.0, *draw(st.lists(_POOL, max_size=6))])
+    if draw(st.booleans()):
+        pool = np.concatenate([pool, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)])
+    values = pool[rng.integers(0, len(pool), n)]
+    keyed = np.array(draw(st.lists(_POOL, min_size=1, max_size=6)))
+    return list(range(n)), values, keyed, rng.integers(0, len(keyed), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_columns())
+def test_property_formatting_once_per_value_writes_the_per_row_bytes(tmp_path_factory, columns):
+    # each distinct value's text, taken by bit pattern or by key, gives
+    # the per-row writer's %.12g bytes, on either side of the half-distinct rule
+    ints, values, keyed, keys = columns
+    value_format, value_column = _floats(values)
+    distinct = len(np.unique(values.view(np.int64)))
+    assert value_format == ("%s" if 2 * distinct <= len(values) else "%.12g")
+    tmp = tmp_path_factory.mktemp("csv")
+    _write_csv(str(tmp / "once.csv"), "a,b,c", f"%d,{value_format},%s", [ints, value_column, _texts_at(keyed, keys)])
+    reference_write_csv(str(tmp / "rows.csv"), "a,b,c", "%d,%.12g,%.12g",
+                        zip(ints, values.tolist(), keyed[keys].tolist()))
+    assert (tmp / "once.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
 
 
 def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
@@ -413,6 +454,21 @@ def test_cmd_solve_malformed_exit_1(tmp_path, capsys):
         path.write_text(json.dumps({"budget": budget, "users": users}))
         assert main(["solve", str(path)]) == 1
         assert "instance error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["weight", "norm_sinr", "norm_interference", "max_power"])
+def test_cmd_solve_refuses_a_user_field_that_is_not_a_number(tmp_path, capsys, field):
+    # a user field takes the budget's rule, a real JSON number, and the
+    # error names the field; at a budget of 0.25 W the user's power is
+    # 0.5 W, within a cap of 1.1, so the number 1.1 solves in every field
+    path = tmp_path / "instance.json"
+    user = {"weight": 1.0, "norm_sinr": 3.0, "norm_interference": 0.5}
+    for value in ("1.1", "nan", True, False, None, 10**400):
+        path.write_text(json.dumps({"budget": 0.25, "users": [{**user, field: value}]}))
+        assert main(["solve", str(path)]) == 1
+        assert f"instance error: {field} must be a number, got {json.dumps(value)}" in capsys.readouterr().err
+    path.write_text(json.dumps({"budget": 0.25, "users": [{**user, field: 1.1}]}))
+    assert main(["solve", str(path)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,19 @@ def test_one_budget_in_a_list_is_one_cells_budget(tmp_path):
     for name, call in _budget_callers(tmp_path).items():
         assert call([2.0]) == call(2.0), name
     assert budget_watts([2.0]) == 2.0 and budget_watts(np.array([0.5])) == 0.5
+
+
+def test_one_cap_rule_forgives_rounding_alone():
+    # solve_joint and the frame check, here of nr (solve_dual) and of a
+    # greedy scheme's winners (schedule_density), share model's cap rule:
+    # a power 1e-12 relative over its cap is rounding, 1e-6 over is a
+    # broken cap, refused naming the user
+    link = UserLink(id=0, weight=1.0, norm_sinr=2.0, norm_interference=1.0)
+    for call in (solve_joint, solve_dual, schedule_density):
+        power = call([link], 2.0).p[0]
+        assert call([replace(link, max_power=power / (1.0 + 1e-12))], 2.0).p[0] == power
+        with pytest.raises(ValueError, match=re.escape("max power violated by users [0]") + "$"):
+            call([replace(link, max_power=power / (1.0 + 1e-6))], 2.0)
 
 
 def test_noise_rise_budget_validates():

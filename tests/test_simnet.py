@@ -44,6 +44,7 @@ from noiserise.solver import DualRun, NoTransmitterError, _objective
 
 from oracles import (
     FrameMetrics,
+    reference_draw,
     reference_quantize,
     reference_run_frame,
     reference_schedule,
@@ -179,6 +180,22 @@ def test_distances_match_the_four_dimensional_form():
         shifts = _wrap_shifts(u1, u2, wrap)
         diff = ms[:, None, None, :] - (bs[None, :, None, :] + shifts[None, None, :, :])
         assert np.array_equal(_distances(ms, bs, shifts), np.sqrt((diff**2).sum(axis=-1)).min(axis=-1))
+
+
+def test_draw_is_the_reference_draw():
+    # both layouts, torus and plane, with and without shadowing, at an ISD
+    # of 60 m, where two BSs can lie within min_distance_m of a mobile
+    # and their clamped distances tie, and grid72 at seed 1, whose first
+    # draw is rejected
+    cases = [(DeploymentConfig(layout=layout, wrap=wrap, isd_m=isd), PathLossParams(shadowing_sigma_db=sigma), seed)
+             for layout, wrap, sigma, isd, seed in itertools.product(
+                 ("rings", "grid"), (True, False), (0.0, 8.0), (1500.0, 60.0), range(6))]
+    cases.append((DeploymentConfig(layout="grid", ms_total=722), PathLossParams(), 1))
+    for cfg, channel, seed in cases:
+        dep = build_deployment(cfg, channel, seed)
+        serving, gain = reference_draw(cfg, channel, seed)
+        assert dep.serving_map.tobytes() == serving.tobytes()
+        assert dep.gain_matrix.tobytes() == gain.tobytes()
 
 
 def test_cells_layout_matches_members():

@@ -59,6 +59,13 @@ INVOCATIONS = {
     "run_grid72_density": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722",
                                          "scheme.name=nr_density")],
     "run_grid72_nr": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722")],
+    # the grid's draws on the plane (one lattice image) and with shadowing,
+    # beside run_grid72_density's on the torus (nine images), whose first
+    # draw at seed 1 is rejected
+    "run_grid72_density_plain": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722",
+                                               "scheme.name=nr_density", "deployment.wrap=false")],
+    "run_grid72_density_shadowing8db": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722",
+                                                      "scheme.name=nr_density", "channel.shadowing_sigma_db=8")],
     "run_fixed_20dbm": ["run", *_sets("scheme.name=fixed", "scheme.fixed_power_dbm=20")],
     "run_target_sinr_10db_cap0.2w_q12": ["run", *_sets("scheme.name=target_sinr", "scheme.target_sinr_db=10",
                                                        "scheme.max_power_w=0.2", "run.quantize_units=12")],

@@ -249,25 +249,19 @@ def _write_csv(path: str, header: str, row_format: str, columns) -> None:
     _atomic_write(path, chunks())
 
 
-def _texts_at(values: np.ndarray, index: np.ndarray) -> list:
-    """The ``%.12g`` text of ``values[index]``, as ``_write_csv`` writes a
-    float, formatting each of the float array ``values`` once."""
-    text = (("%.12g\n" * len(values)) % tuple(values.tolist())).split("\n")[:-1]
-    return np.array(text, dtype=object)[index].tolist()
-
-
 def _floats(values: np.ndarray):
     """The float array ``values`` as a ``_write_csv`` column and its field
     format.  When at most half the values are distinct, the column is each
-    distinct value's text, formatted once (:func:`_texts_at`), as ``%s``;
-    else it is the values, as ``%.12g``.  The same bytes either way.
-    Values are told apart by bit pattern, so ``0.0`` and ``-0.0`` (``0``
-    and ``-0``) never share a text."""
+    distinct value's ``%.12g`` text, formatted once, as ``%s``; else it is
+    the values, as ``%.12g``.  The same bytes either way.  Values are told
+    apart by bit pattern, so ``0.0`` and ``-0.0`` (``0`` and ``-0``) never
+    share a text."""
     bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
     distinct, index = np.unique(bits, return_inverse=True)
     if 2 * len(distinct) > len(bits):
         return "%.12g", values.tolist()
-    return "%s", _texts_at(distinct.view(float), index)
+    text = (("%.12g\n" * len(distinct)) % tuple(distinct.view(float).tolist())).split("\n")[:-1]
+    return "%s", np.array(text, dtype=object)[index].tolist()
 
 
 def _write_artifacts(out_dir: str, cfg: SimConfig, resolved: str, bundle, runtime_s: float) -> None:
@@ -286,14 +280,8 @@ def _write_artifacts(out_dir: str, cfg: SimConfig, resolved: str, bundle, runtim
     )
     power = bundle.ms_power_w
     frame, ms = np.nonzero(power > 0)  # row-major: by frame, then by MS
-    scheduled, top = power[frame, ms], power.max(axis=0)
-    # a greedy scheme gives each mobile one power for the whole run: then
-    # each mobile's power is formatted once.  The scheduled powers are
-    # positive, where equal values have equal bits
-    if np.array_equal(scheduled, top[ms]):
-        power_format, power_w = "%s", _texts_at(top, ms)
-    else:
-        power_format, power_w = "%.12g", scheduled.tolist()
+    # a greedy scheme gives each mobile one power for the whole run
+    power_format, power_w = _floats(power[frame, ms])
     _write_csv(
         os.path.join(out_dir, "powers.csv"),
         "frame,ms,power_w",

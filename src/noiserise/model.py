@@ -119,8 +119,7 @@ class Cells:
 
     @cached_property
     def occupied(self) -> np.ndarray:
-        """The non-empty cells, in ascending order; read-only, as every
-        :class:`Winners` frame of the layout holds this one array."""
+        """The non-empty cells, in ascending order; read-only."""
         rows = self.valid[:, 0].nonzero()[0]
         rows.flags.writeable = False
         return rows
@@ -195,17 +194,13 @@ class FrameAllocation:
 
 @dataclass(frozen=True)
 class Winners:
-    """A greedy frame: in each non-empty cell ``cell[k]``, ascending, the
-    one user ``users[k]`` holds the whole band at ``power[k]``, and the
-    other users of the ``n`` mobiles hold nothing.
-
-    The dense ``x`` and ``p`` of :class:`FrameAllocation` are derived from
-    these fields on every read, so they cannot be set and cannot disagree
-    with them; the solver fields are None, as for every greedy frame.
+    """A greedy frame: the winner ``users[k]`` of the k-th cell of
+    :attr:`Cells.occupied` holds its whole band at ``power[k]``, and the
+    other users of the ``n`` mobiles hold nothing.  The dense ``x`` and
+    ``p`` are derived on every read, so they cannot be set.
     """
 
     users: np.ndarray
-    cell: np.ndarray
     power: np.ndarray
     n: int
 
@@ -229,7 +224,7 @@ def winner_takes_band(cells: Cells, scores, power) -> Winners:
     index, holds the whole band at its entry of the per-user ``power``;
     ``scores`` is a :meth:`Cells.score_buffer`."""
     users = cells.winners(scores)
-    return Winners(users, cells.occupied, power[users], len(cells.cell_of))
+    return Winners(users, power[users], len(cells.cell_of))
 
 
 def greedy(rates, value):
@@ -299,17 +294,17 @@ def _cap_bound(cap):
     return cap * (1.0 + _SLACK)
 
 
-def _refuse_over_cap(p, bound, users=None, error=AssertionError) -> None:
-    """The one cap rule: raise ``error`` unless every power of the array
-    ``p`` lies strictly below its ``bound`` (:func:`_cap_bound`), so that
-    an infinite power fails an infinite cap.  The message names the users
-    over their cap, ``users`` being the mobiles of ``p``'s entries if not
-    0, 1, ..., or says ``infinite power``."""
+def _refuse_over_cap(p, bound, users=None) -> None:
+    """The one cap rule: raise ``ValueError`` unless every power of the
+    array ``p`` lies strictly below its ``bound`` (:func:`_cap_bound`), so
+    that an infinite power fails an infinite cap.  The message names the
+    users over their cap, ``users`` being the mobiles of ``p``'s entries
+    if not 0, 1, ..., or says ``infinite power``."""
     if not np.logical_and.reduce(p < bound):
         if np.isinf(p).any():
-            raise error("infinite power")
+            raise ValueError("infinite power")
         over = np.flatnonzero(~(p < bound))
-        raise error(f"max power violated by users {(over if users is None else users[over]).tolist()}")
+        raise ValueError(f"max power violated by users {(over if users is None else users[over]).tolist()}")
 
 
 def _powers(name: str, value):

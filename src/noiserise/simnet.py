@@ -412,8 +412,8 @@ class Scheme:
     frame function ``schedule(w)``, which maps the frame's per-mobile
     weights to a :class:`FrameAllocation`, scheduling every cell
     independently.  ``check(cells, alloc, l, cap)`` raises
-    ``AssertionError`` if a frame's schedule breaks the scheme's
-    constraints in any cell.
+    ``ValueError`` if a frame's schedule breaks the scheme's constraints
+    in any cell.
     """
 
     name: str
@@ -422,26 +422,21 @@ class Scheme:
 
 
 def _frame_check(I, tol_kkt, egress=False, density=False):
-    """The check every scheme's frame must pass: no negative, NaN or
-    infinite share or power, no cell's band over 1, no power over its cap
-    (the message names the mobiles over it), no power on a user without band, and a KKT residual within ``tol_kkt``
-    wherever the schedule carries one.  ``egress`` adds each cell's egress
-    budget ``I``, one for all cells or one per cell (``nr``), ``density``
-    each user's interference density ``l p / x <= I``, ``I`` of its cell
-    (the density schemes).  Every bound is written so that
-    NaN fails it, except the residual's: an empty cell's residual is NaN.
+    """The check every scheme's frame must pass, raising ``ValueError``:
+    no negative, NaN or infinite share or power, no cell's band over 1, no
+    power over its cap (the message names the mobiles over it), no power
+    on a user without band, and a KKT residual within ``tol_kkt`` wherever
+    the schedule carries one.  ``egress`` adds each cell's egress budget
+    ``I``, one for all cells or one per cell (``nr``), ``density`` each
+    user's interference density ``l p / x <= I``, ``I`` of its cell (the
+    density schemes).  Every bound is written so that NaN fails it, except
+    the residual's: an empty cell's residual is NaN.
 
-    A :class:`Winners` frame has exact shares and no power off its
-    winners, so without ``egress`` its check refuses only what the type
-    can still get wrong: a negative, NaN, infinite or over-cap power, a
-    density bound broken by a winner, and a winner outside its cell or a
-    second winner in one, which overcommit a cell's band.  Its cells must
-    ascend, which holds by construction, and is not tested, when they are
-    the layout's own :attr:`~noiserise.model.Cells.occupied` array, as in
-    every frame a greedy binder returns; any other array of cells, even
-    an equal copy, is tested.  The bounds are scaled by the forgiven
-    rounding once: ``I`` here, and ``cap`` once per read-only cap array,
-    as a run hands every frame the same one."""
+    Without ``egress``, a :class:`Winners` frame is checked on its winners
+    alone: their powers, and one test that the k-th winner lies in the
+    k-th occupied cell, for every occupied cell and no more.  The bounds
+    are scaled by the forgiven rounding once: ``I`` here, and ``cap`` once
+    per read-only cap array, as a run hands every frame the same one."""
     I_max = I * (1.0 + _SLACK)
     scaled = [None, None]  # the last read-only cap and its bound
 
@@ -451,17 +446,15 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
         return scaled[1]
 
     def check_winners(cells, alloc, l, cap):
-        users, cell, power = alloc.users, alloc.cell, alloc.power
+        users, power, occupied = alloc.users, alloc.power, cells.occupied
+        if not (users.shape == occupied.shape and np.logical_and.reduce(cells.cell_of[users] == occupied)):
+            raise ValueError("bandwidth overcommitted or idle: not one winner per occupied cell")
         if not np.minimum.reduce(power) >= 0.0:
-            raise AssertionError("negative or NaN allocation")
-        # the layout's own read-only occupied cells ascend by construction
-        ascending = cell is cells.occupied or np.logical_and.reduce(cell[1:] > cell[:-1])
-        if not (np.logical_and.reduce(cells.cell_of[users] == cell) and ascending):
-            raise AssertionError("bandwidth overcommitted")
+            raise ValueError("negative or NaN allocation")
         _refuse_over_cap(power, cap_max(cap)[users], users)
         # a winner's density l p / x at x = 1
-        if density and not np.logical_and.reduce(l[users] * power <= (I_max[cell] if np.ndim(I) else I_max)):
-            raise AssertionError("per-user density cap violated")
+        if density and not np.logical_and.reduce(l[users] * power <= (I_max[occupied] if np.ndim(I) else I_max)):
+            raise ValueError("per-user density cap violated")
 
     def check(cells, alloc, l, cap):
         if isinstance(alloc, Winners) and not egress:
@@ -470,26 +463,26 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
         # reductions, which NaN fails, cost fewer numpy calls than sign
         # tests; an infinite share overcommits its cell's band
         if not (np.minimum.reduce(x) >= 0.0 and np.minimum.reduce(p) >= 0.0):
-            raise AssertionError("negative or NaN allocation")
+            raise ValueError("negative or NaN allocation")
         if not np.maximum.reduce(cells.sums(x)) <= 1.0 + _SLACK:
-            raise AssertionError("bandwidth overcommitted")
+            raise ValueError("bandwidth overcommitted")
         _refuse_over_cap(p, cap_max(cap))
         if p.dot(x == 0.0) > 0.0:  # the powers are finite and >= 0 here
-            raise AssertionError("power on a user without band")
+            raise ValueError("power on a user without band")
         if egress:
             spent = cells.sums(l * p)
             within = spent <= I_max
             if not np.logical_and.reduce(within):
                 k = np.flatnonzero(~within)[0]
                 budget = I[k] if np.ndim(I) else I
-                raise AssertionError(f"egress budget violated in cell {k}: {spent[k]} > {budget}")
+                raise ValueError(f"egress budget violated in cell {k}: {spent[k]} > {budget}")
         # l p <= I x is l p / x <= I where x > 0, and 0 <= 0 where x = 0,
         # as no power is left on a user without band
         if density and not np.logical_and.reduce(l * p <= (I_max[cells.cell_of] if np.ndim(I) else I_max) * x):
-            raise AssertionError("per-user density cap violated")
+            raise ValueError("per-user density cap violated")
         if alloc.kkt_residual is not None and np.logical_or.reduce(alloc.kkt_residual > tol_kkt):
             worst = np.nanmax(alloc.kkt_residual)
-            raise AssertionError(f"uncertified allocation: KKT residual {worst}")
+            raise ValueError(f"uncertified allocation: KKT residual {worst}")
 
     return check
 
@@ -544,8 +537,7 @@ def one_cell(links, scheme: Scheme) -> Allocation:
     """Schedule one cell's ``UserLink`` list as a one-frame run of
     ``scheme``, bound to a one-cell layout and called with the links'
     weights, and run ``scheme.check`` on the frame, without its KKT
-    residual, which the caller reports as ``certified`` instead.  A frame
-    the check refuses raises :class:`ValueError` with its message.
+    residual, which the caller reports as ``certified`` instead.
     Returns the shares, powers and weighted sum rate, plus the cell's
     prices, probes (as ``iterations``), convergence and KKT residual when
     the frame carries them."""
@@ -554,10 +546,7 @@ def one_cell(links, scheme: Scheme) -> Allocation:
     w, e, l, cap = link_arrays(links)
     cells = Cells.single(len(links))
     alloc = scheme.bind(cells, e, l, cap)(w)
-    try:
-        scheme.check(cells, alloc if alloc.kkt_residual is None else replace(alloc, kkt_residual=None), l, cap)
-    except AssertionError as refused:
-        raise ValueError(str(refused)) from None
+    scheme.check(cells, alloc if alloc.kkt_residual is None else replace(alloc, kkt_residual=None), l, cap)
     x, p = alloc.x.tolist(), alloc.p.tolist()
     solved = {}
     if alloc.probes is not None:
@@ -656,9 +645,8 @@ def schedule_target_sinr(links, target_sinr) -> Allocation:
 # quantization
 
 
-def _quantize_frame(cells: Cells, alloc, l, cap, num_units: int) -> FrameAllocation:
-    """Re-express every cell's shares and powers on the resource-unit grid,
-    as a :class:`FrameAllocation`, also for a :class:`Winners` frame.
+def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int) -> FrameAllocation:
+    """Re-express every cell's shares and powers on the resource-unit grid.
 
     Largest-remainder rounding: each user gets ``floor(x N)`` units, and
     each cell's leftover units, up to ``min(N, round(N sum x))``, go to its
@@ -686,7 +674,7 @@ def _quantize_frame(cells: Cells, alloc, l, cap, num_units: int) -> FrameAllocat
     rescale = ((freed > 0.0) & (kept > 0.0))[cells.cell_of] & (p > 0.0)
     scale = ((kept + freed) / np.where(kept > 0.0, kept, 1.0))[cells.cell_of]
     pq = np.where(zeroed, 0.0, np.where(rescale, np.minimum(p * scale, cap), p))
-    return replace(alloc, x=xq, p=pq) if isinstance(alloc, FrameAllocation) else FrameAllocation(xq, pq)
+    return replace(alloc, x=xq, p=pq)
 
 
 # ---------------------------------------------------------------------------
@@ -820,9 +808,10 @@ def run_frame(run: _Run, schedule, check, weights: np.ndarray, t: int) -> np.nda
     band.  Cells are independent within a frame, so the scheme schedules
     and checks all of them in one call on per-mobile arrays.  The frame
     writes row ``t`` of ``run``'s arrays and computes nothing the next
-    frame does not need.  A :class:`Winners` frame is scored at its
-    winners only, with the floating-point operations of the dense scoring
-    at a share of 1.
+    frame does not need.  A :class:`Winners` frame, whose shares are 0
+    or 1 and so on the resource-unit grid already, is not quantized, and
+    is scored at its winners only, with the floating-point operations of
+    the dense scoring at a share of 1.
     """
     # NaN fails both comparisons, so two reductions refuse what
     # isfinite().all() and (> 0).all() would
@@ -831,16 +820,17 @@ def run_frame(run: _Run, schedule, check, weights: np.ndarray, t: int) -> np.nda
     cells, g, l = run.cells, run.g, run.l
     alloc = schedule(weights)
     check(cells, alloc, l, run.cap)
-    if run.quantize_units:
+    winners = isinstance(alloc, Winners)
+    if run.quantize_units and not winners:
         alloc = _quantize_frame(cells, alloc, l, run.cap, run.quantize_units)
     power = run.record(t, alloc)
 
     ingress = run.ingress[t]
     run.received(power, out=ingress)
     bits = run.bits[t]
-    if isinstance(alloc, Winners):
+    if winners:
         # each cell's own received power is its winner's alone
-        users, cell = alloc.users, alloc.cell
+        users, cell = alloc.users, cells.occupied
         g_on, p_on = g[users], alloc.power
         ingress[cell] -= g_on * p_on
         np.maximum(ingress, 0.0, out=ingress)

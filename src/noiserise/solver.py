@@ -324,8 +324,11 @@ def solve_joint(links, budget, config=None):
     kept only if the following iteration's objective did not drop, so the
     objective stays nondecreasing along the trace.  Iteration stops once
     the max-norm step change and the KKT residual are both within
-    tolerance, or at ``max_iterations``; the result is ``certified`` iff
-    the residual cleared ``config.tol_kkt``.
+    tolerance, or at ``max_iterations``; the residual is computed in the
+    loop only once the step change is within tolerance, and for the whole
+    trace in one call after it, each iterate a cell of its own.  The
+    result is ``certified`` iff the last residual cleared
+    ``config.tol_kkt``.
 
     The iteration does not honour ``max_power``.  When no link's cap
     binds, the uncapped optimum is also the capped one and is returned;
@@ -339,8 +342,6 @@ def solve_joint(links, budget, config=None):
         raise ValueError("at least one user required")
     arrays = link_arrays(links)
     w, e, l = (a.tolist() for a in arrays[:3])
-    # the certification of every cell of a frame, here of one non-empty cell
-    cell, empty = Cells.single(n), np.zeros(1, dtype=bool)
     eligible = [i for i in range(n) if w[i] > 0.0 and e[i] > 0.0]
     if not eligible:
         raise NoTransmitterError("no user with positive weight and SINR")
@@ -348,9 +349,8 @@ def solve_joint(links, budget, config=None):
     in_play = set(eligible)
     x = [share if i in in_play else 0.0 for i in range(n)]
 
-    trace = []
+    steps = []  # per iteration: objective, prices, step changes, shares and powers
     lam2 = None
-    prev_x = prev_p = None
     converged = False
     history = []
     fallback_x = None  # plain continuation point while an accelerated step is on trial
@@ -360,23 +360,21 @@ def solve_joint(links, budget, config=None):
         xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2)
         obj = _objective(xs, p, w, e)
         if fallback_x is not None:
-            last_obj = trace[-1].objective
+            last_obj = steps[-1][0]
             if obj < last_obj - 1e-12 * max(1.0, abs(last_obj)):
                 # the extrapolation overshot: redo this iteration plainly
                 p, lam1 = _power_step(fallback_x, w, e, l, I)
                 xs, lam2 = _bandwidth_step(p, w, e, cfg.tol_bandwidth, lam2)
                 obj = _objective(xs, p, w, e)
             fallback_x = None
-        res = float(_kkt_residuals(cell, empty, np.array(xs), np.array(p), np.array([lam1]), np.array([lam2]),
-                                   *arrays[:3], I)[0])
-        if prev_x is None:
-            dx = dp = math.inf
+        if steps:
+            dx = max(abs(a - b) for a, b in zip(xs, steps[-1][5]))
+            dp = max(abs(a - b) for a, b in zip(p, steps[-1][6]))
         else:
-            dx = max(abs(a - b) for a, b in zip(xs, prev_x))
-            dp = max(abs(a - b) for a, b in zip(p, prev_p))
-        trace.append(IterationRecord(it, obj, lam1, lam2, dx, dp, res))
-        prev_x, prev_p = xs, p
-        if dx <= cfg.tol_convergence and dp <= cfg.tol_convergence and res <= cfg.tol_kkt:
+            dx = dp = math.inf
+        steps.append((obj, lam1, lam2, dx, dp, xs, p))
+        if (dx <= cfg.tol_convergence and dp <= cfg.tol_convergence
+                and _trace_residuals(steps[-1:], arrays, I)[0] <= cfg.tol_kkt):
             converged = True
             break
         history.append(xs)
@@ -392,7 +390,10 @@ def solve_joint(links, budget, config=None):
                 x = candidate
                 history.clear()
                 cooldown = 1
-    _refuse_over_cap(np.array(p), _cap_bound(arrays[3]), error=ValueError)
+    _refuse_over_cap(np.array(p), _cap_bound(arrays[3]))
+    residuals = _trace_residuals(steps, arrays, I)
+    trace = [IterationRecord(i, *step[:5], r) for i, (step, r) in enumerate(zip(steps, residuals), 1)]
+    res = trace[-1].kkt_residual
     return Allocation(
         x=list(xs),
         p=list(p),
@@ -405,6 +406,17 @@ def solve_joint(links, budget, config=None):
         kkt_residual=res,
         trace=trace,
     )
+
+
+def _trace_residuals(steps, arrays, I) -> list:
+    """The KKT residual of each iterate of ``steps`` (:func:`solve_joint`),
+    by one :func:`_kkt_residuals` call with each iterate a cell of its own;
+    per cell, the sums and terms are those of a one-cell call."""
+    k, n = len(steps), len(arrays[0])
+    _, lam1, lam2, _, _, xs, p = zip(*steps)
+    cells = Cells.from_cell_of(np.repeat(np.arange(k), n), k)
+    return _kkt_residuals(cells, np.zeros(k, dtype=bool), np.array(xs).ravel(), np.array(p).ravel(),
+                          np.array(lam1), np.array(lam2), *(np.tile(a, k) for a in arrays[:3]), I).tolist()
 
 
 # ---------------------------------------------------------------------------

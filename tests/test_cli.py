@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noiserise
-from noiserise.cli import _BLOCK_ROWS, ConfigError, _floats, _texts_at, _write_csv, load_config, main
+from noiserise.cli import _BLOCK_ROWS, ConfigError, _floats, _write_csv, load_config, main
 from noiserise.simnet import SimConfig, run_simulation
 
 from oracles import reference_sweep, reference_write_csv
@@ -288,14 +288,16 @@ def csv_columns(draw):
 @settings(max_examples=60, deadline=None)
 @given(csv_columns())
 def test_property_formatting_once_per_value_writes_the_per_row_bytes(tmp_path_factory, columns):
-    # each distinct value's text, taken by bit pattern or by key, gives
-    # the per-row writer's %.12g bytes, on either side of the half-distinct rule
+    # each distinct value's text, taken by bit pattern, gives the per-row
+    # writer's %.12g bytes, on either side of the half-distinct rule
     ints, values, keyed, keys = columns
     value_format, value_column = _floats(values)
     distinct = len(np.unique(values.view(np.int64)))
     assert value_format == ("%s" if 2 * distinct <= len(values) else "%.12g")
+    keyed_format, keyed_column = _floats(keyed[keys])
     tmp = tmp_path_factory.mktemp("csv")
-    _write_csv(str(tmp / "once.csv"), "a,b,c", f"%d,{value_format},%s", [ints, value_column, _texts_at(keyed, keys)])
+    _write_csv(str(tmp / "once.csv"), "a,b,c", f"%d,{value_format},{keyed_format}",
+               [ints, value_column, keyed_column])
     reference_write_csv(str(tmp / "rows.csv"), "a,b,c", "%d,%.12g,%.12g",
                         zip(ints, values.tolist(), keyed[keys].tolist()))
     assert (tmp / "once.csv").read_bytes() == (tmp / "rows.csv").read_bytes()

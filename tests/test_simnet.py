@@ -380,7 +380,7 @@ def test_run_frame_scheme_constraints_asserted():
         bind=lambda cells, e, l, cap: lambda w: FrameAllocation(x=np.ones(len(w)), p=np.ones(len(w))),
         check=make_scheme("nr", cfg.budget()).check,
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="bandwidth overcommitted"):
         _first_frame(dep, bad, cfg)
 
 
@@ -420,19 +420,19 @@ def test_density_checks_reject_violations():
     plain(cells, ok, l, cap)
     capped(cells, ok, l, cap)
     dense = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([1.0, 0.5, 2.5]))
-    with pytest.raises(AssertionError, match="density cap"):
+    with pytest.raises(ValueError, match="density cap"):
         plain(cells, dense, l, cap)
     # every scheme refuses power over the cap, whether it honours the cap or not
     loud = FrameAllocation(x=np.array([1.0, 0.0, 1.0]), p=np.array([1.5, 0.0, 2.0]))
     for name in SCHEME_NAMES:
         scheme = make_scheme(name, 2.0, fixed_power=1.0, target_sinr=1.0, assumed_noise_plus_interference=1.0)
-        with pytest.raises(AssertionError, match="max power"):
+        with pytest.raises(ValueError, match="max power"):
             scheme.check(cells, loud, l, cap)
     wide = FrameAllocation(x=np.array([0.6, 0.5, 1.0]), p=np.array([1.0, 0.5, 2.0]))
-    with pytest.raises(AssertionError, match="overcommitted"):
+    with pytest.raises(ValueError, match="overcommitted"):
         plain(cells, wide, l, cap)
     negative = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([1.0, -0.5, 2.0]))
-    with pytest.raises(AssertionError, match="negative"):
+    with pytest.raises(ValueError, match="negative"):
         plain(cells, negative, l, cap)
 
 
@@ -445,11 +445,11 @@ def test_checks_take_one_budget_per_cell():
     alloc = FrameAllocation(x=np.array([0.5, 0.5, 1.0]), p=np.array([0.5, 1.0, 1.5]))
     make_scheme("nr", 2.0).check(cells, alloc, l, cap)
     make_scheme("nr_density", 2.0).check(cells, alloc, l, cap)
-    with pytest.raises(AssertionError, match=r"egress budget violated in cell 1: 1\.5 > 1\.0"):
+    with pytest.raises(ValueError, match=r"egress budget violated in cell 1: 1\.5 > 1\.0"):
         make_scheme("nr", [2.0, 1.0]).check(cells, alloc, l, cap)
-    with pytest.raises(AssertionError, match="density cap"):
+    with pytest.raises(ValueError, match="density cap"):
         make_scheme("nr_density", [2.0, 1.0]).check(cells, alloc, l, cap)
-    with pytest.raises(AssertionError, match=r"egress budget violated in cell 0: 1\.5 > 1\.0"):
+    with pytest.raises(ValueError, match=r"egress budget violated in cell 0: 1\.5 > 1\.0"):
         make_scheme("nr", 1.0).check(cells, alloc, l, cap)
     # one budget for the wrong number of cells is refused when the scheme
     # binds to the layout, a budget that is not positive and finite at once
@@ -464,37 +464,51 @@ def test_checks_take_a_winners_frame():
     # greedy frame meets in a run, reads the derived dense frame
     cells = Cells.from_cell_of([0, 0, 1], 2)
     l, cap = np.ones(3), np.full(3, np.inf)
-    alloc = Winners(users=np.array([1, 2]), cell=np.array([0, 1]), power=np.array([2.0, 1.5]), n=3)
+    alloc = Winners(users=np.array([1, 2]), power=np.array([2.0, 1.5]), n=3)
     for name in ("nr_density", "nr"):
         make_scheme(name, [2.0, 1.5]).check(cells, alloc, l, cap)
-    with pytest.raises(AssertionError, match="density cap"):
+    with pytest.raises(ValueError, match="density cap"):
         make_scheme("nr_density", [2.0, 1.0]).check(cells, alloc, l, cap)
-    with pytest.raises(AssertionError, match=r"egress budget violated in cell 1: 1\.5 > 1\.0"):
+    with pytest.raises(ValueError, match=r"egress budget violated in cell 1: 1\.5 > 1\.0"):
         make_scheme("nr", [2.0, 1.0]).check(cells, alloc, l, cap)
-    with pytest.raises(AssertionError, match="max power"):
+    with pytest.raises(ValueError, match="max power"):
         make_scheme("fixed", 2.0, fixed_power=1.0).check(cells, alloc, l, np.array([1.0, 1.9, 1.0]))
 
 
 @pytest.mark.parametrize("name", ["nr_density", "fixed", "target_sinr"])
-def test_winners_check_tests_the_cells_it_cannot_prove_ascending(name):
-    # users 0 and 1 in cell 0, user 2 in cell 1, user 3 in cell 2; the
-    # check skips the ascending test for the layout's own occupied cells
-    # only, and tests every other array of cells, even an equal copy
-    cells = Cells.from_cell_of([0, 0, 1, 2], 3)
+def test_winners_check_wants_the_winners_in_occupied_order(name):
+    # users 0 and 1 in cell 0, user 2 in cell 1, user 3 in cell 2, and
+    # cell 3 empty: the k-th winner must lie in the k-th occupied cell
+    cells = Cells.from_cell_of([0, 0, 1, 2], 4)
     l, cap, power = np.ones(4), np.full(4, np.inf), np.ones(3)
     check = make_scheme(name, 1.0, fixed_power=1.0, target_sinr=1.0).check
-    occupied = cells.occupied
-    for cell in (occupied, occupied.copy()):
-        check(cells, Winners(users=np.array([0, 2, 3]), cell=cell, power=power, n=4), l, cap)
+    for users in ([0, 2, 3], [1, 2, 3]):
+        check(cells, Winners(users=np.array(users), power=power, n=4), l, cap)
     refused = {
-        "out_of_order_copy": Winners(users=np.array([2, 0, 3]), cell=np.array([1, 0, 2]), power=power, n=4),
-        "repeated_cell": Winners(users=np.array([0, 1, 3]), cell=np.array([0, 0, 2]), power=power, n=4),
-        "outside_its_cell": Winners(users=np.array([0, 3, 3]), cell=occupied, power=power, n=4),
+        "out_of_order": [2, 0, 3],
+        "repeated_cell": [0, 1, 3],
+        "outside_its_cell": [0, 3, 3],
+        "rotated": [2, 3, 0],
     }
-    for fault, alloc in refused.items():
-        with pytest.raises(AssertionError, match="bandwidth overcommitted"):
-            check(cells, alloc, l, cap)
+    for fault, users in refused.items():
+        with pytest.raises(ValueError, match="bandwidth overcommitted"):
+            check(cells, Winners(users=np.array(users), power=power, n=4), l, cap)
             pytest.fail(f"the check passed {fault}")
+
+
+@pytest.mark.parametrize("name", ["nr_density", "fixed", "target_sinr"])
+def test_winners_check_wants_one_winner_per_occupied_cell(name):
+    # users 0 and 1 in cell 0, user 2 in cell 1, user 3 in cell 2: a frame
+    # that leaves an occupied cell without a winner is refused, as is one
+    # with a winner more than the occupied cells, whichever cell it is in
+    cells = Cells.from_cell_of([0, 0, 1, 2], 3)
+    l, cap = np.ones(4), np.full(4, np.inf)
+    check = make_scheme(name, 1.0, fixed_power=1.0, target_sinr=1.0).check
+    for users in ([0, 2], [2, 3], [0, 3], [], [0, 1, 2, 3], [0, 2, 3, 3], [0, 2, 3, 0]):
+        alloc = Winners(users=np.array(users, dtype=np.intp), power=np.ones(len(users)), n=4)
+        with pytest.raises(ValueError, match="^bandwidth overcommitted or idle: not one winner per occupied cell$"):
+            check(cells, alloc, l, cap)
+            pytest.fail(f"the check passed winners {users}")
 
 
 def test_fixed_power_is_one_positive_finite_power_per_cell():
@@ -564,11 +578,15 @@ def _winner_outside_its_cell(alloc, cells):
 
 def _two_winners_in_one_cell(alloc, cells):
     """Another user of the first cell joins its winner at the same power."""
-    k, winner = alloc.cell[0], alloc.users[0]
+    k, winner = cells.occupied[0], alloc.users[0]
     members = cells.index[k, cells.valid[k]]
     other = members[members != winner][0]
-    return replace(alloc, users=np.insert(alloc.users, 1, other), cell=np.insert(alloc.cell, 1, k),
-                   power=np.insert(alloc.power, 1, alloc.power[0]))
+    return replace(alloc, users=np.insert(alloc.users, 1, other), power=np.insert(alloc.power, 1, alloc.power[0]))
+
+
+def _occupied_cell_without_winner(alloc, cells):
+    """The first occupied cell's winner is dropped, with its power."""
+    return replace(alloc, users=alloc.users[1:], power=alloc.power[1:])
 
 
 _FAULTS = {
@@ -578,10 +596,11 @@ _FAULTS = {
     "power_without_band": (_on_first_transmitter("x", 0.0), "without band"),
     "winner_outside_its_cell": (_winner_outside_its_cell, "bandwidth overcommitted"),
     "two_winners_in_one_cell": (_two_winners_in_one_cell, "bandwidth overcommitted"),
+    "occupied_cell_without_winner": (_occupied_cell_without_winner, "not one winner per occupied cell"),
 }
 # the schemes whose frames are Winners, and the faults only they can carry
 _GREEDY = ("nr_density", "fixed", "target_sinr")
-_WINNERS_FAULTS = ("winner_outside_its_cell", "two_winners_in_one_cell")
+_WINNERS_FAULTS = ("winner_outside_its_cell", "two_winners_in_one_cell", "occupied_cell_without_winner")
 
 
 @pytest.mark.parametrize("at", [0, 2], ids=["first_frame", "last_frame"])
@@ -609,7 +628,7 @@ def test_frame_check_refuses_a_faulty_allocation(name, fault, at):
         with pytest.raises(TypeError, match="unexpected keyword argument 'x'"):
             run_frames(_Run(dep, [cfg]), faulty)
         return
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(ValueError, match=message):
         run_frames(_Run(dep, [cfg]), faulty)
 
 
@@ -641,10 +660,47 @@ def test_winners_frame_derives_its_shares_and_powers(name):
     assert np.array_equal(np.bincount(dep.serving_map, weights=x == 1.0, minlength=dep.n_bs), occupied)
     assert set(x.tolist()) == {0.0, 1.0}
     assert np.array_equal(np.flatnonzero(x), np.sort(alloc.users))
-    assert np.array_equal(alloc.cell, np.flatnonzero(occupied))
+    assert np.array_equal(run.cells.cell_of[alloc.users], np.flatnonzero(occupied))
     # the powers sit on the winners only
     assert np.array_equal(p[alloc.users], alloc.power)
     assert not p[x == 0.0].any()
+
+
+@pytest.mark.parametrize("layout", ["rings1_capped", "empty_cells"])
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_quantized_run_leaves_winners_frames_alone(name, layout, monkeypatch):
+    # a winners frame's shares are 0 or 1, on the resource-unit grid
+    # already: a quantized run hands _quantize_frame the dense frames only,
+    # and _quantize_frame, handed a winners frame's dense view, returns its
+    # x and p unchanged, bit for bit
+    run_cfg = RunConfig(seed=1, frames=4, quantize_units=12)
+    if layout == "empty_cells":
+        dep, cfg = _empty_cell_run(name)
+        cfg = replace(cfg, run=run_cfg)
+    else:
+        # 0.5 W caps some users of every scheme that honours a cap
+        cfg = SimConfig(deployment=DeploymentConfig(rings=1, ms_per_cell=4),
+                        scheme=SchemeConfig(name=name, fixed_power_w=0.1, target_sinr=10.0,
+                                            max_power_w=None if name in ("nr", "nr_density") else 0.5),
+                        run=run_cfg)
+        dep = build_deployment(cfg.deployment, cfg.channel.pathloss, cfg.run.seed)
+    quantize, handed, frames = simnet._quantize_frame, [], []
+
+    def spy(cells, alloc, *args):
+        handed.append(type(alloc))
+        return quantize(cells, alloc, *args)
+
+    monkeypatch.setattr(simnet, "_quantize_frame", spy)
+    run = _Run(dep, [cfg])
+    scheme = _schemes(cfg)[0]
+    run_frames(run, replace(scheme, bind=_recording(scheme.bind, frames)))
+    greedy = name in _GREEDY
+    assert len(frames) == 4 and all(isinstance(alloc, Winners) == greedy for alloc in frames)
+    assert handed == ([] if greedy else [FrameAllocation] * 4)
+    for alloc in frames if greedy else ():
+        x, p = alloc.x, alloc.p
+        got = quantize(run.cells, FrameAllocation(x, p), run.l, run.cap, 12)
+        assert (got.x.tobytes(), got.p.tobytes()) == (x.tobytes(), p.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +931,7 @@ def test_nr_check_rejects_uncertified_allocation():
         return FrameAllocation(x=np.ones(1), p=np.ones(1), kkt_residual=np.array([residual]))
 
     check(cells, alloc(0.0), l, cap)
-    with pytest.raises(AssertionError, match="uncertified"):
+    with pytest.raises(ValueError, match="uncertified"):
         check(cells, alloc(0.1), l, cap)
 
 
@@ -997,7 +1053,7 @@ def test_run_frame_matches_per_cell_reference(name, wrap, quantize, max_power):
     breaks_cap = max_power is not None and (
         name in ("nr", "nr_density") or name == "fixed" and max_power < cfg.scheme.fixed_power_w)
     if breaks_cap:
-        with pytest.raises(AssertionError, match="max power violated"):
+        with pytest.raises(ValueError, match="max power violated"):
             run_frame(run, recording, scheme.check, 1.0 / t_avg, 0)
         return
     wants = []
@@ -1227,7 +1283,7 @@ def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links)
         # the scheme's frame check refuses such powers, in a simulated frame
         # and in the per-cell call alike, naming the mobiles over their cap
         message = re.escape(f"max power violated by users {over}")
-        with pytest.raises(AssertionError, match=message):
+        with pytest.raises(ValueError, match=message):
             make_scheme(name, 2.0, **keywords).check(layout[0], frame, l, cap)
         with pytest.raises(ValueError, match=message):
             schedule(links)
@@ -1271,7 +1327,7 @@ def test_one_cell_refuses_a_frame_its_check_refuses(fault, message):
 
     scheme = replace(fixed, bind=bind)
     frame = scheme.bind(Cells.single(3), *link_arrays(links)[1:])(np.ones(3))
-    with pytest.raises(AssertionError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         scheme.check(Cells.single(3), frame, np.ones(3), np.full(3, np.inf))
     with pytest.raises(ValueError, match=f"^{message}$"):
         one_cell(links, scheme)
@@ -1292,7 +1348,7 @@ def test_one_cell_leaves_certification_to_the_caller():
 
     uncertified = replace(nr, bind=bind)
     frame = uncertified.bind(Cells.single(2), *link_arrays(links)[1:])(np.array([1.0, 2.0]))
-    with pytest.raises(AssertionError, match="uncertified allocation: KKT residual 1.0"):
+    with pytest.raises(ValueError, match="uncertified allocation: KKT residual 1.0"):
         nr.check(Cells.single(2), frame, np.array([1.0, 3.0]), np.full(2, np.inf))
     alloc = one_cell(links, uncertified)
     assert alloc.kkt_residual == 1.0 and alloc.certified is None

@@ -69,6 +69,8 @@ INVOCATIONS = {
     "run_fixed_20dbm": ["run", *_sets("scheme.name=fixed", "scheme.fixed_power_dbm=20")],
     "run_target_sinr_10db_cap0.2w_q12": ["run", *_sets("scheme.name=target_sinr", "scheme.target_sinr_db=10",
                                                        "scheme.max_power_w=0.2", "run.quantize_units=12")],
+    # quantized winners frames under the density check
+    "run_nr_density_q12": ["run", *_sets("scheme.name=nr_density", "run.quantize_units=12")],
     "run_nr_density_capped_24dbm_q48": ["run", *_sets("scheme.name=nr_density_capped",
                                                       "scheme.max_power_dbm=24", "run.quantize_units=48")],
     "run_nr_plain": ["run", *_sets("deployment.wrap=false")],

@@ -166,8 +166,9 @@ def load_config(path: str | None, overrides=None) -> tuple[SimConfig, str]:
     Returns the config and its canonical resolved text (used for the
     config hash in summary.json).  ``path`` may be None to start from the
     built-in defaults and rely on overrides only.  Absent keys keep the
-    config dataclasses' defaults; an unknown key or section, or a value
-    a dataclass rejects, raises ConfigError.
+    config dataclasses' defaults; a file that cannot be read or parsed,
+    an unknown key or section, or a value a dataclass rejects, raises
+    ConfigError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     if path is not None:
@@ -178,6 +179,8 @@ def load_config(path: str | None, overrides=None) -> tuple[SimConfig, str]:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
     _apply_overrides(parser, overrides)
     values = _field_values(parser)
 

@@ -391,8 +391,11 @@ def normalized_interference(serving_gain, downlink_sir):
     l from its mobiles' ordinary channel-quality reports without any
     inter-cell message exchange.
     """
-    if not serving_gain > 0:
-        raise ValueError(f"serving_gain must be > 0, got {serving_gain!r}")
-    if not downlink_sir > 0:
-        raise ValueError(f"downlink_sir must be > 0, got {downlink_sir!r}")
-    return serving_gain / downlink_sir
+    if not 0 < serving_gain < math.inf:
+        raise ValueError(f"serving_gain must be positive and finite, got {serving_gain!r}")
+    if not 0 < downlink_sir < math.inf:
+        raise ValueError(f"downlink_sir must be positive and finite, got {downlink_sir!r}")
+    l = serving_gain / downlink_sir
+    if not 0 < l < math.inf:
+        raise ValueError(f"serving_gain / downlink_sir must be positive and finite, got {l!r}")
+    return l

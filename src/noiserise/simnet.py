@@ -47,7 +47,7 @@ from .model import (
 )
 from .model import _check_finite as _check_finite_value
 from .model import UserLink  # noqa: F401 - bench/spans.py counts simnet.UserLink constructions
-from .solver import DualRun, _objective
+from .solver import DualRun, NoTransmitterError, _objective
 from .solver import solve_joint  # noqa: F401 - bench/spans.py wraps simnet.solve_joint by name
 
 __all__ = [
@@ -129,12 +129,14 @@ def cost_hata_pl(distance_m, params: PathLossParams = PathLossParams(), rng=None
     """COST-Hata path loss in dB for a scalar or array of distances in meters.
 
     Distances below ``params.min_distance_m`` are clamped to it (the model
-    has no near-field validity).  Log-normal shadowing with
+    has no near-field validity); one that is not positive and finite
+    raises ``ValueError``.  Log-normal shadowing with
     ``shadowing_sigma_db`` is added when an ``rng`` is supplied.
     """
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distances must be > 0")
+    # two reductions, which NaN fails; the initial values pass no distances
+    if not (d.min(initial=math.inf) > 0.0 and d.max(initial=0.0) < math.inf):
+        raise ValueError("distances must be positive and finite")
     d = np.maximum(d, params.min_distance_m)
     lf = math.log10(params.freq_mhz)
     a_hm = (1.1 * lf - 0.7) * params.ms_height_m - (1.56 * lf - 0.8)
@@ -533,19 +535,29 @@ def make_scheme(
 # per-cell library calls
 
 
-def one_cell(links, scheme: Scheme) -> Allocation:
+def one_cell(links, scheme: Scheme, able=None) -> Allocation:
     """Schedule one cell's ``UserLink`` list as a one-frame run of
     ``scheme``, bound to a one-cell layout and called with the links'
     weights, and run ``scheme.check`` on the frame, without its KKT
-    residual, which the caller reports as ``certified`` instead.
-    Returns the shares, powers and weighted sum rate, plus the cell's
-    prices, probes (as ``iterations``), convergence and KKT residual when
-    the frame carries them."""
+    residual, which the caller reports as ``certified`` instead.  Given
+    ``able``, one flag per link, the run takes the flagged links alone
+    and the others hold share and power 0; the check sees every link, so
+    its messages name the caller's users.  Returns the shares, powers
+    and weighted sum rate, plus the cell's prices, probes (as
+    ``iterations``), convergence and KKT residual when the frame carries
+    them."""
     if not links:
         raise ValueError("at least one user required")
     w, e, l, cap = link_arrays(links)
     cells = Cells.single(len(links))
-    alloc = scheme.bind(cells, e, l, cap)(w)
+    if able is None:
+        alloc = scheme.bind(cells, e, l, cap)(w)
+    else:
+        ids = np.flatnonzero(able)
+        part = scheme.bind(Cells.single(len(ids)), e[ids], l[ids], cap[ids])(w[ids])
+        x, p = np.zeros(len(links)), np.zeros(len(links))
+        x[ids], p[ids] = part.x, part.p
+        alloc = replace(part, x=x, p=p)
     scheme.check(cells, alloc if alloc.kkt_residual is None else replace(alloc, kkt_residual=None), l, cap)
     x, p = alloc.x.tolist(), alloc.p.tolist()
     solved = {}
@@ -558,42 +570,29 @@ def one_cell(links, scheme: Scheme) -> Allocation:
 
 def solve_dual(links, budget, config=None) -> Allocation:
     """Exact joint optimum through the one-dimensional dual of the budget:
-    :func:`one_cell` on the ``nr`` scheme, its
-    :class:`~noiserise.solver.DualRun` bound with the call's weights, so
-    that a user of zero weight takes no band.
-
-    For a budget price ``lam`` (lambda1), user i's band value is
-    ``v_i = w_i (ln r_i - 1 + 1/r_i)`` with ``r_i = w_i e_i / (lam l_i)``,
-    and it spends ``c_i = w_i/lam - l_i/e_i`` of egress per unit band, so
-    the dual ``g(lam) = lam I + max_i v_i`` is convex in one scalar.  The
-    walk probes its envelope from the tightest bracket among the users'
-    single-user minimisers ``w_i / (I + l_i/e_i)``, at a candidate, at the
-    minimiser of the piece that tops both ends, or at the kink where the
-    two end pieces cross; the slope ``I - c`` of the top user at the
-    probe tells which end moves.
+    :func:`one_cell` on the ``nr`` scheme over the links with positive
+    weight and SINR; the others take no band and no power.  Raises
+    :class:`~noiserise.solver.NoTransmitterError` if no link can transmit.
 
     At the minimiser either one user takes the whole band at ``p = I/l``,
-    or two tied users share it so that their spends average to ``I``.
-    Tie rule, for any number of users tied on the envelope: if some spend
-    ``I`` (to rounding), the lowest index of them takes the whole band;
-    otherwise the highest and the lowest spender share it, each the
-    lowest index among spends equal to rounding.  ``lambda2 = -max_i
-    v_i``, ``iterations`` counts envelope probes, ``converged`` says the
-    walk reached a stationary point, and there is no trace.  ``certified``
-    compares the KKT residual with ``config.tol_kkt``.
+    or two tied users share it so that their spends ``c_i = w_i/lambda1 -
+    l_i/e_i`` average to ``I``.  Tie rule, for any number of users tied on
+    the envelope: if some spend ``I`` (to rounding), the lowest index of
+    them takes the whole band; otherwise the highest and the lowest
+    spender share it, each the lowest index among spends equal to
+    rounding.  ``iterations`` counts envelope probes and there is no
+    trace.  ``certified`` compares the KKT residual with
+    ``config.tol_kkt``; an uncertified solve is reported, not refused.
 
-    The walk does not honour ``max_power``, as the simulator's ``nr``
-    frames do not: the scheme's check refuses a power over a link's cap
-    ("max power violated by users [...]"), as it refuses a broken band or
-    egress budget.  An uncertified solve is reported, not refused.
+    The walk does not honour ``max_power``: the scheme's check refuses a
+    power over a link's cap ("max power violated by users [...]").
     """
     cfg = config if config is not None else SolverConfig()
-    I = _watts(budget)
-
-    def bind(cells, e, l, cap):
-        return lambda w: DualRun(cells, e, l, I, w).solve(w)
-
-    alloc = one_cell(links, replace(make_scheme("nr", I), bind=bind))
+    scheme = make_scheme("nr", budget)
+    able = [u.weight > 0.0 and u.norm_sinr > 0.0 for u in links]
+    if links and not any(able):
+        raise NoTransmitterError("no user with positive weight and SINR")
+    alloc = one_cell(links, scheme, able)
     alloc.certified = alloc.kkt_residual <= cfg.tol_kkt
     return alloc
 

@@ -415,8 +415,8 @@ def _trace_residuals(steps, arrays, I) -> list:
     k, n = len(steps), len(arrays[0])
     _, lam1, lam2, _, _, xs, p = zip(*steps)
     cells = Cells.from_cell_of(np.repeat(np.arange(k), n), k)
-    return _kkt_residuals(cells, np.zeros(k, dtype=bool), np.array(xs).ravel(), np.array(p).ravel(),
-                          np.array(lam1), np.array(lam2), *(np.tile(a, k) for a in arrays[:3]), I).tolist()
+    return _kkt_residuals(cells, np.array(xs).ravel(), np.array(p).ravel(), np.array(lam1), np.array(lam2),
+                          *(np.tile(a, k) for a in arrays[:3]), I).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +566,13 @@ def _walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam):
         share * c_hi / ls[j_hi], (1.0 - share) * c_lo / ls[j_lo])
 
 
-def _kkt_residuals(cells, empty, x, p, lam1, lam2, w, e, l, I):
+def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
     """The max-normed, dimensionless first-order residual of every cell's
     allocation at once, against its prices in ``lam1, lam2`` and its
     budget in ``I`` (one for all cells or one per cell): the band sum,
     the budget spent where the cell transmits, and each user's power and
-    bandwidth stationarity.  NaN for the cells with no users, which
-    ``empty`` marks.  Every user holding band must have a positive weight
-    and SINR."""
+    bandwidth stationarity.  NaN for the cells with no users.  Every user
+    holding band must have a positive weight and SINR."""
     res = np.abs(cells.sums(x) - 1.0)
     res = np.where(cells.sums(p) > 0.0, np.maximum(res, np.abs(cells.sums(l * p) - I) / I), res)
     on = ((x > 0.0) | (p > 0.0)).nonzero()[0]
@@ -589,7 +588,7 @@ def _kkt_residuals(cells, empty, x, p, lam1, lam2, w, e, l, I):
     a = po * eo / np.where(both, xo, 1.0)
     gap = np.abs(wo * (np.log1p(a) - a / (1.0 + a)) + lam2[k]) / wo
     np.maximum.at(res, k, np.where(both, np.maximum(term, gap), term))
-    res[empty] = np.nan
+    res[~cells.valid[:, 0]] = np.nan
     return res
 
 
@@ -601,55 +600,40 @@ class DualRun:
 
     A run schedules the same layout on the same ``e``, ``l`` and budgets
     every frame; only the PF weights ``w`` change.  So this binds, once,
-    each eligible user's ``E = e``, ``L = l``, ``beta = l/e`` and
-    ``I + beta`` as (cells, width) matrices (1 in padding), each cell's
-    user count, ``beta`` and ``l`` lists and mobile ids, the empty cells
-    and the seed pass's (width, cells, width) work buffers; :meth:`solve`,
-    the frame function, gathers per frame only what the weights change.
-    Eligible are the users with ``e > 0`` and, given ``w``, ``w > 0``: a
-    run binds without ``w``, as its PF weights are all positive, and
-    ``solve_dual`` swaps the ``nr`` scheme's binding for one with the
-    call's weights.  Raises
-    :class:`NoTransmitterError` if a cell has users but none eligible.
+    each user's ``E = e``, ``L = l``, ``beta = l/e`` and ``I + beta`` as
+    (cells, width) matrices (1 in padding), each cell's user count,
+    ``beta`` and ``l`` lists and mobile ids, and the seed pass's (width,
+    cells, width) work buffers; :meth:`solve`, the frame function,
+    gathers per frame only what the weights change.  Raises
+    :class:`NoTransmitterError` for a user without ``e > 0``.
     """
 
-    def __init__(self, cells: Cells, e, l, budget, w=None):
-        n_cells = cells.n_cells
+    def __init__(self, cells: Cells, e, l, budget):
+        if not np.logical_and.reduce(e > 0.0):
+            raise NoTransmitterError(f"users {np.flatnonzero(~(e > 0.0)).tolist()} have no positive SINR")
+        n_cells, width = cells.valid.shape
         budget = cells.per_cell(budget)
-        ok = e > 0.0 if w is None else (w > 0.0) & (e > 0.0)
-        if np.logical_and.reduce(ok):
-            index, use = cells.index, cells.valid
-        else:
-            ids = ok.nonzero()[0]
-            eligible = Cells.from_cell_of(cells.cell_of[ids], n_cells)
-            if np.logical_or.reduce(np.logical_or.reduce(cells.valid, axis=1)
-                                    & ~np.logical_or.reduce(eligible.valid, axis=1)):
-                raise NoTransmitterError("no user with positive weight and SINR")
-            index, use = ids[eligible.index], eligible.valid
         self.cells, self.e, self.l, self.budget = cells, e, l, budget
-        self.index, self.use = index, use
         self.I = I = budget[:, None]
-        self.E = np.where(use, e[index], 1.0)
-        self.L = L = np.where(use, l[index], 1.0)
+        self.E = cells.gather(e, 1.0)
+        self.L = L = cells.gather(l, 1.0)
         self.beta = beta = L / self.E
         self.I_beta = I + beta
-        self.counts = counts = np.add.reduce(use, axis=1).tolist()
+        self.counts = counts = np.add.reduce(cells.valid, axis=1).tolist()
         self.betas = [row[:n] for row, n in zip(beta.tolist(), counts)]
         self.ls = [row[:n] for row, n in zip(L.tolist(), counts)]
-        self.ids = index.tolist()
+        self.ids = cells.index.tolist()
         self.budgets = budget.tolist()
-        self.empty = ~np.logical_or.reduce(cells.valid, axis=1)
         self.rows = np.arange(n_cells)
-        shape = (use.shape[1], n_cells, use.shape[1])
+        shape = (width, n_cells, width)
         self.buffers = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
     def rows_of(self, w):
         """The frame's (cells, width) matrices ``W`` (0 in padding),
         ``ratio = w e/l`` and the single-user minimisers
         ``S = w/(I + l/e)`` (1 in padding)."""
-        use = self.use
-        W = np.where(use, w[self.index], 0.0)
-        return W, W * self.E / self.L, np.where(use, W / self.I_beta, 1.0)
+        W = self.cells.gather(w, 0.0)
+        return W, W * self.E / self.L, np.where(self.cells.valid, W / self.I_beta, 1.0)
 
     def seed(self, W, ratio, S):
         """Classify every user's single-user minimiser as a probe of the dual.
@@ -670,7 +654,7 @@ class DualRun:
         then stops on that user without moving ``lam``.
         """
         a, values, t, hits = self.buffers
-        I, use, rows = self.I, self.use, self.rows
+        I, valid, rows = self.I, self.cells.valid, self.rows
         # laid out (user, cell, candidate), so that the reductions over users
         # run along the first axis, where numpy vectorises them;
         # r - 1 is free of cancellation near r = 1
@@ -681,7 +665,7 @@ class DualRun:
         values *= W.T[:, :, None]  # padding is 0: never the top, at most a false tie
         top = np.maximum.reduce(values)
         near = top - _GUARD * (S * I + top)
-        alone = use & (np.add.reduce(np.greater_equal(values, near, out=hits)) == 1)
+        alone = valid & (np.add.reduce(np.greater_equal(values, near, out=hits)) == 1)
         best = values.argmax(axis=0)
         w_top = W[rows[:, None], best]
         spend = w_top / S - self.beta[rows[:, None], best]
@@ -695,7 +679,7 @@ class DualRun:
         kr = at_right.argmin(axis=1)
         lo = at_left[rows, kl]
         hi = at_right[rows, kr]
-        between = use & ~left & ~right & (S > lo[:, None]) & (S < hi[:, None])
+        between = valid & ~left & ~right & (S > lo[:, None]) & (S < hi[:, None])
         at_start = np.where(between, S, np.inf)
         k = at_start.argmin(axis=1)
         settled = between[rows, k] & alone[rows, k] & (best[rows, k] == k)
@@ -703,7 +687,7 @@ class DualRun:
 
     def solve(self, w) -> FrameAllocation:
         """The frame's allocation under weights ``w``, positive for every
-        eligible user.
+        user.
 
         One array pass over all cells seeds each cell's walk with the
         tightest bracket among its users' single-user minimisers and
@@ -735,6 +719,6 @@ class DualRun:
         p[users] = list(chain.from_iterable(ps))
         lam1 = np.array(lam1, dtype=float)
         lam2 = np.array(lam2, dtype=float)
-        res = _kkt_residuals(self.cells, self.empty, x, p, lam1, lam2, w, self.e, self.l, self.budget)
+        res = _kkt_residuals(self.cells, x, p, lam1, lam2, w, self.e, self.l, self.budget)
         return FrameAllocation(x, p, lam1, lam2, np.array(probes, dtype=int), np.array(kinks, dtype=int),
                                np.array(converged, dtype=bool), res)

@@ -352,6 +352,22 @@ def test_cmd_run_invalid_setting_exit_1(tmp_path, capsys, overrides):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_config_file_exit_1(tmp_path, capsys, command, case):
+    # a directory, or a file that is not UTF-8 text, is a config error, not
+    # a traceback
+    path = tmp_path / "config.ini"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[run]\nframes = 2\n# \xff\xfe\n")
+    assert main([command, str(path), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}: ") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cmd_run_capped_nr_refused_exit_2(small_config, tmp_path, capsys):
     # nr does not honour a power cap yet, so its check refuses the first
     # frame instead of letting the run use an over-cap allocation

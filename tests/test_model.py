@@ -87,6 +87,15 @@ def test_normalized_interference_rejects_nonpositive():
         normalized_interference(1.0, -2.0)
 
 
+@pytest.mark.parametrize("gain, sir", [(math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan), (1.0, math.inf),
+                                       (1e-200, 1e200), (1e300, 1e-300)])
+def test_normalized_interference_rejects_non_finite(gain, sir):
+    # (1, inf) would give l = 0 and (inf, 2) l = inf, which UserLink
+    # refuses; so would the quotients that underflow or overflow
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        normalized_interference(gain, sir)
+
+
 def test_normalized_interference_matches_gain_sum():
     # downlink SIR built from the same geometry must reproduce the direct
     # non-serving gain sum through reciprocity

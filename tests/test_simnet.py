@@ -81,6 +81,18 @@ def test_cost_hata_clamps_small_distances():
         cost_hata_pl(0.0, params)
 
 
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf, [500.0, math.nan], [math.inf, 500.0],
+                                      [[500.0, 10.0], [0.0, 700.0]]],
+                         ids=["nan", "inf", "-inf", "nan_in_array", "inf_in_array", "zero_in_matrix"])
+def test_cost_hata_rejects_distances_not_positive_and_finite(distance):
+    with pytest.raises(ValueError, match="^distances must be positive and finite$"):
+        cost_hata_pl(distance)
+
+
+def test_cost_hata_takes_an_empty_array():
+    assert cost_hata_pl(np.array([])).shape == (0,)
+
+
 def test_cost_hata_warns_outside_fit_range():
     with pytest.warns(UserWarning):
         PathLossParams(freq_mhz=900.0)
@@ -1263,20 +1275,24 @@ def test_property_per_cell_function_is_the_frame_scheme_on_one_cell(name, links)
     w, e, l, cap = link_arrays(links)
     layout = (Cells.single(n), e, l, cap)
     bound = make_scheme(name, 2.0, **keywords).bind
-    if name == "nr" and not (w > 0).all():
-        # a run binds nr without weights, as its PF weights are positive;
-        # solve_dual binds with the call's, so a user of zero weight is
-        # ineligible, as in a frame solve bound to them
-        def bound(cells, e, l, cap):
-            return lambda w: DualRun(cells, e, l, 2.0, w).solve(w)
-    if name == "nr" and not any(u.weight > 0 and u.norm_sinr > 0 for u in links):
-        # the dual solve needs a user that can transmit, on either path
-        with pytest.raises(NoTransmitterError):
-            schedule(links)
-        with pytest.raises(NoTransmitterError):
-            bound(*layout)(w)
-        return
-    frame = bound(*layout)(w)
+    if name != "nr":
+        frame = bound(*layout)(w)
+    else:
+        # a run's weights and SINRs are positive, and nr refuses a user
+        # without SINR at bind; solve_dual runs nr on the users that can
+        # transmit, and the others hold share and power 0
+        if not (e > 0).all():
+            with pytest.raises(NoTransmitterError, match="have no positive SINR"):
+                bound(*layout)
+        on = np.flatnonzero((w > 0) & (e > 0))
+        if not len(on):
+            with pytest.raises(NoTransmitterError, match="^no user with positive weight and SINR$"):
+                schedule(links)
+            return
+        part = bound(Cells.single(len(on)), e[on], l[on], cap[on])(w[on])
+        x, p = np.zeros(n), np.zeros(n)
+        x[on], p[on] = part.x, part.p
+        frame = replace(part, x=x, p=p)
     over = np.flatnonzero(frame.p > cap).tolist()
     if over:
         assert name not in ("nr_density_capped", "target_sinr")  # these two clamp at the cap
@@ -1426,14 +1442,14 @@ def test_bound_greedy_schemes_are_their_frame_functions(layout):
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_run_frames_binds_once_per_run(monkeypatch, name):
     # whatever its frame count or batch size, a run binds its scheme once
-    # to its whole layout, and nr builds one DualRun, bound without
-    # weights; each frame calls the bound schedule once
+    # to its whole layout, and nr builds one DualRun, on the layout the
+    # scheme is bound to; each frame calls the bound schedule once
     binds, dual_runs, frames = [], [], []
 
     class CountedDualRun(DualRun):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            dual_runs.append(kwargs.get("w", args[4] if len(args) > 4 else None))
+        def __init__(self, cells, e, l, budget):
+            super().__init__(cells, e, l, budget)
+            dual_runs.append(cells)
 
     make = simnet.make_scheme
 
@@ -1459,7 +1475,7 @@ def test_run_frames_binds_once_per_run(monkeypatch, name):
         assert len(binds) == 1 and len(frames) == n_frames
         cells, e, l, cap = binds[0]
         assert cells.n_cells == runs * 7 and len(e) == len(l) == len(cap) == runs * 21
-        assert dual_runs == ([None] if name == "nr" else [])
+        assert len(dual_runs) == (1 if name == "nr" else 0) and all(layout is cells for layout in dual_runs)
 
 
 @pytest.mark.parametrize("runs", [1, 4])

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -672,9 +672,9 @@ def test_property_solve_dual_sinr_against_budget_scale(cell, c):
 
 
 def _frame_solve(cells, w, e, l, budget):
-    """The frame solve of every cell of ``cells``, bound to the frame's
-    weights as :func:`solve_dual` binds it."""
-    return DualRun(cells, e, l, budget, w).solve(w)
+    """The frame solve of every cell of ``cells`` under weights ``w``, by
+    a fresh binding, as a run binds it."""
+    return DualRun(cells, e, l, budget).solve(w)
 
 
 class _RecordingDualRun(DualRun):
@@ -854,48 +854,66 @@ def _assert_same_frame(got, want):
 
 @pytest.mark.parametrize("cfg", [_DEFAULT, _GRID72, _BATCH4], ids=["default", "grid72", "batch4"])
 def test_run_bound_frame_solve_is_the_per_call_solve(cfg):
-    # a run binds its frame solve once, without weights, and each of its
-    # frames equals the solve bound to that frame's weights
+    # a run binds its frame solve once, and each of its frames equals the
+    # solve of a fresh binding: nothing a frame leaves behind changes the
+    # next
     runs = _nr_runs(cfg)
     assert len(runs) == 1 and len(runs[0].frames) == 80
     for (cells, w, e, l, budget), alloc in runs[0].frames:
         _assert_same_frame(alloc, _frame_solve(cells, w, e, l, budget))
 
 
-def test_run_bound_frame_solve_is_the_weight_bound_solve():
-    # an empty cell and a user without SINR: a binding without weights
-    # serves frames of positive weights, each equal to the solve bound to
-    # its weights; bound to weights with a zero, the zero-weight user takes
-    # no band, as solve_dual gives it none
+def test_run_bound_frame_solve_is_the_per_cell_solve_dual():
+    # an empty cell and a budget per cell: a binding serves frames of
+    # positive weights, each equal to a fresh binding's solve; every cell's
+    # schedule is the one solve_dual gives it alone, and a user of zero
+    # weight or SINR added to that call takes no band
     rng = np.random.default_rng(7)
     n = 40
     cell_of = rng.integers(0, 5, n)
     cell_of[cell_of == 3] = 4
     e = 10.0 ** rng.uniform(-3, 1, n)
     l = 10.0 ** rng.uniform(-15, -11, n)
-    e[5] = 0.0
     cells = Cells.from_cell_of(cell_of, 5)
     budget = np.array([3e-13, 1e-13, 5e-13, 2e-13, 4e-13])
     run = DualRun(cells, e, l, budget)
     for frame in range(6):
         w = 10.0 ** rng.uniform(-6, 0, n)
+        got = run.solve(w)
         want = _frame_solve(cells, w, e, l, budget)
         assert np.isnan(want.lambda1[3]) and want.probes[3] == 0
-        _assert_same_frame(run.solve(w), want)
-        zero = rng.integers(0, n)
-        w[zero] = 0.0
-        got = _frame_solve(cells, w, e, l, budget)
-        assert got.x[zero] == got.p[zero] == 0.0
-        k = cell_of[zero]
+        _assert_same_frame(got, want)
+        k = cell_of[rng.integers(0, n)]
         ms = cells.index[k, cells.valid[k]]
-        alloc = solve_dual(_links(w[ms].tolist(), e[ms].tolist(), l[ms].tolist()), budget[k])
-        assert got.x[ms].tolist() == alloc.x and got.p[ms].tolist() == alloc.p
+        links = _links(w[ms].tolist(), e[ms].tolist(), l[ms].tolist())
+        at = rng.integers(0, len(ms) + 1, 2)
+        links.insert(at[0], UserLink(id=-1, weight=0.0, norm_sinr=1.0, norm_interference=1e-13))
+        links.insert(at[1], UserLink(id=-2, weight=1.0, norm_sinr=0.0, norm_interference=1e-13))
+        alloc = solve_dual(links, budget[k])
+        idle = [i for i, u in enumerate(links) if u.id < 0]
+        assert [alloc.x[i] for i in idle] == [alloc.p[i] for i in idle] == [0.0, 0.0]
+        kept = [i for i, u in enumerate(links) if u.id >= 0]
+        assert got.x[ms].tolist() == [alloc.x[i] for i in kept]
+        assert got.p[ms].tolist() == [alloc.p[i] for i in kept]
+        assert (got.lambda1[k], got.lambda2[k], got.probes[k]) == (alloc.lambda1, alloc.lambda2, alloc.iterations)
+
+
+def test_dual_run_refuses_a_user_without_sinr_at_bind():
+    # a run's SINRs are positive, so a binding takes every user of its
+    # layout and refuses one with e <= 0 (or NaN) before any frame
+    cells = Cells.from_cell_of([0, 1, 1, 0], 2)
+    l = np.ones(4)
+    for bad in (0.0, -1.0, np.nan):
+        e = np.array([1.0, 2.0, bad, 3.0])
+        with pytest.raises(NoTransmitterError, match=re.escape("users [2] have no positive SINR")):
+            DualRun(cells, e, l, 1.0)
+    assert DualRun(cells, np.array([1.0, 2.0, 0.5, 3.0]), l, 1.0).counts == [2, 2]
 
 
 def _seeds(cells, w, e, l, budget):
     """The seed pass of a frame: per cell ``lo, a, hi, b, start`` and the
     settled user (-1 if none)."""
-    run = DualRun(cells, e, l, budget, w)
+    run = DualRun(cells, e, l, budget)
     return run.seed(*run.rows_of(w))
 
 
@@ -949,9 +967,32 @@ def test_property_solve_dual_matches_reference_walk(cell):
     assert alloc.objective == pytest.approx(_objective(x, p, w, e), rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(simulator_cells(), st.data())
+def test_property_solve_dual_is_the_solve_of_its_transmitting_links(cell, data):
+    # users of zero weight or SINR take no band and no power, and the others
+    # get, bit for bit, what solve_dual gives them alone
+    links, budget = cell
+    rare = st.lists(st.sampled_from([False, False, False, True]), min_size=len(links), max_size=len(links))
+    links = [replace(u, weight=0.0 if zero_w else u.weight, norm_sinr=0.0 if zero_e else u.norm_sinr)
+             for u, zero_w, zero_e in zip(links, data.draw(rare), data.draw(rare))]
+    on = [u.weight > 0.0 and u.norm_sinr > 0.0 for u in links]
+    if not any(on):
+        with pytest.raises(NoTransmitterError, match="^no user with positive weight and SINR$"):
+            solve_dual(links, budget)
+        return
+    got = asdict(solve_dual(links, budget))
+    want = asdict(solve_dual([u for u, ok in zip(links, on) if ok], budget))
+    for name in ("x", "p"):
+        values = iter(want[name])
+        want[name] = [next(values) if ok else 0.0 for ok in on]
+    assert repr(got) == repr(want)
+
+
 def test_frame_solve_equals_per_cell_solve_dual():
-    # cells of mixed size, one of them empty, some users with no weight or
-    # SINR: every cell's schedule is the one solve_dual gives it alone
+    # cells of mixed size, one of them empty: every cell's schedule is the
+    # one solve_dual gives it alone, and the users of zero weight or SINR
+    # that the per-cell calls add, which the frame leaves out, take nothing
     rng = np.random.default_rng(31)
     n = 60
     cell_of = rng.integers(0, 6, n)
@@ -959,21 +1000,31 @@ def test_frame_solve_equals_per_cell_solve_dual():
     w = 10.0 ** rng.uniform(-6, 0, n)
     e = 10.0 ** rng.uniform(-3, 1, n)
     l = 10.0 ** rng.uniform(-15, -11, n)
-    w[::7] = 0.0
-    e[3::11] = 0.0
+    w_call, e_call = w.copy(), e.copy()
+    w_call[::7] = 0.0
+    e_call[3::11] = 0.0
+    on = np.flatnonzero((w_call > 0.0) & (e_call > 0.0))
     budget = 3e-13
-    cells = Cells.from_cell_of(cell_of, 6)
-    sol = _frame_solve(cells, w, e, l, budget)
-    for k, ms, (wk, ek, lk) in _cells_of(cells, w, e, l):
+    cells = Cells.from_cell_of(cell_of[on], 6)
+    sol = _frame_solve(cells, w[on], e[on], l[on], budget)
+    x, p = np.zeros(n), np.zeros(n)
+    x[on], p[on] = sol.x, sol.p
+    for k in range(6):
+        ms = np.flatnonzero(cell_of == k)
         if not len(ms):
             assert np.isnan(sol.kkt_residual[k]) and np.isnan(sol.lambda1[k]) and sol.probes[k] == 0
             continue
-        alloc = solve_dual(_links(wk, ek, lk), budget)
-        assert sol.x[ms].tolist() == alloc.x and sol.p[ms].tolist() == alloc.p
+        alloc = solve_dual(_links(w_call[ms].tolist(), e_call[ms].tolist(), l[ms].tolist()), budget)
+        assert x[ms].tolist() == alloc.x and p[ms].tolist() == alloc.p
         assert (sol.lambda1[k], sol.lambda2[k]) == (alloc.lambda1, alloc.lambda2)
         assert sol.probes[k] == alloc.iterations
         assert abs(sol.kkt_residual[k] - alloc.kkt_residual) <= 1e-14
-    w[cells.index[2, cells.valid[2]]] = 0.0
+    assert len(on) < n and cells.n_cells - len(cells.occupied) == 1
+    # a cell none of whose users can transmit: solve_dual refuses it, and a
+    # binding refuses its users without SINR
+    ms = np.flatnonzero(cell_of == 2)
+    w_call[ms] = 0.0
+    with pytest.raises(NoTransmitterError, match="^no user with positive weight and SINR$"):
+        solve_dual(_links(w_call[ms].tolist(), e_call[ms].tolist(), l[ms].tolist()), budget)
     with pytest.raises(NoTransmitterError):
-        _frame_solve(cells, w, e, l, budget)
-
+        DualRun(Cells.from_cell_of(cell_of, 6), e_call, l, budget)

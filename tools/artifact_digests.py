@@ -9,7 +9,10 @@ Every invocation runs in process through ``noiserise.cli.main`` from this
 tree's ``src``, writing into a temporary directory.  Each artifact prints
 one ``label file sha256`` line.  ``summary.json`` is hashed without its
 ``runtime_s`` key, the one value that differs between identical runs;
-``solve`` writes no file, so its stdout is hashed.  A change meant to
+``solve`` writes no file, so its stdout is hashed, and the library's
+``solve_dual`` is hashed as the JSON of its results on README's instance
+and on that instance with a user of zero weight and one of zero SINR
+appended.  A change meant to
 keep the artifacts byte-identical prints the same lines as its parent.
 ``--against REV`` checks that: it extracts REV's ``src`` with ``git
 archive`` into a temporary directory, runs this script there in a
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -35,7 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from noiserise import UserLink  # noqa: E402
 from noiserise.cli import main as noiserise_main  # noqa: E402
+from noiserise.simnet import solve_dual  # noqa: E402
 
 # the single-cell instance of README's "Solve a single-cell instance"
 README_INSTANCE = {
@@ -125,6 +131,11 @@ def digest_lines() -> list:
         instance.write_text(json.dumps(README_INSTANCE))
         stdout = _call(["solve", str(instance), "--trace"])
         lines.append(f"solve_readme stdout {hashlib.sha256(stdout.encode()).hexdigest()}")
+    links = [UserLink(id=i, **user) for i, user in enumerate(README_INSTANCE["users"])]
+    idle = [UserLink(id=2, weight=0.0, norm_sinr=1.0, norm_interference=1.0),
+            UserLink(id=3, weight=1.0, norm_sinr=0.0, norm_interference=1.0)]
+    solved = [dataclasses.asdict(solve_dual(cell, README_INSTANCE["budget"])) for cell in (links, links + idle)]
+    lines.append(f"library_solve_dual json {hashlib.sha256(json.dumps(solved).encode()).hexdigest()}")
     return lines
 
 

@@ -155,13 +155,12 @@ def bind_target_sinr(cells: Cells, e, l, cap, target_sinr):
     power = np.zeros(len(e))
     power[able] = np.minimum(target_sinr / e[able], cap[able])
     rate = math.log1p(target_sinr)
-    # a user without e > 0 keeps the buffer's -inf, which is never
-    # multiplied by a weight: a weight of 0 would make it NaN
-    scores = cells.score_buffer()
-    users = scores[:-1]
+    # a user without e > 0 keeps its -inf, which is never multiplied by
+    # a weight: a weight of 0 would make it NaN
+    scores = np.full(len(e), -np.inf)
 
     def schedule(w):
-        np.multiply(w, rate, out=users, where=able)
+        np.multiply(w, rate, out=scores, where=able)
         return winner_takes_band(cells, scores, power)
 
     return schedule

@@ -190,12 +190,16 @@ def load_config(path: str | None, overrides=None) -> tuple[SimConfig, str]:
         except ValueError as exc:
             raise ConfigError(f"{_SECTION_OF[cls]}.{exc}") from None
 
-    cfg = SimConfig(
+    parts = dict(
         deployment=build(DeploymentConfig),
         channel=build(ChannelConfig, pathloss=build(PathLossParams)),
         scheme=build(SchemeConfig),
         run=build(RunConfig),
     )
+    try:
+        cfg = SimConfig(**parts)
+    except ValueError as exc:  # a budget that is not positive and finite
+        raise ConfigError(f"scheme.{exc}") from None
     return cfg, _resolved_text(cfg)
 
 

@@ -80,10 +80,13 @@ def link_arrays(links):
 class Cells:
     """Which users each cell serves, as a padded index matrix.
 
-    Row k of ``index`` lists cell k's users in ascending order, padded
-    with 0 where ``valid`` is False; ``cell_of[i]`` is user i's cell.
-    Per-user arrays gathered through ``index`` give one row per cell, so
-    a reduction along axis 1 schedules every cell at once.
+    Row k of ``index`` lists cell k's users in ascending order, then
+    repeats its first user where ``valid`` is False; an empty cell's row
+    is all padding, which no reader uses.  ``cell_of[i]`` is user i's
+    cell.  Per-user arrays gathered through ``index`` give one row per
+    cell, so a reduction along axis 1 schedules every cell at once, and
+    an argmax along it never picks the padding, which ties the row's
+    first entry.
     """
 
     cell_of: np.ndarray
@@ -102,7 +105,7 @@ class Cells:
         valid = np.arange(max(int(counts.max(initial=0)), 1))[None, :] < counts[:, None]
         index = np.zeros(valid.shape, dtype=np.intp)
         index[valid] = np.argsort(cell_of, kind="stable")  # row-major fill keeps cell order
-        return cls(cell_of=cell_of, index=index, valid=valid)
+        return cls(cell_of=cell_of, index=np.where(valid, index, index[:, :1]), valid=valid)
 
     @classmethod
     def single(cls, n: int) -> "Cells":
@@ -126,28 +129,18 @@ class Cells:
 
     @cached_property
     def _pick(self):
-        """The users of each occupied cell as one padded row, the padding
-        at ``n``, the slot after the last of the ``n`` users; the rows
-        flattened; and the offset of each row in them."""
-        rows = self.occupied
-        padded = np.where(self.valid[rows], self.index[rows], len(self.cell_of))
-        row_base = np.arange(0, padded.size, padded.shape[1])
-        padded.flags.writeable = row_base.flags.writeable = False
-        return padded, padded.ravel(), row_base
-
-    def score_buffer(self) -> np.ndarray:
-        """A buffer of scores for :meth:`winners`: one per user, for the
-        caller to write, and a last entry ``-inf``, which the padding
-        reads and which the caller leaves as it is."""
-        return np.full(len(self.cell_of) + 1, -np.inf)
+        """The rows of the occupied cells, the rows flattened, and the
+        offset of each row in them; read-only."""
+        rows = self.index[self.occupied]
+        row_base = np.arange(0, rows.size, rows.shape[1])
+        rows.flags.writeable = row_base.flags.writeable = False
+        return rows, rows.ravel(), row_base
 
     def winners(self, scores):
         """Each non-empty cell's highest-scoring user, ties to the lowest
-        index, in the order of :attr:`occupied`.  ``scores`` is a
-        :meth:`score_buffer`, so that every row's padding scores ``-inf``
-        and one gather scores every occupied cell."""
-        padded, flat, row_base = self._pick
-        return flat[row_base + scores[padded].argmax(axis=1)]
+        index, in the order of :attr:`occupied`, from one score per user."""
+        rows, flat, row_base = self._pick
+        return flat[row_base + scores[rows].argmax(axis=1)]
 
     def sums(self, values):
         """Per-cell sums of a per-user array."""
@@ -221,8 +214,7 @@ class Winners:
 
 def winner_takes_band(cells: Cells, scores, power) -> Winners:
     """Each non-empty cell's highest-scoring user, ties to the lowest
-    index, holds the whole band at its entry of the per-user ``power``;
-    ``scores`` is a :meth:`Cells.score_buffer`."""
+    index, holds the whole band at its entry of the per-user ``power``."""
     users = cells.winners(scores)
     return Winners(users, power[users], len(cells.cell_of))
 
@@ -236,18 +228,16 @@ def greedy(rates, value):
     Bound to a run's layout ``cells`` and the arrays ``e`` and ``l`` it
     hands every frame, it computes them once and returns the run's frame
     function ``schedule(w)``: each non-empty cell's user with the best
-    ``w * rate``, written into the binding's :meth:`Cells.score_buffer`,
-    takes the band at ``power`` (:func:`winner_takes_band`).  ``cap`` is
-    not used.
+    ``w * rate``, written into the binding's one score buffer, takes the
+    band at ``power`` (:func:`winner_takes_band`).  ``cap`` is not used.
     """
 
     def bind(cells: Cells, e, l, cap):
         rate, power = rates(e, l, cells.per_cell(value)[cells.cell_of])
-        scores = cells.score_buffer()
-        users = scores[:-1]
+        scores = np.empty(len(e))
 
         def schedule(w):
-            np.multiply(w, rate, out=users)
+            np.multiply(w, rate, out=scores)
             return winner_takes_band(cells, scores, power)
 
         return schedule
@@ -273,7 +263,8 @@ def noise_rise_budget_from_db(target_db, n0_density, bandwidth):
     The reference is the total in-band noise power ``P_N = n0_density *
     bandwidth``; a target of gamma dB then tolerates interference
     ``I = P_N * (10**(gamma/10) - 1)`` before the received noise plus
-    interference exceeds gamma over the noise floor.
+    interference exceeds gamma over the noise floor.  A budget that
+    underflows to 0 or overflows raises ``ValueError``.
     """
     if not target_db > 0:
         raise ValueError(f"target_db must be > 0, got {target_db!r}")
@@ -282,7 +273,11 @@ def noise_rise_budget_from_db(target_db, n0_density, bandwidth):
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
     p_noise = n0_density * bandwidth
-    return NoiseRiseBudget(float(target_db), p_noise * (10.0 ** (target_db / 10.0) - 1.0))
+    try:
+        rise = 10.0 ** (target_db / 10.0)
+    except OverflowError:
+        rise = math.inf  # which NoiseRiseBudget refuses
+    return NoiseRiseBudget(float(target_db), p_noise * (rise - 1.0))
 
 
 _SLACK = 1e-9  # relative rounding a feasibility check forgives on each bound

@@ -277,8 +277,7 @@ class Deployment:
     ``gain_matrix[ms, bs]`` is a linear power gain and ``serving_map[ms]``
     the strongest-gain BS.  Derived per-MS quantities (serving gain,
     summed non-serving gain) and the cell membership layout ``cells`` are
-    computed once at construction; ``members(cell)`` lists a cell's
-    mobiles in ascending order.
+    computed once at construction.
     """
 
     serving_map: np.ndarray
@@ -309,11 +308,6 @@ class Deployment:
     @property
     def n_ms(self) -> int:
         return self.gain_matrix.shape[0]
-
-    def members(self, bs: int) -> np.ndarray:
-        if not 0 <= bs < self.n_bs:
-            raise ValueError(f"unknown BS id {bs!r}")
-        return self.cells.index[bs, self.cells.valid[bs]]
 
 
 _draws: dict | None = None  # the shared draws while a shared_draws block runs
@@ -436,16 +430,10 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
 
     Without ``egress``, a :class:`Winners` frame is checked on its winners
     alone: their powers, and one test that the k-th winner lies in the
-    k-th occupied cell, for every occupied cell and no more.  The bounds
-    are scaled by the forgiven rounding once: ``I`` here, and ``cap`` once
-    per read-only cap array, as a run hands every frame the same one."""
+    k-th occupied cell, for every occupied cell and no more.  ``I`` is
+    scaled by the forgiven rounding once, here; each frame scales the caps
+    it bounds, a winners frame only its winners'."""
     I_max = I * (1.0 + _SLACK)
-    scaled = [None, None]  # the last read-only cap and its bound
-
-    def cap_max(cap):
-        if scaled[0] is not cap or cap.flags.writeable:
-            scaled[:] = cap, _cap_bound(cap)
-        return scaled[1]
 
     def check_winners(cells, alloc, l, cap):
         users, power, occupied = alloc.users, alloc.power, cells.occupied
@@ -453,7 +441,7 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             raise ValueError("bandwidth overcommitted or idle: not one winner per occupied cell")
         if not np.minimum.reduce(power) >= 0.0:
             raise ValueError("negative or NaN allocation")
-        _refuse_over_cap(power, cap_max(cap)[users], users)
+        _refuse_over_cap(power, _cap_bound(cap[users]), users)
         # a winner's density l p / x at x = 1
         if density and not np.logical_and.reduce(l[users] * power <= (I_max[occupied] if np.ndim(I) else I_max)):
             raise ValueError("per-user density cap violated")
@@ -468,7 +456,7 @@ def _frame_check(I, tol_kkt, egress=False, density=False):
             raise ValueError("negative or NaN allocation")
         if not np.maximum.reduce(cells.sums(x)) <= 1.0 + _SLACK:
             raise ValueError("bandwidth overcommitted")
-        _refuse_over_cap(p, cap_max(cap))
+        _refuse_over_cap(p, _cap_bound(cap))
         if p.dot(x == 0.0) > 0.0:  # the powers are finite and >= 0 here
             raise ValueError("power on a user without band")
         if egress:
@@ -653,8 +641,11 @@ def _quantize_frame(cells: Cells, alloc: FrameAllocation, l, cap, num_units: int
     rounded to zero units lose their power; the freed egress is handed
     back in proportion to the surviving powers (clamped at ``cap``), which
     keeps each cell's egress at or below its pre-quantization level and
-    hence within the budget.  ``cells.sums`` adds a cell's users in
-    ascending order, as a walk over the cell would.
+    hence within the budget.  Each user's density ``l p / x`` is not
+    kept: a share rounded down, or a power scaled up, can break a density
+    scheme's per-user cap ``l p <= I x``, and the frame's check ran before
+    the rounding.  ``cells.sums`` adds a cell's users in ascending order,
+    as a walk over the cell would.
     """
     x, p = alloc.x, alloc.p
     scaled = x * num_units
@@ -723,11 +714,10 @@ class _Run:
         drawn = deployment.cells
         copy = np.arange(runs)
         # the draw's layout offset to each copy's cells and mobiles, not
-        # sorted again; the padding of ``index`` stays 0, as from_cell_of
-        # leaves it
+        # sorted again
         self.cells = Cells(
             cell_of=(drawn.cell_of + (copy * n_bs)[:, None]).ravel(),
-            index=(drawn.index + (copy * n_ms)[:, None, None] * drawn.valid).reshape(runs * n_bs, -1),
+            index=(drawn.index + (copy * n_ms)[:, None, None]).reshape(runs * n_bs, -1),
             valid=np.tile(drawn.valid, (runs, 1)),
         )
         self.g = np.tile(deployment.serving_gain, runs)
@@ -864,6 +854,13 @@ class ChannelConfig:
         _check_finite(self)
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
+        try:
+            p_noise = self.noise_power_w
+        except OverflowError:
+            p_noise = math.inf
+        if not 0.0 < p_noise < math.inf:
+            raise ValueError(f"n0_dbm_per_hz + noise_figure_db must give a positive finite noise power, "
+                             f"got {p_noise!r} W")
 
     @property
     def n0_w_per_hz(self) -> float:
@@ -930,6 +927,12 @@ class SimConfig:
     scheme: SchemeConfig = SchemeConfig()
     solver: SolverConfig = SolverConfig()
     run: RunConfig = RunConfig()
+
+    def __post_init__(self):
+        try:
+            self.budget()
+        except ValueError as exc:
+            raise ValueError(f"noise_rise_db must give a positive finite budget: {exc}") from None
 
     def budget(self) -> NoiseRiseBudget:
         return noise_rise_budget_from_db(

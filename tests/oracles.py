@@ -245,6 +245,13 @@ def cascade_ref(weights, sinrs, interferences, caps, budget):
     return x, p
 
 
+def cell_members(deployment, bs):
+    """The mobiles that base station ``bs`` serves, in ascending order."""
+    if not 0 <= bs < deployment.n_bs:
+        raise ValueError(f"unknown BS id {bs!r}")
+    return np.flatnonzero(deployment.serving_map == bs)
+
+
 def egress_interference(powers, norm_interferences):
     """Total interference a cell injects into its neighbors: sum of l_i * p_i."""
     if len(powers) != len(norm_interferences):
@@ -264,7 +271,7 @@ def ingress_interference(deployment, allocations, target_bs):
     cells; each transmission is assumed spread uniformly over the band so
     a single scalar per station suffices.  ``allocations`` maps each cell
     index to its :class:`Allocation`, with entries ordered like
-    ``deployment.members(cell)``.
+    ``cell_members(deployment, cell)``.
     """
     n_bs = deployment.n_bs
     if not 0 <= target_bs < n_bs:
@@ -278,7 +285,7 @@ def ingress_interference(deployment, allocations, target_bs):
             alloc = allocations[k]
         except (KeyError, IndexError):
             raise ValueError(f"missing allocation for cell {k}") from None
-        members = deployment.members(k)
+        members = cell_members(deployment, k)
         if len(alloc.p) != len(members):
             raise ValueError(f"allocation for cell {k} does not match its member count")
         for ms, p in zip(members, alloc.p):
@@ -462,7 +469,7 @@ def reference_run_frame(deployment, schedule, weights, cfg):
     power = np.zeros(n_ms)
     frac = np.zeros(n_ms)
     for k in range(n_bs):
-        members = deployment.members(k)
+        members = cell_members(deployment, k)
         links = [
             UserLink(
                 id=int(ms),
@@ -484,7 +491,7 @@ def reference_run_frame(deployment, schedule, weights, cfg):
     ingress = np.empty(n_bs)
     egress = np.empty(n_bs)
     for k in range(n_bs):
-        members = deployment.members(k)
+        members = cell_members(deployment, k)
         own = float(gain[members, k] @ power[members]) if len(members) else 0.0
         ingress[k] = max(received[k] - own, 0.0)
         egress[k] = float(deployment.norm_interference[members] @ power[members]) if len(members) else 0.0
@@ -492,12 +499,12 @@ def reference_run_frame(deployment, schedule, weights, cfg):
     ms_bits = np.zeros(n_ms)
     for k in range(n_bs):
         noise_k = p_noise + ingress[k]
-        for ms in deployment.members(k):
+        for ms in cell_members(deployment, k):
             if frac[ms] > 0.0 and power[ms] > 0.0:
                 e_act = float(deployment.serving_gain[ms]) / noise_k
                 rate = shannon_rate(float(frac[ms]), float(power[ms]), e_act, band)
                 ms_bits[ms] = rate / LN2 * cfg.run.frame_duration_s
-    cell_bits = np.array([ms_bits[deployment.members(k)].sum() for k in range(n_bs)])
+    cell_bits = np.array([ms_bits[cell_members(deployment, k)].sum() for k in range(n_bs)])
     ingress_db = 10.0 * np.log10((p_noise + ingress) / p_noise)
     metrics = FrameMetrics(
         cell_bits=cell_bits,

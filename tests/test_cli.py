@@ -352,6 +352,37 @@ def test_cmd_run_invalid_setting_exit_1(tmp_path, capsys, overrides):
     assert not (tmp_path / "x").exists()
 
 
+# a noise-rise target or a noise density whose linear value underflows to
+# 0 or overflows: the run's and the sweep's way to give it, and the error
+_NOT_POSITIVE_FINITE = {
+    "budget_underflows": (["--set", "scheme.noise_rise_db=1e-20"], ["--db", "1e-20"],
+                          "scheme.noise_rise_db must give a positive finite budget: "),
+    "budget_overflows": (["--set", "scheme.noise_rise_db=5000"], ["--db", "5000"],
+                         "scheme.noise_rise_db must give a positive finite budget: "),
+    "noise_overflows": (["--set", "channel.n0_dbm_per_hz=5000"], ["--set", "channel.n0_dbm_per_hz=5000"],
+                        "channel.n0_dbm_per_hz + noise_figure_db must give a positive finite noise power, got inf W"),
+    "noise_underflows": (["--set", "channel.n0_dbm_per_hz=-5000"], ["--set", "channel.n0_dbm_per_hz=-5000"],
+                         "channel.n0_dbm_per_hz + noise_figure_db must give a positive finite noise power, got 0.0 W"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", sorted(_NOT_POSITIVE_FINITE))
+def test_noise_or_budget_not_positive_finite_exit_1(tmp_path, capsys, monkeypatch, command, case):
+    from noiserise import cli
+
+    def no_runs(cfg):
+        raise AssertionError("a simulation ran on a config it should have refused")
+
+    monkeypatch.setattr(cli, "run_simulation", no_runs)
+    run_args, sweep_args, message = _NOT_POSITIVE_FINITE[case]
+    out = tmp_path / "x"
+    assert main([command, "--out", str(out), *(run_args if command == "run" else sweep_args)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("case", ["directory", "not_utf8"])
 def test_unreadable_config_file_exit_1(tmp_path, capsys, command, case):

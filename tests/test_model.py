@@ -28,7 +28,7 @@ from noiserise.simnet import (
 )
 from noiserise.solver import solve_joint
 
-from oracles import egress_interference, ingress_interference, shannon_rate
+from oracles import cell_members, egress_interference, ingress_interference, shannon_rate
 
 
 def test_shannon_rate_unit_case():
@@ -149,8 +149,8 @@ def _zero_alloc(n):
 
 def test_ingress_single_active_cell_excludes_own():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=3), PathLossParams(), seed=9)
-    allocations = [_zero_alloc(len(dep.members(k))) for k in range(dep.n_bs)]
-    members0 = dep.members(0)
+    allocations = [_zero_alloc(len(cell_members(dep, k))) for k in range(dep.n_bs)]
+    members0 = cell_members(dep, 0)
     alloc0 = Allocation(x=[1.0] + [0.0] * (len(members0) - 1), p=[2.0] + [0.0] * (len(members0) - 1))
     allocations[0] = alloc0
     assert ingress_interference(dep, allocations, 0) == 0.0
@@ -162,7 +162,7 @@ def test_ingress_single_active_cell_excludes_own():
 def test_ingress_unknown_bs():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=3), PathLossParams(), seed=9)
     with pytest.raises(ValueError, match="unknown BS id 7"):
-        ingress_interference(dep, [_zero_alloc(len(dep.members(k))) for k in range(dep.n_bs)], 7)
+        ingress_interference(dep, [_zero_alloc(len(cell_members(dep, k))) for k in range(dep.n_bs)], 7)
 
 
 def _hand_deployment(gain):
@@ -204,6 +204,13 @@ def test_budget_rejects_nonpositive_db():
         noise_rise_budget_from_db(0.0, 1e-20, 1e7)
     with pytest.raises(ValueError):
         noise_rise_budget_from_db(-3.0, 1e-20, 1e7)
+
+
+def test_budget_refuses_a_target_that_underflows_or_overflows():
+    # 10**(1e-21) - 1 is 0.0, and 10**500 overflows: each a ValueError
+    for target_db in (1e-20, 5000.0):
+        with pytest.raises(ValueError, match="linear_budget must be finite and > 0"):
+            noise_rise_budget_from_db(target_db, 1e-20, 1e7)
 
 
 def test_budget_watts_takes_a_budget_or_a_real_number():

@@ -44,6 +44,7 @@ from noiserise.solver import DualRun, NoTransmitterError, _objective
 
 from oracles import (
     FrameMetrics,
+    cell_members,
     reference_draw,
     reference_quantize,
     reference_run_frame,
@@ -214,56 +215,72 @@ def test_cells_layout_matches_members():
     dep = build_deployment(DeploymentConfig(rings=1, ms_per_cell=4), PathLossParams(), seed=3)
     cells = dep.cells
     assert np.array_equal(cells.cell_of, dep.serving_map)
+    firsts = [cell_members(dep, k)[0] for k in range(dep.n_bs)]
     for k in range(dep.n_bs):
-        assert np.array_equal(dep.members(k), np.flatnonzero(dep.serving_map == k))
-        assert np.array_equal(cells.index[k][cells.valid[k]], dep.members(k))
-    # ties go to the lowest index, as in a walk over members(k); the
-    # winners read the users' scores, written into the buffer, alone
-    scores = cells.score_buffer()
-    assert len(scores) == dep.n_ms + 1 and np.all(scores == -np.inf)
-    scores[:-1] = 1.0
-    assert np.array_equal(cells.winners(scores), [dep.members(k)[0] for k in range(dep.n_bs)])
-    assert scores[-1] == -np.inf and np.all(scores[:-1] == 1.0)
+        assert np.array_equal(cells.index[k][cells.valid[k]], cell_members(dep, k))
+    # ties go to the lowest index, as in a walk over a cell's members, at
+    # -inf too; the winners read one score per user and write none
+    for value in (1.0, -np.inf):
+        scores = np.full(dep.n_ms, value)
+        scores.flags.writeable = False
+        assert np.array_equal(cells.winners(scores), firsts)
 
 
 def test_cells_with_an_empty_cell():
     cells = Cells.from_cell_of([2, 0, 2, 0], 3)
     assert cells.valid.sum(axis=1).tolist() == [2, 0, 2]
-    scores = cells.score_buffer()
-    scores[:-1] = [1.0, 5.0, 3.0, 2.0]
-    assert cells.winners(scores).tolist() == [1, 2]
+    assert cells.winners(np.array([1.0, 5.0, 3.0, 2.0])).tolist() == [1, 2]
     assert cells.sums(np.ones(4)).tolist() == [2.0, 0.0, 2.0]
-    # a cell of three beside a cell of two: the padding's -inf never wins
+    # a cell of three beside a cell of two, whose padding repeats its
+    # first user: the padding ties that user and never wins
     cells = Cells.from_cell_of([2, 0, 2, 0, 2], 3)
-    scores = cells.score_buffer()
-    scores[:-1] = [-np.inf, 5.0, -np.inf, 2.0, -np.inf]
-    assert cells.winners(scores).tolist() == [1, 0]
-    scores[:-1] = [1.0, 5.0, 3.0, 2.0, 3.0]
-    assert cells.winners(scores).tolist() == [1, 2]
+    assert cells.index[[0, 2]].tolist() == [[1, 3, 1], [0, 2, 4]]
+    assert cells.winners(np.array([-np.inf, 5.0, -np.inf, 2.0, -np.inf])).tolist() == [1, 0]
+    assert cells.winners(np.array([1.0, 5.0, 3.0, 2.0, 3.0])).tolist() == [1, 2]
+    assert cells.winners(np.array([1.0, 2.0, 3.0, 5.0, 3.0])).tolist() == [3, 2]
+    assert cells.winners(np.array([1.0, 2.0, 3.0, 2.0, 3.0])).tolist() == [1, 2]
+    assert cells.winners(np.full(5, -np.inf)).tolist() == [1, 0]
 
 
 @st.composite
-def winner_frames(draw):
-    """A run's layout of 1 to 4 copies of a drawn layout, some of whose
-    cells serve nobody, and per-user scores drawn from a few values, so
-    that ties are common, ``-inf`` among them."""
+def layouts(draw):
+    """A drawn deployment of 1 to 6 cells, some of which serve nobody, and
+    the layout of a run of 1 to 4 copies of it."""
     n_cells = draw(st.integers(1, 6))
     cell_of = draw(st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=12))
     copies = draw(st.integers(1, 4))
     dep = Deployment(serving_map=np.array(cell_of), gain_matrix=np.ones((len(cell_of), n_cells)))
-    run = _Run(dep, [SimConfig()] * copies)
-    scores = draw(st.lists(st.sampled_from([-np.inf, 0.0, 1.0, 2.5]), min_size=copies * len(cell_of),
-                           max_size=copies * len(cell_of)))
-    return run.cells, np.array(scores)
+    return dep, _Run(dep, [SimConfig()] * copies).cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts())
+def test_property_padding_repeats_each_rows_first_user(layout):
+    dep, run_cells = layout
+    for cells in (Cells.from_cell_of(dep.serving_map, dep.n_bs), run_cells):
+        for k in cells.occupied:
+            row, valid = cells.index[k], cells.valid[k]
+            assert np.array_equal(row[valid], np.flatnonzero(cells.cell_of == k))
+            assert np.all(row[~valid] == row[0])
+
+
+@st.composite
+def winner_frames(draw):
+    """A run's layout (:func:`layouts`) and per-user scores drawn from a
+    few values, so that ties are common, ``-inf`` among them."""
+    _, cells = draw(layouts())
+    n = len(cells.cell_of)
+    scores = draw(st.lists(st.sampled_from([-np.inf, 0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    return cells, np.array(scores)
 
 
 @settings(max_examples=200, deadline=None)
 @given(winner_frames())
 def test_property_winners_are_the_reference_pick(frame):
     cells, scores = frame
-    buffer = cells.score_buffer()
-    buffer[:-1] = scores
-    got = cells.winners(buffer)
+    # read-only, so that the pick cannot write the scores
+    scores.flags.writeable = False
+    got = cells.winners(scores)
     assert np.array_equal(got, reference_winners(cells, scores))
     # each occupied cell's first user among its best, in the order of the cells
     want = []
@@ -272,7 +289,6 @@ def test_property_winners_are_the_reference_pick(frame):
         want.append(members[np.argmax(scores[members] == scores[members].max())])
     assert got.tolist() == want
     assert np.array_equal(cells.occupied, np.unique(cells.cell_of))
-    assert buffer[-1] == -np.inf and np.array_equal(buffer[:-1], scores)
 
 
 def test_target_sinr_scores_no_weight_times_minus_inf():
@@ -350,7 +366,7 @@ def test_run_frame_isolated_cell_matches_shannon_rate():
     metrics = _first_frame(dep, scheme, cfg)
     # no other cell transmits, so cell 0 is scored at zero ingress
     assert metrics.ingress_w[0] == 0.0
-    members = dep.members(0)
+    members = cell_members(dep, 0)
     winner = [ms for ms in members if metrics.ms_power_w[ms] > 0]
     assert len(winner) == 1
     ms = winner[0]

@@ -79,6 +79,8 @@ INVOCATIONS = {
     "run_nr_density_q12": ["run", *_sets("scheme.name=nr_density", "run.quantize_units=12")],
     "run_nr_density_capped_24dbm_q48": ["run", *_sets("scheme.name=nr_density_capped",
                                                       "scheme.max_power_dbm=24", "run.quantize_units=48")],
+    # criterion 9's config: nr's cells of one or two users, quantized
+    "run_nr_q48": ["run", *_sets("run.quantize_units=48")],
     "run_nr_plain": ["run", *_sets("deployment.wrap=false")],
     "run_nr_shadowing8db": ["run", *_sets("channel.shadowing_sigma_db=8")],
     "run_nr_seed7243": ["run", *_sets("run.seed=7243")],

@@ -95,6 +95,11 @@ def _read_only(*arrays) -> None:
         array.flags.writeable = False
 
 
+def _positive_finite(a: np.ndarray) -> bool:
+    # two reductions, which NaN fails; the initial values pass an empty array
+    return a.min(initial=math.inf) > 0.0 and a.max(initial=0.0) < math.inf
+
+
 # ---------------------------------------------------------------------------
 # channel model
 
@@ -134,26 +139,25 @@ def cost_hata_pl(distance_m, params: PathLossParams = PathLossParams(), rng=None
     ``shadowing_sigma_db`` is added when an ``rng`` is supplied.
     """
     d = np.asarray(distance_m, dtype=float)
-    # two reductions, which NaN fails; the initial values pass no distances
-    if not (d.min(initial=math.inf) > 0.0 and d.max(initial=0.0) < math.inf):
+    if not _positive_finite(d):
         raise ValueError("distances must be positive and finite")
-    d = np.maximum(d, params.min_distance_m)
     lf = math.log10(params.freq_mhz)
     a_hm = (1.1 * lf - 0.7) * params.ms_height_m - (1.56 * lf - 0.8)
     slope = 44.9 - 6.55 * math.log10(params.bs_height_m)
-    pl = (
-        46.3
-        + 33.9 * lf
-        - 13.82 * math.log10(params.bs_height_m)
-        - a_hm
-        + slope * np.log10(d / 1000.0)
-        + params.c_m_db
-    )
+    intercept = 46.3 + 33.9 * lf - 13.82 * math.log10(params.bs_height_m) - a_hm
+    # intercept + slope * log10(d / 1 km) + c_m, in place on one fresh
+    # array (0-d for a scalar), so the caller's distances are never written
+    pl = np.maximum(d, params.min_distance_m, out=np.empty_like(d))
+    np.divide(pl, 1000.0, out=pl)
+    np.log10(pl, out=pl)
+    np.multiply(pl, slope, out=pl)
+    np.add(pl, intercept, out=pl)
+    np.add(pl, params.c_m_db, out=pl)
     if params.shadowing_sigma_db > 0:
         if rng is None:
             raise ValueError("shadowing requires an rng")
-        pl = pl + rng.normal(0.0, params.shadowing_sigma_db, size=np.shape(pl))
-    if np.ndim(distance_m) == 0:
+        np.add(pl, rng.normal(0.0, params.shadowing_sigma_db, size=pl.shape), out=pl)
+    if pl.ndim == 0:
         return float(pl)
     return pl
 
@@ -168,7 +172,8 @@ class DeploymentConfig:
 
     ``layout='rings'`` builds a hexagonal cluster with the given number of
     rings (2 rings -> 19 cells); ``layout='grid'`` builds a rows x cols
-    rhombic lattice (8 x 9 -> 72 cells).  ``ms_total`` overrides
+    rhombic lattice (8 x 9 -> 72 cells), which on the torus (``wrap``)
+    needs ``max(rows, cols) <= 2 * min(rows, cols)``.  ``ms_total`` overrides
     ``ms_per_cell * n_cells`` when set.
     """
 
@@ -191,6 +196,13 @@ class DeploymentConfig:
             raise ValueError("rings must be >= 0")
         if self.layout == "grid" and (self.rows < 1 or self.cols < 1):
             raise ValueError("rows and cols must be >= 1")
+        if self.layout == "grid" and self.wrap and max(self.rows, self.cols) > 2 * min(self.rows, self.cols):
+            # beyond that ratio a nearest lattice image can lie outside the
+            # 3x3 block of images that the distances are taken over
+            raise ValueError(
+                f"rows and cols of a wrapped grid need max(rows, cols) <= 2 * min(rows, cols), "
+                f"got {self.rows} x {self.cols}"
+            )
         if self.isd_m <= 0:
             raise ValueError("isd_m must be positive")
         if self.n_cells < 2:
@@ -241,7 +253,8 @@ def _lattice(cfg: DeploymentConfig):
         u1 = cfg.rows * a1
         u2 = cfg.cols * a2
         centered = False
-    bs = np.array([q * a1 + t * a2 for q, t in coords])
+    qt = np.array(coords, dtype=float)
+    bs = qt[:, :1] * a1 + qt[:, 1:] * a2
     return bs, u1, u2, centered
 
 
@@ -252,20 +265,35 @@ def _wrap_shifts(u1, u2, wrap: bool):
 
 
 def _distances(ms_xy, bs_xy, shifts):
-    # min over the 3x3 block of lattice images; exact for these lattices.
+    # The minimum over the given lattice images (the 3x3 block on a torus).
+    # That block holds a nearest image of every point on a ring layout and
+    # on a rows x cols grid with max(rows, cols) <= 2 min(rows, cols);
+    # DeploymentConfig refuses a longer wrapped grid.
+    # The images are taken a row at a time, a row being the images of one
+    # y-shift: the minimum of the row's squared x-offsets first, then the
+    # row's squared y-offset added once.  That is exact, because fl(a + c)
+    # never decreases as a grows, so the minimum commutes with adding c.
     # sqrt is monotone and correctly rounded, so it is taken once, after
-    # the minimum of the squared distances
-    mx, my = ms_xy[:, :1], ms_xy[:, 1:]
-    best = np.full((len(ms_xy), len(bs_xy)), np.inf)
-    dx = np.empty_like(best)
-    dy = np.empty_like(best)
+    # the minimum of the squared distances.
+    rows: dict = {}
     for sx, sy in shifts:
-        np.subtract(mx, bs_xy[:, 0] + sx, out=dx)
-        np.subtract(my, bs_xy[:, 1] + sy, out=dy)
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        np.minimum(best, dx, out=best)
+        rows.setdefault(sy, []).append(sx)
+    mx, my = ms_xy[:, :1], ms_xy[:, 1:]
+    best = np.empty((len(ms_xy), len(bs_xy)))
+    row, tmp = np.empty_like(best), np.empty_like(best)
+    for i, (sy, sxs) in enumerate(rows.items()):
+        acc = best if i == 0 else row
+        np.subtract(mx, bs_xy[:, 0] + sxs[0], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for sx in sxs[1:]:
+            np.subtract(mx, bs_xy[:, 0] + sx, out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.minimum(acc, tmp, out=acc)
+        np.subtract(my, bs_xy[:, 1] + sy, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(acc, tmp, out=acc)
+        if i:
+            np.minimum(best, acc, out=best)
     return np.sqrt(best, out=best)
 
 
@@ -290,7 +318,7 @@ class Deployment:
         gain = np.asarray(self.gain_matrix, dtype=float)
         if gain.ndim != 2:
             raise ValueError("gain_matrix must be 2-D (ms, bs)")
-        if not np.all(np.isfinite(gain)) or np.any(gain <= 0):
+        if not _positive_finite(gain):
             raise ValueError("channel gains must be positive and finite")
         n_ms, n_bs = gain.shape
         serving = np.asarray(self.serving_map, dtype=int)
@@ -363,8 +391,11 @@ def _draw_deployment(cfg: DeploymentConfig, channel: PathLossParams, seed) -> De
         st = rng.random((n_ms, 2))
         ms_xy = offset + st[:, :1] * u1 + st[:, 1:] * u2
         d = _distances(ms_xy, bs_xy, shifts)
-        pl = cost_hata_pl(d, channel, rng if channel.shadowing_sigma_db > 0 else None)
-        gain = 10.0 ** (-pl / 10.0)
+        # the gain 10 ** (-pl / 10), in place on the path-loss array
+        gain = cost_hata_pl(d, channel, rng if channel.shadowing_sigma_db > 0 else None)
+        np.negative(gain, out=gain)
+        np.divide(gain, 10.0, out=gain)
+        np.power(10.0, gain, out=gain)
         serving = gain.argmax(axis=1)
         counts = np.bincount(serving, minlength=n_bs)
         if counts.min() >= cfg.min_ms_per_cell:

@@ -12,11 +12,11 @@ per-user function calls.  The CSV writer formats one row tuple at a time,
 and the sweep runs one simulation per config and one calibration search
 per dB point.  The deployment draw places the base stations one at a
 time, measures the distance to each of the nine lattice images in turn
-and computes every path loss and gain before it counts a cell's
-mobiles.  Two exceptions are not references but views of the
-package's own bandwidth-step helpers on ``UserLink`` lists, for scans
-and for the tests of those helpers: :func:`lambda2_bounds` and
-:func:`bandwidth_for_multiplier`.
+and computes every path loss, by the formula written out, and gain
+before it counts a cell's mobiles.  Two exceptions are not references
+but views of the package's own bandwidth-step helpers on ``UserLink``
+lists, for scans and for the tests of those helpers:
+:func:`lambda2_bounds` and :func:`bandwidth_for_multiplier`.
 """
 
 import math
@@ -675,14 +675,37 @@ def dual_optimum(w, e, l, I):
     return x, p, lam, lam2, steps, converged, _kkt_residual(x, p, lam, lam2, w, e, l, I)
 
 
+def reference_path_loss(distance_m, params, rng=None):
+    """The COST-Hata path loss in dB written out, each term a new array:
+    the distances clamped to ``params.min_distance_m``, the formula, then
+    the shadowing draw added when ``params.shadowing_sigma_db > 0``.
+    :func:`noiserise.simnet.cost_hata_pl` must reproduce it bit for bit,
+    drawing the same normals from an ``rng`` in the same state."""
+    d = np.maximum(np.asarray(distance_m, dtype=float), params.min_distance_m)
+    lf = math.log10(params.freq_mhz)
+    a_hm = (1.1 * lf - 0.7) * params.ms_height_m - (1.56 * lf - 0.8)
+    slope = 44.9 - 6.55 * math.log10(params.bs_height_m)
+    pl = (
+        46.3
+        + 33.9 * lf
+        - 13.82 * math.log10(params.bs_height_m)
+        - a_hm
+        + slope * np.log10(d / 1000.0)
+        + params.c_m_db
+    )
+    if params.shadowing_sigma_db > 0:
+        pl = pl + rng.normal(0.0, params.shadowing_sigma_db, size=np.shape(pl))
+    return pl
+
+
 def reference_draw(cfg, channel, seed):
     """A deployment draw without shortcuts: the base stations one at a
     time, per draw each of the nine lattice images' squared distances in
-    turn, then every path loss and gain, then the strongest-gain count
-    that accepts or rejects the draw.
+    turn, then every path loss (:func:`reference_path_loss`) and gain,
+    then the strongest-gain count that accepts or rejects the draw.
     Returns ``(serving_map, gain_matrix)``, which
     :func:`noiserise.simnet.build_deployment` must reproduce bit for bit."""
-    from noiserise.simnet import _wrap_shifts, cost_hata_pl
+    from noiserise.simnet import _wrap_shifts
 
     s = cfg.isd_m
     a1 = np.array([s, 0.0])
@@ -708,7 +731,7 @@ def reference_draw(cfg, channel, seed):
             dx = ms[:, :1] - (bs[:, 0] + sx)
             dy = ms[:, 1:] - (bs[:, 1] + sy)
             best = np.minimum(best, dx * dx + dy * dy)
-        pl = cost_hata_pl(np.sqrt(best), channel, rng if channel.shadowing_sigma_db > 0 else None)
+        pl = reference_path_loss(np.sqrt(best), channel, rng)
         gain = 10.0 ** (-pl / 10.0)
         serving = gain.argmax(axis=1)
         if np.bincount(serving, minlength=len(bs)).min() >= cfg.min_ms_per_cell:

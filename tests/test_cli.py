@@ -384,6 +384,25 @@ def test_noise_or_budget_not_positive_finite_exit_1(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+def test_wrapped_grid_too_long_exit_1(tmp_path, capsys, monkeypatch, command):
+    # a 1 x 9 torus: the 3x3 block of lattice images misses nearer images
+    from noiserise import cli
+
+    def no_runs(cfg):
+        raise AssertionError("a simulation ran on a config it should have refused")
+
+    monkeypatch.setattr(cli, "run_simulation", no_runs)
+    out = tmp_path / "x"
+    argv = [command, "--out", str(out), "--set", "deployment.layout=grid",
+            "--set", "deployment.rows=1", "--set", "deployment.cols=9"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: deployment.rows and cols of a wrapped grid need "
+                   "max(rows, cols) <= 2 * min(rows, cols), got 1 x 9\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("case", ["directory", "not_utf8"])
 def test_unreadable_config_file_exit_1(tmp_path, capsys, command, case):
     # a directory, or a file that is not UTF-8 text, is a config error, not

@@ -1,6 +1,6 @@
-"""Metamorphic tests of whole runs: a change of units that the model
-leaves invariant must leave a run's schedule invariant, with no reference
-implementation to compare against.
+"""Metamorphic tests of whole runs: a change of units or of labels that
+the model leaves invariant must leave a run's schedule invariant, with no
+reference implementation to compare against.
 
 Scaling every channel gain and the noise density by a power of two scales
 the noise power, the budget, every normalized interference ``l`` and every
@@ -66,3 +66,74 @@ def test_power_of_two_units_change_no_power_or_bit(scheme, wrap, quantize_units,
         assert scaled.ms_power_w.tobytes() == base.ms_power_w.tobytes()
         assert scaled.ms_bits.tobytes() == base.ms_bits.tobytes()
         assert scaled.ingress_w.tobytes() == (scale * base.ingress_w).tobytes()
+
+
+# Relabelling the mobiles or the base stations changes only the order in
+# which sums over a cell's users and over a mobile's gains are taken, so a
+# run is the same to within rounding.  Measured over 20 permutations of
+# each kind, on these 15-frame runs of the default 19-cell layout on the
+# torus and the plane: the aggregates moved at most 2.9e-13 relative and
+# frame 0's per-mobile bits 4.2e-12 relative (nr_density_capped under a
+# base-station relabelling), with the same users served.  The tolerances
+# below leave a margin of about 30x.
+AGGREGATE_RTOL = 1e-11
+FRAME0_BITS_RTOL = 1e-10
+
+# target_sinr gives every targeted user the same rate, so its PF scores
+# tie among users of equal weight, and a tie goes to the lowest mobile
+# index: relabelling the mobiles changes whom it serves.  It is left out
+# of the mobile relabelling; a base-station relabelling keeps its ties.
+MOBILE_RELABEL_SCHEMES = ("nr", "nr_density", "nr_density_capped", "fixed")
+
+
+def _aggregates(metrics):
+    return np.array([metrics.mean_cell_throughput(), metrics.jain_fairness(),
+                     metrics.mean_ingress_w(), metrics.edge_spectral_efficiency()])
+
+
+def _relabelled_run(cfg, monkeypatch, ms_order=None, bs_order=None):
+    """``cfg``'s run with mobile ``i`` the drawn mobile ``ms_order[i]`` and
+    base station ``j`` the drawn base station ``bs_order[j]``."""
+    draw = simnet._draw_deployment
+
+    def relabelled_draw(*args):
+        deployment = draw(*args)
+        serving, gain = deployment.serving_map, deployment.gain_matrix
+        if ms_order is not None:
+            serving, gain = serving[ms_order], gain[ms_order]
+        if bs_order is not None:
+            serving, gain = np.argsort(bs_order)[serving], gain[:, bs_order]
+        return Deployment(serving_map=serving, gain_matrix=gain)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simnet, "_draw_deployment", relabelled_draw)
+        return simnet.run_simulation(cfg)
+
+
+def _assert_same_run(relabelled, base, ms_order):
+    """The aggregates agree, and so do frame 0's bits (every weight equal)
+    with the relabelled mobiles mapped back to the drawn labels."""
+    np.testing.assert_allclose(_aggregates(relabelled), _aggregates(base), rtol=AGGREGATE_RTOL, atol=0.0)
+    bits = base.ms_bits[0][ms_order]
+    assert np.array_equal(relabelled.ms_bits[0] > 0, bits > 0)
+    np.testing.assert_allclose(relabelled.ms_bits[0], bits, rtol=FRAME0_BITS_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("scheme, wrap", list(itertools.product(MOBILE_RELABEL_SCHEMES, (True, False))))
+def test_relabelled_mobiles_give_the_same_run(scheme, wrap, monkeypatch):
+    cfg = _config(scheme, wrap, None)
+    base = simnet.run_simulation(cfg)
+    for seed in (1, 2):
+        ms_order = np.random.default_rng(seed).permutation(base.n_ms)
+        _assert_same_run(_relabelled_run(cfg, monkeypatch, ms_order=ms_order), base, ms_order)
+
+
+@pytest.mark.parametrize("scheme, wrap", list(itertools.product(SCHEMES, (True, False))))
+def test_relabelled_base_stations_give_the_same_run(scheme, wrap, monkeypatch):
+    cfg = _config(scheme, wrap, None)
+    base = simnet.run_simulation(cfg)
+    for seed in (1, 2):
+        bs_order = np.random.default_rng(seed).permutation(base.n_cells)
+        relabelled = _relabelled_run(cfg, monkeypatch, bs_order=bs_order)
+        assert np.array_equal(relabelled.ms_cell, np.argsort(bs_order)[base.ms_cell])
+        _assert_same_run(relabelled, base, np.arange(base.n_ms))

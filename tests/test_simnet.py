@@ -46,6 +46,7 @@ from oracles import (
     FrameMetrics,
     cell_members,
     reference_draw,
+    reference_path_loss,
     reference_quantize,
     reference_run_frame,
     reference_schedule,
@@ -97,6 +98,26 @@ def test_cost_hata_takes_an_empty_array():
 def test_cost_hata_warns_outside_fit_range():
     with pytest.warns(UserWarning):
         PathLossParams(freq_mhz=900.0)
+
+
+def test_cost_hata_is_the_written_out_formula_and_writes_no_input():
+    # a read-only input, unchanged after the call; a scalar gives a float;
+    # with shadowing, equal rng states give the same bits
+    d = np.random.default_rng(5).uniform(1.0, 20_000.0, size=(40, 7))
+    d[0, :3] = (35.0, 20.0, 1e-3)
+    before = d.copy()
+    d.flags.writeable = False
+    for sigma in (0.0, 8.0):
+        params = PathLossParams(shadowing_sigma_db=sigma, c_m_db=3.0)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        pl = cost_hata_pl(d, params, rng)
+        assert pl.tobytes() == reference_path_loss(d, params, ref_rng).tobytes()
+        assert rng.random() == ref_rng.random()
+        assert d.tobytes() == before.tobytes()
+        for scalar in (700.0, np.float64(20.0), np.array(1234.5)):
+            value = cost_hata_pl(scalar, params, rng)
+            assert type(value) is float
+            assert value == float(reference_path_loss(scalar, params, ref_rng))
 
 
 def test_cost_hata_shadowing_needs_rng():
@@ -195,15 +216,53 @@ def test_distances_match_the_four_dimensional_form():
         assert np.array_equal(_distances(ms, bs, shifts), np.sqrt((diff**2).sum(axis=-1)).min(axis=-1))
 
 
+def _torus_shapes():
+    shapes = [dict(layout="grid", rows=rows, cols=cols)
+              for rows, cols in itertools.product(range(1, 13), repeat=2)
+              if max(rows, cols) <= 2 * min(rows, cols) and rows * cols >= 2]
+    return shapes + [dict(layout="rings", rings=rings) for rings in range(1, 5)]
+
+
+@pytest.mark.parametrize("shape", _torus_shapes(), ids=lambda shape: "-".join(map(str, shape.values())))
+def test_distances_are_the_nearest_of_a_9x9_image_block(shape):
+    # every torus up to 12 x 12 that DeploymentConfig accepts has a nearest
+    # lattice image in the 3x3 block that _distances takes: no image of a
+    # 9x9 block is nearer
+    from noiserise.simnet import _distances, _lattice, _wrap_shifts
+
+    bs, u1, u2, centered = _lattice(DeploymentConfig(**shape))
+    st = np.random.default_rng(len(bs)).random((400, 2))
+    ms = (-0.5 * (u1 + u2) if centered else 0.0) + st[:, :1] * u1 + st[:, 1:] * u2
+    nearest = np.full((len(ms), len(bs)), np.inf)
+    for m, n in itertools.product(range(-4, 5), repeat=2):
+        sx, sy = m * u1 + n * u2
+        dx, dy = ms[:, :1] - (bs[:, 0] + sx), ms[:, 1:] - (bs[:, 1] + sy)
+        nearest = np.minimum(nearest, dx * dx + dy * dy)
+    assert np.array_equal(_distances(ms, bs, _wrap_shifts(u1, u2, True)), np.sqrt(nearest))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 3), (2, 5), (9, 4), (4, 9), (1, 9)])
+def test_a_wrapped_grid_longer_than_twice_its_width_is_refused(rows, cols):
+    rule = re.escape("rows and cols of a wrapped grid need max(rows, cols) <= 2 * min(rows, cols), "
+                     f"got {rows} x {cols}")
+    with pytest.raises(ValueError, match=f"^{rule}$"):
+        DeploymentConfig(layout="grid", rows=rows, cols=cols)
+    # the plane takes no image, and each shape is fine there
+    assert DeploymentConfig(layout="grid", rows=rows, cols=cols, wrap=False).n_cells == rows * cols
+
+
 def test_draw_is_the_reference_draw():
     # both layouts, torus and plane, with and without shadowing, at an ISD
     # of 60 m, where two BSs can lie within min_distance_m of a mobile
-    # and their clamped distances tie, and grid72 at seed 1, whose first
-    # draw is rejected
+    # and their clamped distances tie; grid72 at seed 1, whose first draw
+    # is rejected; and a 4 x 8 torus, twice as long as it is wide, whose
+    # rows of lattice images each hold three x-shifts
     cases = [(DeploymentConfig(layout=layout, wrap=wrap, isd_m=isd), PathLossParams(shadowing_sigma_db=sigma), seed)
              for layout, wrap, sigma, isd, seed in itertools.product(
                  ("rings", "grid"), (True, False), (0.0, 8.0), (1500.0, 60.0), range(6))]
     cases.append((DeploymentConfig(layout="grid", ms_total=722), PathLossParams(), 1))
+    cases += [(DeploymentConfig(layout="grid", rows=4, cols=8), PathLossParams(shadowing_sigma_db=sigma), seed)
+              for sigma, seed in itertools.product((0.0, 8.0), range(3))]
     for cfg, channel, seed in cases:
         dep = build_deployment(cfg, channel, seed)
         serving, gain = reference_draw(cfg, channel, seed)

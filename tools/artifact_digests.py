@@ -87,6 +87,9 @@ INVOCATIONS = {
     # seven of the 19 cells serve nobody at seed 1
     "run_nr_density_empty_cells": ["run", *_sets("deployment.ms_per_cell=1", "deployment.min_ms_per_cell=0",
                                                  "scheme.name=nr_density")],
+    # a torus twice as long as it is wide: rows of three x-shifted lattice images
+    "run_grid4x8_density": ["run", *_sets("deployment.layout=grid", "deployment.rows=4", "deployment.cols=8",
+                                          "scheme.name=nr_density")],
     "run_grid72_fixed": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722",
                                        "scheme.name=fixed", "scheme.fixed_power_dbm=20")],
     "sweep_default": ["sweep"],

@@ -490,6 +490,12 @@ def _walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam):
     slope's range holds 0.  Returns ``(lambda1, lambda2, probes, kinks,
     converged, users, shares, powers)``, the allocation as one or two
     users with their shares and powers.
+
+    A probe's tie set takes one of three branches: one user; two users,
+    the set most probes of a simulator run meet, by plain comparisons;
+    or three and more, as lists scanned for the lowest index.  The
+    branches make the same IEEE operations in the same order, so the
+    pair's branch returns what the general one would.
     """
     inf = math.inf
     # the users tied at an end once a probe has moved it; a seeded end's
@@ -522,6 +528,18 @@ def _walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam):
             j_hi = j_lo = tied[0]
             c_hi = c_lo = ws[j_hi] / lam - bs[j_hi]
             slack = _FLAT * ws[j_hi] / lam
+        elif len(tied) == 2:
+            # the general branch's operations on a pair, by plain comparisons
+            i, j = tied
+            wi, wj = ws[i], ws[j]
+            ci = wi / lam - bs[i]
+            cj = wj / lam - bs[j]
+            spend = ci, cj
+            c_hi = cj if cj > ci else ci
+            c_lo = cj if cj < ci else ci
+            slack = _FLAT * (wj if wj > wi else wi) / lam
+            j_hi = i if ci >= c_hi - slack else j
+            j_lo = i if ci <= c_lo + slack else j
         else:
             spend = [ws[i] / lam - bs[i] for i in tied]
             c_hi = max(spend)
@@ -668,10 +686,11 @@ class DualRun:
         alone = valid & (np.add.reduce(np.greater_equal(values, near, out=hits)) == 1)
         best = values.argmax(axis=0)
         w_top = W[rows[:, None], best]
-        spend = w_top / S - self.beta[rows[:, None], best]
+        # the spend's excess over the budget; I - spend is its exact negation
+        over = w_top / S - self.beta[rows[:, None], best] - I
         slack = _FLAT * w_top / S
-        left = alone & (spend - I > slack)
-        right = alone & (I - spend > slack)
+        left = alone & (over > slack)
+        right = alone & (-over > slack)
 
         at_left = np.where(left, S, -np.inf)
         at_right = np.where(right, S, np.inf)
@@ -679,7 +698,7 @@ class DualRun:
         kr = at_right.argmin(axis=1)
         lo = at_left[rows, kl]
         hi = at_right[rows, kr]
-        between = valid & ~left & ~right & (S > lo[:, None]) & (S < hi[:, None])
+        between = valid & ~(left | right) & (S > lo[:, None]) & (S < hi[:, None])
         at_start = np.where(between, S, np.inf)
         k = at_start.argmin(axis=1)
         settled = between[rows, k] & alone[rows, k] & (best[rows, k] == k)

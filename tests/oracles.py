@@ -16,7 +16,11 @@ and computes every path loss, by the formula written out, and gain
 before it counts a cell's mobiles.  Two exceptions are not references
 but views of the package's own bandwidth-step helpers on ``UserLink``
 lists, for scans and for the tests of those helpers:
-:func:`lambda2_bounds` and :func:`bandwidth_for_multiplier`.
+:func:`lambda2_bounds` and :func:`bandwidth_for_multiplier`.  A third,
+:func:`reference_walk`, is the package's walk in its general form: it
+calls the package's own kink search and band values, and builds and
+scans every tie set as a list, where the package's walk takes a pair of
+tied users by plain comparisons; the two must agree bit for bit.
 """
 
 import math
@@ -25,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
+from noiserise import solver
 from noiserise.model import LN2, Allocation, UserLink, budget_watts, link_arrays
 from noiserise.simnet import solve_dual
 from noiserise.solver import (
@@ -673,6 +678,99 @@ def dual_optimum(w, e, l, I):
         p[lo_user] = (1.0 - share) * c_lo / l[lo_user]
     lam2 = -top
     return x, p, lam, lam2, steps, converged, _kkt_residual(x, p, lam, lam2, w, e, l, I)
+
+
+def reference_walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam, ties=None):
+    """Finish one cell's dual walk from a bracket, as ``solver._walk``
+    does, building and scanning every tie set as a list; appends each
+    probe's tie-set size to ``ties`` if given.
+
+    ``ws, rs, bs, ss, ls`` list the cell's users' ``w``, ``w e/l``,
+    ``l/e``, single-user minimisers and ``l``.  The bracket ends ``lo``
+    and ``hi``, where the dual's slope is < 0 and > 0, are topped by users
+    ``a`` and ``b``; ``lo = -inf`` or ``hi = inf`` stands for no end yet.
+    ``lam`` is the first probe, or ``inf`` to take it from the bracket.
+    Each probe evaluates the envelope at ``lam`` and moves the end that
+    the slope ``I - c`` of its top users points away from, until the
+    slope's range holds 0.  Returns ``(lambda1, lambda2, probes, kinks,
+    converged, users, shares, powers)``, the allocation as one or two
+    users with their shares and powers.
+    """
+    inf = math.inf
+    # the users tied at an end once a probe has moved it; a seeded end's
+    # top user stands alone, which `a == b` covers
+    tied_lo = tied_hi = ()
+    kinks = 0
+    converged = False
+    for probes in range(1, _MAX_PROBES + 1):
+        if lam == inf:
+            if lo == -inf:
+                lam = min(ss)
+            elif hi == inf:
+                lam = max(ss)
+            else:
+                if a == b or a in tied_hi or b in tied_lo:
+                    # one piece, or two that are equal to rounding at an end,
+                    # where their crossing is noise: probe the left piece's
+                    # minimiser
+                    lam = ss[a]
+                else:
+                    lam = solver._kink(ws[a], rs[a], bs[a], ws[b], rs[b], bs[b], lo, hi)
+                    kinks += 1
+                if not lo < lam < hi:
+                    lam = math.sqrt(lo * hi)
+        values = solver._band_values(ws, rs, lam)
+        top = max(values)
+        floor = top - _TIE * (lam * I + top)
+        tied = [i for i, v in enumerate(values) if v >= floor]
+        if ties is not None:
+            ties.append(len(tied))
+        if len(tied) == 1:
+            j_hi = j_lo = tied[0]
+            c_hi = c_lo = ws[j_hi] / lam - bs[j_hi]
+            slack = _FLAT * ws[j_hi] / lam
+        else:
+            spend = [ws[i] / lam - bs[i] for i in tied]
+            c_hi = max(spend)
+            c_lo = min(spend)
+            # spends this close are equal up to rounding, so the lowest
+            # index among them stands for all
+            slack = _FLAT * max([ws[i] for i in tied]) / lam
+            for j_hi, c in zip(tied, spend):
+                if c >= c_hi - slack:
+                    break
+            for j_lo, c in zip(tied, spend):
+                if c <= c_lo + slack:
+                    break
+        if c_lo - I > slack:
+            lo, a, tied_lo = lam, j_lo, tied
+        elif I - c_hi > slack:
+            hi, b, tied_hi = lam, j_hi, tied
+        else:
+            converged = True
+            break
+        lam = inf
+
+    k = j_hi
+    if len(tied) > 1:
+        # a tied user spending the budget at its own minimiser takes the
+        # band, else the highest and the lowest spender share it
+        for k, c in zip(tied, spend):
+            if abs(c - I) <= slack:
+                break
+        else:
+            k = j_hi if j_hi == j_lo else None
+    if k is not None:
+        if ss[k] != lam:
+            lam = ss[k]
+            top = max(solver._band_values(ws, rs, lam))
+        return lam, -top, probes, kinks, converged, (k,), (1.0,), (I / ls[k],)
+    c_hi = ws[j_hi] / lam - bs[j_hi]
+    c_lo = ws[j_lo] / lam - bs[j_lo]
+    share = (I - c_lo) / (c_hi - c_lo) if c_hi > c_lo else 1.0
+    share = min(1.0, max(0.0, share))
+    return lam, -top, probes, kinks, converged, (j_hi, j_lo), (share, 1.0 - share), (
+        share * c_hi / ls[j_hi], (1.0 - share) * c_lo / ls[j_lo])
 
 
 def reference_path_loss(distance_m, params, rng=None):

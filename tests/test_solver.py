@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noiserise import simnet
+from noiserise import simnet, solver
 from noiserise.model import Cells, SolverConfig, UserLink, link_arrays
 from noiserise.simnet import (
     SimConfig,
@@ -38,6 +39,7 @@ from oracles import (
     find_lambda2_ref,
     grid_search_two_user,
     lambda2_bounds,
+    reference_walk,
     waterfill_bisect,
 )
 
@@ -600,6 +602,19 @@ def simulator_cells(draw):
     return _links(weights, sinrs, gains), draw(_decades(-15, -11))
 
 
+@st.composite
+def planted_cells(draw):
+    """A simulator cell with one or two copies of one of its users
+    appended, each exact or with its weight moved by one ulp: the ties
+    that simulator draws never make, where a walk's tie handling shows."""
+    links, budget = draw(simulator_cells())
+    user = draw(st.sampled_from(links))
+    weights = st.sampled_from([user.weight, math.nextafter(user.weight, math.inf),
+                               math.nextafter(user.weight, 0.0)])
+    return links + [replace(user, id=i, weight=draw(weights))
+                    for i in range(len(links), len(links) + draw(st.integers(1, 2)))], budget
+
+
 @settings(max_examples=300, deadline=None)
 @given(simulator_cells())
 def test_property_solve_dual_certified_feasible_and_zero_gap(cell):
@@ -847,6 +862,94 @@ def test_a_start_on_a_tie_is_walked():
     assert sol.x.tolist() == [1.0, 0.0] and sol.p.tolist() == [1.0, 0.0]
 
 
+def _walk_calls(solve):
+    """The arguments of every ``solver._walk`` call that ``solve()`` makes."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _walk(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_walk", recording)
+        solve()
+    return calls
+
+
+def _assert_walks_are_the_reference_walks(calls):
+    """Check that each recorded walk returns, repr for repr, what the
+    reference walk returns; returns the reference walks' tie-set sizes,
+    one per probe, counted."""
+    ties = []
+    for args in calls:
+        assert repr(_walk(*args)) == repr(reference_walk(*args, ties=ties))
+    return Counter(ties)
+
+
+@pytest.mark.parametrize("cfg, ties", [
+    (_DEFAULT, {1: 426, 2: 1189}),
+    (_GRID72, {1: 1576, 2: 4504}),
+    (_BATCH4, {1: 1756, 2: 4760}),
+], ids=["default", "grid72", "batch4"])
+def test_frame_walks_are_the_reference_walks(cfg, ties):
+    # every walk of a run's frame solves, bit for bit; each starts at the
+    # kink of its bracket ends' top users, the tie sets its probes meet
+    # hold one user or two, and a pair ends every walk
+    calls = _walk_calls(lambda: run_simulation(cfg))
+    counted = _assert_walks_are_the_reference_walks(calls)
+    assert counted == ties and counted[2] == len(calls)
+    for *_, lo, a, hi, b, lam in calls:
+        assert -math.inf < lo < hi < math.inf and a != b and lam == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(simulator_cells())
+def test_property_walk_is_the_reference_walk(cell):
+    links, budget = cell
+    _assert_walks_are_the_reference_walks(_walk_calls(lambda: solve_dual(links, budget)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_cells())
+def test_property_walk_is_the_reference_walk_on_planted_ties(cell):
+    links, budget = cell
+    _assert_walks_are_the_reference_walks(_walk_calls(lambda: solve_dual(links, budget)))
+
+
+def test_a_tie_of_four_takes_the_walks_general_branch():
+    # three exact copies of the user that takes the band alone: no
+    # candidate stands alone, so the cell is walked, every probe meets the
+    # four copies tied, and the lowest index keeps the band
+    links = [replace(GOLDEN_LINKS[0], id=i) for i in (2, 3, 4)]
+    calls = _walk_calls(lambda: solve_dual(GOLDEN_LINKS + links, 1.0))
+    assert len(calls) == 1
+    assert _assert_walks_are_the_reference_walks(calls) == {4: 2}
+    alloc = solve_dual(GOLDEN_LINKS + links, 1.0)
+    assert alloc.x == [1.0, 0.0, 0.0, 0.0, 0.0] and alloc.p == [0.25, 0.0, 0.0, 0.0, 0.0]
+
+
+def _pair_walk(ws, rs, bs, I, lo, a, hi, b, lam):
+    """The walk of a hand-built cell from a bracket, checked against the
+    reference walk; every power is spent at ``l = 1``."""
+    args = (ws, rs, bs, [w / (I + beta) for w, beta in zip(ws, bs)], [1.0] * len(ws), I, lo, a, hi, b, lam)
+    walk = _walk(*args)
+    assert repr(walk) == repr(reference_walk(*args))
+    return walk
+
+
+def test_a_pairs_verdicts_on_the_slack_edge_are_the_reference_walks():
+    # neither user wants power at the probe lam = 1 (r < lam), so their
+    # band values tie at 0 and the spends w/lam - l/e alone decide.  The
+    # spends 1 + 4e-12 and 2 against I = 1: the slack is judged by the
+    # larger weight (8e-12), so user 0 spends the budget and takes the band
+    walk = _pair_walk([2.0, 8.0], [0.5, 0.5], [1.0 - 4e-12, 6.0], 1.0, -math.inf, 0, math.inf, 0, 1.0)
+    assert walk[2:6] == (1, 0, True, (0,))
+    # equal spends of 0.5 over I = 0.25: the lowest index tops the left
+    # end, and its own minimiser, the next probe, spends the budget
+    walk = _pair_walk([1.0, 2.0], [0.5, 0.9], [0.5, 1.5], 0.25, -math.inf, 0, 2.0, 1, 1.0)
+    assert walk[0] == 1.0 / 0.75 and walk[2:6] == (2, 0, True, (0,))
+
+
 def _assert_same_frame(got, want):
     for name in ("x", "p", "lambda1", "lambda2", "probes", "kinks", "converged", "kkt_residual"):
         assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
@@ -952,6 +1055,14 @@ def test_seed_brackets_are_the_walks_verdicts_on_default_run(default_run_frames)
 @settings(max_examples=300, deadline=None)
 @given(simulator_cells())
 def test_property_seed_brackets_are_the_walks_verdicts(cell):
+    links, budget = cell
+    w, e, l, _ = link_arrays(links)
+    _assert_seeds_are_the_walks_verdicts(Cells.single(len(links)), w, e, l, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_cells())
+def test_property_seed_brackets_are_the_walks_verdicts_on_planted_ties(cell):
     links, budget = cell
     w, e, l, _ = link_arrays(links)
     _assert_seeds_are_the_walks_verdicts(Cells.single(len(links)), w, e, l, budget)

@@ -84,6 +84,8 @@ INVOCATIONS = {
     "run_nr_plain": ["run", *_sets("deployment.wrap=false")],
     "run_nr_shadowing8db": ["run", *_sets("channel.shadowing_sigma_db=8")],
     "run_nr_seed7243": ["run", *_sets("run.seed=7243")],
+    # 40-user cells (760 mobiles): the walk's tie sets and kink searches on wide cells
+    "run_nr_ms40": ["run", *_sets("deployment.ms_per_cell=40")],
     # seven of the 19 cells serve nobody at seed 1
     "run_nr_density_empty_cells": ["run", *_sets("deployment.ms_per_cell=1", "deployment.min_ms_per_cell=0",
                                                  "scheme.name=nr_density")],

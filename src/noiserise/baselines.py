@@ -150,7 +150,9 @@ def bind_target_sinr(cells: Cells, e, l, cap, target_sinr):
     at ``cap``, and the frame function ``schedule(w)`` gives each cell's
     band to its heaviest such user at that power; a cell where nobody has
     ``e > 0`` gives the band to its first user at zero power.  ``l`` is
-    not used."""
+    not used.  Every such user's rate is ``log(1 + target_sinr)``, so
+    users of equal weight tie and the lowest index wins: whom the scheme
+    serves depends on the mobiles' labels."""
     able = e > 0
     power = np.zeros(len(e))
     power[able] = np.minimum(target_sinr / e[able], cap[able])

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, simnet
 from .baselines import CalibrationError, calibrate_in_lockstep
 from .baselines import calibrate_fixed_power  # noqa: F401 - bench/spans.py wraps cli.calibrate_fixed_power by name
-from .model import UserLink, budget_watts
+from .model import UserLink, budget_watts, db_to_linear
 from .simnet import (
     ChannelConfig,
     DeploymentConfig,
@@ -68,11 +68,11 @@ def _flag(text: str) -> bool:
 
 
 def _dbm_to_w(text: str) -> float:
-    return 10.0 ** ((float(text) - 30.0) / 10.0)
+    return db_to_linear(float(text) - 30.0)
 
 
 def _db_to_linear(text: str) -> float:
-    return 10.0 ** (float(text) / 10.0)
+    return db_to_linear(float(text))
 
 
 def _quantize_units(text: str) -> int | None:
@@ -154,7 +154,7 @@ def _field_values(parser: configparser.ConfigParser) -> dict:
                 raise ConfigError(f"{section}: give {given[cls, field]} or {key}, not both")
             try:
                 values[cls][field] = parse(text)
-            except (KeyError, OverflowError, ValueError):
+            except (KeyError, ValueError):
                 raise ConfigError(f"{section}.{key}: cannot parse {text!r}") from None
             given[cls, field] = key
     return values

@@ -39,9 +39,11 @@ def _check_finite(name, value):
 class UserLink:
     """Scheduling inputs for one mobile station as seen by its serving cell.
 
-    ``norm_sinr`` (e) is the serving-link gain divided by the total
-    noise-plus-interference power in the band, in 1/Watt, so ``p * e`` is
-    the term inside the rate log at full band.  ``norm_interference`` (l)
+    ``weight`` (w) is the scheduler's QoS gradient, for proportional
+    fairness one over the accumulated throughput.  ``norm_sinr`` (e) is
+    the serving-link gain divided by the total noise-plus-interference
+    power in the band, in 1/Watt, so ``p * e`` is the term inside the
+    rate log at full band.  ``norm_interference`` (l)
     is the summed channel gain toward all non-serving base stations, i.e.
     interference injected per Watt transmitted.  ``max_power`` is None in
     the interference-limited regime where the budget, not the amplifier,
@@ -257,6 +259,16 @@ class NoiseRiseBudget:
             raise ValueError(f"linear_budget must be finite and > 0, got {self.linear_budget!r}")
 
 
+def db_to_linear(db: float) -> float:
+    """``db`` decibels as a linear ratio, ``10 ** (db / 10)``, or ``inf``
+    where that exceeds a float: the one conversion of a dB value, and of
+    a dBm value less 30 into Watts."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def noise_rise_budget_from_db(target_db, n0_density, bandwidth):
     """Convert a noise-rise target in dB to a linear egress budget.
 
@@ -273,11 +285,8 @@ def noise_rise_budget_from_db(target_db, n0_density, bandwidth):
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth!r}")
     p_noise = n0_density * bandwidth
-    try:
-        rise = 10.0 ** (target_db / 10.0)
-    except OverflowError:
-        rise = math.inf  # which NoiseRiseBudget refuses
-    return NoiseRiseBudget(float(target_db), p_noise * (rise - 1.0))
+    # an infinite rise gives a budget that NoiseRiseBudget refuses
+    return NoiseRiseBudget(float(target_db), p_noise * (db_to_linear(target_db) - 1.0))
 
 
 _SLACK = 1e-9  # relative rounding a feasibility check forgives on each bound

@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .model import (
     _powers,
     _refuse_over_cap,
     _watts,
+    db_to_linear,
     greedy,
     link_arrays,
     noise_rise_budget_from_db,
@@ -259,6 +260,9 @@ def _lattice(cfg: DeploymentConfig):
 
 
 def _wrap_shifts(u1, u2, wrap: bool):
+    """The lattice translations a distance is minimised over: on the torus
+    the 3x3 block of images (the wrap-around of 3GPP TR 36.814, Annex A),
+    on the plane none."""
     if not wrap:
         return np.zeros((1, 2))
     return np.array([m * u1 + n * u2 for m in (-1, 0, 1) for n in (-1, 0, 1)])
@@ -527,6 +531,8 @@ def make_scheme(
     ``bind`` computes once: ``nr`` binds a
     :class:`~noiserise.solver.DualRun`, ``nr_density`` and ``fixed`` each
     user's rate factor and power (:func:`~noiserise.model.greedy`).
+    ``nr``, ``nr_density`` and ``fixed`` do not honour the power caps:
+    their check refuses a power over its cap.
     ``assumed_noise_plus_interference`` is not used: no scheme reads it,
     and it is accepted so that existing callers keep working.
     """
@@ -885,17 +891,14 @@ class ChannelConfig:
         _check_finite(self)
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
-        try:
-            p_noise = self.noise_power_w
-        except OverflowError:
-            p_noise = math.inf
+        p_noise = self.noise_power_w
         if not 0.0 < p_noise < math.inf:
             raise ValueError(f"n0_dbm_per_hz + noise_figure_db must give a positive finite noise power, "
                              f"got {p_noise!r} W")
 
     @property
     def n0_w_per_hz(self) -> float:
-        return 10.0 ** ((self.n0_dbm_per_hz + self.noise_figure_db - 30.0) / 10.0)
+        return db_to_linear(self.n0_dbm_per_hz + self.noise_figure_db - 30.0)
 
     @property
     def noise_power_w(self) -> float:
@@ -956,8 +959,9 @@ class SimConfig:
     deployment: DeploymentConfig = DeploymentConfig()
     channel: ChannelConfig = ChannelConfig()
     scheme: SchemeConfig = SchemeConfig()
-    solver: SolverConfig = SolverConfig()
     run: RunConfig = RunConfig()
+    # not a field: every run certifies its nr frames at the one default
+    solver: ClassVar[SolverConfig] = SolverConfig()
 
     def __post_init__(self):
         try:
@@ -1053,8 +1057,9 @@ class MetricsBundle:
         total_time = self.n_frames * self.frame_duration_s
         return self.ms_bits.sum(axis=0) / (total_time * self.bandwidth_hz)
 
-    def edge_spectral_efficiency(self, percentile: float = 5.0) -> float:
-        return float(np.percentile(self.per_ms_spectral_efficiency(), percentile))
+    def edge_spectral_efficiency(self) -> float:
+        """The 5th percentile of :meth:`per_ms_spectral_efficiency`."""
+        return float(np.percentile(self.per_ms_spectral_efficiency(), 5.0))
 
     def solver_stats(self) -> dict | None:
         """How hard the exact dual solver worked over the run, and its worst

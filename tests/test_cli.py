@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,8 +21,10 @@ from noiserise.cli import _BLOCK_ROWS, ConfigError, _floats, _write_csv, load_co
 from noiserise.simnet import SimConfig, run_simulation
 
 from oracles import reference_sweep, reference_write_csv
+from test_acceptance import GOLDEN
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 SMALL_7CELL = """
 [deployment]
@@ -107,6 +111,34 @@ def test_python_m_run_writes_artifacts(small_config, tmp_path):
 def test_readme_library_example_runs():
     block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_solve_example_is_the_tested_instance(tmp_path, capsys):
+    # README's heredoc instance is the one the acceptance gate and the
+    # artifact digests solve, and solve prints its stated optimum
+    text = README.read_text()
+    instance = json.loads(text.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0])
+    spec = importlib.util.spec_from_file_location("artifact_digests", ROOT / "tools" / "artifact_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    assert instance == digests.README_INSTANCE == GOLDEN
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    stated = re.search(r"optimum is `x = \((\S+), (\S+)\)`, `p1 = (\S+)`", text)
+    assert stated is not None
+    # to a unit in the last printed digit: p1 is 0.31503748, which the
+    # golden figure 0.315038 of the acceptance gate rounds up
+    for value, printed in zip([*out["x"], out["p"][0]], stated.groups()):
+        assert abs(value - float(printed)) <= 10.0 ** -len(printed.split(".")[1]), (value, printed)
+
+
+def test_readme_names_no_private_identifier():
+    # mechanisms and private names are described in the docstrings beside
+    # their code; README keeps the interfaces
+    private = re.findall(r"(?<!\w)_\w+", README.read_text())
+    assert not private, private
 
 
 def test_load_config_overrides():
@@ -336,6 +368,7 @@ def test_cmd_run_unknown_scheme_exit_1(small_config, tmp_path, capsys):
     ["run.frame_duration_s=inf"],
     ["deployment.isd_m=nan"],
     ["scheme.max_power_dbm=inf"],
+    ["scheme.max_power_dbm=5000"],  # overflows a float: inf W
     ["run.seed=5%"],
     ["run.seed=-1"],
     ["run.frame=3"],

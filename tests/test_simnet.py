@@ -1078,6 +1078,21 @@ def test_scheme_config_validation():
         make_scheme("target_sinr", 1.0)
 
 
+def test_solver_tolerances_are_a_constant_not_a_config_field(monkeypatch):
+    # a run's solver tolerances are not configurable: SimConfig has no
+    # solver field to set, and every run builds its scheme, whose check
+    # certifies each nr frame, with the default tolerances
+    with pytest.raises(TypeError):
+        SimConfig(solver=SolverConfig(tol_kkt=1.0))
+    assert "solver" not in {f.name for f in fields(SimConfig)}
+    assert SimConfig().solver == SolverConfig()
+    built = []
+    make = simnet.make_scheme
+    monkeypatch.setattr(simnet, "make_scheme", lambda *args, **kwargs: built.append(kwargs) or make(*args, **kwargs))
+    run_simulation(SimConfig(deployment=DeploymentConfig(rings=1, ms_per_cell=3), run=RunConfig(frames=2)))
+    assert [kwargs["solver_config"] for kwargs in built] == [SolverConfig()]
+
+
 def test_target_sinr_scheme_refuses_a_target_that_is_not_positive_and_finite():
     # an infinite target makes every score infinite, so each cell's band
     # would go to its lowest-index user with e > 0 whatever the weights,

@@ -230,78 +230,108 @@ def _atomic_write(path: str, chunks) -> None:
     os.replace(tmp, path)
 
 
-_BLOCK_ROWS = 1024  # CSV rows formatted by one % in _write_csv
+_BLOCK_ROWS = 1024  # a run's CSV rows are formatted in blocks of at least this many, one % each
 
 
-def _write_csv(path: str, header: str, row_format: str, columns) -> None:
-    """One line per row of the equal-length ``columns``, formatted by
-    ``row_format``; its float fields are ``%.12g``, the bytes :func:`_fmt`
-    gives.  The columns (Python ints and floats, which format several
-    times faster than numpy scalars) are interleaved into one flat list
-    and streamed ``_BLOCK_ROWS`` lines per ``%``: fewer calls than one
-    ``%`` per row, without holding the whole file's text at once."""
+def _write_rows(path: str, header: str, groups, columns) -> None:
+    """Write ``header``, then rows that come in groups, such as a frame's.
+
+    ``groups`` yields each group's lines as one ``%`` template, its
+    integer fields already text in it: the frame and each cell in
+    ``frames.csv``, the frame and each mobile in ``powers.csv``, each
+    mobile in ``per_ms.csv``.  So a template's ``%`` fields are the
+    measured values only, ``%.12g`` or the ``%s`` of :func:`_floats`'
+    texts.  ``columns`` are equal-length arrays of those values, one per
+    field of a row, in row order.  The groups are joined into blocks of
+    at least ``_BLOCK_ROWS`` lines, each formatted by one ``%`` with its
+    values listed as it is written: fewer calls than one ``%`` per row or
+    per frame, without holding the whole file's text at once.  The bytes
+    are those of one ``%`` per row with ``%d`` keys and ``%.12g`` floats,
+    which :func:`_fmt` gives.  Columns of unequal length, or groups that
+    hold another number of lines, raise ``ValueError``."""
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
     width = len(columns)
-    flat = [None] * (width * len(columns[0]))
-    for j, column in enumerate(columns):
-        flat[j::width] = column  # a column of another length raises ValueError
-    line = row_format + "\n"
-    step = _BLOCK_ROWS * width
+
+    def block(templates, start, stop):
+        values = [None] * (width * (stop - start))
+        for j, column in enumerate(columns):
+            values[j::width] = column[start:stop].tolist()
+        return "".join(templates) % tuple(values)
 
     def chunks():
         yield header + "\n"
-        for start in range(0, len(flat), step):
-            block = flat[start:start + step]
-            yield (line * (len(block) // width)) % tuple(block)
+        templates, start, stop = [], 0, 0
+        for template in groups:
+            templates.append(template)
+            stop += template.count("\n")
+            if stop - start >= _BLOCK_ROWS:
+                yield block(templates, start, stop)
+                templates, start = [], stop
+        if stop != n_rows:
+            raise ValueError(f"the groups hold {stop} rows, the columns {n_rows}")
+        yield block(templates, start, stop)
 
     _atomic_write(path, chunks())
 
 
+def _keyed(key: str, rows) -> str:
+    """The texts of ``rows``, each after ``key``, as one text."""
+    return key + key.join(rows) if rows else ""
+
+
 def _floats(values: np.ndarray):
-    """The float array ``values`` as a ``_write_csv`` column and its field
-    format.  When at most half the values are distinct, the column is each
-    distinct value's ``%.12g`` text, formatted once, as ``%s``; else it is
-    the values, as ``%.12g``.  The same bytes either way.  Values are told
-    apart by bit pattern, so ``0.0`` and ``-0.0`` (``0`` and ``-0``) never
-    share a text."""
+    """The float array ``values`` as a :func:`_write_rows` column and its
+    field format.  When at most half the values are distinct, the column
+    is each distinct value's ``%.12g`` text, formatted once, as ``%s``;
+    else it is the values, as ``%.12g``.  The same bytes either way.
+    Values are told apart by bit pattern, so ``0.0`` and ``-0.0`` (``0``
+    and ``-0``) never share a text."""
     bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
     distinct, index = np.unique(bits, return_inverse=True)
     if 2 * len(distinct) > len(bits):
-        return "%.12g", values.tolist()
+        return "%.12g", values
     text = (("%.12g\n" * len(distinct)) % tuple(distinct.view(float).tolist())).split("\n")[:-1]
-    return "%s", np.array(text, dtype=object)[index].tolist()
+    return "%s", np.array(text, dtype=object)[index]
 
 
 def _write_artifacts(out_dir: str, cfg: SimConfig, resolved: str, bundle, runtime_s: float) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
     n_frames, n_cells = bundle.n_frames, bundle.n_cells
+    frame_keys = [f"{t}," for t in range(n_frames)]
+    ms_keys = [f"{ms}," for ms in range(bundle.n_ms)]
     # every cell that spends its budget egresses it, give or take rounding
     egress_format, egress = _floats(bundle.egress_w.ravel())
-    _write_csv(
+    cell_rows = [f"{k},%.12g,%.12g,%.12g,{egress_format}\n" for k in range(n_cells)]
+    _write_rows(
         os.path.join(out_dir, "frames.csv"),
         "frame,cell,throughput_bits,ingress_w,ingress_db,egress_w",
-        "%d,%d,%.12g,%.12g,%.12g," + egress_format,
-        [np.repeat(np.arange(n_frames), n_cells).tolist(), list(range(n_cells)) * n_frames,
-         *(values.ravel().tolist() for values in (bundle.cell_bits, bundle.ingress_w, bundle.ingress_db)),
-         egress],
+        (_keyed(key, cell_rows) for key in frame_keys),
+        [bundle.cell_bits.ravel(), bundle.ingress_w.ravel(), bundle.ingress_db.ravel(), egress],
     )
     power = bundle.ms_power_w
     frame, ms = np.nonzero(power > 0)  # row-major: by frame, then by MS
     # a greedy scheme gives each mobile one power for the whole run
     power_format, power_w = _floats(power[frame, ms])
-    _write_csv(
+    rows = np.array([key + power_format + "\n" for key in ms_keys], dtype=object)[ms].tolist()
+    bounds = np.searchsorted(frame, np.arange(n_frames + 1)).tolist()
+    _write_rows(
         os.path.join(out_dir, "powers.csv"),
         "frame,ms,power_w",
-        "%d,%d," + power_format,
-        [frame.tolist(), ms.tolist(), power_w],
+        (_keyed(key, rows[a:b]) for key, a, b in zip(frame_keys, bounds, bounds[1:])),
+        [power_w],
     )
     totals = bundle.ms_bits.sum(axis=0)
     rates = totals / (bundle.n_frames * bundle.frame_duration_s)
-    _write_csv(
+    row = "%.12g,%.12g\n"
+    _write_rows(
         os.path.join(out_dir, "per_ms.csv"),
         "ms,total_bits,mean_rate_bits_per_s",
-        "%d,%.12g,%.12g",
-        [range(len(totals)), totals.tolist(), rates.tolist()],
+        # a block's worth of mobiles per group, each key before its row
+        (row.join(ms_keys[i:i + _BLOCK_ROWS]) + row for i in range(0, bundle.n_ms, _BLOCK_ROWS)),
+        [totals, rates],
     )
 
     summary = {

@@ -504,7 +504,9 @@ def _walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam):
     kinks = 0
     converged = False
     for probes in range(1, _MAX_PROBES + 1):
-        if lam == inf:
+        # every probe after the first is placed from the bracket, so a walk
+        # that runs out of probes ends on its last one, at a finite lam
+        if probes > 1 or lam == inf:
             if lo == -inf:
                 lam = min(ss)
             elif hi == inf:
@@ -560,7 +562,6 @@ def _walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam):
         else:
             converged = True
             break
-        lam = inf
 
     k = j_hi
     if len(tied) > 1:
@@ -588,11 +589,13 @@ def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
     """The max-normed, dimensionless first-order residual of every cell's
     allocation at once, against its prices in ``lam1, lam2`` and its
     budget in ``I`` (one for all cells or one per cell): the band sum,
-    the budget spent where the cell transmits, and each user's power and
-    bandwidth stationarity.  NaN for the cells with no users.  Every user
-    holding band must have a positive weight and SINR."""
+    the budget spent wherever the cell's powers do not sum to 0, and each
+    user's power and bandwidth stationarity.  Infinite for a cell with a
+    price that is not finite or a power that is negative or NaN; NaN for
+    the cells with no users.  Every user holding band must have a
+    positive weight and SINR."""
     res = np.abs(cells.sums(x) - 1.0)
-    res = np.where(cells.sums(p) > 0.0, np.maximum(res, np.abs(cells.sums(l * p) - I) / I), res)
+    res = np.where(cells.sums(p) != 0.0, np.maximum(res, np.abs(cells.sums(l * p) - I) / I), res)
     on = ((x > 0.0) | (p > 0.0)).nonzero()[0]
     k = cells.cell_of[on]
     xo, po, wo, eo = x[on], p[on], w[on], e[on]
@@ -606,6 +609,10 @@ def _kkt_residuals(cells, x, p, lam1, lam2, w, e, l, I):
     a = po * eo / np.where(both, xo, 1.0)
     gap = np.abs(wo * (np.log1p(a) - a / (1.0 + a)) + lam2[k]) / wo
     np.maximum.at(res, k, np.where(both, np.maximum(term, gap), term))
+    # a price that is not finite (so neither is their sum), or a power that
+    # is negative or NaN, certifies nothing: inf, which a `> tol` check
+    # refuses, as it would not refuse a NaN
+    res[~np.isfinite(lam1 + lam2) | (cells.sums(~(p >= 0.0)) > 0.0)] = np.inf
     res[~cells.valid[:, 0]] = np.nan
     return res
 

@@ -48,7 +48,7 @@ GOLDEN_LINKS = [
     UserLink(id=1, weight=9.4, norm_sinr=0.1, norm_interference=1.0),
 ]
 GOLDEN_BUDGET = 4.0
-GOLDEN_X1, GOLDEN_P1 = 0.667419, 0.315038
+GOLDEN_X1, GOLDEN_P1 = 0.667419, 0.315037
 
 
 def _links(weights, sinrs, interferences):
@@ -948,6 +948,47 @@ def test_a_pairs_verdicts_on_the_slack_edge_are_the_reference_walks():
     # end, and its own minimiser, the next probe, spends the budget
     walk = _pair_walk([1.0, 2.0], [0.5, 0.9], [0.5, 1.5], 0.25, -math.inf, 0, 2.0, 1, 1.0)
     assert walk[0] == 1.0 / 0.75 and walk[2:6] == (2, 0, True, (0,))
+
+
+# a walk state that never converges: users 0 and 1 tie at every lam and
+# spend 0.1 apart, both under the budget, and user 2 tops the left end;
+# the lists are not drawn from consistent w, e, l
+_EXHAUSTED = ([2.0, 2.0, 0.5], [8.0, 8.0, 16.0], [0.2, 0.3, 1.0], [1.0, 0.1, 0.1], [1.0, 1.0, 1.0], 0.1,
+              0.5, 2, 1.0, 2, math.inf)
+
+
+def _residual(users, shares, powers, lam1, lam2):
+    """The KKT residual of an allocation of the exhausted walk's cell; the
+    terms of a broken allocation may divide by 0 or take inf - inf."""
+    ws, _, bs, _, ls, I = _EXHAUSTED[:6]
+    x, p = np.zeros(3), np.zeros(3)
+    x[list(users)], p[list(users)] = shares, powers
+    l = np.array(ls)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return solver._kkt_residuals(Cells.single(3), x, p, np.array([lam1]), np.array([lam2]),
+                                     np.array(ws), l / np.array(bs), l, I)[0]
+
+
+def test_an_exhausted_walk_ends_on_its_last_finite_probe_and_is_refused():
+    walk = _walk(*_EXHAUSTED)
+    assert repr(walk) == repr(reference_walk(*_EXHAUSTED))
+    lam1, lam2, probes, kinks, converged, users, shares, powers = walk
+    assert (probes, kinks, converged) == (solver._MAX_PROBES, solver._MAX_PROBES - 1, False)
+    assert 0.5 < lam1 <= 1.0 and math.isfinite(lam2)
+    assert min(powers) >= 0.0
+    assert _residual(users, shares, powers, lam1, lam2) > SolverConfig().tol_kkt
+
+
+@pytest.mark.parametrize("lam1, lam2, powers", [
+    (math.inf, -2.4, (-0.2, -0.0)),  # what the walk returned when it ended at lam = inf
+    (math.inf, -2.4, (0.05, 0.0)),
+    (1.0, math.nan, (0.05, 0.0)),
+    (math.nan, -2.4, (0.05, 0.0)),
+    (1.0, -2.4, (-0.2, 0.0)),
+    (1.0, -2.4, (math.nan, 0.0)),
+], ids=["inf_price_negative_power", "inf_lambda1", "nan_lambda2", "nan_lambda1", "negative_power", "nan_power"])
+def test_a_price_that_is_not_finite_or_a_power_that_is_negative_reads_an_infinite_residual(lam1, lam2, powers):
+    assert _residual((0, 1), (1.0, 0.0), powers, lam1, lam2) == math.inf
 
 
 def _assert_same_frame(got, want):

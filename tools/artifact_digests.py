@@ -94,6 +94,10 @@ INVOCATIONS = {
                                           "scheme.name=nr_density")],
     "run_grid72_fixed": ["run", *_sets("deployment.layout=grid", "deployment.ms_total=722",
                                        "scheme.name=fixed", "scheme.fixed_power_dbm=20")],
+    # the CSV writer's edges: one frame, one block of each file; and 1,140
+    # mobiles, whose per_ms.csv spans two blocks
+    "run_one_frame": ["run", *_sets("run.frames=1")],
+    "run_nr_density_ms60": ["run", *_sets("deployment.ms_per_cell=60", "scheme.name=nr_density")],
     "sweep_default": ["sweep"],
     "sweep_density_fixed_seed1": ["sweep", *DENSITY_FIXED, *_sets("run.seed=1")],
     "sweep_density_fixed_seed7243": ["sweep", *DENSITY_FIXED, *_sets("run.seed=7243")],

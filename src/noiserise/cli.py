@@ -236,19 +236,17 @@ _BLOCK_ROWS = 1024  # a run's CSV rows are formatted in blocks of at least this 
 def _write_rows(path: str, header: str, groups, columns) -> None:
     """Write ``header``, then rows that come in groups, such as a frame's.
 
-    ``groups`` yields each group's lines as one ``%`` template, its
-    integer fields already text in it: the frame and each cell in
+    ``groups`` yields each group's lines as one ``%`` template whose
+    integer fields are already text: the frame and each cell in
     ``frames.csv``, the frame and each mobile in ``powers.csv``, each
-    mobile in ``per_ms.csv``.  So a template's ``%`` fields are the
-    measured values only, ``%.12g`` or the ``%s`` of :func:`_floats`'
-    texts.  ``columns`` are equal-length arrays of those values, one per
-    field of a row, in row order.  The groups are joined into blocks of
-    at least ``_BLOCK_ROWS`` lines, each formatted by one ``%`` with its
-    values listed as it is written: fewer calls than one ``%`` per row or
-    per frame, without holding the whole file's text at once.  The bytes
-    are those of one ``%`` per row with ``%d`` keys and ``%.12g`` floats,
-    which :func:`_fmt` gives.  Columns of unequal length, or groups that
-    hold another number of lines, raise ``ValueError``."""
+    mobile in ``per_ms.csv``.  Its ``%`` fields are the measured values,
+    ``%.12g`` or the ``%s`` of :func:`_floats`' texts, taken from the
+    equal-length arrays ``columns``, one per field of a row.  Groups are
+    joined into blocks of at least ``_BLOCK_ROWS`` lines, one ``%`` each
+    over values listed as the block is written, so the file's text is
+    never held whole.  The bytes are the per-row writer's: ``%d`` keys
+    and ``%.12g`` floats (:func:`_fmt`).  Columns of unequal length, or
+    groups of another number of lines, raise ``ValueError``."""
     n_rows = len(columns[0])
     if any(len(column) != n_rows for column in columns):
         raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")

@@ -703,9 +703,7 @@ def reference_walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam, ties=None):
     kinks = 0
     converged = False
     for probes in range(1, _MAX_PROBES + 1):
-        # every probe after the first is placed from the bracket, so a walk
-        # that runs out of probes ends on its last one, at a finite lam
-        if probes > 1 or lam == inf:
+        if lam == inf:
             if lo == -inf:
                 lam = min(ss)
             elif hi == inf:
@@ -751,6 +749,7 @@ def reference_walk(ws, rs, bs, ss, ls, I, lo, a, hi, b, lam, ties=None):
         else:
             converged = True
             break
+        lam = inf
 
     k = j_hi
     if len(tied) > 1:

@@ -970,8 +970,12 @@ def _residual(users, shares, powers, lam1, lam2):
 
 
 def test_an_exhausted_walk_ends_on_its_last_finite_probe_and_is_refused():
-    walk = _walk(*_EXHAUSTED)
-    assert repr(walk) == repr(reference_walk(*_EXHAUSTED))
+    # the reference walk ended at lam = inf, with a negative power; the
+    # walk now ends on its last probe, after the same probes and kinks
+    walk, ended_at_inf = _walk(*_EXHAUSTED), reference_walk(*_EXHAUSTED)
+    assert ended_at_inf[0] == math.inf and min(ended_at_inf[7]) < 0.0
+    assert _residual(*ended_at_inf[5:], *ended_at_inf[:2]) == math.inf
+    assert walk[1:6] == ended_at_inf[1:6]
     lam1, lam2, probes, kinks, converged, users, shares, powers = walk
     assert (probes, kinks, converged) == (solver._MAX_PROBES, solver._MAX_PROBES - 1, False)
     assert 0.5 < lam1 <= 1.0 and math.isfinite(lam2)
